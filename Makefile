@@ -55,16 +55,20 @@ template-validate:
 	$(GO) run ./cmd/leakyway -template templates/ validate
 
 # Traced-run determinism gate: the same traced fig8 run at -jobs 1 and
-# -jobs 8 must export byte-identical traces. Filtered to the protocol-level
-# subsystems to keep the files small.
+# -jobs 8, and at fleet width 1 and the default width, must export
+# byte-identical traces. Filtered to the protocol-level subsystems to keep
+# the files small.
 trace-smoke:
 	$(GO) build -o /tmp/leakyway-smoke ./cmd/leakyway
 	/tmp/leakyway-smoke -quick -jobs 1 -trace /tmp/leakyway-trace-j1.jsonl \
 		-trace-filter channel,sim,fault run fig8 > /dev/null
 	/tmp/leakyway-smoke -quick -jobs 8 -trace /tmp/leakyway-trace-j8.jsonl \
 		-trace-filter channel,sim,fault run fig8 > /dev/null
+	/tmp/leakyway-smoke -quick -jobs 1 -batch 1 -trace /tmp/leakyway-trace-b1.jsonl \
+		-trace-filter channel,sim,fault run fig8 > /dev/null
 	cmp /tmp/leakyway-trace-j1.jsonl /tmp/leakyway-trace-j8.jsonl
-	@echo "trace-smoke: traces byte-identical across -jobs 1/8"
+	cmp /tmp/leakyway-trace-j1.jsonl /tmp/leakyway-trace-b1.jsonl
+	@echo "trace-smoke: traces byte-identical across -jobs 1/8 and -batch 1/default"
 
 # Daemon robustness gate: drives the real leakywayd binary over HTTP and
 # signals — cache-hit resubmission, SIGTERM drain (exit 0, accepted jobs

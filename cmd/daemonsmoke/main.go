@@ -30,6 +30,8 @@ import (
 	"strings"
 	"syscall"
 	"time"
+
+	"leakyway/internal/telemetry"
 )
 
 var (
@@ -284,23 +286,19 @@ func (d *daemon) healthz() (int, map[string]any) {
 	return resp.StatusCode, body
 }
 
-// metricValue scrapes /metricsz and returns one unlabeled sample's value.
-func (d *daemon) metricValue(name string) float64 {
+// metricValue scrapes /metricsz and returns one sample's value.
+func (d *daemon) metricValue(series string) float64 {
 	resp, err := http.Get(d.base + "/metricsz")
 	if err != nil {
 		fatalf("metricsz: %v", err)
 	}
 	defer resp.Body.Close()
 	data, _ := io.ReadAll(resp.Body)
-	for _, line := range strings.Split(string(data), "\n") {
-		if v, ok := strings.CutPrefix(line, name+" "); ok {
-			var f float64
-			fmt.Sscanf(v, "%g", &f)
-			return f
-		}
+	v, ok := telemetry.SampleValue(string(data), series)
+	if !ok {
+		fatalf("metricsz: no %s sample in scrape", series)
 	}
-	fatalf("metricsz: no %s sample in scrape", name)
-	return 0
+	return v
 }
 
 // phaseChaos drives the daemon through a disk outage and a store-quota

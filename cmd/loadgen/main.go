@@ -329,21 +329,19 @@ func runChurn(base, tmpl string, conc int, total int64) {
 	}
 }
 
-// metricValue scrapes one unlabeled sample's value from /metricsz.
-func metricValue(base, name string) float64 {
+// metricValue scrapes one sample's value from /metricsz.
+func metricValue(base, series string) float64 {
 	resp, err := http.Get(base + "/metricsz")
 	if err != nil {
 		fatalf("metricsz: %v", err)
 	}
 	defer resp.Body.Close()
 	data, _ := io.ReadAll(resp.Body)
-	for _, line := range strings.Split(string(data), "\n") {
-		if v, ok := strings.CutPrefix(line, name+" "); ok {
-			f, _ := strconv.ParseFloat(strings.TrimSpace(v), 64)
-			return f
-		}
+	v, ok := telemetry.SampleValue(string(data), series)
+	if !ok {
+		fatalf("metricsz: no %s sample in scrape", series)
 	}
-	return 0
+	return v
 }
 
 // reportSaturation names the first level where the daemon pushed back

@@ -112,8 +112,8 @@ func TestNTPNTPBeatsPrimeProbe(t *testing.T) {
 	// small sweep, NTP+NTP should win by well over 2x.
 	cfgp := platform.Skylake()
 	base := DefaultConfig(cfgp.Name, cfgp.FreqGHz)
-	ntp := Sweep(cfgp, RunNTPNTP, base, []int64{1300, 1600, 2000}, 1200, 21)
-	pp := Sweep(cfgp, RunPrimeProbe, base, []int64{6500, 8000, 10000}, 1200, 21)
+	ntp := Sweep(cfgp, RunNTPNTP, base, []int64{1300, 1600, 2000}, 1200, 21, nil, nil)
+	pp := Sweep(cfgp, RunPrimeProbe, base, []int64{6500, 8000, 10000}, 1200, 21, nil, nil)
 	np, pp2 := ntp.Peak(), pp.Peak()
 	if np.CapacityKBps < 2*pp2.CapacityKBps {
 		t.Fatalf("NTP+NTP peak %.1f KB/s vs Prime+Probe %.1f KB/s; want >2x",
@@ -124,7 +124,7 @@ func TestNTPNTPBeatsPrimeProbe(t *testing.T) {
 func TestSweepShape(t *testing.T) {
 	cfgp := platform.Skylake()
 	base := DefaultConfig(cfgp.Name, cfgp.FreqGHz)
-	res := Sweep(cfgp, RunNTPNTP, base, []int64{900, 1300, 2600}, 800, 22)
+	res := Sweep(cfgp, RunNTPNTP, base, []int64{900, 1300, 2600}, 800, 22, nil, nil)
 	if len(res.Points) != 3 {
 		t.Fatalf("points = %d", len(res.Points))
 	}

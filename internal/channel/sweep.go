@@ -32,49 +32,20 @@ func (s SweepResult) Peak() Report {
 	return best
 }
 
-// ParallelFor runs fn(0), ..., fn(n-1); implementations may run the
-// calls concurrently, so fn must only write to per-index state. A nil
-// ParallelFor means a plain serial loop.
-type ParallelFor func(n int, fn func(i int))
-
-// Sweep measures a channel across transmission intervals on fresh machines
-// (same platform and seed each point, so points differ only in rate). bits
-// is the message length per point.
-func Sweep(platform hier.Config, run Runner, base Config, intervals []int64, bits int, seed int64) SweepResult {
-	return SweepPar(platform, run, base, intervals, bits, seed, nil)
-}
-
-// SweepPar is Sweep with the points fanned out through pf. Every point
-// runs on its own fresh machine with the same seed and message, so the
-// sweep is embarrassingly parallel and its result is identical to the
-// serial Sweep's for any schedule.
-func SweepPar(platform hier.Config, run Runner, base Config, intervals []int64, bits int, seed int64, pf ParallelFor) SweepResult {
-	return SweepTraced(platform, run, base, intervals, bits, seed, pf, nil)
-}
-
-// SweepTraced is SweepPar with an optional per-point tracer factory: tf(i)
-// returns the tracer attached to point i's machine (nil to leave the point
-// untraced). The factory is called before the points fan out, so tracer
-// registration order — and therefore the trace output — is independent of
-// the parallel schedule.
-func SweepTraced(platform hier.Config, run Runner, base Config, intervals []int64, bits int, seed int64, pf ParallelFor, tf func(i int) *trace.Tracer) SweepResult {
-	var trials sim.TrialFor
-	if pf != nil {
-		trials = func(n int, body func(i int, src sim.MachineSource)) {
-			pf(n, func(i int) { body(i, sim.Scalar()) })
-		}
-	}
-	return SweepBatch(platform, run, base, intervals, bits, seed, trials, tf)
-}
-
-// SweepBatch is the kernel-agnostic sweep: each point's machine is built
-// through the MachineSource its trial body receives, so the same sweep
-// runs on the scalar kernel (a plain loop or Parallel adapter), a
-// recycling serial kernel, or the batched lockstep kernel — with
-// byte-identical results, since every point uses the same platform, seed
-// and message regardless of how its machine was constructed. A nil trials
-// kernel runs the points serially on fresh machines.
-func SweepBatch(platform hier.Config, run Runner, base Config, intervals []int64, bits int, seed int64, trials sim.TrialFor, tf func(i int) *trace.Tracer) SweepResult {
+// Sweep measures a channel across transmission intervals, one machine per
+// point with the same platform, seed and message, so points differ only in
+// rate. bits is the message length per point.
+//
+// Each point's machine is built through the MachineSource its trial body
+// receives from trials; a nil trials runs the points as one width-1
+// sim.RunBatch fleet. The result is byte-identical for any TrialFor, since
+// no point depends on how its machine was constructed or scheduled.
+//
+// tf, when non-nil, returns the tracer attached to point i's machine (nil
+// leaves the point untraced). The factory is called before the points fan
+// out, so tracer registration order — and therefore the trace output — is
+// independent of the schedule.
+func Sweep(platform hier.Config, run Runner, base Config, intervals []int64, bits int, seed int64, trials sim.TrialFor, tf func(i int) *trace.Tracer) SweepResult {
 	if bits <= 0 {
 		panic(fmt.Errorf("channel: sweep bit count must be positive, got %d", bits))
 	}
@@ -97,7 +68,7 @@ func SweepBatch(platform hier.Config, run Runner, base Config, intervals []int64
 		points[i], _ = run(m, cfg, msg)
 	}
 	if trials == nil {
-		sim.SerialTrials(len(intervals), body)
+		sim.RunBatch(len(intervals), 1, nil, body)
 	} else {
 		trials(len(intervals), body)
 	}

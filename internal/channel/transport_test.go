@@ -138,6 +138,6 @@ func TestRunEntryPointsRejectBadConfig(t *testing.T) {
 		RunNTPNTPSelfSync(sim.MustNewMachine(p, 1<<30, 1), short, RandomMessage(8, 1))
 	})
 	expectPanic("Sweep", func() {
-		Sweep(p, RunNTPNTP, DefaultConfig(p.Name, p.FreqGHz), []int64{2000}, 0, 1)
+		Sweep(p, RunNTPNTP, DefaultConfig(p.Name, p.FreqGHz), []int64{2000}, 0, 1, nil, nil)
 	})
 }

@@ -10,6 +10,10 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"leakyway/internal/mem"
+	"leakyway/internal/platform"
+	"leakyway/internal/sim"
 )
 
 // testContext builds an engine context with the given job count writing to
@@ -34,6 +38,35 @@ func sleepExperiment(id string, shards int, d time.Duration, ran *atomic.Int64) 
 					ran.Add(1)
 				}
 				time.Sleep(d)
+			})
+			return &Result{}, nil
+		},
+	}
+}
+
+// spinExperiment runs trials through ctx.BatchTrials, each on a machine
+// whose agents would spin far longer than any test allows; only
+// cancellation ends them.
+func spinExperiment(id string, trials int, started *atomic.Int64) Experiment {
+	return Experiment{
+		ID:    id,
+		Title: "synthetic spinning fleet",
+		Run: func(ctx *Context) (*Result, error) {
+			ctx.BatchTrials(trials, func(i int, src sim.MachineSource) {
+				started.Add(1)
+				m := src.NewMachine(platform.Skylake(), 1<<26, ctx.ShardSeed(i))
+				m.Spawn("spinner", 0, nil, func(c *sim.Core) {
+					buf := c.Alloc(mem.PageSize)
+					for k := 0; ; k++ {
+						c.Load(buf + mem.VAddr((k%16)*64))
+					}
+				})
+				m.SpawnDaemon("noise", 1, nil, func(c *sim.Core) {
+					for {
+						c.Spin(50)
+					}
+				})
+				m.Run()
 			})
 			return &Result{}, nil
 		},
@@ -99,6 +132,39 @@ func TestCancelMidExperiment(t *testing.T) {
 	}
 }
 
+// TestCancelBatchFleet proves cancellation reaches trials running on the
+// batch kernel: width-8 fleets of machines that never finish return
+// context.Canceled promptly at -jobs 1 and 4, without leaking slot or
+// agent goroutines.
+func TestCancelBatchFleet(t *testing.T) {
+	const trials = 64
+	for _, jobs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("jobs=%d", jobs), func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			ctx := testContext(jobs)
+			ctx.BatchWidth = 8
+			cctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			ctx.Ctx = cctx
+			var started atomic.Int64
+			time.AfterFunc(40*time.Millisecond, cancel)
+			start := time.Now()
+			_, err := runExperiments(ctx, []Experiment{spinExperiment("spin", trials, &started)})
+			elapsed := time.Since(start)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("want context.Canceled, got %v", err)
+			}
+			if elapsed > 3*time.Second {
+				t.Fatalf("cancellation took %v; fleets must stop at a quantum boundary", elapsed)
+			}
+			if n := started.Load(); n >= trials {
+				t.Fatalf("all %d trials started despite cancellation", n)
+			}
+			settleGoroutines(t, base)
+		})
+	}
+}
+
 // TestCancelBeforeStart proves a pre-cancelled context starts no work at
 // all: RunAll over the full registry must return context.Canceled without
 // simulating anything.
@@ -146,6 +212,20 @@ func TestUnguardedParallelNeverPanics(t *testing.T) {
 	ctx.Parallel(10, func(i int) { calls++ })
 	if calls != 0 {
 		t.Fatalf("pre-cancelled unguarded Parallel ran %d shards; want 0", calls)
+	}
+}
+
+// TestUnguardedBatchTrialsNeverPanics is the same contract for the batch
+// kernel: a pre-cancelled hand-built context runs no trial and returns.
+func TestUnguardedBatchTrialsNeverPanics(t *testing.T) {
+	ctx := testContext(1)
+	cctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ctx.Ctx = cctx
+	calls := 0
+	ctx.BatchTrials(10, func(i int, src sim.MachineSource) { calls++ })
+	if calls != 0 {
+		t.Fatalf("pre-cancelled unguarded BatchTrials ran %d trials; want 0", calls)
 	}
 }
 

@@ -67,8 +67,9 @@ func TestRunAllJobsMatrix(t *testing.T) {
 // TestBatchWidthMatrix is the batch kernel's contract: every experiment
 // that routes trials through BatchTrials must produce identical metrics
 // and a byte-identical report for any fleet width and any worker count —
-// the scalar kernel (width 1) is the reference. A divergence means the
-// lockstep scheduler or the arena recycling leaked into simulation state.
+// a serial width-1 fleet at -jobs 1 is the reference. A divergence means
+// the lockstep scheduler or the arena recycling leaked into simulation
+// state.
 func TestBatchWidthMatrix(t *testing.T) {
 	batched := []string{"fig8", "table2", "noise", "faults", "ablate-lanes"}
 	type outcome struct {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -170,17 +171,21 @@ func (ctx *Context) Parallel(n int, fn func(i int)) {
 	// are atomic ticks on the nil-safe Progress — they observe the run,
 	// never steer it, so output stays byte-identical with telemetry on.
 	ctx.Progress.AddShards(n)
-	if n <= 1 || ctx.sem == nil {
-		for i := 0; i < n; i++ {
-			if err := ctx.canceled(); err != nil {
-				ctx.abort(err)
-				return
-			}
-			fn(i)
-			ctx.Progress.ShardDone()
-		}
-		return
+	ctx.fanOut(n, func(i int) {
+		fn(i)
+		ctx.Progress.ShardDone()
+	})
+	if err := ctx.canceled(); err != nil {
+		ctx.abort(err)
 	}
+}
+
+// fanOut runs fn(0), ..., fn(n-1), handing indices out dynamically to the
+// calling goroutine plus one helper per engine worker token free at the
+// call (none without a token bucket). It stops handing out indices once
+// any fn panics or ctx.Ctx is cancelled, and re-raises the first panic on
+// the calling goroutine.
+func (ctx *Context) fanOut(n int, fn func(i int)) {
 	var next atomic.Int64
 	next.Store(-1)
 	var stop atomic.Bool
@@ -209,7 +214,6 @@ func (ctx *Context) Parallel(n int, fn func(i int)) {
 				return
 			}
 			fn(i)
-			ctx.Progress.ShardDone()
 		}
 	}
 	var wg sync.WaitGroup
@@ -235,9 +239,6 @@ recruit:
 	if set {
 		panic(r)
 	}
-	if err := ctx.canceled(); err != nil {
-		ctx.abort(err)
-	}
 }
 
 // defaultBatchWidth is the lockstep fleet width when the context leaves
@@ -258,85 +259,41 @@ func (ctx *Context) batchWidth() int {
 }
 
 // BatchTrials runs body(0), ..., body(n-1), where each body builds its
-// machines through the MachineSource it is handed. Eligible runs go through
-// the batched lockstep kernel (sim.RunBatch): trials are striped across up
-// to ctx.workers() worker groups, and each group steps its trials as one
-// fleet over a recycled construction arena. Trial output is byte-identical
-// to the scalar path for every Jobs value and batch width — bodies must
-// only write per-index state and derive randomness from per-trial seeds,
-// exactly as Parallel already requires.
+// machines through the MachineSource it is handed, on the batched lockstep
+// kernel (sim.RunBatchContext): trials are striped across up to
+// ctx.workers() worker groups, and each group steps its trials as one fleet
+// of ctx.batchWidth() slots over a recycled construction arena. Output is
+// byte-identical to a fresh machine per trial for every Jobs value, batch
+// width, tracer and telemetry setting — bodies must only write per-index
+// state and derive randomness from per-trial seeds, exactly as Parallel
+// already requires.
 //
-// Two situations force the scalar kernel: traced runs (every machine needs
-// its own fresh hierarchy so trace streams see pristine construction
-// events, and trace buffers dwarf the construction cost anyway) and
-// cancellable runs (the daemon's per-job deadlines need the between-shard
-// cancellation checkpoints Parallel provides; a lockstep fleet only stops
-// at quantum boundaries).
+// Cancellation behaves as in Parallel: the fleets stop at their next
+// quantum boundary, then a guarded context unwinds with the context's error
+// and a hand-built one returns early.
 func (ctx *Context) BatchTrials(n int, body func(i int, src sim.MachineSource)) {
 	width := ctx.batchWidth()
-	if n <= 1 || width <= 1 || ctx.Trace != nil || ctx.Ctx != nil {
-		ctx.Parallel(n, func(i int) { body(i, sim.Scalar()) })
-		return
+	groups := min(ctx.workers(), (n+width-1)/width)
+	run := ctx.Ctx
+	if run == nil {
+		run = context.Background()
 	}
-	groups := ctx.workers()
-	if g := (n + width - 1) / width; g < groups {
-		groups = g
-	}
-	runFleet := func(g int) {
+	// Progress ticks once per trial, not once per fleet.
+	ctx.Progress.AddShards(n)
+	ctx.fanOut(groups, func(g int) {
 		count := (n - g + groups - 1) / groups // trials g, g+groups, ...
 		ar := sim.AcquireArena()
-		defer sim.ReleaseArena(ar)
-		sim.RunBatch(count, width, ar, func(j int, src sim.MachineSource) {
+		err := sim.RunBatchContext(run, count, width, ar, func(j int, src sim.MachineSource) {
 			body(g+j*groups, src)
 			ctx.Progress.ShardDone()
 		})
-	}
-	ctx.Progress.AddShards(n)
-	if groups <= 1 {
-		runFleet(0)
-		return
-	}
-	// Fan the fleets out through the engine's worker tokens directly
-	// (not via Parallel, whose shard accounting is per-call — progress
-	// here ticks once per trial, added above). Each fleet is one coarse
-	// unit of work; when no token is free the fleet runs on the calling
-	// goroutine, so this can never deadlock.
-	var wg sync.WaitGroup
-	var firstPanic struct {
-		mu  sync.Mutex
-		val any
-		set bool
-	}
-	run := func(g int) {
-		defer func() {
-			if r := recover(); r != nil {
-				firstPanic.mu.Lock()
-				if !firstPanic.set {
-					firstPanic.val, firstPanic.set = r, true
-				}
-				firstPanic.mu.Unlock()
-			}
-		}()
-		runFleet(g)
-	}
-	for g := 1; g < groups; g++ {
-		g := g
-		select {
-		case ctx.sem <- struct{}{}:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-ctx.sem }()
-				run(g)
-			}()
-		default:
-			run(g)
+		// An aborted fleet's arena is dropped rather than recycled.
+		if err == nil {
+			sim.ReleaseArena(ar)
 		}
-	}
-	run(0)
-	wg.Wait()
-	if firstPanic.set {
-		panic(firstPanic.val)
+	})
+	if err := ctx.canceled(); err != nil {
+		ctx.abort(err)
 	}
 }
 

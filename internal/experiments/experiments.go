@@ -38,14 +38,16 @@ type Context struct {
 	Jobs int
 
 	// BatchWidth is the lockstep fleet width for Monte-Carlo trial
-	// batching (see BatchTrials in engine.go): 0 picks the default, 1
-	// forces the scalar kernel. Output is byte-identical for any value.
+	// batching (see BatchTrials in engine.go): 0 picks the default, 1 runs
+	// each worker's trials as one serial fleet. Output is byte-identical
+	// for any value.
 	BatchWidth int
 
 	// Ctx, when non-nil, makes the run cancellable: the engine checks it
-	// before starting each experiment and between trial shards handed out
-	// by Parallel, so RunAll returns the context's error (context.Canceled
-	// or DeadlineExceeded) within about one trial shard of cancellation.
+	// before starting each experiment, between trial shards handed out by
+	// Parallel and at every quantum of a BatchTrials fleet, so RunAll
+	// returns the context's error (context.Canceled or DeadlineExceeded)
+	// within about one trial shard of cancellation.
 	// Nil (the default) runs to completion with zero checking overhead.
 	Ctx context.Context
 

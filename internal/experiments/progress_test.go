@@ -57,31 +57,40 @@ func TestProgressCheckpointsPopulate(t *testing.T) {
 
 // TestTelemetryNeverPerturbsOutput is the determinism acceptance gate:
 // report bytes and metrics must be identical with telemetry on or off,
-// at any -jobs.
+// at any -jobs. fig6 runs its shards through Parallel and fig8 its trials
+// through BatchTrials, so both engine paths run with the daemon's wiring.
 func TestTelemetryNeverPerturbsOutput(t *testing.T) {
-	var baseline bytes.Buffer
-	base := NewContext(&baseline)
-	base.Quick = true
-	base.Jobs = 1
-	baseRes, err := RunOne(base, "fig6")
-	if err != nil {
-		t.Fatal(err)
+	ids := []string{"fig6", "fig8"}
+	baseline := map[string][]byte{}
+	baseRes := map[string]*Result{}
+	for _, id := range ids {
+		var out bytes.Buffer
+		base := NewContext(&out)
+		base.Quick = true
+		base.Jobs = 1
+		res, err := RunOne(base, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		baseline[id], baseRes[id] = out.Bytes(), res
 	}
 
 	for _, jobs := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("jobs%d", jobs), func(t *testing.T) {
-			var out bytes.Buffer
-			ctx, _, _ := progressContext(&out, jobs)
-			res, err := RunOne(ctx, "fig6")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(out.Bytes(), baseline.Bytes()) {
-				t.Fatalf("telemetry-on report differs from telemetry-off baseline at jobs=%d", jobs)
-			}
-			for k, v := range baseRes.Metrics {
-				if res.Metrics[k] != v {
-					t.Fatalf("metric %s: %v (telemetry on) != %v (off)", k, res.Metrics[k], v)
+			for _, id := range ids {
+				var out bytes.Buffer
+				ctx, _, _ := progressContext(&out, jobs)
+				res, err := RunOne(ctx, id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(out.Bytes(), baseline[id]) {
+					t.Fatalf("%s: telemetry-on report differs from telemetry-off baseline at jobs=%d", id, jobs)
+				}
+				for k, v := range baseRes[id].Metrics {
+					if res.Metrics[k] != v {
+						t.Fatalf("%s metric %s: %v (telemetry on) != %v (off)", id, k, res.Metrics[k], v)
+					}
 				}
 			}
 		})

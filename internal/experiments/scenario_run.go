@@ -214,7 +214,7 @@ func runSweepSpec(ctx *Context, s *scenario.Spec) (*Result, error) {
 		}
 		sws := make([]channel.SweepResult, len(s.Sweep.Channels))
 		for i, ch := range s.Sweep.Channels {
-			sws[i] = channel.SweepBatch(cfg, sweepRunner(ch.Channel), base, ch.Intervals,
+			sws[i] = channel.Sweep(cfg, sweepRunner(ch.Channel), base, ch.Intervals,
 				bits, sub.SeedFor(ch.Channel), sub.BatchTrials, tf(ch.Channel, ch.Intervals))
 		}
 		for _, sw := range sws {

@@ -39,7 +39,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/artifacts/{name}", s.handleArtifact)
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	mux.HandleFunc("GET /v1/statsz", s.handleStatsz)
 	mux.HandleFunc("GET /metricsz", s.handleMetricsz)
 	return mux
 }
@@ -217,20 +216,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", telemetry.ContentType)
 	telemetry.WritePrometheus(w, s.met.reg.Snapshot())
-}
-
-func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	stats := s.Stats()
-	s.mu.Lock()
-	out := map[string]any{
-		"queued":   s.queued,
-		"workers":  s.cfg.Workers,
-		"draining": s.draining,
-		"jobs":     len(s.jobs),
-	}
-	s.mu.Unlock()
-	for k, v := range stats {
-		out[k] = v
-	}
-	writeJSON(w, http.StatusOK, out)
 }

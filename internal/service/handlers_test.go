@@ -261,7 +261,7 @@ func TestHandlerBackpressure429(t *testing.T) {
 	}
 }
 
-func TestHandlerHealthzAndStatsz(t *testing.T) {
+func TestHandlerHealthzAndMetricsz(t *testing.T) {
 	s := newTestServer(t, nil)
 	h := s.Handler()
 
@@ -276,17 +276,20 @@ func TestHandlerHealthzAndStatsz(t *testing.T) {
 	}
 	waitStatus(t, s, j.ID, StatusDone)
 
-	w = doJSON(h, "GET", "/v1/statsz", nil)
+	w = doJSON(h, "GET", "/metricsz", nil)
 	if w.Code != 200 {
-		t.Fatalf("statsz: %d", w.Code)
+		t.Fatalf("metricsz: %d", w.Code)
 	}
-	var stats map[string]any
-	if err := json.Unmarshal(w.Body.Bytes(), &stats); err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"accepted", "completed", "cache_hits", "queued", "workers", "jobs"} {
-		if _, ok := stats[key]; !ok {
-			t.Fatalf("statsz missing %q: %s", key, w.Body.String())
+	for series, want := range map[string]float64{
+		`leakywayd_jobs_total{event="accepted"}`:      1,
+		`leakywayd_jobs_total{event="completed"}`:     1,
+		`leakywayd_store_lookups_total{result="hit"}`: 0,
+		"leakywayd_queue_depth":                       0,
+		"leakywayd_workers":                           float64(s.cfg.Workers),
+		"leakywayd_jobs_tracked":                      1,
+	} {
+		if got, ok := telemetry.SampleValue(w.Body.String(), series); !ok || got != want {
+			t.Fatalf("metricsz %s = %v (found %v), want %v:\n%s", series, got, ok, want, w.Body.String())
 		}
 	}
 

@@ -7,7 +7,7 @@ import (
 
 // serverMetrics is the daemon's telemetry surface: every operational
 // counter the old Stats struct carried, re-homed onto registry-backed
-// series so /metricsz, /v1/statsz and tests all read the same atomics.
+// series so /metricsz and tests read the same atomics.
 // Counter updates are single atomic adds, so the hot admission and
 // worker paths pay nothing measurable.
 type serverMetrics struct {
@@ -186,22 +186,4 @@ func (m *serverMetrics) jobDuration(status string) *telemetry.Histogram {
 		return m.jobCanceled
 	}
 	return nil
-}
-
-// Stats returns the legacy counter map (the /v1/statsz view), now read
-// from the registry-backed series so there is exactly one copy of every
-// count.
-func (s *Server) Stats() map[string]int64 {
-	return map[string]int64{
-		"accepted":   s.met.accepted.Value(),
-		"completed":  s.met.completed.Value(),
-		"failed":     s.met.failed.Value(),
-		"canceled":   s.met.canceled.Value(),
-		"cache_hits": s.met.storeHit.Value(),
-		"coalesced":  s.met.storeCoalesced.Value(),
-		"rejected":   s.met.rejected.Value(),
-		"retries":    s.met.retries.Value(),
-		"panics":     s.met.panics.Value(),
-		"recovered":  s.met.recovered.Value(),
-	}
 }

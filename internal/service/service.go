@@ -673,7 +673,11 @@ func (s *Server) runExecution(exec *execution) {
 		return
 	}
 
-	lg := s.cfg.Logger.With("job", exec.jobs[0].ID, "key", shortKey(exec.key))
+	// Submit appends coalesced jobs to exec.jobs under s.mu.
+	s.mu.Lock()
+	firstID := exec.jobs[0].ID
+	s.mu.Unlock()
+	lg := s.cfg.Logger.With("job", firstID, "key", shortKey(exec.key))
 
 	exec.progLog.begin()
 	recStop := make(chan struct{})

@@ -307,10 +307,9 @@ func TestMetricszExposition(t *testing.T) {
 	}
 }
 
-// TestStatszRaceClean hammers the stats and metrics read paths while
-// jobs flow — the -race gate for the registry-backed counter reads that
-// replaced the old ad-hoc struct.
-func TestStatszRaceClean(t *testing.T) {
+// TestMetricszRaceClean hammers the metrics read paths while jobs flow —
+// the -race gate for the registry-backed counter reads.
+func TestMetricszRaceClean(t *testing.T) {
 	s := newTestServer(t, nil)
 	h := s.Handler()
 
@@ -326,9 +325,8 @@ func TestStatszRaceClean(t *testing.T) {
 					return
 				default:
 				}
-				doJSON(h, "GET", "/v1/statsz", nil)
 				doJSON(h, "GET", "/metricsz", nil)
-				s.Stats()
+				s.met.reg.Snapshot()
 			}
 		}()
 	}
@@ -343,11 +341,10 @@ func TestStatszRaceClean(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	stats := s.Stats()
-	if stats["accepted"] != 30 {
-		t.Fatalf("accepted %d, want 30", stats["accepted"])
+	if got := s.met.accepted.Value(); got != 30 {
+		t.Fatalf("accepted %d, want 30", got)
 	}
-	if stats["completed"] != 30 {
-		t.Fatalf("completed %d, want 30", stats["completed"])
+	if got := s.met.completed.Value(); got != 30 {
+		t.Fatalf("completed %d, want 30", got)
 	}
 }

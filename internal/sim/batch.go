@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math/rand"
 
 	"leakyway/internal/hier"
@@ -22,13 +23,14 @@ import (
 // Scheduling is invisible to the simulation: exactly one trial executes at
 // any moment, each machine's op order and RNG draw order are untouched, and
 // the quantum handshake only decides *which* parked trial resumes next. A
-// batched sweep is therefore byte-identical to the serial one — the
-// equivalence tests in batch_test.go and the experiment goldens pin this.
+// batched sweep is therefore byte-identical to a serial loop over fresh
+// machines — the equivalence tests in batch_test.go (whose scalar reference
+// is that loop) and the experiment goldens pin this.
 
 // MachineSource constructs the machines a trial body runs. Trial bodies
-// written against a source work unchanged under the scalar kernel
-// (Scalar), the serial recycling kernel (SerialTrials with an Arena), and
-// the lockstep batch kernel (RunBatch).
+// are written against a source so the kernel can recycle construction state
+// between trials (RunBatch); tests drive the same bodies through a
+// fresh-machine source as the scalar reference.
 type MachineSource interface {
 	// NewMachine is MustNewMachine, except that the source may recycle the
 	// previous machine it returned to this caller: a trial body must not
@@ -42,25 +44,6 @@ type MachineSource interface {
 // body's duration.
 type TrialFor func(n int, body func(i int, src MachineSource))
 
-// scalarSource builds every machine from scratch.
-type scalarSource struct{}
-
-func (scalarSource) NewMachine(cfg hier.Config, memBytes uint64, seed int64) *Machine {
-	return MustNewMachine(cfg, memBytes, seed)
-}
-
-// Scalar returns the non-recycling source: every NewMachine is a fresh
-// MustNewMachine. This is the fallback kernel for traced runs and
-// deadline-supervised (daemon) runs.
-func Scalar() MachineSource { return scalarSource{} }
-
-// SerialTrials is the scalar TrialFor: a plain loop over fresh machines.
-func SerialTrials(n int, body func(i int, src MachineSource)) {
-	for i := 0; i < n; i++ {
-		body(i, Scalar())
-	}
-}
-
 // shuffleKey identifies one frame shuffle: pool size plus the PhysMem seed.
 type shuffleKey struct {
 	bytes uint64
@@ -70,7 +53,7 @@ type shuffleKey struct {
 // Arena owns the recyclable construction state for one worker: a hierarchy
 // pool and a bounded cache of frame shuffles. It is not goroutine-safe —
 // under RunBatch the lockstep protocol guarantees exactly one slot touches
-// the arena at a time, and serial users own theirs outright.
+// the arena at a time.
 type Arena struct {
 	pool     *hier.Pool
 	shuffles map[shuffleKey]*mem.FrameShuffle
@@ -162,7 +145,7 @@ func ReleaseArena(ar *Arena) {
 const batchQuantum = 8192
 
 // batchKill unwinds a slot goroutine when the batch aborts after another
-// slot's panic; the slot loop recovers it.
+// slot's panic or a cancellation; the slot loop recovers it.
 type batchKill struct{}
 
 // batchGrant is the scheduler's permission for one slot to run until its
@@ -188,29 +171,10 @@ type batchEvent struct {
 // through a slot's MachineSource yield inside Machine.Run whenever their
 // clock crosses the granted quantum.
 type BatchMachine struct {
+	ctx    context.Context
 	arena  *Arena
 	grants []chan batchGrant
 	events chan batchEvent
-}
-
-// serialSource recycles through an arena without lockstep scheduling; it
-// backs RunBatch's single-slot degenerate case.
-type serialSource struct {
-	arena *Arena
-	cur   *Machine
-}
-
-func (ss *serialSource) NewMachine(cfg hier.Config, memBytes uint64, seed int64) *Machine {
-	ss.recycle()
-	ss.cur = ss.arena.newMachine(cfg, memBytes, seed)
-	return ss.cur
-}
-
-func (ss *serialSource) recycle() {
-	if ss.cur != nil {
-		ss.arena.release(ss.cur)
-		ss.cur = nil
-	}
 }
 
 // slotSource is the per-slot MachineSource: machines are built through the
@@ -255,7 +219,8 @@ func (b *BatchMachine) yield(m *Machine, clock int64) int64 {
 	return g.quantumEnd
 }
 
-// slotLoop runs trials slot, slot+K, slot+2K, ... and reports completion.
+// slotLoop runs trials slot, slot+K, slot+2K, ... until they are done or
+// the batch context is cancelled, and reports completion.
 func (b *BatchMachine) slotLoop(slot, n, nslots int, body func(i int, src MachineSource)) {
 	src := &slotSource{b: b, slot: slot}
 	defer func() {
@@ -269,39 +234,39 @@ func (b *BatchMachine) slotLoop(slot, n, nslots int, body func(i int, src Machin
 	if g := <-b.grants[slot]; g.abort {
 		return
 	}
-	for i := slot; i < n; i += nslots {
+	for i := slot; i < n && b.ctx.Err() == nil; i += nslots {
 		body(i, src)
 	}
 }
 
-// RunBatch executes body(0), ..., body(n-1) across up to width lockstep
-// slots sharing arena (nil for a private one). Bodies receive a recycling
-// MachineSource; the simulation output of every trial is byte-identical to
-// SerialTrials' for any width. If a body panics, the remaining slots are
-// torn down (their agents included) and the first panic value is re-raised
-// on the caller's goroutine.
+// RunBatch is RunBatchContext without cancellation.
 func RunBatch(n, width int, arena *Arena, body func(i int, src MachineSource)) {
+	RunBatchContext(context.Background(), n, width, arena, body)
+}
+
+// RunBatchContext executes body(0), ..., body(n-1) across up to width
+// lockstep slots sharing arena (nil for a private one); a width below 2 is
+// one slot running the trials serially. Bodies receive a recycling
+// MachineSource; the simulation output of every trial is byte-identical to
+// a fresh MustNewMachine per trial, for any width.
+//
+// The fleet is torn down early — every slot's machine and agents included —
+// in two cases. If a body panics, the first panic value is re-raised on the
+// caller's goroutine. If ctx is cancelled, no further trial starts and every
+// running trial unwinds at its next quantum boundary; RunBatchContext then
+// returns ctx.Err(). It returns ctx.Err() whenever ctx is done on return,
+// so a nil error means every trial ran to completion.
+func RunBatchContext(ctx context.Context, n, width int, arena *Arena, body func(i int, src MachineSource)) error {
 	if n <= 0 {
-		return
+		return ctx.Err()
 	}
-	if width > n {
-		width = n
-	}
+	width = max(min(width, n), 1)
 	if arena == nil {
 		arena = NewArena()
 	}
-	if width <= 1 {
-		// Degenerate fleet: keep the arena recycling, skip the lockstep
-		// machinery.
-		src := &serialSource{arena: arena}
-		defer src.recycle()
-		for i := 0; i < n; i++ {
-			body(i, src)
-		}
-		return
-	}
 
 	b := &BatchMachine{
+		ctx:    ctx,
 		arena:  arena,
 		grants: make([]chan batchGrant, width),
 		events: make(chan batchEvent, width),
@@ -315,7 +280,8 @@ func RunBatch(n, width int, arena *Arena, body func(i int, src MachineSource)) {
 
 	// The scheduler: every live slot is parked except the one holding the
 	// current grant. Fresh slots park at clock -1 so they are admitted
-	// before any mid-flight trial.
+	// before any mid-flight trial. Every grant is a cancellation
+	// checkpoint: once ctx is done, grants turn into aborts.
 	clock := make([]int64, width)
 	done := make([]bool, width)
 	for s := range clock {
@@ -327,6 +293,7 @@ func RunBatch(n, width int, arena *Arena, body func(i int, src MachineSource)) {
 	aborting := false
 	for live > 0 {
 		if !running {
+			aborting = aborting || ctx.Err() != nil
 			pick := -1
 			for s := 0; s < width; s++ {
 				if !done[s] && (pick < 0 || clock[s] < clock[pick]) {
@@ -354,4 +321,5 @@ func RunBatch(n, width int, arena *Arena, body func(i int, src MachineSource)) {
 	if firstPanic != nil {
 		panic(firstPanic)
 	}
+	return ctx.Err()
 }

@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -72,6 +75,24 @@ func equivalenceTrial(i int, src MachineSource) []int64 {
 	})
 	m2.Run()
 	return fp
+}
+
+// scalarSource builds every machine from scratch: the reference kernel the
+// batched runs must match.
+type scalarSource struct{}
+
+func (scalarSource) NewMachine(cfg hier.Config, memBytes uint64, seed int64) *Machine {
+	return MustNewMachine(cfg, memBytes, seed)
+}
+
+// Scalar returns the non-recycling source.
+func Scalar() MachineSource { return scalarSource{} }
+
+// SerialTrials is the scalar TrialFor: a plain loop over fresh machines.
+func SerialTrials(n int, body func(i int, src MachineSource)) {
+	for i := 0; i < n; i++ {
+		body(i, Scalar())
+	}
 }
 
 func runEquivalenceTrials(n int, tf TrialFor) [][]int64 {
@@ -174,17 +195,7 @@ func TestBatchPanicAbortsFleet(t *testing.T) {
 		t.Fatalf("RunBatch returned; want panic")
 	}()
 	// All slot and agent goroutines must be gone once the panic surfaces.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if g := runtime.NumGoroutine(); g <= before {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked after batch abort: %d before, %d after",
-				before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	settleGoroutines(t, before)
 }
 
 func TestRunBatchDegenerateWidths(t *testing.T) {
@@ -194,13 +205,81 @@ func TestRunBatchDegenerateWidths(t *testing.T) {
 			RunBatch(n, width, nil, body)
 		})
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("width %d serial fallback diverges from scalar", width)
+			t.Fatalf("width %d single-slot fleet diverges from scalar", width)
 		}
 	}
 	// n <= 0 must be a no-op, not a hang.
 	RunBatch(0, 4, nil, func(i int, src MachineSource) {
 		t.Fatalf("body called for n=0")
 	})
+}
+
+// spinTrial runs a machine whose agent (plus a daemon) would spin for far
+// longer than any test allows; only cancellation ends it.
+func spinTrial(started *atomic.Int64) func(i int, src MachineSource) {
+	return func(i int, src MachineSource) {
+		started.Add(1)
+		m := src.NewMachine(batchTestConfig(), 1<<24, int64(i))
+		m.Spawn("spinner", 0, nil, func(c *Core) {
+			buf := c.Alloc(mem.PageSize)
+			for k := 0; k < 1<<40; k++ {
+				c.Load(buf + mem.VAddr((k%16)*64))
+			}
+		})
+		m.SpawnDaemon("noise", 1, nil, func(c *Core) {
+			for {
+				c.Spin(50)
+			}
+		})
+		m.Run()
+	}
+}
+
+// TestRunBatchContextCancel pins the kernel's cancellation contract: a
+// cancelled fleet stops at the next quantum boundary, returns ctx.Err(),
+// and tears every slot and agent goroutine down; a pre-cancelled context
+// starts no trial at all.
+func TestRunBatchContextCancel(t *testing.T) {
+	for _, width := range []int{1, 8} {
+		before := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		var started atomic.Int64
+		time.AfterFunc(40*time.Millisecond, cancel)
+		t0 := time.Now()
+		err := RunBatchContext(ctx, 32, width, NewArena(), spinTrial(&started))
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("width %d: err = %v, want context.Canceled", width, err)
+		}
+		if d := time.Since(t0); d > 3*time.Second {
+			t.Fatalf("width %d: cancellation took %v", width, d)
+		}
+		if n := started.Load(); n > int64(width) {
+			t.Fatalf("width %d: %d trials started after cancellation", width, n)
+		}
+		settleGoroutines(t, before)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var started atomic.Int64
+	if err := RunBatchContext(ctx, 8, 4, nil, spinTrial(&started)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled: err = %v, want context.Canceled", err)
+	}
+	if n := started.Load(); n != 0 {
+		t.Fatalf("pre-cancelled fleet started %d trials", n)
+	}
+}
+
+// settleGoroutines waits for the goroutine count to fall back to base.
+func settleGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d before, %d after", base, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 // FuzzBatchScalarEquivalence drives randomized seeds and widths through

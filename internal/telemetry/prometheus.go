@@ -41,6 +41,21 @@ func WritePrometheus(w io.Writer, snap []FamilySnapshot) error {
 // ContentType is the exposition format's content type.
 const ContentType = "text/plain; version=0.0.4; charset=utf-8"
 
+// SampleValue returns one sample's value from a text exposition, looking
+// the series up exactly as WritePrometheus renders it: the bare name for an
+// unlabeled series, name{k="v",...} for a labeled one, and the _bucket,
+// _sum and _count lines of a histogram. ok is false when no line carries
+// the series or its value does not parse.
+func SampleValue(exposition, series string) (v float64, ok bool) {
+	for _, line := range strings.Split(exposition, "\n") {
+		if rest, found := strings.CutPrefix(line, series+" "); found {
+			v, err := strconv.ParseFloat(rest, 64)
+			return v, err == nil
+		}
+	}
+	return 0, false
+}
+
 func writeHistogram(w io.Writer, f FamilySnapshot, s SeriesSnapshot) error {
 	for i, cum := range s.Buckets {
 		le := "+Inf"

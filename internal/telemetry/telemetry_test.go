@@ -141,6 +141,42 @@ leakywayd_queue_wait_seconds_count 3
 	}
 }
 
+// TestSampleValueRoundTrip reads every series of an exposition back out of
+// WritePrometheus's own output and reports absent series as missing.
+func TestSampleValueRoundTrip(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("jobs_total", "Jobs.", L("event", "accepted")).Add(3)
+	r.Counter("jobs_total", "Jobs.", L("event", "failed")).Add(1)
+	r.Gauge("store_bytes", "Bytes.").Set(16384.5)
+	h := r.Histogram("wait_seconds", "Wait.", []float64{0.1, 1})
+	h.Observe(0.05)
+	h.Observe(5)
+	var b strings.Builder
+	if err := WritePrometheus(&b, r.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	text := b.String()
+	for series, want := range map[string]float64{
+		`jobs_total{event="accepted"}`:   3,
+		`jobs_total{event="failed"}`:     1,
+		"store_bytes":                    16384.5,
+		`wait_seconds_bucket{le="0.1"}`:  1,
+		`wait_seconds_bucket{le="1"}`:    1,
+		`wait_seconds_bucket{le="+Inf"}`: 2,
+		"wait_seconds_sum":               h.Sum(),
+		"wait_seconds_count":             2,
+	} {
+		if got, ok := SampleValue(text, series); !ok || got != want {
+			t.Fatalf("SampleValue(%q) = %v, %v; want %v, true", series, got, ok, want)
+		}
+	}
+	for _, series := range []string{"jobs_total", "store", "wait_seconds", `jobs_total{event="canceled"}`, "# TYPE"} {
+		if got, ok := SampleValue(text, series); ok {
+			t.Fatalf("SampleValue(%q) = %v; want missing", series, got)
+		}
+	}
+}
+
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("esc_total", "", L("path", `a"b\c`+"\n")).Inc()

@@ -140,12 +140,12 @@ func RunNTPNTPSelfSync(m *Machine, cfg ChannelConfig, msg []bool) (ChannelReport
 
 // SweepNTPNTP measures NTP+NTP across transmission intervals.
 func SweepNTPNTP(p Platform, cfg ChannelConfig, intervals []int64, bits int, seed int64) ChannelSweep {
-	return channel.Sweep(p, channel.RunNTPNTP, cfg, intervals, bits, seed)
+	return channel.Sweep(p, channel.RunNTPNTP, cfg, intervals, bits, seed, nil, nil)
 }
 
 // SweepPrimeProbe measures Prime+Probe across transmission intervals.
 func SweepPrimeProbe(p Platform, cfg ChannelConfig, intervals []int64, bits int, seed int64) ChannelSweep {
-	return channel.Sweep(p, channel.RunPrimeProbe, cfg, intervals, bits, seed)
+	return channel.Sweep(p, channel.RunPrimeProbe, cfg, intervals, bits, seed, nil, nil)
 }
 
 // Message helpers.
