@@ -50,8 +50,10 @@ func runFig13(ctx *Context) (*Result, error) {
 				th := core.Calibrate(c, 48)
 				t1 := c.Alloc(mem.PageSize)
 				var perr, berr error
+				// The pool scales with LLCWays, not desired: the cold LLC's
+				// first ~LLCWays congruent candidates fill invalid ways.
 				o.pr, perr = evset.BuildPrefetch(c, t1, evset.Options{
-					Desired: desired, Pool: evset.NewPool(c, t1, 512*desired), Thresholds: th,
+					Desired: desired, Pool: evset.NewPool(c, t1, 512*cfg.LLCWays), Thresholds: th,
 				})
 				t2 := c.Alloc(mem.PageSize)
 				o.br, berr = evset.BuildBaseline(c, t2, evset.Options{

@@ -6,32 +6,26 @@ import (
 	"testing"
 
 	"leakyway/internal/telemetry"
-	"leakyway/internal/trace"
 )
 
 // progressContext builds a quick single-experiment context with telemetry
-// attached: a Progress tracker plus a counting-only trace collector, the
-// exact shape the daemon runs jobs with.
-func progressContext(out *bytes.Buffer, jobs int) (*Context, *telemetry.Progress, *trace.EventCounts) {
+// attached: a Progress tracker and no tracer, the exact shape the daemon
+// runs untraced jobs with.
+func progressContext(out *bytes.Buffer, jobs int) (*Context, *telemetry.Progress) {
 	ctx := NewContext(out)
 	ctx.Quick = true
 	ctx.Jobs = jobs
-	prog := telemetry.NewProgress()
-	counts := &trace.EventCounts{}
-	ctx.Trace = trace.NewCountingCollector(counts)
-	prog.SetEventSource(counts.Counts)
-	ctx.Progress = prog
-	return ctx, prog, counts
+	ctx.Progress = telemetry.NewProgress()
+	return ctx, ctx.Progress
 }
 
 // TestProgressCheckpointsPopulate runs one experiment with telemetry on
-// and checks every checkpoint dimension advanced: phases, shards, and the
-// per-subsystem event counts folded out of the trace bus. fig8 is the
-// pick because its platform sweep goes through Parallel, so the shard
-// counters must move.
+// and checks every checkpoint dimension advanced: phases and shards.
+// fig8 is the pick because its platform sweep goes through Parallel, so
+// the shard counters must move.
 func TestProgressCheckpointsPopulate(t *testing.T) {
 	var out bytes.Buffer
-	ctx, prog, counts := progressContext(&out, 2)
+	ctx, prog := progressContext(&out, 2)
 
 	if _, err := RunOne(ctx, "fig8"); err != nil {
 		t.Fatal(err)
@@ -46,12 +40,6 @@ func TestProgressCheckpointsPopulate(t *testing.T) {
 	}
 	if s.ShardsDone == 0 || s.ShardsDone != s.ShardsTotal {
 		t.Fatalf("shards %d/%d: want nonzero and settled", s.ShardsDone, s.ShardsTotal)
-	}
-	if counts.Total() == 0 {
-		t.Fatalf("counting trace sink saw no events")
-	}
-	if s.Events["sim"] == 0 {
-		t.Fatalf("snapshot events missing sim activity: %v", s.Events)
 	}
 }
 
@@ -79,7 +67,7 @@ func TestTelemetryNeverPerturbsOutput(t *testing.T) {
 		t.Run(fmt.Sprintf("jobs%d", jobs), func(t *testing.T) {
 			for _, id := range ids {
 				var out bytes.Buffer
-				ctx, _, _ := progressContext(&out, jobs)
+				ctx, _ := progressContext(&out, jobs)
 				res, err := RunOne(ctx, id)
 				if err != nil {
 					t.Fatal(err)
@@ -101,7 +89,7 @@ func TestTelemetryNeverPerturbsOutput(t *testing.T) {
 // flight and checks monotonicity — the property the SSE stream leans on.
 func TestProgressSnapshotMidRun(t *testing.T) {
 	var out bytes.Buffer
-	ctx, prog, _ := progressContext(&out, 2)
+	ctx, prog := progressContext(&out, 2)
 
 	done := make(chan struct{})
 	go func() {

@@ -17,12 +17,11 @@ import (
 // exactly the way the CLI does, so a daemon-produced metrics artifact is
 // byte-identical to `leakyway -template <t> -seed <s> -json` output for
 // the same parameters. When prog is non-nil the engine publishes phase
-// and shard checkpoints into it, and the trace event bus is folded into
-// running per-subsystem counters — through the buffering collector for
-// traced jobs, or a counting-only collector (no event storage, flat
-// memory) for untraced ones. Checkpoints and counts are one-way atomic
-// ticks: they observe the run without steering it, so the artifacts stay
-// byte-identical with telemetry on or off.
+// and shard checkpoints into it; they are one-way atomic ticks that
+// observe the run without steering it, so the artifacts stay
+// byte-identical with telemetry on or off. Only a traced job gets a
+// tracer: an untraced job runs with a nil tracer, on the same
+// zero-cost emit path as the CLI.
 func EngineRunner(ctx context.Context, sub Submission, spec *scenario.Spec, prog *telemetry.Progress) (*Result, error) {
 	var report bytes.Buffer
 	ectx := experiments.NewContext(&report)
@@ -39,18 +38,8 @@ func EngineRunner(ctx context.Context, sub Submission, spec *scenario.Spec, prog
 		}
 		ectx.Platforms = []hier.Config{p}
 	}
-	switch {
-	case sub.Trace:
+	if sub.Trace {
 		ectx.Trace = trace.NewCollector()
-		if prog != nil {
-			counts := &trace.EventCounts{}
-			ectx.Trace.SetCounts(counts)
-			prog.SetEventSource(counts.Counts)
-		}
-	case prog != nil:
-		counts := &trace.EventCounts{}
-		ectx.Trace = trace.NewCountingCollector(counts)
-		prog.SetEventSource(counts.Counts)
 	}
 
 	results, err := experiments.RunSpecs(ectx, []*scenario.Spec{spec})

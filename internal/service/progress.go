@@ -58,7 +58,7 @@ func (pl *progressLog) sinceStartMs() int64 {
 func (pl *progressLog) record(s telemetry.ProgressSnapshot) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	if n := len(pl.entries); n > 0 && pl.entries[n-1].ProgressSnapshot.Equal(s) {
+	if n := len(pl.entries); n > 0 && pl.entries[n-1].ProgressSnapshot == s {
 		return
 	}
 	ev := progressEvent{ProgressSnapshot: s}

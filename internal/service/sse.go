@@ -88,7 +88,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	sent := false
 	emit := func() {
 		snap := exec.prog.Snapshot()
-		if sent && snap.Equal(last) {
+		if sent && snap == last {
 			return
 		}
 		last, sent = snap, true

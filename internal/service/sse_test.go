@@ -3,10 +3,13 @@ package service
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -347,4 +350,66 @@ func TestMetricszRaceClean(t *testing.T) {
 	if got := s.met.completed.Value(); got != 30 {
 		t.Fatalf("completed %d, want 30", got)
 	}
+}
+
+// TestProgressFrameKeys pins the wire shape of progress records from a
+// real engine run: a live SSE frame and a stored progress artifact line
+// carry exactly the timestamp plus phase and shard counters.
+func TestProgressFrameKeys(t *testing.T) {
+	ran := make(chan struct{})
+	releaseCh := make(chan struct{})
+	release := sync.OnceFunc(func() { close(releaseCh) })
+	s := newTestServer(t, func(c *Config) {
+		c.ProgressInterval = 5 * time.Millisecond
+		c.Runner = func(ctx context.Context, sub Submission, spec *scenario.Spec, prog *telemetry.Progress) (*Result, error) {
+			res, err := EngineRunner(ctx, sub, spec, prog)
+			close(ran)
+			<-releaseCh
+			return res, err
+		}
+	})
+	defer s.Drain()
+	defer release()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	j, err := s.Submit(Submission{Template: tmplFor("keys"), Seed: 1, Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-ran
+
+	want := []string{"phase", "phases_done", "phases_total", "shards_done", "shards_total", "t_ms"}
+	checkKeys := func(what, data string) {
+		t.Helper()
+		var rec map[string]json.RawMessage
+		if err := json.Unmarshal([]byte(data), &rec); err != nil {
+			t.Fatalf("%s: %v in %q", what, err, data)
+		}
+		if got := slices.Sorted(maps.Keys(rec)); !slices.Equal(got, want) {
+			t.Fatalf("%s keys %v, want %v (record %s)", what, got, want, data)
+		}
+	}
+
+	br, cancel, resp := openStream(t, srv.URL, j.ID)
+	defer cancel()
+	defer resp.Body.Close()
+	ev, err := readEvent(br)
+	if err != nil {
+		t.Fatalf("first frame: %v", err)
+	}
+	if ev.name != "progress" {
+		t.Fatalf("first frame %+v, want progress", ev)
+	}
+	checkKeys("live frame", ev.data)
+	release()
+	waitStatus(t, s, j.ID, StatusDone)
+
+	snap, _ := s.snapshotJob(j.ID)
+	data, err := s.store.Artifact(snap.Key, "progress")
+	if err != nil {
+		t.Fatalf("progress artifact: %v", err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	checkKeys("stored line", lines[len(lines)-1])
 }

@@ -19,27 +19,6 @@ type ProgressSnapshot struct {
 	// as the run discovers work; it is not known up front.
 	ShardsDone  int64 `json:"shards_done"`
 	ShardsTotal int64 `json:"shards_total"`
-	// Events are running per-subsystem trace event counts (hier, sim,
-	// fault, channel), present when the job runs with the aggregating
-	// trace sink attached.
-	Events map[string]int64 `json:"events,omitempty"`
-}
-
-// Equal reports whether two snapshots are identical — the recorder uses
-// it to drop no-change samples from the progress artifact.
-func (s ProgressSnapshot) Equal(o ProgressSnapshot) bool {
-	if s.Phase != o.Phase ||
-		s.PhasesDone != o.PhasesDone || s.PhasesTotal != o.PhasesTotal ||
-		s.ShardsDone != o.ShardsDone || s.ShardsTotal != o.ShardsTotal ||
-		len(s.Events) != len(o.Events) {
-		return false
-	}
-	for k, v := range s.Events {
-		if o.Events[k] != v {
-			return false
-		}
-	}
-	return true
 }
 
 // Progress is one job's live progress state. The engine publishes
@@ -52,9 +31,6 @@ type Progress struct {
 	phasesDone, phasesTotal atomic.Int64
 	shardsDone, shardsTotal atomic.Int64
 	phase                   atomic.Pointer[string]
-	// events samples per-subsystem trace event counts; set once before
-	// the run starts (SetEventSource), read by snapshotters.
-	events atomic.Pointer[func() map[string]int64]
 }
 
 // NewProgress returns an empty progress tracker.
@@ -97,15 +73,6 @@ func (p *Progress) ShardDone() {
 	}
 }
 
-// SetEventSource installs the sampler for per-subsystem trace event
-// counts (typically trace.EventCounts.Counts). Call before the run
-// starts publishing.
-func (p *Progress) SetEventSource(fn func() map[string]int64) {
-	if p != nil && fn != nil {
-		p.events.Store(&fn)
-	}
-}
-
 // Reset zeroes every counter — the daemon calls it between retry
 // attempts so a re-run's progress starts from scratch. Observers holding
 // the same Progress simply see the counters restart.
@@ -118,7 +85,6 @@ func (p *Progress) Reset() {
 	p.shardsDone.Store(0)
 	p.shardsTotal.Store(0)
 	p.phase.Store(nil)
-	p.events.Store(nil)
 }
 
 // Snapshot captures the current state. Safe to call at any time from any
@@ -135,9 +101,6 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 	}
 	if ph := p.phase.Load(); ph != nil {
 		s.Phase = *ph
-	}
-	if fn := p.events.Load(); fn != nil {
-		s.Events = (*fn)()
 	}
 	return s
 }

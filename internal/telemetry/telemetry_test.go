@@ -199,7 +199,6 @@ func TestConcurrentUpdatesRaceClean(t *testing.T) {
 	g := r.Gauge("g", "")
 	h := r.Histogram("h_seconds", "", nil)
 	p := NewProgress()
-	p.SetEventSource(func() map[string]int64 { return map[string]int64{"hier": c.Value()} })
 
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -244,24 +243,7 @@ func TestProgressNilSafe(t *testing.T) {
 	p.EndPhase()
 	p.AddShards(2)
 	p.ShardDone()
-	p.SetEventSource(func() map[string]int64 { return nil })
-	if s := p.Snapshot(); !s.Equal(ProgressSnapshot{}) {
+	if s := p.Snapshot(); s != (ProgressSnapshot{}) {
 		t.Fatalf("nil progress snapshot = %+v, want zero", s)
-	}
-}
-
-func TestProgressSnapshotEqual(t *testing.T) {
-	a := ProgressSnapshot{Phase: "fig6", ShardsDone: 2, Events: map[string]int64{"sim": 5}}
-	b := ProgressSnapshot{Phase: "fig6", ShardsDone: 2, Events: map[string]int64{"sim": 5}}
-	if !a.Equal(b) {
-		t.Fatalf("equal snapshots compared unequal")
-	}
-	b.Events["sim"] = 6
-	if a.Equal(b) {
-		t.Fatalf("different event counts compared equal")
-	}
-	c := ProgressSnapshot{Phase: "fig6", ShardsDone: 3}
-	if a.Equal(c) {
-		t.Fatalf("different shard counts compared equal")
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // Mask selects which subsystems a tracer records.
@@ -146,61 +145,13 @@ func (b *Buffer) Label() string { return b.label }
 // buffer's backing store; callers must not mutate it.
 func (b *Buffer) Events() []Event { return b.events }
 
-// EventCounts is the aggregating trace sink: per-subsystem running event
-// counters a telemetry consumer (the daemon's progress stream, an online
-// detector) can sample at any time while a run is in flight. It folds the
-// event bus into four atomic adds instead of a growing buffer, so a
-// counting-only traced run costs event construction but no memory growth
-// and no locks.
-type EventCounts struct {
-	hier, sim, fault, channel atomic.Int64
-}
-
-// add counts one event of the given subsystem bit.
-func (c *EventCounts) add(m Mask) {
-	switch m {
-	case PkgHier:
-		c.hier.Add(1)
-	case PkgSim:
-		c.sim.Add(1)
-	case PkgFault:
-		c.fault.Add(1)
-	case PkgChannel:
-		c.channel.Add(1)
-	}
-}
-
-// Counts returns the current per-subsystem totals keyed by subsystem name
-// (the ParseMask vocabulary). Safe to call concurrently with emits; each
-// counter is read once.
-func (c *EventCounts) Counts() map[string]int64 {
-	if c == nil {
-		return nil
-	}
-	return map[string]int64{
-		"hier":    c.hier.Load(),
-		"sim":     c.sim.Load(),
-		"fault":   c.fault.Load(),
-		"channel": c.channel.Load(),
-	}
-}
-
-// Total returns the event count across all subsystems.
-func (c *EventCounts) Total() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.hier.Load() + c.sim.Load() + c.fault.Load() + c.channel.Load()
-}
-
 // Tracer is the handle emit sites hold. A nil Tracer is the disabled
 // state: On reports false and Emit is a no-op, so untraced runs never
-// construct events. A tracer records into a buffer, an EventCounts sink,
-// or both (counting-only tracers come from NewCountingCollector).
+// construct events. A tracer is a buffer plus the mask of subsystems it
+// records.
 type Tracer struct {
-	buf    *Buffer
-	mask   Mask
-	counts *EventCounts
+	buf  *Buffer
+	mask Mask
 }
 
 // New returns a standalone tracer recording into a fresh buffer — the
@@ -216,19 +167,10 @@ func (t *Tracer) On(m Mask) bool { return t != nil && t.mask&m != 0 }
 
 // Emit records the event if its subsystem is enabled.
 func (t *Tracer) Emit(e Event) {
-	if t == nil {
+	if !t.On(maskOf(e.Pkg)) {
 		return
 	}
-	m := maskOf(e.Pkg)
-	if t.mask&m == 0 {
-		return
-	}
-	if t.counts != nil {
-		t.counts.add(m)
-	}
-	if t.buf != nil {
-		t.buf.events = append(t.buf.events, e)
-	}
+	t.buf.events = append(t.buf.events, e)
 }
 
 // Buffer returns the tracer's underlying buffer (nil for a nil tracer).
@@ -246,42 +188,11 @@ func (t *Tracer) Buffer() *Buffer {
 type Collector struct {
 	mu   sync.Mutex
 	bufs map[string]*Buffer
-	// counts, when non-nil, receives every emitted event's subsystem in
-	// addition to (or, with countOnly, instead of) buffering.
-	counts    *EventCounts
-	countOnly bool
 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
 	return &Collector{bufs: map[string]*Buffer{}}
-}
-
-// NewCountingCollector returns a collector whose tracers only fold events
-// into counts — no event is ever stored, so memory stays flat no matter
-// how long the run. This is how the daemon watches an untraced job: the
-// full event bus runs, but the only residue is four counters.
-func NewCountingCollector(counts *EventCounts) *Collector {
-	return &Collector{bufs: map[string]*Buffer{}, counts: counts, countOnly: true}
-}
-
-// SetCounts attaches an aggregating sink to a buffering collector: every
-// event is recorded in its buffer and counted. Call before any Tracer is
-// created; tracers made earlier do not count.
-func (c *Collector) SetCounts(counts *EventCounts) {
-	c.mu.Lock()
-	c.counts = counts
-	c.mu.Unlock()
-}
-
-// Counts returns the collector's aggregating sink (nil if none).
-func (c *Collector) Counts() *EventCounts {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.counts
 }
 
 // Tracer creates the buffer for label and returns a tracer recording into
@@ -299,11 +210,7 @@ func (c *Collector) Tracer(label string, mask Mask) *Tracer {
 	}
 	b := &Buffer{label: label}
 	c.bufs[label] = b
-	t := &Tracer{buf: b, mask: mask, counts: c.counts}
-	if c.countOnly {
-		t.buf = nil
-	}
-	return t
+	return &Tracer{buf: b, mask: mask}
 }
 
 // Buffers returns all buffers sorted by label.

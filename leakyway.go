@@ -454,14 +454,11 @@ func ParseScenario(data []byte, filename string) (*Scenario, error) {
 }
 
 // MarshalScenario renders a Scenario in the canonical template form —
-// byte-stable, and Parse(Marshal(s)) reproduces s exactly. It is an alias
-// of ScenarioCanonicalBytes; both the CLI and leakywayd marshal through
-// this one path, so cache keys computed anywhere agree.
+// byte-stable, and Parse(Marshal(s)) reproduces s exactly. These are the
+// bytes every cache-key digest is computed over; both the CLI and
+// leakywayd marshal through this one path, so cache keys computed
+// anywhere agree.
 func MarshalScenario(s *Scenario) []byte { return scenario.CanonicalBytes(s) }
-
-// ScenarioCanonicalBytes returns the canonical byte encoding of a
-// validated Scenario — the bytes every cache-key digest is computed over.
-func ScenarioCanonicalBytes(s *Scenario) []byte { return scenario.CanonicalBytes(s) }
 
 // ScenarioFingerprint returns the scenario's content digest
 // ("sha256:<hex>" over the canonical bytes): equal exactly when two
