@@ -63,6 +63,7 @@ type benchFile struct {
 	Host              map[string]any `json:"host"`
 	KernelSpeedup     map[string]any `json:"kernel_speedup,omitempty"`
 	BatchKernel       map[string]any `json:"batch_kernel,omitempty"`
+	CoroutineHandoff  map[string]any `json:"coroutine_handoff,omitempty"`
 	Benchmarks        map[string]any `json:"benchmarks"`
 	Speedups          map[string]any `json:"speedups,omitempty"`
 	TraceOverhead     map[string]any `json:"trace_overhead,omitempty"`

@@ -377,7 +377,7 @@ func reportQueueWait(base string) {
 		fmt.Printf("queue-wait: /metricsz status %d\n", resp.StatusCode)
 		return
 	}
-	bounds, counts, total := parseHistogram(string(data), "leakywayd_queue_wait_seconds")
+	bounds, counts, total := telemetry.ParseHistogram(string(data), "leakywayd_queue_wait_seconds")
 	if total == 0 {
 		fmt.Println("queue-wait: no samples in leakywayd_queue_wait_seconds")
 		return
@@ -387,37 +387,6 @@ func reportQueueWait(base string) {
 		fmtDur(histPct(bounds, counts, total, 0.50)),
 		fmtDur(histPct(bounds, counts, total, 0.90)),
 		fmtDur(histPct(bounds, counts, total, 0.99)))
-}
-
-// parseHistogram pulls one family's cumulative buckets out of a
-// Prometheus text scrape. Returns upper bounds (seconds; +Inf last),
-// cumulative counts, and the total sample count.
-func parseHistogram(body, family string) (bounds []float64, counts []uint64, total uint64) {
-	prefix := family + `_bucket{le="`
-	for _, line := range strings.Split(body, "\n") {
-		if v, ok := strings.CutPrefix(line, family+"_count "); ok {
-			total, _ = strconv.ParseUint(strings.TrimSpace(v), 10, 64)
-			continue
-		}
-		rest, ok := strings.CutPrefix(line, prefix)
-		if !ok {
-			continue
-		}
-		le, val, ok := strings.Cut(rest, `"} `)
-		if !ok {
-			continue
-		}
-		var b float64
-		if le == "+Inf" {
-			b = math.Inf(1)
-		} else if b, _ = strconv.ParseFloat(le, 64); b == 0 && le != "0" {
-			continue
-		}
-		n, _ := strconv.ParseUint(strings.TrimSpace(val), 10, 64)
-		bounds = append(bounds, b)
-		counts = append(counts, n)
-	}
-	return bounds, counts, total
 }
 
 // histPct returns the upper bound of the first bucket covering the

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"iter"
 	"math/rand"
 
 	"leakyway/internal/hier"
@@ -20,12 +21,14 @@ import (
 //     one worker march through their simulated time together and the
 //     arena's working set stays hot instead of being rebuilt per trial.
 //
-// Scheduling is invisible to the simulation: exactly one trial executes at
-// any moment, each machine's op order and RNG draw order are untouched, and
-// the quantum handshake only decides *which* parked trial resumes next. A
-// batched sweep is therefore byte-identical to a serial loop over fresh
-// machines — the equivalence tests in batch_test.go (whose scalar reference
-// is that loop) and the experiment goldens pin this.
+// Each of the K slots is a coroutine (iter.Pull) driven by the caller's
+// goroutine, just like the agents inside its machines. Scheduling is
+// invisible to the simulation: exactly one trial executes at any moment,
+// each machine's op order and RNG draw order are untouched, and the
+// scheduler only decides *which* suspended trial resumes next. A batched
+// sweep is therefore byte-identical to a serial loop over fresh machines —
+// the equivalence tests in batch_test.go (whose scalar reference is that
+// loop) and the experiment goldens pin this.
 
 // MachineSource constructs the machines a trial body runs. Trial bodies
 // are written against a source so the kernel can recycle construction state
@@ -52,8 +55,7 @@ type shuffleKey struct {
 
 // Arena owns the recyclable construction state for one worker: a hierarchy
 // pool and a bounded cache of frame shuffles. It is not goroutine-safe —
-// under RunBatch the lockstep protocol guarantees exactly one slot touches
-// the arena at a time.
+// under RunBatch the lockstep scheduler runs exactly one slot at a time.
 type Arena struct {
 	pool     *hier.Pool
 	shuffles map[shuffleKey]*mem.FrameShuffle
@@ -141,101 +143,92 @@ func ReleaseArena(ar *Arena) {
 // batchQuantum is how many cycles a trial advances per lockstep turn.
 // Small enough that the fleet's machines stay within one quantum of each
 // other (keeping the arena's recycled state hot), large enough that the
-// per-quantum channel handshake is noise against thousands of memory ops.
+// per-quantum coroutine switch is noise against thousands of memory ops.
 const batchQuantum = 8192
 
-// batchKill unwinds a slot goroutine when the batch aborts after another
-// slot's panic or a cancellation; the slot loop recovers it.
+// batchKill unwinds a slot when the batch aborts after another slot's panic
+// or a cancellation; batchSlot.run recovers it.
 type batchKill struct{}
 
-// batchGrant is the scheduler's permission for one slot to run until its
-// machine clock passes quantumEnd.
-type batchGrant struct {
-	abort      bool
-	quantumEnd int64
+// BatchMachine steps K trial slots in lockstep: each slot is a coroutine
+// that runs its trials and suspends, yielding its machine clock, whenever
+// that clock crosses the quantum the slot was resumed with. The scheduler
+// always resumes the suspended slot whose clock is furthest behind.
+type BatchMachine struct {
+	ctx   context.Context
+	arena *Arena
+	n     int
+	body  func(i int, src MachineSource)
+	slots []batchSlot
 }
 
-// batchEvent is a slot's report back to the scheduler: either a yield at
-// the given machine clock, or completion (with the recovered panic value
-// when the slot died).
-type batchEvent struct {
-	slot     int
-	done     bool
+// batchSlot is one lane of the fleet and its MachineSource: it runs trials
+// index, index+K, index+2K, ... and builds their machines through the
+// shared arena, recycling the previous machine's hierarchy on each
+// NewMachine call.
+type batchSlot struct {
+	b     *BatchMachine
+	index int
+	cur   *Machine
+
+	// next/stop drive the slot's coroutine (run); yield is its side of the
+	// handoff. clock is the machine clock the slot last yielded (-1 before
+	// its first turn), done marks a finished or stopped slot and panicVal
+	// holds the panic that ended it, if any.
+	next     func() (int64, bool)
+	stop     func()
+	yield    func(int64) bool
 	clock    int64
+	done     bool
 	panicVal any
 }
 
-// BatchMachine steps K trial slots in lockstep: exactly one slot executes
-// between a grant and its next event, and the scheduler always resumes the
-// parked slot whose machine clock is furthest behind. Machines created
-// through a slot's MachineSource yield inside Machine.Run whenever their
-// clock crosses the granted quantum.
-type BatchMachine struct {
-	ctx    context.Context
-	arena  *Arena
-	grants []chan batchGrant
-	events chan batchEvent
-}
-
-// slotSource is the per-slot MachineSource: machines are built through the
-// shared arena and the previous machine's hierarchy is recycled on each
-// NewMachine call.
-type slotSource struct {
-	b    *BatchMachine
-	slot int
-	cur  *Machine
-}
-
-func (ss *slotSource) NewMachine(cfg hier.Config, memBytes uint64, seed int64) *Machine {
-	ss.recycle()
-	m := ss.b.arena.newMachine(cfg, memBytes, seed)
-	m.batch = ss.b
-	m.slot = ss.slot
+func (s *batchSlot) NewMachine(cfg hier.Config, memBytes uint64, seed int64) *Machine {
+	s.recycle()
+	m := s.b.arena.newMachine(cfg, memBytes, seed)
+	m.slot = s
 	// A fresh machine's clock (0) is already past this, so it yields once
 	// before its first op and enters the lockstep rotation.
 	m.quantumEnd = -1
-	ss.cur = m
+	s.cur = m
 	return m
 }
 
-func (ss *slotSource) recycle() {
-	if ss.cur != nil {
-		ss.b.arena.release(ss.cur)
-		ss.cur = nil
+func (s *batchSlot) recycle() {
+	if s.cur != nil {
+		s.b.arena.release(s.cur)
+		s.cur = nil
 	}
 }
 
-// yield parks the running slot: it reports the machine's clock, waits for
-// the next grant, and returns the new quantum end. On an abort grant it
-// tears the machine's agents down and unwinds the slot with batchKill.
-func (b *BatchMachine) yield(m *Machine, clock int64) int64 {
-	b.events <- batchEvent{slot: m.slot, clock: clock}
-	g := <-b.grants[m.slot]
-	if g.abort {
+// park suspends the running slot: it yields the machine's clock to the
+// scheduler and, once resumed, returns the new quantum end. When the
+// scheduler stops the slot instead, park tears the machine's agents down
+// and unwinds the slot with batchKill.
+func (s *batchSlot) park(m *Machine, clock int64) int64 {
+	if !s.yield(clock) {
 		m.killAll()
 		m.agents = nil
 		panic(batchKill{})
 	}
-	return g.quantumEnd
+	return clock + batchQuantum
 }
 
-// slotLoop runs trials slot, slot+K, slot+2K, ... until they are done or
-// the batch context is cancelled, and reports completion.
-func (b *BatchMachine) slotLoop(slot, n, nslots int, body func(i int, src MachineSource)) {
-	src := &slotSource{b: b, slot: slot}
+// run is the slot's coroutine body (the iter.Pull sequence): it runs the
+// slot's trials until they are done or the batch context is cancelled, and
+// records the panic that ended them, if any.
+func (s *batchSlot) run(yield func(int64) bool) {
 	defer func() {
 		r := recover()
-		if _, isKill := r.(batchKill); isKill {
-			r = nil
+		if _, isKill := r.(batchKill); !isKill {
+			s.panicVal = r
 		}
-		src.recycle() // the slot still holds the run grant here
-		b.events <- batchEvent{slot: slot, done: true, panicVal: r}
+		s.recycle()
 	}()
-	if g := <-b.grants[slot]; g.abort {
-		return
-	}
-	for i := slot; i < n && b.ctx.Err() == nil; i += nslots {
-		body(i, src)
+	s.yield = yield
+	b := s.b
+	for i := s.index; i < b.n && b.ctx.Err() == nil; i += len(b.slots) {
+		b.body(i, s)
 	}
 }
 
@@ -265,57 +258,43 @@ func RunBatchContext(ctx context.Context, n, width int, arena *Arena, body func(
 		arena = NewArena()
 	}
 
-	b := &BatchMachine{
-		ctx:    ctx,
-		arena:  arena,
-		grants: make([]chan batchGrant, width),
-		events: make(chan batchEvent, width),
-	}
-	for s := range b.grants {
-		b.grants[s] = make(chan batchGrant)
-	}
-	for s := 0; s < width; s++ {
-		go b.slotLoop(s, n, width, body)
+	b := &BatchMachine{ctx: ctx, arena: arena, n: n, body: body, slots: make([]batchSlot, width)}
+	for i := range b.slots {
+		s := &b.slots[i]
+		s.b, s.index, s.clock = b, i, -1
+		s.next, s.stop = iter.Pull(s.run)
 	}
 
-	// The scheduler: every live slot is parked except the one holding the
-	// current grant. Fresh slots park at clock -1 so they are admitted
-	// before any mid-flight trial. Every grant is a cancellation
-	// checkpoint: once ctx is done, grants turn into aborts.
-	clock := make([]int64, width)
-	done := make([]bool, width)
-	for s := range clock {
-		clock[s] = -1
-	}
-	live := width
-	running := false
+	// The scheduler: every live slot is suspended between turns. Fresh
+	// slots sit at clock -1 so they are admitted before any mid-flight
+	// trial. Every resume is a cancellation checkpoint: once ctx is done,
+	// or once a slot has panicked, the slot that would have been resumed
+	// is stopped instead, which tears its machine down.
 	var firstPanic any
 	aborting := false
-	for live > 0 {
-		if !running {
-			aborting = aborting || ctx.Err() != nil
-			pick := -1
-			for s := 0; s < width; s++ {
-				if !done[s] && (pick < 0 || clock[s] < clock[pick]) {
-					pick = s
-				}
+	for {
+		var s *batchSlot
+		for i := range b.slots {
+			if c := &b.slots[i]; !c.done && (s == nil || c.clock < s.clock) {
+				s = c
 			}
-			b.grants[pick] <- batchGrant{abort: aborting, quantumEnd: clock[pick] + batchQuantum}
-			running = true
 		}
-		ev := <-b.events
-		running = false
-		if ev.done {
-			done[ev.slot] = true
-			live--
-			if ev.panicVal != nil {
-				if firstPanic == nil {
-					firstPanic = ev.panicVal
-				}
-				aborting = true
+		if s == nil {
+			break
+		}
+		aborting = aborting || ctx.Err() != nil
+		if aborting {
+			s.stop()
+		} else if clock, ok := s.next(); ok {
+			s.clock = clock
+			continue
+		}
+		s.done = true
+		if s.panicVal != nil {
+			if firstPanic == nil {
+				firstPanic = s.panicVal
 			}
-		} else {
-			clock[ev.slot] = ev.clock
+			aborting = true
 		}
 	}
 	if firstPanic != nil {

@@ -155,6 +155,7 @@ func TestBatchRecyclesHierarchies(t *testing.T) {
 
 func TestBatchPanicAbortsFleet(t *testing.T) {
 	before := runtime.NumGoroutine()
+	var teardownPanics atomic.Int64
 	func() {
 		defer func() {
 			r := recover()
@@ -171,6 +172,17 @@ func TestBatchPanicAbortsFleet(t *testing.T) {
 			name := "worker"
 			if i == 4 {
 				name = "bomb"
+			}
+			if i != 4 {
+				// Trials still in flight when the bomb goes off are
+				// stopped; each turns its batchKill unwind into a second
+				// panic, which must not displace the first.
+				defer func() {
+					if recover() != nil {
+						teardownPanics.Add(1)
+						panic("teardown panic")
+					}
+				}()
 			}
 			m.Spawn(name, 0, nil, func(c *Core) {
 				buf := c.Alloc(mem.PageSize)
@@ -194,6 +206,9 @@ func TestBatchPanicAbortsFleet(t *testing.T) {
 		})
 		t.Fatalf("RunBatch returned; want panic")
 	}()
+	if teardownPanics.Load() == 0 {
+		t.Fatal("no slot panicked while the fleet was being stopped")
+	}
 	// All slot and agent goroutines must be gone once the panic surfaces.
 	settleGoroutines(t, before)
 }

@@ -29,8 +29,8 @@ func BenchmarkMachineTimedOp(b *testing.B) {
 }
 
 // BenchmarkMachineTwoAgentHandoff measures the worst case for the batched
-// scheduler: two agents in lockstep (equal op costs), forcing a real
-// goroutine handoff at almost every operation.
+// scheduler: two agents in lockstep (equal op costs), forcing a coroutine
+// switch between the agents at almost every operation.
 func BenchmarkMachineTwoAgentHandoff(b *testing.B) {
 	m := newTestMachine(1)
 	mk := func(name string) {

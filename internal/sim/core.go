@@ -52,8 +52,8 @@ func (c *Core) emitTimed(kind string, start, t int64) {
 // step advances the local clock, applies any scheduled disturbances that
 // have come due, and hands control back to the machine only once the clock
 // passes the batching bound — every op remains a scheduling point
-// semantically, but the handshake is skipped while this agent would be
-// re-picked anyway.
+// semantically, but the coroutine switch is skipped while this agent would
+// be re-picked anyway.
 func (c *Core) step(cost int64) {
 	c.now += cost
 	if c.agent.faults != nil {
@@ -61,7 +61,7 @@ func (c *Core) step(cost int64) {
 		c.applyFaults()
 	}
 	if c.now > c.runLimit {
-		c.agent.yield()
+		c.agent.park()
 	}
 }
 
@@ -201,7 +201,7 @@ func (c *Core) WaitUntil(t int64) {
 		c.applyFaults()
 	}
 	if c.now > c.runLimit {
-		c.agent.yield()
+		c.agent.park()
 	}
 }
 

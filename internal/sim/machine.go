@@ -1,13 +1,15 @@
 // Package sim runs attacker/victim programs against a hier.Hierarchy on a
 // deterministic global cycle clock. Each program (Agent) is an ordinary Go
-// function making memory operations through its Core; the Machine resumes
-// exactly one agent at a time — always the one earliest on the clock — so
-// cross-core interleavings are reproducible bit-for-bit for a given seed,
-// while the attack code reads like the paper's listings.
+// function making memory operations through its Core, run as a coroutine
+// (iter.Pull): the Machine resumes exactly one agent at a time — always the
+// one earliest on the clock — and the agent suspends itself at a scheduling
+// point, so cross-core interleavings are reproducible bit-for-bit for a
+// given seed, while the attack code reads like the paper's listings.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"math/rand"
 	"runtime/debug"
@@ -18,8 +20,8 @@ import (
 	"leakyway/internal/trace"
 )
 
-// errKilled is panicked inside daemon agents when the machine shuts down;
-// the agent wrapper recovers it.
+// killedError is panicked inside daemon agents when the machine shuts them
+// down; Agent.run recovers it.
 type killedError struct{}
 
 func (killedError) Error() string { return "sim: agent killed" }
@@ -50,12 +52,11 @@ type Machine struct {
 	// hierarchy; see SetTracer.
 	tr *trace.Tracer
 
-	// batch/slot/quantumEnd connect a machine built by a BatchMachine's
-	// MachineSource to the lockstep scheduler (batch.go): Run yields the
-	// slot's turn whenever the clock passes quantumEnd. All three are zero
-	// on scalar machines and the hook never fires.
-	batch      *BatchMachine
-	slot       int
+	// slot/quantumEnd connect a machine built by a BatchMachine's slot to
+	// the lockstep scheduler (batch.go): Run suspends the slot whenever the
+	// clock passes quantumEnd. Both are zero on scalar machines and the
+	// hook never fires.
+	slot       *batchSlot
 	quantumEnd int64
 }
 
@@ -113,13 +114,17 @@ type Agent struct {
 	Name   string
 	Daemon bool
 
-	core    *Core
-	fn      func(*Core)
-	resume  chan struct{}
-	yielded chan struct{}
-	done    bool
-	err     any    // recovered panic, if any (killedError excluded)
-	stack   []byte // goroutine stack captured with err
+	core Core
+	fn   func(*Core)
+	// next resumes the agent's coroutine until its next scheduling point;
+	// stop tears it down. yield, set once the body starts, is the
+	// coroutine's side of the handoff.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	done  bool
+	err   any    // recovered panic, if any (killedError excluded)
+	stack []byte // agent stack captured with err
 
 	// Fault state (fault.go): scheduled disturbances, perceived-clock skew
 	// and its sub-cycle accumulator.
@@ -149,14 +154,8 @@ func (m *Machine) spawn(name string, coreID int, as *mem.AddressSpace, fn func(*
 	if as == nil {
 		as = m.NewSpace()
 	}
-	a := &Agent{
-		Name:    name,
-		Daemon:  daemon,
-		fn:      fn,
-		resume:  make(chan struct{}),
-		yielded: make(chan struct{}),
-	}
-	a.core = &Core{m: m, agent: a, ID: coreID, AS: as}
+	a := &Agent{Name: name, Daemon: daemon, fn: fn}
+	a.core = Core{m: m, agent: a, ID: coreID, AS: as}
 	a.faults = m.faults[name] // nil unless faults were staged for this name
 	m.agents = append(m.agents, a)
 	if m.tr.On(trace.PkgSim) {
@@ -171,9 +170,9 @@ func (m *Machine) spawn(name string, coreID int, as *mem.AddressSpace, fn func(*
 }
 
 // AgentError is the panic value Run raises when an agent panicked: it
-// names the agent and carries the original panic value plus the agent
-// goroutine's stack, so a test failure points at the faulty agent instead
-// of a bare scheduler-internal value.
+// names the agent and carries the original panic value plus the agent's
+// stack, so a test failure points at the faulty agent instead of a bare
+// scheduler-internal value.
 type AgentError struct {
 	Agent string
 	Value any
@@ -192,19 +191,19 @@ func (e *AgentError) Error() string {
 // after Run returns belong to a fresh Run call.
 func (m *Machine) Run() {
 	for _, a := range m.agents {
-		a.start()
+		a.next, a.stop = iter.Pull(a.run)
 	}
 	for {
 		a := m.nextRunnable()
 		if a == nil {
 			break
 		}
-		if m.batch != nil && a.core.now > m.quantumEnd {
-			// Lockstep batching: this machine has used up its granted
-			// quantum; park the fleet slot until the scheduler's next
-			// grant. Scheduling never alters which agent runs next or any
-			// RNG draw, so batched output is byte-identical to scalar.
-			m.quantumEnd = m.batch.yield(m, a.core.now)
+		if m.slot != nil && a.core.now > m.quantumEnd {
+			// Lockstep batching: this machine has used up its quantum;
+			// suspend the fleet slot until the scheduler resumes it.
+			// Scheduling never alters which agent runs next or any RNG
+			// draw, so batched output is byte-identical to scalar.
+			m.quantumEnd = m.slot.park(m, a.core.now)
 		}
 		if m.tr != nil {
 			// Stamp the agent context so hier events emitted during this
@@ -212,14 +211,12 @@ func (m *Machine) Run() {
 			m.H.SetTraceAgent(a.Name, a.core.ID)
 		}
 		// Batched run-until-blocked: let the agent keep executing ops
-		// without a channel handshake for as long as it would remain
-		// nextRunnable's pick anyway. This removes two goroutine context
-		// switches per memory operation — the dominant cost of the
-		// handshake-per-op design — while preserving the exact op
+		// without suspending for as long as it would remain
+		// nextRunnable's pick anyway. This removes a coroutine switch
+		// pair per memory operation while preserving the exact op
 		// interleaving, RNG draw order and trace stream.
 		a.core.runLimit = m.batchLimit(a)
-		a.resume <- struct{}{}
-		<-a.yielded
+		a.next()
 		if a.done && a.err != nil {
 			m.killAll() // ignore secondary teardown errors; the first panic wins
 			m.agents = nil
@@ -293,17 +290,17 @@ func (m *Machine) batchLimit(a *Agent) int64 {
 }
 
 // killAll tears down any still-running agents (daemons). The expected
-// teardown path is the killedError panic the agent wrapper swallows; a
-// daemon that instead dies with a real panic (e.g. a deferred function
-// blowing up while unwinding) is reported, not silently discarded.
+// teardown path is the killedError panic Agent.run swallows; a daemon that
+// instead dies with a real panic (e.g. a deferred function blowing up while
+// unwinding) is reported, not silently discarded. An agent that never got
+// a turn is stopped before its body starts.
 func (m *Machine) killAll() *AgentError {
 	var firstErr *AgentError
 	for _, a := range m.agents {
 		if a.done {
 			continue
 		}
-		close(a.resume)
-		<-a.yielded
+		a.stop()
 		if a.err != nil && firstErr == nil {
 			firstErr = &AgentError{Agent: a.Name, Value: a.err, Stack: a.stack}
 		}
@@ -311,30 +308,27 @@ func (m *Machine) killAll() *AgentError {
 	return firstErr
 }
 
-// start launches the agent goroutine; it stays parked until first resumed.
-func (a *Agent) start() {
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, isKill := r.(killedError); !isKill {
-					a.err = r
-					a.stack = debug.Stack()
-				}
+// run is the agent's coroutine body (the iter.Pull sequence): it runs the
+// program and records how it ended. It yields nothing; each yield is a
+// scheduling point.
+func (a *Agent) run(yield func(struct{}) bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, isKill := r.(killedError); !isKill {
+				a.err = r
+				a.stack = debug.Stack()
 			}
-			a.done = true
-			a.yielded <- struct{}{}
-		}()
-		if _, ok := <-a.resume; !ok {
-			panic(killedError{})
 		}
-		a.fn(a.core)
+		a.done = true
 	}()
+	a.yield = yield
+	a.fn(&a.core)
 }
 
-// yield hands control back to the machine and waits for the next turn.
-func (a *Agent) yield() {
-	a.yielded <- struct{}{}
-	if _, ok := <-a.resume; !ok {
+// park hands control back to the machine until the agent's next turn. When
+// the machine stops the agent instead, park unwinds it with killedError.
+func (a *Agent) park() {
+	if !a.yield(struct{}{}) {
 		panic(killedError{})
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"leakyway/internal/hier"
@@ -170,6 +171,85 @@ func TestAgentPanicPropagates(t *testing.T) {
 		}
 	}()
 	m.Run()
+}
+
+// runRecovered runs m and returns the value Run panicked with, if any.
+func runRecovered(m *Machine) (r any) {
+	defer func() { r = recover() }()
+	m.Run()
+	return nil
+}
+
+// TestRunReleasesAgentCoroutines checks that every agent coroutine is gone
+// once Run returns or panics, whichever way the agents ended.
+func TestRunReleasesAgentCoroutines(t *testing.T) {
+	looper := func(c *Core) {
+		for {
+			c.Spin(50)
+		}
+	}
+	cases := []struct {
+		name  string
+		spawn func(m *Machine)
+		agent string // agent named by the expected AgentError; "" = no panic
+	}{
+		{"daemon-still-looping", func(m *Machine) {
+			m.SpawnDaemon("noise", 1, nil, looper)
+			m.Spawn("work", 0, nil, func(c *Core) { c.Spin(5000) })
+		}, ""},
+		{"agent-panic", func(m *Machine) {
+			m.SpawnDaemon("noise", 1, nil, looper)
+			m.Spawn("boom", 0, nil, func(c *Core) {
+				c.Spin(10)
+				panic("kaboom")
+			})
+		}, "boom"},
+		{"daemon-teardown-panic", func(m *Machine) {
+			m.SpawnDaemon("rotten", 1, nil, func(c *Core) {
+				defer func() { panic("teardown bomb") }()
+				looper(c)
+			})
+			m.Spawn("work", 0, nil, func(c *Core) { c.Spin(500) })
+		}, "rotten"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			m := newTestMachine(8)
+			tc.spawn(m)
+			r := runRecovered(m)
+			if tc.agent == "" && r != nil {
+				t.Fatalf("Run panicked: %v", r)
+			}
+			if ae, ok := r.(*AgentError); tc.agent != "" && (!ok || ae.Agent != tc.agent) {
+				t.Fatalf("Run panicked with %T %v; want *AgentError for %q", r, r, tc.agent)
+			}
+			settleGoroutines(t, before)
+		})
+	}
+}
+
+// TestUnstartedAgentNeverRuns checks that an agent torn down before its
+// first turn is stopped without its body ever running: here the first
+// agent panics at cycle 0, before the daemon spawned after it is picked.
+func TestUnstartedAgentNeverRuns(t *testing.T) {
+	before := runtime.NumGoroutine()
+	m := newTestMachine(9)
+	m.Spawn("early", 0, nil, func(c *Core) { panic("before any op") })
+	ran := false
+	m.SpawnDaemon("late", 1, nil, func(c *Core) {
+		ran = true
+		for {
+			c.Spin(50)
+		}
+	})
+	if ae, ok := runRecovered(m).(*AgentError); !ok || ae.Agent != "early" {
+		t.Fatalf("Run did not surface the first agent's panic")
+	}
+	if ran {
+		t.Fatal("the daemon's body ran although it never got a turn")
+	}
+	settleGoroutines(t, before)
 }
 
 func TestTimedOpsIncludeOverhead(t *testing.T) {
