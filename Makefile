@@ -1,11 +1,11 @@
 # Build/verify entry points. `make verify` is the tier-1 gate: build,
-# vet, formatting, tests, the race detector over the whole module (the
+# vet (of the benchmark module too), formatting, tests, the race detector over the whole module (the
 # parallel experiment engine must stay clean under -race), and a short
 # fuzz smoke over the ARQ frame decoders.
 
 GO ?= go
 
-.PHONY: all build vet fmt-check staticcheck test race fuzz-smoke trace-smoke template-validate daemon-smoke chaos-smoke verify bench bench-jobs bench-check bench-baseline cover clean
+.PHONY: all build vet bench-vet fmt-check staticcheck test race fuzz-smoke trace-smoke template-validate daemon-smoke chaos-smoke verify bench bench-jobs bench-check bench-baseline cover clean
 
 all: verify
 
@@ -14,6 +14,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# benchmark/ is a nested module, so the root build, vet and test skip it:
+# vet it on its own so an API change in the main module cannot break the
+# benchmark harness unnoticed.
+bench-vet:
+	cd benchmark && $(GO) vet ./...
 
 # gofmt -l lists unformatted files; fail if it prints anything.
 fmt-check:
@@ -89,7 +95,7 @@ chaos-smoke:
 # The slow end-to-end daemon gates ride verify by default; CI splits them
 # into their own parallel job with `make verify VERIFY_SMOKES=`.
 VERIFY_SMOKES ?= daemon-smoke chaos-smoke
-verify: build vet fmt-check staticcheck test race fuzz-smoke trace-smoke template-validate $(VERIFY_SMOKES)
+verify: build vet bench-vet fmt-check staticcheck test race fuzz-smoke trace-smoke template-validate $(VERIFY_SMOKES)
 
 # Full benchmark sweep (quick-mode trial counts).
 bench:

@@ -83,6 +83,24 @@ func (r Report) String() string {
 		r.Channel, r.Platform, r.Interval, r.RawRateKBps, 100*r.BER, r.CapacityKBps)
 }
 
+// newReport counts the decode errors of a transmission of msg and fills
+// the derived rate fields.
+func newReport(m *sim.Machine, name string, interval int64, msg, received []bool, bitsPerInterval float64) Report {
+	rep := Report{
+		Channel:  name,
+		Platform: m.H.Config().Name,
+		Bits:     len(msg),
+		Interval: interval,
+	}
+	for i := range msg {
+		if received[i] != msg[i] {
+			rep.Errors++
+		}
+	}
+	finishReport(&rep, m.H.Config().FreqGHz, bitsPerInterval)
+	return rep
+}
+
 // finishReport fills the derived fields.
 func finishReport(r *Report, freqGHz float64, bitsPerInterval float64) {
 	freqHz := freqGHz * 1e9
@@ -166,14 +184,15 @@ func Setup(m *sim.Machine, sets, evWays int) (*Endpoints, error) {
 	return ep, nil
 }
 
-// spawnNoise starts the background noise daemon when configured.
-func spawnNoise(m *sim.Machine, cfg Config, ep *Endpoints, coreID int) {
-	if cfg.NoisePeriod <= 0 {
+// spawnNoise starts the background noise daemon on core 2 when period is
+// positive: the "other processes" of Section IV-B3, loading the given
+// lines (congruent with the target sets) in turn from their own address
+// space. Every channel, the ARQ transport included, uses this one daemon.
+func spawnNoise(m *sim.Machine, period int64, as *mem.AddressSpace, lines []mem.VAddr) {
+	if period <= 0 {
 		return
 	}
-	period := cfg.NoisePeriod
-	lines := ep.NoiseLines
-	m.SpawnDaemon("noise", coreID, ep.NoiseAS, func(c *sim.Core) {
+	m.SpawnDaemon("noise", 2, as, func(c *sim.Core) {
 		i := 0
 		for {
 			// Deterministic arrivals with irregular phase: vary the

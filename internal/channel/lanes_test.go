@@ -5,6 +5,7 @@ import (
 
 	"leakyway/internal/platform"
 	"leakyway/internal/sim"
+	"leakyway/internal/trace"
 )
 
 func TestLanesNoiselessIsPerfect(t *testing.T) {
@@ -60,5 +61,58 @@ func TestLanesOverloadCollapses(t *testing.T) {
 	rep, _ := RunNTPNTPLanes(m, cfg, 8, msg)
 	if rep.BER < 0.1 {
 		t.Fatalf("8 lanes at 1500 cycles should overload: BER %.2f%%", 100*rep.BER)
+	}
+}
+
+// One lane is the paper's two-set pipeline: RunNTPNTPLanes and RunNTPNTP
+// run the same schedule, so identically seeded machines decode the same
+// bits.
+func TestOneLaneMatchesTwoSetNTPNTP(t *testing.T) {
+	cfgp := platform.Skylake()
+	cfg := DefaultConfig(cfgp.Name, cfgp.FreqGHz)
+	cfg.Interval = 1100 // tight enough to leave errors to compare
+	cfg.NoisePeriod = 40_000
+	cfg.Sets = 2
+	msg := RandomMessage(800, 44)
+	repL, recvL := RunNTPNTPLanes(sim.MustNewMachine(cfgp, 1<<30, 7), cfg, 1, msg)
+	repN, recvN := RunNTPNTP(sim.MustNewMachine(cfgp, 1<<30, 7), cfg, msg)
+	if repL.Errors != repN.Errors {
+		t.Fatalf("one lane: %d errors, two-set NTP+NTP: %d", repL.Errors, repN.Errors)
+	}
+	if repN.Errors == 0 {
+		t.Fatal("no errors at this interval: the comparison proves nothing")
+	}
+	for i := range msg {
+		if recvL[i] != recvN[i] {
+			t.Fatalf("bit %d: one lane decoded %v, two-set NTP+NTP %v", i, recvL[i], recvN[i])
+		}
+	}
+}
+
+// A traced lanes run emits the same per-bit events as every other NTP+NTP
+// run, so the diagnostics report sees each bit and each error.
+func TestLanesEmitBitEvents(t *testing.T) {
+	cfgp := platform.Skylake()
+	cfg := DefaultConfig(cfgp.Name, cfgp.FreqGHz)
+	cfg.Interval = 1500
+	cfg.NoisePeriod = 40_000
+	msg := RandomMessage(601, 45) // not a multiple of the lane count
+	m := sim.MustNewMachine(cfgp, 1<<30, 8)
+	tr := trace.New("lanes", trace.PkgChannel)
+	m.SetTracer(tr)
+	rep, _ := RunNTPNTPLanes(m, cfg, 4, msg)
+	diags := trace.Diagnose([]*trace.Buffer{tr.Buffer()})
+	if len(diags) != 1 {
+		t.Fatalf("got %d diagnosed lanes, want 1", len(diags))
+	}
+	d := diags[0]
+	if d.TxBits != len(msg) || d.RxBits != len(msg) {
+		t.Fatalf("tx-bit %d, rx-bit %d events, want %d each", d.TxBits, d.RxBits, len(msg))
+	}
+	if len(d.Errors) != rep.Errors {
+		t.Fatalf("diagnostics saw %d errors, report counts %d", len(d.Errors), rep.Errors)
+	}
+	if rep.Errors == 0 {
+		t.Fatal("no errors at this interval: the error count check proves nothing")
 	}
 }

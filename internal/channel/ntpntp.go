@@ -1,6 +1,8 @@
 package channel
 
 import (
+	"fmt"
+
 	"leakyway/internal/core"
 	"leakyway/internal/sim"
 	"leakyway/internal/trace"
@@ -51,12 +53,7 @@ func emitRxBit(c *sim.Core, at int64, slot int, bit bool, lat, slotLen, threshol
 //
 // Cores: sender on 0, receiver on 1, noise (if any) on 2.
 func RunNTPNTP(m *sim.Machine, cfg Config, msg []bool) (Report, []bool) {
-	mustValidRun(cfg, false, msg)
-	sets := cfg.Sets
-	if sets <= 0 {
-		sets = 1
-	}
-	ep, err := Setup(m, sets, 0)
+	ep, err := Setup(m, max(cfg.Sets, 1), 0)
 	if err != nil {
 		panic(err)
 	}
@@ -68,21 +65,47 @@ func RunNTPNTP(m *sim.Machine, cfg Config, msg []bool) (Report, []bool) {
 // stage the endpoints themselves and hand them in. The set count is taken
 // from the endpoints.
 func RunNTPNTPOn(m *sim.Machine, cfg Config, ep *Endpoints, msg []bool) (Report, []bool) {
+	return runNTPNTP(m, cfg, ep, 1, "NTP+NTP", msg)
+}
+
+// RunNTPNTPLanes is the multi-lane extension of the NTP+NTP channel: L
+// independent two-set pipelines (2L target sets in total) each carry one bit
+// per iteration, so L bits move per interval. The paper stops at one lane
+// (two sets); extra lanes trade per-iteration work for aggregate bandwidth
+// until the receiver's probing saturates the interval.
+func RunNTPNTPLanes(m *sim.Machine, cfg Config, lanes int, msg []bool) (Report, []bool) {
+	lanes = max(lanes, 1)
+	ep, err := Setup(m, 2*lanes, 0)
+	if err != nil {
+		panic(err)
+	}
+	return runNTPNTP(m, cfg, ep, lanes, fmt.Sprintf("NTP+NTP x%d", lanes), msg)
+}
+
+// runNTPNTP is the one NTP+NTP schedule: lanes pipelines of S =
+// len(ep.DS)/lanes sets each. Bit i*lanes+l is sent at iteration i on set
+// l*S + i%S and read one iteration later when S > 1.
+func runNTPNTP(m *sim.Machine, cfg Config, ep *Endpoints, lanes int, name string, msg []bool) (Report, []bool) {
 	mustValidRun(cfg, false, msg)
-	sets := len(ep.DS)
+	sets := len(ep.DS) / lanes
+	setFor := func(i, lane int) int { return lane*sets + i%sets }
 	interval := cfg.Interval
 	n := len(msg)
+	iters := (n + lanes - 1) / lanes
 	received := make([]bool, n)
 
 	// The receiver's decode threshold is calibrated before the run.
 	var th core.Thresholds
 
 	m.Spawn("sender", 0, ep.SenderAS, func(c *sim.Core) {
-		for i := 0; i < n; i++ {
+		for i := 0; i < iters; i++ {
 			c.WaitUntil(cfg.Start + int64(i)*interval + cfg.SenderOffset)
-			emitTxBit(c, i, msg[i])
-			if msg[i] {
-				c.PrefetchNTA(ep.DS[i%sets])
+			for l := 0; l < lanes && i*lanes+l < n; l++ {
+				bit := i*lanes + l
+				emitTxBit(c, bit, msg[bit])
+				if msg[bit] {
+					c.PrefetchNTA(ep.DS[setFor(i, l)])
+				}
 			}
 			c.Spin(cfg.ProtocolOverhead)
 		}
@@ -94,8 +117,8 @@ func RunNTPNTPOn(m *sim.Machine, cfg Config, ep *Endpoints, msg []bool) (Report,
 		// it has no empty ways (footnote 4), then install every dr as
 		// its set's eviction candidate (which also leaves dr in the
 		// receiver's L1).
-		for s := 0; s < sets; s++ {
-			for _, va := range ep.Filler[s] {
+		for _, fill := range ep.Filler {
+			for _, va := range fill {
 				c.Load(va)
 			}
 		}
@@ -109,30 +132,20 @@ func RunNTPNTPOn(m *sim.Machine, cfg Config, ep *Endpoints, msg []bool) (Report,
 		if sets == 1 {
 			delay = 0
 		}
-		for i := 0; i < n; i++ {
+		for i := 0; i < iters; i++ {
 			c.WaitUntil(cfg.Start + (int64(i)+delay)*interval + cfg.ReceiverOffset)
-			probeAt := c.Now()
-			t := c.TimedPrefetchNTA(ep.DR[i%sets])
-			received[i] = th.IsMiss(t)
-			emitRxBit(c, probeAt, i, received[i], t, interval, th.MissThreshold)
+			for l := 0; l < lanes && i*lanes+l < n; l++ {
+				bit := i*lanes + l
+				probeAt := c.Now()
+				t := c.TimedPrefetchNTA(ep.DR[setFor(i, l)])
+				received[bit] = th.IsMiss(t)
+				emitRxBit(c, probeAt, bit, received[bit], t, interval, th.MissThreshold)
+			}
 			c.Spin(cfg.ProtocolOverhead)
 		}
 	})
 
-	spawnNoise(m, cfg, ep, 2)
+	spawnNoise(m, cfg.NoisePeriod, ep.NoiseAS, ep.NoiseLines)
 	m.Run()
-
-	rep := Report{
-		Channel:  "NTP+NTP",
-		Platform: m.H.Config().Name,
-		Bits:     n,
-		Interval: interval,
-	}
-	for i := range msg {
-		if received[i] != msg[i] {
-			rep.Errors++
-		}
-	}
-	finishReport(&rep, m.H.Config().FreqGHz, 1)
-	return rep, received
+	return newReport(m, name, interval, msg, received, float64(lanes)), received
 }

@@ -88,20 +88,7 @@ func RunPrimeProbe(m *sim.Machine, cfg Config, msg []bool) (Report, []bool) {
 		}
 	})
 
-	spawnNoise(m, cfg, ep, 2)
+	spawnNoise(m, cfg.NoisePeriod, ep.NoiseAS, ep.NoiseLines)
 	m.Run()
-
-	rep := Report{
-		Channel:  "Prime+Probe",
-		Platform: m.H.Config().Name,
-		Bits:     n,
-		Interval: interval,
-	}
-	for i := range msg {
-		if received[i] != msg[i] {
-			rep.Errors++
-		}
-	}
-	finishReport(&rep, m.H.Config().FreqGHz, sets)
-	return rep, received
+	return newReport(m, "Prime+Probe", interval, msg, received, sets), received
 }

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"leakyway/internal/core"
+	"leakyway/internal/mem"
 	"leakyway/internal/sim"
 )
 
@@ -44,9 +45,6 @@ func RunNTPNTPSelfSync(m *sim.Machine, cfg Config, msg []bool) (Report, []bool) 
 		panic(err)
 	}
 	interval := cfg.Interval
-	n := len(msg)
-	received := make([]bool, 0, n)
-	rawRecv := make([]bool, 0, n+ssPayload)
 
 	senderStart := cfg.Start
 	if senderStart <= 0 {
@@ -55,77 +53,33 @@ func RunNTPNTPSelfSync(m *sim.Machine, cfg Config, msg []bool) (Report, []bool) 
 	// An all-zero bootstrap frame precedes the payload: its START pulse
 	// gives the receiver the long cross-frame baseline before any real
 	// bit is decoded (the short within-frame baseline leaves too much
-	// quantization error for a 48-bit payload).
+	// quantization error for a 48-bit payload). The last frame is
+	// zero-padded to a whole payload.
 	pad := ssPayload
-	padded := make([]bool, pad+n)
-	copy(padded[pad:], msg)
-	n = len(padded)
+	n := pad + len(msg)
 	frames := (n + ssPayload - 1) / ssPayload
+	padded := make([]bool, frames*ssPayload)
+	copy(padded[pad:], msg)
+	rawRecv := make([]bool, 0, n)
 
 	m.Spawn("sender", 0, ep.SenderAS, func(c *sim.Core) {
-		slotAt := func(f int, slot int64) int64 {
-			return senderStart + (int64(f)*ssFrame+slot)*interval
-		}
 		for f := 0; f < frames; f++ {
-			for p := int64(0); p < ssPreamble; p++ {
-				c.WaitUntil(slotAt(f, p))
-				c.PrefetchNTA(ep.DS[0])
-				c.Spin(cfg.ProtocolOverhead)
-			}
-			// Slots 8,9: silence. Slot 10: START. Slot 11: guard.
-			c.WaitUntil(slotAt(f, ssPreamble+2))
-			c.PrefetchNTA(ep.DS[0])
-			c.Spin(cfg.ProtocolOverhead)
-			for i := 0; i < ssPayload; i++ {
-				bit := f*ssPayload + i
-				c.WaitUntil(slotAt(f, int64(ssPreamble+4+i)))
-				if bit < n && padded[bit] {
-					c.PrefetchNTA(ep.DS[0])
-				}
-				c.Spin(cfg.ProtocolOverhead)
-			}
+			txBurst(c, ep.DS[0], senderStart+int64(f)*ssFrame*interval, interval,
+				cfg.ProtocolOverhead, padded[f*ssPayload:(f+1)*ssPayload])
 		}
 	})
 
 	m.Spawn("receiver", 1, ep.ReceiverAS, func(c *sim.Core) {
-		th := core.Calibrate(c, 48)
-		reprime := func() {
-			for _, va := range ep.Filler[0] {
-				c.Load(va)
-			}
-			c.PrefetchNTA(ep.DR[0])
+		r := &listener{
+			ln: LaneEndpoints{DR: ep.DR[0], Filler: ep.Filler[0]},
+			th: core.Calibrate(c, 48),
 		}
-		// hardReprime recovers from a stuck channel (a sender line left
-		// resident by an in-flight collision): flushing and reloading
-		// the whole filler set forces the stray age-3 line out, and the
-		// final NTA reinstates dr as candidate.
-		hardReprime := func() {
-			c.Flush(ep.DR[0])
-			for _, va := range ep.Filler[0] {
-				c.Flush(va)
-			}
-			c.Fence()
-			for _, va := range ep.Filler[0] {
-				c.Load(va)
-			}
-			c.PrefetchNTA(ep.DR[0])
-		}
-		reprime()
+		r.reprime(c)
 
 		probePeriod := interval / 8
 		if probePeriod < 150 {
 			probePeriod = 150
 		}
-		probe := func() (int64, bool) {
-			t := c.TimedPrefetchNTA(ep.DR[0])
-			at := c.Now()
-			if th.IsMiss(t) {
-				reprime()
-				return at, true
-			}
-			return at, false
-		}
-
 		deadline := c.Now() + int64(frames+4)*ssFrame*interval + 600_000
 		prevStart := int64(0)
 		firstStart := int64(0)
@@ -137,12 +91,12 @@ func RunNTPNTPSelfSync(m *sim.Machine, cfg Config, msg []bool) (Report, []bool) 
 			med := int64(0)
 			lastRecover := c.Now()
 			for c.Now() < deadline {
-				if at, miss := probe(); miss {
+				if at, miss := r.probe(c); miss {
 					misses = append(misses, at)
 				}
 				c.Spin(probePeriod)
 				if len(misses) == 0 && c.Now()-lastRecover > (ssFrame/2)*interval {
-					hardReprime()
+					r.hardReprime(c)
 					lastRecover = c.Now()
 				}
 				if len(misses) < 4 {
@@ -175,7 +129,7 @@ func RunNTPNTPSelfSync(m *sim.Machine, cfg Config, msg []bool) (Report, []bool) 
 			// Phase 2: the START pulse.
 			var start int64
 			for c.Now() < deadline {
-				if at, miss := probe(); miss {
+				if at, miss := r.probe(c); miss {
 					start = at
 					break
 				}
@@ -232,7 +186,7 @@ func RunNTPNTPSelfSync(m *sim.Machine, cfg Config, msg []bool) (Report, []bool) 
 					break
 				}
 				c.WaitUntil(phase + (2+int64(i))*est + est*2/5)
-				_, miss := probe()
+				_, miss := r.probe(c)
 				for len(rawRecv) < bit {
 					rawRecv = append(rawRecv, false) // lost slots
 				}
@@ -242,32 +196,92 @@ func RunNTPNTPSelfSync(m *sim.Machine, cfg Config, msg []bool) (Report, []bool) 
 		}
 	})
 
-	spawnNoise(m, cfg, ep, 2)
+	spawnNoise(m, cfg.NoisePeriod, ep.NoiseAS, ep.NoiseLines)
 	m.Run()
 
 	// Strip the bootstrap frame and align with the caller's message.
-	received = received[:0]
-	for i := 0; i < len(msg); i++ {
-		idx := pad + i
-		if idx < len(rawRecv) {
-			received = append(received, rawRecv[idx])
-		} else {
-			received = append(received, false)
+	received := make([]bool, len(msg))
+	if len(rawRecv) > pad {
+		copy(received, rawRecv[pad:])
+	}
+	return newReport(m, "NTP+NTP selfsync", interval, msg, received, float64(ssPayload)/float64(ssFrame)), received
+}
+
+// burstSlots is the slot count of a burst carrying n payload bits:
+// preamble, 2 silence, START, guard, payload, 2 trailing silence.
+func burstSlots(n int) int64 { return int64(ssPreamble + 4 + n + 2) }
+
+// txBurst transmits one self-sync burst on ds, starting at the given cycle
+// on the transmitter's own slot grid: the self-sync sender sends one per
+// frame, the ARQ transport one per data frame or ACK. It returns after the
+// last payload slot, with the cycle at which the trailing silence ends;
+// callers that must not start another burst before then wait for it.
+func txBurst(c *sim.Core, ds mem.VAddr, start, interval, overhead int64, bits []bool) int64 {
+	slotAt := func(s int64) int64 { return start + s*interval }
+	for p := int64(0); p < ssPreamble; p++ {
+		c.WaitUntil(slotAt(p))
+		c.PrefetchNTA(ds)
+		c.Spin(overhead)
+	}
+	// Slots 8,9: silence. Slot 10: START. Slot 11: guard.
+	c.WaitUntil(slotAt(ssPreamble + 2))
+	c.PrefetchNTA(ds)
+	c.Spin(overhead)
+	for i, b := range bits {
+		c.WaitUntil(slotAt(int64(ssPreamble + 4 + i)))
+		if b {
+			c.PrefetchNTA(ds)
 		}
+		c.Spin(overhead)
 	}
-	rep := Report{
-		Channel:  "NTP+NTP selfsync",
-		Platform: m.H.Config().Name,
-		Bits:     len(msg),
-		Interval: interval,
+	return slotAt(burstSlots(len(bits)))
+}
+
+// listener tracks the receive side of one lane: threshold, slot estimate,
+// and the re-prime machinery shared by the self-sync receiver and both
+// ARQ endpoints.
+type listener struct {
+	ln       LaneEndpoints
+	th       core.Thresholds
+	est      int64 // current slot-length estimate
+	overhead int64
+	// minEst/maxEst bound plausible slot estimates: a "preamble" whose
+	// pulse spacing falls outside them is ambient noise masquerading as a
+	// burst (e.g. a periodic co-runner), and the lock is rejected.
+	minEst, maxEst int64
+}
+
+func (r *listener) reprime(c *sim.Core) {
+	for _, va := range r.ln.Filler {
+		c.Load(va)
 	}
-	for i := range msg {
-		if received[i] != msg[i] {
-			rep.Errors++
-		}
+	c.PrefetchNTA(r.ln.DR)
+}
+
+// hardReprime recovers a wedged lane (a sender line left resident by an
+// in-flight collision): flushing and reloading the whole filler set forces
+// the stray age-3 line out, and the final PREFETCHNTA reinstates dr as the
+// eviction candidate.
+func (r *listener) hardReprime(c *sim.Core) {
+	c.Flush(r.ln.DR)
+	for _, va := range r.ln.Filler {
+		c.Flush(va)
 	}
-	finishReport(&rep, m.H.Config().FreqGHz, float64(ssPayload)/float64(ssFrame))
-	return rep, received
+	c.Fence()
+	for _, va := range r.ln.Filler {
+		c.Load(va)
+	}
+	c.PrefetchNTA(r.ln.DR)
+}
+
+func (r *listener) probe(c *sim.Core) (int64, bool) {
+	t := c.TimedPrefetchNTA(r.ln.DR)
+	at := c.Now()
+	if r.th.IsMiss(t) {
+		r.reprime(c)
+		return at, true
+	}
+	return at, false
 }
 
 // medianGap returns the median spacing between consecutive timestamps —

@@ -204,86 +204,6 @@ func emitFrame(c *sim.Core, kind string, slot int, val int64, note string) {
 	tr.Emit(e)
 }
 
-var arqDebug = false
-
-func dbg(c *sim.Core, format string, args ...any) {
-	if arqDebug {
-		fmt.Printf("[%12d] "+format+"\n", append([]any{c.Now()}, args...)...)
-	}
-}
-
-// burstSlots is the slot count of a burst carrying n payload bits:
-// preamble, 2 silence, START, guard, payload, 2 trailing silence.
-func burstSlots(n int) int64 { return int64(ssPreamble + 4 + n + 2) }
-
-// txBurst transmits one self-sync burst on ds, starting at the given cycle
-// on the transmitter's own slot grid, and returns after the trailing
-// silence.
-func txBurst(c *sim.Core, ds mem.VAddr, start, interval, overhead int64, bits []bool) {
-	slotAt := func(s int64) int64 { return start + s*interval }
-	for p := int64(0); p < ssPreamble; p++ {
-		c.WaitUntil(slotAt(p))
-		c.PrefetchNTA(ds)
-		c.Spin(overhead)
-	}
-	// Slots 8,9: silence. Slot 10: START. Slot 11: guard.
-	c.WaitUntil(slotAt(ssPreamble + 2))
-	c.PrefetchNTA(ds)
-	c.Spin(overhead)
-	for i, b := range bits {
-		c.WaitUntil(slotAt(int64(ssPreamble + 4 + i)))
-		if b {
-			c.PrefetchNTA(ds)
-		}
-		c.Spin(overhead)
-	}
-	c.WaitUntil(slotAt(burstSlots(len(bits))))
-}
-
-// listener tracks the receive side of one lane: threshold, slot estimate,
-// and the re-prime machinery of the self-sync receiver.
-type listener struct {
-	ln       LaneEndpoints
-	th       core.Thresholds
-	est      int64 // current slot-length estimate
-	overhead int64
-	// minEst/maxEst bound plausible slot estimates: a "preamble" whose
-	// pulse spacing falls outside them is ambient noise masquerading as a
-	// burst (e.g. a periodic co-runner), and the lock is rejected.
-	minEst, maxEst int64
-}
-
-func (r *listener) reprime(c *sim.Core) {
-	for _, va := range r.ln.Filler {
-		c.Load(va)
-	}
-	c.PrefetchNTA(r.ln.DR)
-}
-
-// hardReprime recovers a wedged lane (a sender line left resident by an
-// in-flight collision) by flushing and rebuilding the whole set.
-func (r *listener) hardReprime(c *sim.Core) {
-	c.Flush(r.ln.DR)
-	for _, va := range r.ln.Filler {
-		c.Flush(va)
-	}
-	c.Fence()
-	for _, va := range r.ln.Filler {
-		c.Load(va)
-	}
-	c.PrefetchNTA(r.ln.DR)
-}
-
-func (r *listener) probe(c *sim.Core) (int64, bool) {
-	t := c.TimedPrefetchNTA(r.ln.DR)
-	at := c.Now()
-	if r.th.IsMiss(t) {
-		r.reprime(c)
-		return at, true
-	}
-	return at, false
-}
-
 // listen locks onto one burst and reads its bits. lenFor maps the first
 // frameModeBits received bits to the burst's total bit count (a fixed
 // count for ACK bursts, mode-header-derived for data bursts). It returns
@@ -324,7 +244,6 @@ func (r *listener) listen(c *sim.Core, deadline int64, lenFor func(head []bool) 
 					r.th = core.Calibrate(c, 16)
 					r.hardReprime(c)
 					quietRecovers = 0
-					dbg(c, "L: dead-silence threshold recalibration")
 				}
 			}
 			if len(misses) < 4 {
@@ -431,12 +350,6 @@ func dataLenFor(head []bool) int {
 // the report and the reassembled bits (truncated/padded to the payload
 // length for comparison).
 func RunARQ(m *sim.Machine, tcfg TransportConfig, payload []bool) (TransportReport, []bool, error) {
-	if err := tcfg.Validate(); err != nil {
-		return TransportReport{}, nil, err
-	}
-	if len(payload) == 0 {
-		return TransportReport{}, nil, fmt.Errorf("channel: transport payload must be non-empty")
-	}
 	dx, err := SetupDuplex(m)
 	if err != nil {
 		return TransportReport{}, nil, err
@@ -497,9 +410,8 @@ func RunARQOn(m *sim.Machine, tcfg TransportConfig, dx *DuplexEndpoints, payload
 				}
 				wire := EncodeFrame(fr, mode)
 				t = max(t, c.Now()+2*interval)
-				dbg(c, "S: tx frame %d attempt %d mode=%v interval=%d at %d", fi, attempt, mode, interval, t)
 				emitFrame(c, "frame-tx", fi, int64(attempt), fmt.Sprintf("%v", mode))
-				txBurst(c, dx.Fwd.DS, t, interval, cfg.ProtocolOverhead, wire)
+				c.WaitUntil(txBurst(c, dx.Fwd.DS, t, interval, cfg.ProtocolOverhead, wire))
 				// Listen for the ACK: the receiver turns around within a
 				// few slots of the burst's end. The receiver acks at the
 				// slot length it measured from this burst, so the
@@ -510,8 +422,6 @@ func RunARQOn(m *sim.Machine, tcfg TransportConfig, dx *DuplexEndpoints, payload
 				good := false
 				nacked := false
 				if bits, ok := ackRx.listen(c, ackDeadline, func([]bool) int { return AckWireBits() }); ok {
-					seqD, okD, errD := DecodeAck(bits)
-					dbg(c, "S: ack rx seq=%d ok=%v err=%v (want %d)", seqD, okD, errD, fr.Seq)
 					// Any reverse-lane burst — a NACK, a stale ACK, even a
 					// garbled one — proves the receiver has finished its
 					// transmission and is listening again: retransmit
@@ -526,7 +436,6 @@ func RunARQOn(m *sim.Machine, tcfg TransportConfig, dx *DuplexEndpoints, payload
 						}
 					}
 				} else {
-					dbg(c, "S: ack timeout frame %d", fi)
 					rep.AckTimeouts++
 					emitFrame(c, "ack-timeout", fi, 0, "")
 				}
@@ -593,7 +502,7 @@ func RunARQOn(m *sim.Machine, tcfg TransportConfig, dx *DuplexEndpoints, payload
 			minEst: cfg.Interval * 3 / 5, maxEst: cfg.Interval * 11 / 4,
 		}
 		sendAck := func(seq uint8, ok bool) {
-			txBurst(c, dx.Rev.DS, c.Now()+2*dataRx.est, dataRx.est, cfg.ProtocolOverhead, EncodeAck(seq, ok))
+			c.WaitUntil(txBurst(c, dx.Rev.DS, c.Now()+2*dataRx.est, dataRx.est, cfg.ProtocolOverhead, EncodeAck(seq, ok)))
 		}
 		expected := 0
 		consecFail := 0
@@ -603,7 +512,6 @@ func RunARQOn(m *sim.Machine, tcfg TransportConfig, dx *DuplexEndpoints, payload
 				return // global deadline: transfer failed
 			}
 			fr, _, err := DecodeFrame(bits)
-			dbg(c, "R: frame rx len=%d seq=%d err=%v est=%d (expect %d)", len(bits), fr.Seq, err, dataRx.est, expected%SeqModulus)
 			if err != nil {
 				emitFrame(c, "frame-rx", -1, 0, "crc-error")
 				// Receiver-side recalibration: repeated garble means the
@@ -650,19 +558,7 @@ func RunARQOn(m *sim.Machine, tcfg TransportConfig, dx *DuplexEndpoints, payload
 		}
 	})
 
-	if cfg.NoisePeriod > 0 {
-		period := cfg.NoisePeriod
-		lines := dx.NoiseLines
-		m.SpawnDaemon("noise", 2, dx.NoiseAS, func(c *sim.Core) {
-			i := 0
-			for {
-				gap := period + period/4 - (int64(i%7) * period / 14)
-				c.Spin(gap)
-				c.Load(lines[i%len(lines)])
-				i++
-			}
-		})
-	}
+	spawnNoise(m, cfg.NoisePeriod, dx.NoiseAS, dx.NoiseLines)
 	m.Run()
 
 	// Reassemble: pad losses, truncate the final frame's padding.
@@ -689,6 +585,3 @@ func RunARQOn(m *sim.Machine, tcfg TransportConfig, dx *DuplexEndpoints, payload
 	}
 	return rep, out, nil
 }
-
-// SetARQDebug toggles protocol tracing (tests only).
-func SetARQDebug(v bool) { arqDebug = v }

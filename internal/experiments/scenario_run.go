@@ -319,17 +319,10 @@ func runNoiseSpec(ctx *Context, s *scenario.Spec) (*Result, error) {
 		// block-interleaved so that burst errors (a stuck sender line
 		// silences a stretch of '1's until the next noise event) land
 		// in distinct codewords.
-		enc := channel.Interleave(channel.EncodeHamming74(msg), sp.InterleaveDepth)
-		m2 := src.NewMachine(cfg, 1<<30, seed)
-		_, encBits := channel.RunNTPNTP(m2, c, enc)
-		dec := channel.DecodeHamming74(channel.Deinterleave(encBits, sp.InterleaveDepth))
-		decErr := 0
-		for i := range msg {
-			if i >= len(dec) || dec[i] != msg[i] {
-				decErr++
-			}
-		}
-		outs[pi].residual = float64(decErr) / float64(len(msg))
+		outs[pi].residual = hammingResidual(msg, sp.InterleaveDepth, func(enc []bool) []bool {
+			_, encBits := channel.RunNTPNTP(src.NewMachine(cfg, 1<<30, seed), c, enc)
+			return encBits
+		})
 	})
 	for pi, period := range sp.Periods {
 		label := "quiet"
@@ -351,6 +344,21 @@ func runNoiseSpec(ctx *Context, s *scenario.Spec) (*Result, error) {
 	ctx.Printf("until the next eviction); interleaved Hamming(7,4) absorbs both — the reliable\n")
 	ctx.Printf("encoding the paper prescribes for noisy conditions\n")
 	return res, nil
+}
+
+// hammingResidual sends msg block-interleaved Hamming(7,4)-encoded through
+// tx, which transmits the encoded bits and returns what was received, and
+// returns the fraction of msg bits still wrong after decoding.
+func hammingResidual(msg []bool, depth int, tx func(enc []bool) []bool) float64 {
+	enc := channel.Interleave(channel.EncodeHamming74(msg), depth)
+	dec := channel.DecodeHamming74(channel.Deinterleave(tx(enc), depth))
+	decErr := 0
+	for i := range msg {
+		if i >= len(dec) || dec[i] != msg[i] {
+			decErr++
+		}
+	}
+	return float64(decErr) / float64(len(msg))
 }
 
 // runFaultsSpec runs every configured fault scenario against the raw
@@ -417,8 +425,7 @@ func runFaultsSpec(ctx *Context, s *scenario.Spec) (*Result, error) {
 		}
 
 		// Interleaved Hamming(7,4) over the same raw channel.
-		{
-			enc := channel.Interleave(channel.EncodeHamming74(msg), sp.InterleaveDepth)
+		outs[si].residual = hammingResidual(msg, sp.InterleaveDepth, func(enc []bool) []bool {
 			m := src.NewMachine(cfg, 1<<30, seedv)
 			m.SetTracer(ctx.Tracer(sc.Key, "hamming"))
 			ep, err := channel.Setup(m, 2, 0)
@@ -429,15 +436,8 @@ func runFaultsSpec(ctx *Context, s *scenario.Spec) (*Result, error) {
 			inject(m, sc.Compile(), seedv, horizon,
 				fault.Target{PolluteAS: ep.NoiseAS, Pollute: ep.NoiseLines}, &fault.Log{})
 			_, encBits := channel.RunNTPNTPOn(m, base, ep, enc)
-			dec := channel.DecodeHamming74(channel.Deinterleave(encBits, sp.InterleaveDepth))
-			decErr := 0
-			for i := range msg {
-				if i >= len(dec) || dec[i] != msg[i] {
-					decErr++
-				}
-			}
-			outs[si].residual = float64(decErr) / float64(len(msg))
-		}
+			return encBits
+		})
 
 		// ARQ transport under the same scenario.
 		{
