@@ -47,13 +47,15 @@ staticcheck:
 	fi
 
 # Short fuzz runs over the wire-format decoders, the scenario template
-# loader and the batch-kernel equivalence property (go test takes one
-# -fuzz pattern per invocation, hence one command per target).
+# loader, the batch-kernel equivalence property and the LLC sharer-mask
+# invariant (go test takes one -fuzz pattern per invocation, hence one
+# command per target).
 fuzz-smoke:
 	$(GO) test ./internal/channel -run '^$$' -fuzz FuzzFrameDecode -fuzztime 5s
 	$(GO) test ./internal/channel -run '^$$' -fuzz FuzzAckDecode -fuzztime 5s
 	$(GO) test ./internal/scenario -run '^$$' -fuzz FuzzLoadScenario -fuzztime 5s
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzBatchScalarEquivalence -fuzztime 5s
+	$(GO) test ./internal/hier -run '^$$' -fuzz FuzzHierSharers -fuzztime 5s
 
 # Shipped-template gate: every template under templates/ must load through
 # the strict parser/validator via the real CLI entry point.

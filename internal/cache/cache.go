@@ -79,19 +79,25 @@ type Stats struct {
 // Cache is a single set-associative cache array.
 //
 // Line state is held as structure-of-arrays: a flat address array, a packed
-// valid/dirty/coherence byte per way, and the in-flight deadline array, each
-// indexed by set*ways+way. The split keeps the hot probe loop scanning a
-// contiguous uint64 lane (addresses) with a parallel one-byte metadata lane,
-// and — just as importantly — makes recycling cheap: the cache records which
-// sets were ever written, so Reset restores a heavily-used cache to its
-// freshly-built state by re-zeroing only those sets instead of the whole
-// multi-megabyte array. sim.BatchMachine leans on that to run Monte-Carlo
-// fleets without rebuilding a hierarchy per trial.
+// valid/dirty/coherence byte per way, the in-flight deadline array and the
+// core-valid (sharer) mask array, each indexed by set*ways+way. The split
+// keeps the hot probe loop scanning a contiguous uint64 lane (addresses)
+// with a parallel one-byte metadata lane, and — just as importantly — makes
+// recycling cheap: the cache records which sets were ever written, so Reset
+// restores a heavily-used cache to its freshly-built state by re-zeroing
+// only those sets instead of the whole multi-megabyte array.
+// sim.BatchMachine leans on that to run Monte-Carlo fleets without
+// rebuilding a hierarchy per trial.
 type Cache struct {
 	cfg   Config
 	addrs []mem.LineAddr // sets*ways line addresses
 	meta  []uint8        // sets*ways packed valid/dirty/coh
 	ready []int64        // sets*ways in-flight deadlines
+	// sharers holds each line's core-valid bits: bit c set means core c
+	// may hold a private copy. The cache only stores and clears the mask
+	// (a fill or invalidation of the way resets it); package hier decides
+	// what the bits mean.
+	sharers []uint64
 
 	states []policy.SetState
 
@@ -123,6 +129,7 @@ func New(cfg Config) *Cache {
 		addrs:     make([]mem.LineAddr, n),
 		meta:      make([]uint8, n),
 		ready:     make([]int64, n),
+		sharers:   make([]uint64, n),
 		states:    make([]policy.SetState, cfg.Sets),
 		isTouched: make([]bool, cfg.Sets),
 	}
@@ -143,6 +150,7 @@ func (c *Cache) Reset() {
 			c.addrs[i] = 0
 			c.meta[i] = 0
 			c.ready[i] = 0
+			c.sharers[i] = 0
 		}
 		c.states[s].Reset()
 		c.isTouched[s] = false
@@ -209,21 +217,34 @@ func (c *Cache) SetCoh(setIdx, way int, s CohState) {
 	c.meta[i] = c.meta[i]&^metaCohMask | uint8(s)<<metaCohShft
 }
 
+// Sharers returns the line's core-valid mask.
+func (c *Cache) Sharers(setIdx, way int) uint64 {
+	return c.sharers[setIdx*c.cfg.Ways+way]
+}
+
+// AddSharer sets core's bit in the line's core-valid mask.
+func (c *Cache) AddSharer(setIdx, way, core int) {
+	c.sharers[setIdx*c.cfg.Ways+way] |= 1 << uint(core)
+}
+
 // Evicted describes a line displaced by Fill.
 type Evicted struct {
 	Addr  mem.LineAddr
 	Dirty bool
+	// Sharers is the victim's core-valid mask at eviction.
+	Sharers uint64
 }
 
 // Fill installs la into the given set with the given access class at time
 // now; the fill completes (and the line becomes evictable) at readyAt.
 //
 // It prefers an invalid way; otherwise it asks the policy for a victim,
-// skipping ways whose fills are still in flight at time now. The displaced
-// line, if any, is returned. ok is false when every way is in flight and
-// nothing can be replaced — the caller treats the fill as dropped, which is
-// how the paper describes conflicting in-flight prefetches behaving.
-func (c *Cache) Fill(setIdx int, la mem.LineAddr, cls policy.AccessClass, now, readyAt int64) (ev Evicted, evicted, ok bool) {
+// skipping ways whose fills are still in flight at time now. It returns the
+// way now holding la and the displaced line, if any. way is -1 when every
+// way is in flight and nothing can be replaced — the caller treats the fill
+// as dropped, which is how the paper describes conflicting in-flight
+// prefetches behaving.
+func (c *Cache) Fill(setIdx int, la mem.LineAddr, cls policy.AccessClass, now, readyAt int64) (way int, ev Evicted, evicted bool) {
 	return c.FillRestricted(setIdx, la, cls, now, readyAt, policy.AllWays(c.cfg.Ways))
 }
 
@@ -232,7 +253,7 @@ func (c *Cache) Fill(setIdx int, la mem.LineAddr, cls policy.AccessClass, now, r
 // way-partitioned (isolation) LLC defenses: a security domain's fills can
 // never displace another domain's lines. The mask form keeps the eviction
 // decision allocation-free — no closure is built per fill.
-func (c *Cache) FillRestricted(setIdx int, la mem.LineAddr, cls policy.AccessClass, now, readyAt int64, allowed policy.Mask) (ev Evicted, evicted, ok bool) {
+func (c *Cache) FillRestricted(setIdx int, la mem.LineAddr, cls policy.AccessClass, now, readyAt int64, allowed policy.Mask) (way int, ev Evicted, evicted bool) {
 	// Mark before any state can change: even a dropped fill may have aged
 	// the set through the policy's victim search.
 	c.markTouched(setIdx)
@@ -240,9 +261,9 @@ func (c *Cache) FillRestricted(setIdx int, la mem.LineAddr, cls policy.AccessCla
 	if w, present := c.Probe(setIdx, la); present {
 		// Already present (racing fills): treat as a hit refresh.
 		c.states[setIdx].OnHit(w, cls)
-		return Evicted{}, false, true
+		return w, Evicted{}, false
 	}
-	way := -1
+	way = -1
 	for w := 0; w < c.cfg.Ways; w++ {
 		if c.meta[base+w]&metaValid == 0 && allowed.Has(w) {
 			way = w
@@ -258,9 +279,9 @@ func (c *Cache) FillRestricted(setIdx int, la mem.LineAddr, cls policy.AccessCla
 		}
 		way = c.states[setIdx].Victim(evictable & allowed)
 		if way < 0 {
-			return Evicted{}, false, false
+			return -1, Evicted{}, false
 		}
-		ev = Evicted{Addr: c.addrs[base+way], Dirty: c.meta[base+way]&metaDirty != 0}
+		ev = Evicted{Addr: c.addrs[base+way], Dirty: c.meta[base+way]&metaDirty != 0, Sharers: c.sharers[base+way]}
 		evicted = true
 		c.stats.Evictions++
 		c.states[setIdx].OnInvalidate(way)
@@ -268,9 +289,10 @@ func (c *Cache) FillRestricted(setIdx int, la mem.LineAddr, cls policy.AccessCla
 	c.addrs[base+way] = la
 	c.meta[base+way] = metaValid
 	c.ready[base+way] = readyAt
+	c.sharers[base+way] = 0
 	c.states[setIdx].OnFill(way, cls)
 	c.stats.Fills++
-	return ev, evicted, true
+	return way, ev, evicted
 }
 
 // Invalidate removes la from the set if present (flush or back-invalidation)
@@ -280,14 +302,34 @@ func (c *Cache) Invalidate(setIdx int, la mem.LineAddr) (present, dirty bool) {
 	if !ok {
 		return false, false
 	}
-	i := setIdx*c.cfg.Ways + w
+	return true, c.invalidateWay(setIdx, w)
+}
+
+// InvalidateAll invalidates every valid line, exactly as Invalidate would
+// one line at a time. Only touched sets can hold lines, so only they are
+// scanned.
+func (c *Cache) InvalidateAll() {
+	for _, s := range c.touched {
+		base := int(s) * c.cfg.Ways
+		for w := 0; w < c.cfg.Ways; w++ {
+			if c.meta[base+w]&metaValid != 0 {
+				c.invalidateWay(int(s), w)
+			}
+		}
+	}
+}
+
+// invalidateWay empties one valid way and reports whether it was dirty.
+func (c *Cache) invalidateWay(setIdx, way int) (dirty bool) {
+	i := setIdx*c.cfg.Ways + way
 	dirty = c.meta[i]&metaDirty != 0
 	c.addrs[i] = 0
 	c.meta[i] = 0
 	c.ready[i] = 0
-	c.states[setIdx].OnInvalidate(w)
+	c.sharers[i] = 0
+	c.states[setIdx].OnInvalidate(way)
 	c.stats.Flushes++
-	return true, dirty
+	return dirty
 }
 
 // AgeOf returns the replacement-policy metadata value (age/rank) of one
@@ -361,13 +403,13 @@ func (c *Cache) EvictionCandidate(setIdx int) (mem.LineAddr, bool) {
 	return 0, false
 }
 
-// Lookup is Probe + Touch for the common hit path; it reports whether the
-// access hit.
-func (c *Cache) Lookup(setIdx int, la mem.LineAddr, cls policy.AccessClass) bool {
+// Lookup is Probe + Touch for the common hit path; it reports the way and
+// whether the access hit (way is -1 on a miss).
+func (c *Cache) Lookup(setIdx int, la mem.LineAddr, cls policy.AccessClass) (way int, hit bool) {
 	if w, ok := c.Probe(setIdx, la); ok {
 		c.Touch(setIdx, w, cls)
-		return true
+		return w, true
 	}
 	c.stats.Misses++
-	return false
+	return -1, false
 }

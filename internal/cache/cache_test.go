@@ -18,9 +18,9 @@ func TestFillAndProbe(t *testing.T) {
 	if _, ok := c.Probe(0, la); ok {
 		t.Fatal("empty cache reports hit")
 	}
-	_, evicted, ok := c.Fill(0, la, policy.ClassLoad, 0, 0)
-	if !ok || evicted {
-		t.Fatalf("first fill: evicted=%v ok=%v", evicted, ok)
+	way, _, evicted := c.Fill(0, la, policy.ClassLoad, 0, 0)
+	if way < 0 || evicted {
+		t.Fatalf("first fill: way=%d evicted=%v", way, evicted)
 	}
 	if w, ok := c.Probe(0, la); !ok || w < 0 {
 		t.Fatal("line not found after fill")
@@ -36,9 +36,9 @@ func TestFillEvictsWhenFull(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		c.Fill(0, mem.LineAddr(i), policy.ClassLoad, 0, 0)
 	}
-	ev, evicted, ok := c.Fill(0, mem.LineAddr(100), policy.ClassLoad, 0, 0)
-	if !ok || !evicted {
-		t.Fatalf("full-set fill: evicted=%v ok=%v", evicted, ok)
+	way, ev, evicted := c.Fill(0, mem.LineAddr(100), policy.ClassLoad, 0, 0)
+	if way < 0 || !evicted {
+		t.Fatalf("full-set fill: way=%d evicted=%v", way, evicted)
 	}
 	if _, ok := c.Probe(0, ev.Addr); ok {
 		t.Fatal("evicted line still present")
@@ -55,8 +55,8 @@ func TestFillDuplicateIsHit(t *testing.T) {
 	c := newTestCache(1, 2)
 	la := mem.LineAddr(7)
 	c.Fill(0, la, policy.ClassLoad, 0, 0)
-	_, evicted, ok := c.Fill(0, la, policy.ClassLoad, 0, 0)
-	if !ok || evicted {
+	way, _, evicted := c.Fill(0, la, policy.ClassLoad, 0, 0)
+	if way < 0 || evicted {
 		t.Fatal("re-filling a present line must be a silent hit")
 	}
 	if c.Occupancy(0) != 1 {
@@ -70,11 +70,11 @@ func TestInFlightBlocksEviction(t *testing.T) {
 	c.Fill(0, 1, policy.ClassLoad, 0, 100)
 	c.Fill(0, 2, policy.ClassLoad, 0, 100)
 	// At cycle 50 nothing is evictable: the fill is dropped.
-	if _, _, ok := c.Fill(0, 3, policy.ClassLoad, 50, 150); ok {
+	if way, _, _ := c.Fill(0, 3, policy.ClassLoad, 50, 150); way >= 0 {
 		t.Fatal("fill succeeded although every way is in flight")
 	}
 	// At cycle 100 the fills have completed.
-	if _, evicted, ok := c.Fill(0, 3, policy.ClassLoad, 100, 200); !ok || !evicted {
+	if way, _, evicted := c.Fill(0, 3, policy.ClassLoad, 100, 200); way < 0 || !evicted {
 		t.Fatal("fill should succeed once in-flight windows close")
 	}
 }
@@ -87,8 +87,8 @@ func TestInFlightVictimSkipped(t *testing.T) {
 	// Install an NTA line (the eviction candidate) that is in flight.
 	c.Fill(0, 50, policy.ClassNTA, 0, 1000)
 	// While line 50 is in flight, a new fill must evict something else.
-	ev, evicted, ok := c.Fill(0, 60, policy.ClassLoad, 10, 20)
-	if !ok || !evicted {
+	way, ev, evicted := c.Fill(0, 60, policy.ClassLoad, 10, 20)
+	if way < 0 || !evicted {
 		t.Fatal("fill should displace a non-in-flight way")
 	}
 	if ev.Addr == 50 {
@@ -116,6 +116,67 @@ func TestInvalidate(t *testing.T) {
 	}
 }
 
+// TestSharerMask: the core-valid mask is set bit by bit, travels with an
+// evicted line, and is cleared by a fill of the way, by Invalidate and by
+// Reset.
+func TestSharerMask(t *testing.T) {
+	c := newTestCache(2, 2)
+	w, _, _ := c.Fill(1, 5, policy.ClassLoad, 0, 0)
+	c.AddSharer(1, w, 0)
+	c.AddSharer(1, w, 63)
+	if m := c.Sharers(1, w); m != 1|1<<63 {
+		t.Fatalf("mask = %#x, want bits 0 and 63", m)
+	}
+	if w2, _, _ := c.Fill(1, 5, policy.ClassLoad, 0, 0); w2 != w || c.Sharers(1, w) != 1|1<<63 {
+		t.Fatal("re-filling a present line must keep its way and mask")
+	}
+	w6, _, _ := c.Fill(1, 6, policy.ClassLoad, 0, 0)
+	c.AddSharer(1, w6, 2)
+	_, ev, evicted := c.Fill(1, 7, policy.ClassLoad, 0, 0)
+	if !evicted {
+		t.Fatal("full-set fill evicted nothing")
+	}
+	want := map[mem.LineAddr]uint64{5: 1 | 1<<63, 6: 1 << 2}[ev.Addr]
+	if ev.Sharers != want {
+		t.Fatalf("evicted %v carries mask %#x, want %#x", ev.Addr, ev.Sharers, want)
+	}
+	if w7, _ := c.Probe(1, 7); c.Sharers(1, w7) != 0 {
+		t.Fatal("a fill must start the way with an empty mask")
+	}
+	w, _ = c.Probe(1, 7)
+	c.AddSharer(1, w, 1)
+	c.Invalidate(1, 7)
+	if c.Sharers(1, w) != 0 {
+		t.Fatal("Invalidate left the mask set")
+	}
+	survivor := mem.LineAddr(5)
+	if ev.Addr == survivor {
+		survivor = 6
+	}
+	w, _ = c.Probe(1, survivor)
+	c.AddSharer(1, w, 1)
+	c.Reset()
+	if c.Sharers(1, w) != 0 {
+		t.Fatal("Reset left the mask set")
+	}
+}
+
+func TestInvalidateAll(t *testing.T) {
+	c := newTestCache(4, 2)
+	for i := 0; i < 6; i++ {
+		c.Fill(i%4, mem.LineAddr(i), policy.ClassLoad, 0, 0)
+	}
+	c.InvalidateAll()
+	for set := 0; set < 4; set++ {
+		if n := c.Occupancy(set); n != 0 {
+			t.Fatalf("set %d keeps %d lines", set, n)
+		}
+	}
+	if got := c.Stats().Flushes; got != 6 {
+		t.Fatalf("flushes = %d, want one per invalidated line (6)", got)
+	}
+}
+
 func TestEvictionCandidateMatchesVictim(t *testing.T) {
 	c := newTestCache(1, 8)
 	for i := 0; i < 8; i++ {
@@ -126,7 +187,7 @@ func TestEvictionCandidateMatchesVictim(t *testing.T) {
 	if !ok || cand != 100 {
 		t.Fatalf("candidate = %v,%v; want line 100", cand, ok)
 	}
-	ev, _, _ := c.Fill(0, 200, policy.ClassLoad, 0, 0)
+	_, ev, _ := c.Fill(0, 200, policy.ClassLoad, 0, 0)
 	if ev.Addr != cand {
 		t.Fatalf("actual eviction %v != predicted candidate %v", ev.Addr, cand)
 	}
@@ -226,15 +287,15 @@ func TestEvictionCandidatePredictsFillVictim(t *testing.T) {
 				}
 			case 1: // NTA fill of a fresh line
 				pred, okPred := c.EvictionCandidate(0)
-				ev, evicted, ok := c.Fill(0, next, policy.ClassNTA, 0, 0)
-				if ok && evicted && okPred && ev.Addr != pred {
+				way, ev, evicted := c.Fill(0, next, policy.ClassNTA, 0, 0)
+				if way >= 0 && evicted && okPred && ev.Addr != pred {
 					return false
 				}
 				next++
 			case 2: // demand fill of a fresh line
 				pred, okPred := c.EvictionCandidate(0)
-				ev, evicted, ok := c.Fill(0, next, policy.ClassLoad, 0, 0)
-				if ok && evicted && okPred && ev.Addr != pred {
+				way, ev, evicted := c.Fill(0, next, policy.ClassLoad, 0, 0)
+				if way >= 0 && evicted && okPred && ev.Addr != pred {
 					return false
 				}
 				next++

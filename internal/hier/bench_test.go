@@ -49,3 +49,25 @@ func BenchmarkHierPrefetchNTA(b *testing.B) {
 		now += res.Latency
 	}
 }
+
+// BenchmarkHierCrossCoreEvict measures the coherence and back-invalidation
+// paths on a four-core part: core 1 re-reads each congruent line right
+// after core 0 brings it in, and the L2 is wide enough to keep every line
+// of the set, so each of core 0's LLC misses evicts a line that core 1
+// (and core 0) still hold and must back-invalidate, and each of core 1's
+// reads snoops core 0's copy.
+func BenchmarkHierCrossCoreEvict(b *testing.B) {
+	cfg := testConfig()
+	cfg.Cores = 4
+	cfg.L2Ways = 16
+	h := MustNew(cfg)
+	lines := congruentLines(h, mem.PAddr(0x4040), cfg.LLCWays+4)
+	var now int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pa := lines[i%len(lines)]
+		now += h.Load(0, pa, now).Latency
+		now += h.Load(1, pa, now).Latency
+	}
+}

@@ -1,6 +1,8 @@
 package hier
 
 import (
+	"math/bits"
+
 	"leakyway/internal/cache"
 	"leakyway/internal/mem"
 )
@@ -16,14 +18,14 @@ import (
 // snoopLoad resolves a demand read that missed the requester's private
 // caches: remote Modified copies are downgraded to Shared (their dirtiness
 // propagating to the LLC copy), remote Exclusive copies degrade to Shared.
-// It returns the extra forwarding latency and whether any remote copy
-// exists (which decides Shared vs Exclusive fill for the requester).
-func (h *Hierarchy) snoopLoad(core int, la mem.LineAddr) (extra int64, shared bool) {
+// Only the cores in mask (the line's sharers, see Hierarchy.sharers) are
+// snooped, in ascending order. It returns the extra forwarding latency and
+// whether any remote copy exists (which decides Shared vs Exclusive fill
+// for the requester).
+func (h *Hierarchy) snoopLoad(core int, la mem.LineAddr, mask uint64) (extra int64, shared bool) {
 	l1Set, l2Set := h.l1Set(la), h.l2Set(la)
-	for c := 0; c < h.cfg.Cores; c++ {
-		if c == core {
-			continue
-		}
+	for m := mask &^ (1 << uint(core)); m != 0; m &= m - 1 {
+		c := bits.TrailingZeros64(m)
 		found, modified := h.snoopPrivate(h.l1[c], l1Set, la)
 		if found {
 			shared = true
@@ -64,13 +66,14 @@ func (h *Hierarchy) snoopPrivate(pc *cache.Cache, set int, la mem.LineAddr) (fou
 }
 
 // invalidateRemote removes every other core's private copy of la (the RFO /
-// upgrade step of a store). It returns the invalidation latency if any copy
-// existed. A remote Modified copy first forwards its data.
+// upgrade step of a store), visiting only the line's sharers. It returns
+// the invalidation latency if any copy existed. A remote Modified copy
+// first forwards its data.
 func (h *Hierarchy) invalidateRemote(core int, la mem.LineAddr) (extra int64) {
-	for c := 0; c < h.cfg.Cores; c++ {
-		if c == core {
-			continue
-		}
+	slice, set := h.loc.Locate(la)
+	way, _ := h.llc[slice].Probe(set, la)
+	for m := h.sharers(slice, set, way) &^ (1 << uint(core)); m != 0; m &= m - 1 {
+		c := bits.TrailingZeros64(m)
 		if w, ok := h.l1[c].Probe(h.l1Set(la), la); ok {
 			if h.l1[c].Coh(h.l1Set(la), w) == cache.CohModified {
 				h.markLLCDirty(la)
@@ -95,16 +98,17 @@ func (h *Hierarchy) invalidateRemote(core int, la mem.LineAddr) (extra int64) {
 	return extra
 }
 
-// setPrivCoh sets the coherence state on the requester's private copies.
-func (h *Hierarchy) setPrivCoh(core int, la mem.LineAddr, st cache.CohState) {
-	if w, ok := h.l1[core].Probe(h.l1Set(la), la); ok {
-		h.l1[core].SetCoh(h.l1Set(la), w, st)
+// setPrivCoh sets the coherence state on the requester's private copies of
+// la, held in L1 way w1 and L2 way w2 (-1 where the core holds no copy).
+func (h *Hierarchy) setPrivCoh(core, w1, w2 int, la mem.LineAddr, st cache.CohState) {
+	if w1 >= 0 {
+		h.l1[core].SetCoh(h.l1Set(la), w1, st)
 		if st == cache.CohModified {
-			h.l1[core].MarkDirty(h.l1Set(la), w)
+			h.l1[core].MarkDirty(h.l1Set(la), w1)
 		}
 	}
-	if w, ok := h.l2[core].Probe(h.l2Set(la), la); ok {
-		h.l2[core].SetCoh(h.l2Set(la), w, st)
+	if w2 >= 0 {
+		h.l2[core].SetCoh(h.l2Set(la), w2, st)
 	}
 }
 

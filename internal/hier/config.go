@@ -13,11 +13,16 @@ import (
 	"leakyway/internal/policy"
 )
 
+// MaxCores is the largest supported core count: each LLC line tracks the
+// cores that may hold a private copy in a 64-bit core-valid mask.
+const MaxCores = 64
+
 // Config describes one simulated processor.
 type Config struct {
 	// Name labels the platform in output ("Skylake (i7-6700)").
 	Name string
-	// Cores is the number of physical cores (each with private L1/L2).
+	// Cores is the number of physical cores (each with private L1/L2),
+	// at most MaxCores.
 	Cores int
 	// FreqGHz converts cycles to wall-clock time for bandwidth numbers.
 	FreqGHz float64
@@ -85,6 +90,9 @@ type HWPrefetchConfig struct {
 func (c *Config) Validate() error {
 	if c.Cores <= 0 {
 		return fmt.Errorf("hier: Cores must be positive, got %d", c.Cores)
+	}
+	if c.Cores > MaxCores {
+		return fmt.Errorf("hier: Cores=%d exceeds the %d-core sharer-mask limit", c.Cores, MaxCores)
 	}
 	for _, g := range []struct {
 		name string

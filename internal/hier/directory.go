@@ -31,7 +31,7 @@ func (h *Hierarchy) dirFill(la mem.LineAddr, cls policy.AccessClass, now, ready 
 		cls = policy.ClassLoad
 	}
 	slice, set := h.loc.Locate(la)
-	ev, evicted, _ := h.dir[slice].Fill(set, la, cls, now, ready)
+	_, ev, evicted := h.dir[slice].Fill(set, la, cls, now, ready)
 	if evicted {
 		for c := 0; c < h.cfg.Cores; c++ {
 			h.l1[c].Invalidate(h.l1Set(ev.Addr), ev.Addr)

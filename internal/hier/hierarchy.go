@@ -2,6 +2,7 @@ package hier
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"leakyway/internal/cache"
@@ -70,6 +71,9 @@ type Hierarchy struct {
 	partMask []policy.Mask
 	// allWaysLLC is the unrestricted LLC fill mask.
 	allWaysLLC policy.Mask
+	// allCores has one bit per core: the sharer mask of every line on a
+	// non-inclusive LLC, where private copies can outlive the LLC line.
+	allCores uint64
 
 	// tr, when non-nil, receives hier events; trAgent/trCore stamp the
 	// agent context (see trace.go).
@@ -105,6 +109,7 @@ func New(cfg Config) (*Hierarchy, error) {
 		l1SetMask:  setIndexMask(cfg.L1Sets),
 		l2SetMask:  setIndexMask(cfg.L2Sets),
 		allWaysLLC: policy.AllWays(cfg.LLCWays),
+		allCores:   ^uint64(0) >> (MaxCores - cfg.Cores),
 	}
 	if n := cfg.LLCPartitionWays; n > 0 {
 		h.partMask = make([]policy.Mask, cfg.Cores)
@@ -189,51 +194,62 @@ func (h *Hierarchy) Load(core int, pa mem.PAddr, now int64) Result {
 
 	// L1 hit: private hit, no LLC state change (the property Prime+Scope
 	// depends on: scoping the candidate from L1 leaves its LLC age alone).
-	if h.lookupTraced(h.l1[core], LevelL1, -1, h.l1Set(la), la, policy.ClassLoad, now) {
+	if _, ok := h.lookupTraced(h.l1[core], LevelL1, -1, h.l1Set(la), la, policy.ClassLoad, now); ok {
 		return Result{Level: LevelL1, Latency: sample(h.rng, lat.L1Hit, lat.L1Jit)}
 	}
 	h.hwPrefetch(core, la, now)
 
 	// L2 hit: refill L1 (inheriting the L2 copy's coherence state),
-	// still no LLC change.
+	// still no LLC change. The core's sharer bit is already set: it
+	// holds the L2 copy.
 	if w, ok := h.l2[core].Probe(h.l2Set(la), la); ok {
 		st := h.l2[core].Coh(h.l2Set(la), w)
 		h.lookupTraced(h.l2[core], LevelL2, -1, h.l2Set(la), la, policy.ClassLoad, now)
 		l := sample(h.rng, lat.L2Hit, lat.L2Jit)
-		h.fillL1(core, la, policy.ClassLoad, now, now+l)
-		h.setPrivCoh(core, la, st)
+		h.setPrivCoh(core, h.fillL1(core, la, policy.ClassLoad, now, now+l), -1, la, st)
 		return Result{Level: LevelL2, Latency: l}
 	}
 
-	// Past the private caches: resolve coherence with the other cores
-	// (a remote Modified copy forwards with a latency penalty; any remote
+	// Past the private caches: one LLC probe decides hit or miss and
+	// yields the line's sharer mask. A demand hit updates the line's age
+	// (decrement).
+	slice, set := h.loc.Locate(la)
+	way, _ := h.lookupTraced(h.llc[slice], LevelLLC, slice, set, la, policy.ClassLoad, now)
+
+	// Resolve coherence with the other cores that may hold a copy (a
+	// remote Modified copy forwards with a latency penalty; any remote
 	// copy makes the requester's fill Shared rather than Exclusive).
-	extra, sharedRem := h.snoopLoad(core, la)
+	extra, sharedRem := h.snoopLoad(core, la, h.sharers(slice, set, way))
 	st := cache.CohExclusive
 	if sharedRem {
 		st = cache.CohShared
 	}
+	res, w1, w2 := h.fillFromOuter(core, slice, set, way, la, policy.ClassLoad, extra, now)
+	h.setPrivCoh(core, w1, w2, la, st)
+	return res
+}
 
-	// LLC hit: demand hit updates the line's age (decrement), refills the
-	// private levels.
-	slice, set := h.loc.Locate(la)
-	if h.lookupTraced(h.llc[slice], LevelLLC, slice, set, la, policy.ClassLoad, now) {
-		l := sample(h.rng, lat.LLCHit, lat.LLCJit) + extra
-		h.fillL2(core, la, policy.ClassLoad, now, now+l)
-		h.fillL1(core, la, policy.ClassLoad, now, now+l)
-		h.setPrivCoh(core, la, st)
-		return Result{Level: LevelLLC, Latency: l}
+// fillFromOuter completes an access that missed core's private caches,
+// given the LLC lookup's way (-1 on a miss). An LLC hit costs the LLC
+// latency; a miss costs DRAM's and fills the inclusive LLC first. extra is
+// added to either. Unless the LLC fill is dropped, core becomes a sharer
+// of the line, which is filled into its L2 and L1; their ways are returned
+// (-1 where no copy was installed).
+func (h *Hierarchy) fillFromOuter(core, slice, set, way int, la mem.LineAddr, cls policy.AccessClass, extra, now int64) (res Result, w1, w2 int) {
+	lat := &h.cfg.Lat
+	if way >= 0 {
+		res = Result{Level: LevelLLC, Latency: sample(h.rng, lat.LLCHit, lat.LLCJit) + extra}
+	} else {
+		res = Result{Level: LevelMem, Latency: sample(h.rng, lat.Mem, lat.MemJit) + extra}
+		if way = h.fillLLC(core, slice, set, la, cls, now, now+res.Latency); way < 0 {
+			res.Dropped = true
+			return res, -1, -1
+		}
 	}
-
-	// DRAM: fill the inclusive LLC first, then the private levels.
-	l := sample(h.rng, lat.Mem, lat.MemJit) + extra
-	if !h.fillLLC(core, la, policy.ClassLoad, now, now+l) {
-		return Result{Level: LevelMem, Latency: l, Dropped: true}
-	}
-	h.fillL2(core, la, policy.ClassLoad, now, now+l)
-	h.fillL1(core, la, policy.ClassLoad, now, now+l)
-	h.setPrivCoh(core, la, st)
-	return Result{Level: LevelMem, Latency: l}
+	h.llc[slice].AddSharer(set, way, core)
+	w2 = h.fillL2(core, la, cls, now, now+res.Latency)
+	w1 = h.fillL1(core, la, cls, now, now+res.Latency)
+	return res, w1, w2
 }
 
 // Store is a demand store: it obtains the line in Modified state. A hit on
@@ -261,12 +277,15 @@ func (h *Hierarchy) Store(core int, pa mem.PAddr, now int64) Result {
 		if st == cache.CohShared {
 			l += h.invalidateRemote(core, la)
 		}
-		h.setPrivCoh(core, la, cache.CohModified)
+		w2, _ := h.l2[core].Probe(h.l2Set(la), la)
+		h.setPrivCoh(core, w, w2, la, cache.CohModified)
 		return Result{Level: LevelL1, Latency: l}
 	}
 	res := h.Load(core, pa, now)
 	res.Latency += h.invalidateRemote(core, la)
-	h.setPrivCoh(core, la, cache.CohModified)
+	w1, _ := h.l1[core].Probe(h.l1Set(la), la)
+	w2, _ := h.l2[core].Probe(h.l2Set(la), la)
+	h.setPrivCoh(core, w1, w2, la, cache.CohModified)
 	return res
 }
 
@@ -284,18 +303,19 @@ func (h *Hierarchy) PrefetchNTA(core int, pa mem.PAddr, now int64) Result {
 	la := pa.Line()
 	lat := &h.cfg.Lat
 
-	if h.lookupTraced(h.l1[core], LevelL1, -1, h.l1Set(la), la, policy.ClassNTA, now) {
+	if _, ok := h.lookupTraced(h.l1[core], LevelL1, -1, h.l1Set(la), la, policy.ClassNTA, now); ok {
 		return Result{Level: LevelL1, Latency: sample(h.rng, lat.L1Hit, lat.L1Jit)}
 	}
-	if h.lookupTraced(h.l2[core], LevelL2, -1, h.l2Set(la), la, policy.ClassNTA, now) {
+	if _, ok := h.lookupTraced(h.l2[core], LevelL2, -1, h.l2Set(la), la, policy.ClassNTA, now); ok {
 		l := sample(h.rng, lat.L2Hit, lat.L2Jit)
 		h.fillL1(core, la, policy.ClassNTA, now, now+l)
 		return Result{Level: LevelL2, Latency: l}
 	}
 	slice, set := h.loc.Locate(la)
-	if h.lookupTraced(h.llc[slice], LevelLLC, slice, set, la, policy.ClassNTA, now) {
+	if way, ok := h.lookupTraced(h.llc[slice], LevelLLC, slice, set, la, policy.ClassNTA, now); ok {
 		// ClassNTA hit: QuadAge leaves the age untouched (Property #2).
 		l := sample(h.rng, lat.LLCHit, lat.LLCJit)
+		h.llc[slice].AddSharer(set, way, core)
 		h.fillL1(core, la, policy.ClassNTA, now, now+l)
 		return Result{Level: LevelLLC, Latency: l}
 	}
@@ -308,9 +328,11 @@ func (h *Hierarchy) PrefetchNTA(core int, pa mem.PAddr, now int64) Result {
 		h.fillL1(core, la, policy.ClassNTA, now, now+l)
 		return Result{Level: LevelMem, Latency: l}
 	}
-	if !h.fillLLC(core, la, policy.ClassNTA, now, now+l) {
+	way := h.fillLLC(core, slice, set, la, policy.ClassNTA, now, now+l)
+	if way < 0 {
 		return Result{Level: LevelMem, Latency: l, Dropped: true}
 	}
+	h.llc[slice].AddSharer(set, way, core)
 	h.fillL1(core, la, policy.ClassNTA, now, now+l)
 	return Result{Level: LevelMem, Latency: l}
 }
@@ -322,28 +344,18 @@ func (h *Hierarchy) PrefetchT0(core int, pa mem.PAddr, now int64) Result {
 	h.checkCore(core)
 	la := pa.Line()
 	lat := &h.cfg.Lat
-	if h.lookupTraced(h.l1[core], LevelL1, -1, h.l1Set(la), la, policy.ClassT0, now) {
+	if _, ok := h.lookupTraced(h.l1[core], LevelL1, -1, h.l1Set(la), la, policy.ClassT0, now); ok {
 		return Result{Level: LevelL1, Latency: sample(h.rng, lat.L1Hit, lat.L1Jit)}
 	}
-	if h.lookupTraced(h.l2[core], LevelL2, -1, h.l2Set(la), la, policy.ClassT0, now) {
+	if _, ok := h.lookupTraced(h.l2[core], LevelL2, -1, h.l2Set(la), la, policy.ClassT0, now); ok {
 		l := sample(h.rng, lat.L2Hit, lat.L2Jit)
 		h.fillL1(core, la, policy.ClassT0, now, now+l)
 		return Result{Level: LevelL2, Latency: l}
 	}
 	slice, set := h.loc.Locate(la)
-	if h.lookupTraced(h.llc[slice], LevelLLC, slice, set, la, policy.ClassT0, now) {
-		l := sample(h.rng, lat.LLCHit, lat.LLCJit)
-		h.fillL2(core, la, policy.ClassT0, now, now+l)
-		h.fillL1(core, la, policy.ClassT0, now, now+l)
-		return Result{Level: LevelLLC, Latency: l}
-	}
-	l := sample(h.rng, lat.Mem, lat.MemJit)
-	if !h.fillLLC(core, la, policy.ClassT0, now, now+l) {
-		return Result{Level: LevelMem, Latency: l, Dropped: true}
-	}
-	h.fillL2(core, la, policy.ClassT0, now, now+l)
-	h.fillL1(core, la, policy.ClassT0, now, now+l)
-	return Result{Level: LevelMem, Latency: l}
+	way, _ := h.lookupTraced(h.llc[slice], LevelLLC, slice, set, la, policy.ClassT0, now)
+	res, _, _ := h.fillFromOuter(core, slice, set, way, la, policy.ClassT0, 0, now)
+	return res
 }
 
 // Flush is CLFLUSH: it removes the line from every cache in the system and
@@ -353,7 +365,10 @@ func (h *Hierarchy) Flush(pa mem.PAddr, now int64) Result {
 	la := pa.Line()
 	lat := &h.cfg.Lat
 	present, dirty := false, false
-	for c := 0; c < h.cfg.Cores; c++ {
+	slice, set := h.loc.Locate(la)
+	way, _ := h.llc[slice].Probe(set, la)
+	for m := h.sharers(slice, set, way); m != 0; m &= m - 1 {
+		c := bits.TrailingZeros64(m)
 		if p, d := h.l1[c].Invalidate(h.l1Set(la), la); p {
 			present, dirty = true, dirty || d
 		}
@@ -361,7 +376,6 @@ func (h *Hierarchy) Flush(pa mem.PAddr, now int64) Result {
 			present, dirty = true, dirty || d
 		}
 	}
-	slice, set := h.loc.Locate(la)
 	if p, d := h.llc[slice].Invalidate(set, la); p {
 		present, dirty = true, dirty || d
 	}
@@ -396,27 +410,30 @@ func (h *Hierarchy) Flush(pa mem.PAddr, now int64) Result {
 func (h *Hierarchy) FenceLatency() int64 { return h.cfg.Lat.Fence }
 
 // fillL1 installs la into core's L1 (evictions are silent; a dirty victim
-// propagates its dirtiness to an L2/LLC copy when present). The coherence
-// directory, when present, tracks the fill.
-func (h *Hierarchy) fillL1(core int, la mem.LineAddr, cls policy.AccessClass, now, ready int64) {
+// propagates its dirtiness to an L2/LLC copy when present) and returns its
+// way, -1 when the fill was dropped. The coherence directory, when present,
+// tracks the fill.
+func (h *Hierarchy) fillL1(core int, la mem.LineAddr, cls policy.AccessClass, now, ready int64) int {
 	meta := h.fillMeta(h.l1[core], h.l1Set(la))
-	ev, evicted, _ := h.l1[core].Fill(h.l1Set(la), la, cls, now, ready)
-	h.traceFill(h.l1[core], LevelL1, -1, h.l1Set(la), la, ev, evicted, true, meta, now)
+	way, ev, evicted := h.l1[core].Fill(h.l1Set(la), la, cls, now, ready)
+	h.traceFill(h.l1[core], LevelL1, -1, h.l1Set(la), la, way, ev, evicted, meta, now)
 	if evicted && ev.Dirty {
 		h.propagateDirty(core, ev.Addr)
 	}
 	h.dirTouch(la, cls, now, ready)
+	return way
 }
 
 // fillL2 installs la into core's L2 (non-inclusive: evictions do not touch
-// the L1).
-func (h *Hierarchy) fillL2(core int, la mem.LineAddr, cls policy.AccessClass, now, ready int64) {
+// the L1) and returns its way, -1 when the fill was dropped.
+func (h *Hierarchy) fillL2(core int, la mem.LineAddr, cls policy.AccessClass, now, ready int64) int {
 	meta := h.fillMeta(h.l2[core], h.l2Set(la))
-	ev, evicted, _ := h.l2[core].Fill(h.l2Set(la), la, cls, now, ready)
-	h.traceFill(h.l2[core], LevelL2, -1, h.l2Set(la), la, ev, evicted, true, meta, now)
+	way, ev, evicted := h.l2[core].Fill(h.l2Set(la), la, cls, now, ready)
+	h.traceFill(h.l2[core], LevelL2, -1, h.l2Set(la), la, way, ev, evicted, meta, now)
 	if evicted && ev.Dirty {
 		h.propagateDirty(core, ev.Addr)
 	}
+	return way
 }
 
 // propagateDirty marks a written-back victim's outer copy dirty.
@@ -431,39 +448,55 @@ func (h *Hierarchy) propagateDirty(core int, la mem.LineAddr) {
 	}
 }
 
-// fillLLC installs la into the LLC on behalf of core and enforces
-// inclusion: the displaced line is back-invalidated from every private
-// cache. Under way partitioning the fill is restricted to the core's own
-// ways. Returns false when the fill was dropped because no permitted way
-// could be replaced.
-func (h *Hierarchy) fillLLC(core int, la mem.LineAddr, cls policy.AccessClass, now, ready int64) bool {
-	slice, set := h.loc.Locate(la)
+// fillLLC installs la into LLC set (slice, set) on behalf of core and
+// enforces inclusion: the displaced line is back-invalidated from the
+// private caches of its sharers. Under way partitioning the fill is
+// restricted to the core's own ways. It returns the filled way, whose
+// sharer mask starts empty, or -1 when the fill was dropped because no
+// permitted way could be replaced.
+func (h *Hierarchy) fillLLC(core, slice, set int, la mem.LineAddr, cls policy.AccessClass, now, ready int64) int {
 	allowed := h.allWaysLLC
 	if h.partMask != nil {
 		allowed = h.partMask[core]
 	}
 	meta := h.fillMeta(h.llc[slice], set)
-	ev, evicted, ok := h.llc[slice].FillRestricted(set, la, cls, now, ready, allowed)
-	h.traceFill(h.llc[slice], LevelLLC, slice, set, la, ev, evicted, ok, meta, now)
-	if !ok {
-		return false
-	}
+	way, ev, evicted := h.llc[slice].FillRestricted(set, la, cls, now, ready, allowed)
+	h.traceFill(h.llc[slice], LevelLLC, slice, set, la, way, ev, evicted, meta, now)
 	if evicted {
-		h.backInvalidate(ev.Addr, now)
+		h.backInvalidate(ev, now)
 	}
-	return true
+	return way
 }
 
-// backInvalidate removes a line evicted from the inclusive LLC from every
-// core's private caches — the mechanism that makes cross-core LLC attacks
+// sharers returns the cores that may hold a private copy of the line in
+// LLC way (slice, set, way), way -1 meaning an LLC miss. On an inclusive
+// LLC that is the line's core-valid mask — a superset of the cores holding
+// a copy, since every private fill sets the filling core's bit, and 0 on a
+// miss, since inclusion leaves no private copy of an uncached line. On a
+// non-inclusive LLC private copies can outlive the LLC line, so every core
+// may hold one.
+func (h *Hierarchy) sharers(slice, set, way int) uint64 {
+	if h.cfg.NonInclusive {
+		return h.allCores
+	}
+	if way < 0 {
+		return 0
+	}
+	return h.llc[slice].Sharers(set, way)
+}
+
+// backInvalidate removes a line evicted from the inclusive LLC from its
+// sharers' private caches — the mechanism that makes cross-core LLC attacks
 // observable at all. Non-inclusive LLCs skip it: private copies outlive the
 // LLC line.
-func (h *Hierarchy) backInvalidate(la mem.LineAddr, now int64) {
+func (h *Hierarchy) backInvalidate(ev cache.Evicted, now int64) {
 	if h.cfg.NonInclusive {
 		return
 	}
+	la := ev.Addr
 	traced := h.tr.On(trace.PkgHier)
-	for c := 0; c < h.cfg.Cores; c++ {
+	for m := ev.Sharers; m != 0; m &= m - 1 {
+		c := bits.TrailingZeros64(m)
 		p1, _ := h.l1[c].Invalidate(h.l1Set(la), la)
 		p2, _ := h.l2[c].Invalidate(h.l2Set(la), la)
 		if !traced {

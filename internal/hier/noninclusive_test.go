@@ -3,6 +3,7 @@ package hier
 import (
 	"testing"
 
+	"leakyway/internal/cache"
 	"leakyway/internal/mem"
 )
 
@@ -50,6 +51,32 @@ func TestNonInclusiveNoBackInvalidation(t *testing.T) {
 	// which is exactly why inclusive-LLC attacks do not transfer.
 	if res := h.Load(0, victim, now); res.Level != LevelL1 {
 		t.Fatalf("owner's reload level = %v, want L1", res.Level)
+	}
+}
+
+// TestNonInclusiveSnoopsPrivateOnlyCopies: private copies outlive (or
+// never had) an LLC line here, so snoops, RFO invalidations and flushes
+// must reach copies the LLC's sharer masks know nothing about.
+func TestNonInclusiveSnoopsPrivateOnlyCopies(t *testing.T) {
+	h := MustNew(nonInclusiveConfig())
+	pa := mem.PAddr(0x4040)
+	h.PrefetchNTA(1, pa, 0) // core 1's L1 only
+	h.Load(0, pa, 1000)
+	if st, ok := h.PrivCoh(0, pa); !ok || st != cache.CohShared {
+		t.Fatalf("core 0's copy = (%v, %v), want Shared next to core 1's", st, ok)
+	}
+	h.Store(0, pa, 2000)
+	if h.PresentInCore(LevelL1, 1, pa) {
+		t.Fatal("store left core 1's copy in place")
+	}
+	other := mem.PAddr(0x8080)
+	h.PrefetchNTA(1, other, 3000)
+	if res := h.Flush(other, 4000); res.Latency != h.Config().Lat.FlushPresent {
+		t.Fatalf("flush of a private-only line took %d cycles, want the present cost %d",
+			res.Latency, h.Config().Lat.FlushPresent)
+	}
+	if h.PresentInCore(LevelL1, 1, other) {
+		t.Fatal("flush left core 1's private-only copy in place")
 	}
 }
 

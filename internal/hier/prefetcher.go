@@ -107,14 +107,16 @@ func (h *Hierarchy) hwPrefetch(core int, la mem.LineAddr, now int64) {
 			continue
 		}
 		slice, set := h.loc.Locate(target)
-		if _, ok := h.llc[slice].Probe(set, target); ok {
-			// Already in LLC: just pull into L2.
-			h.fillL2(core, target, policy.ClassHW, now, now+h.cfg.Lat.LLCHit)
-			continue
+		// A line already in the LLC is just pulled into L2.
+		way, ok := h.llc[slice].Probe(set, target)
+		ready := now + h.cfg.Lat.LLCHit
+		if !ok {
+			ready = now + h.cfg.Lat.Mem
+			if way = h.fillLLC(core, slice, set, target, policy.ClassHW, now, ready); way < 0 {
+				continue
+			}
 		}
-		ready := now + h.cfg.Lat.Mem
-		if h.fillLLC(core, target, policy.ClassHW, now, ready) {
-			h.fillL2(core, target, policy.ClassHW, now, ready)
-		}
+		h.llc[slice].AddSharer(set, way, core)
+		h.fillL2(core, target, policy.ClassHW, now, ready)
 	}
 }

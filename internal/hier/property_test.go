@@ -1,6 +1,7 @@
 package hier
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,46 +9,37 @@ import (
 	"leakyway/internal/mem"
 )
 
-// TestInclusionInvariantUnderRandomOps drives the hierarchy with random
+// TestInclusionInvariantUnderRandomOps drives three-core hierarchies (HW
+// prefetchers on, LLC unpartitioned and way-partitioned) with random
 // operation sequences and checks, after every step, that every line present
 // in any private cache is also present in the LLC — the inclusion property
-// all the paper's cross-core attacks depend on.
+// all the paper's cross-core attacks depend on — with the holding core's
+// bit set in the line's sharer mask, and that the sharer-filtered snoop
+// agrees with a brute-force scan of every core.
 func TestInclusionInvariantUnderRandomOps(t *testing.T) {
+	var failure error
 	f := func(seed int64, ops []uint16) bool {
-		cfg := testConfig()
-		cfg.Seed = seed
-		h := MustNew(cfg)
-		rng := rand.New(rand.NewSource(seed))
-		// A small physical region so sets conflict often.
-		addrs := make([]mem.PAddr, 64)
-		for i := range addrs {
-			addrs[i] = mem.PAddr(rng.Intn(1<<14)) &^ (mem.LineSize - 1)
-		}
-		now := int64(0)
-		for _, op := range ops {
-			pa := addrs[int(op)%len(addrs)]
-			corenum := int(op>>6) % cfg.Cores
-			now += 500
-			switch (op >> 8) % 5 {
-			case 0, 1:
-				h.Load(corenum, pa, now)
-			case 2:
-				h.PrefetchNTA(corenum, pa, now)
-			case 3:
-				h.Store(corenum, pa, now)
-			case 4:
-				h.Flush(pa, now)
+		for _, part := range []int{0, 2} {
+			cfg := sharerTestConfig(part)
+			cfg.Seed = seed
+			h := MustNew(cfg)
+			rng := rand.New(rand.NewSource(seed))
+			// A small physical region so sets conflict often.
+			addrs := make([]mem.PAddr, 64)
+			for i := range addrs {
+				addrs[i] = mem.PAddr(rng.Intn(1<<14)) &^ (mem.LineSize - 1)
 			}
-			// Inclusion check over the touched working set.
-			for _, a := range addrs {
-				private := false
-				for c := 0; c < cfg.Cores; c++ {
-					if h.PresentInCore(LevelL1, c, a) || h.PresentInCore(LevelL2, c, a) {
-						private = true
-						break
-					}
+			now := int64(0)
+			for i, op := range ops {
+				pa := addrs[int(op)%len(addrs)]
+				corenum := int(op>>6) % cfg.Cores
+				now += 500
+				sharerOp(h, int(op>>8), corenum, pa, now)
+				if failure = checkSharers(h); failure == nil {
+					failure = checkSnoop(h, (corenum+1)%cfg.Cores, pa)
 				}
-				if private && !h.Present(LevelLLC, a) {
+				if failure != nil {
+					failure = fmt.Errorf("partition %d, op %d: %w", part, i, failure)
 					return false
 				}
 			}
@@ -55,7 +47,7 @@ func TestInclusionInvariantUnderRandomOps(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
+		t.Fatal(failure, err)
 	}
 }
 

@@ -35,7 +35,7 @@ func (h *Hierarchy) hierEvent(kind string, lvl Level, slice, set int, now int64)
 // lookupTraced is cache.Lookup plus hit/miss events carrying the way and
 // the replacement age before/after the touch. The untraced path is
 // exactly c.Lookup — same stats, same policy updates.
-func (h *Hierarchy) lookupTraced(c *cache.Cache, lvl Level, slice, set int, la mem.LineAddr, cls policy.AccessClass, now int64) bool {
+func (h *Hierarchy) lookupTraced(c *cache.Cache, lvl Level, slice, set int, la mem.LineAddr, cls policy.AccessClass, now int64) (way int, hit bool) {
 	if !h.tr.On(trace.PkgHier) {
 		return c.Lookup(set, la, cls)
 	}
@@ -44,7 +44,7 @@ func (h *Hierarchy) lookupTraced(c *cache.Cache, lvl Level, slice, set int, la m
 	if present {
 		ageBefore = c.AgeOf(set, way)
 	}
-	hit := c.Lookup(set, la, cls)
+	way, hit = c.Lookup(set, la, cls)
 	var e trace.Event
 	if hit {
 		e = h.hierEvent("hit", lvl, slice, set, now)
@@ -54,7 +54,7 @@ func (h *Hierarchy) lookupTraced(c *cache.Cache, lvl Level, slice, set int, la m
 	}
 	e.Addr = uint64(la)
 	h.tr.Emit(e)
-	return hit
+	return way, hit
 }
 
 // fillMeta snapshots a set's replacement ages before a fill. It returns
@@ -67,19 +67,19 @@ func (h *Hierarchy) fillMeta(c *cache.Cache, set int) []int {
 }
 
 // traceFill emits the evict/fill (or fill-drop) events for one completed
-// Fill, given the pre-fill age snapshot from fillMeta.
-func (h *Hierarchy) traceFill(c *cache.Cache, lvl Level, slice, set int, la mem.LineAddr, ev cache.Evicted, evicted, ok bool, meta []int, now int64) {
+// Fill into way (-1 when dropped) of c, given the pre-fill age snapshot
+// from fillMeta. Only LLC fills report a drop; a dropped private fill
+// emits nothing.
+func (h *Hierarchy) traceFill(c *cache.Cache, lvl Level, slice, set int, la mem.LineAddr, way int, ev cache.Evicted, evicted bool, meta []int, now int64) {
 	if meta == nil {
 		return
 	}
-	if !ok {
-		e := h.hierEvent("fill-drop", lvl, slice, set, now)
-		e.Addr = uint64(la)
-		h.tr.Emit(e)
-		return
-	}
-	way, present := c.Probe(set, la)
-	if !present {
+	if way < 0 {
+		if lvl == LevelLLC {
+			e := h.hierEvent("fill-drop", lvl, slice, set, now)
+			e.Addr = uint64(la)
+			h.tr.Emit(e)
+		}
 		return
 	}
 	if evicted {

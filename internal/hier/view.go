@@ -115,25 +115,13 @@ func (v SetView) Format(names map[mem.LineAddr]string) string {
 	return b.String()
 }
 
-// FlushAll empties every cache in the hierarchy (test helper for preparing
-// clean states without touching replacement metadata beyond invalidation).
+// FlushAll empties every cache in the hierarchy, the coherence directory
+// included (test helper for preparing clean states without touching
+// replacement metadata beyond invalidation).
 func (h *Hierarchy) FlushAll() {
-	for c := 0; c < h.cfg.Cores; c++ {
-		h.flushCache(h.l1[c])
-		h.flushCache(h.l2[c])
-	}
-	for _, s := range h.llc {
-		h.flushCache(s)
-	}
-}
-
-func (h *Hierarchy) flushCache(c *cache.Cache) {
-	for set := 0; set < c.Sets(); set++ {
-		v := c.ViewSet(set)
-		for _, ln := range v.Lines {
-			if ln.Valid {
-				c.Invalidate(set, ln.Addr)
-			}
+	for _, level := range [][]*cache.Cache{h.l1, h.l2, h.llc, h.dir} {
+		for _, c := range level {
+			c.InvalidateAll()
 		}
 	}
 }

@@ -157,6 +157,9 @@ func (p *PlatformSpec) validate(v *validator, path string) {
 		}
 	}
 	checkNonNeg("cores", p.Cores)
+	if p.Cores > hier.MaxCores {
+		v.fail(joinPath(path, "cores"), "%d exceeds the %d-core sharer-mask limit", p.Cores, hier.MaxCores)
+	}
 	checkNonNeg("l1_sets", p.L1Sets)
 	checkNonNeg("l1_ways", p.L1Ways)
 	checkNonNeg("l2_sets", p.L2Sets)

@@ -94,6 +94,11 @@ func TestValidateNegative(t *testing.T) {
 			path: "platform.cores", msg: "non-negative",
 		},
 		{
+			name: "cores beyond sharer mask",
+			yaml: minimal + "platform:\n  cores: 65\n",
+			path: "platform.cores", msg: "65 exceeds the 64-core sharer-mask limit",
+		},
+		{
 			name: "statewalk bad message",
 			yaml: strings.Replace(minimal, `message: "10"`, "message: abc", 1),
 			path: "statewalk.message", msg: "0s and 1s",
