@@ -47,15 +47,18 @@ staticcheck:
 	fi
 
 # Short fuzz runs over the wire-format decoders, the scenario template
-# loader, the batch-kernel equivalence property and the LLC sharer-mask
-# invariant (go test takes one -fuzz pattern per invocation, hence one
-# command per target).
+# loader, the batch-kernel equivalence property, the LLC sharer-mask
+# invariant and the packed PLRU and fill-path set summaries against their
+# per-way references (go test takes one -fuzz pattern per invocation, hence
+# one command per target).
 fuzz-smoke:
 	$(GO) test ./internal/channel -run '^$$' -fuzz FuzzFrameDecode -fuzztime 5s
 	$(GO) test ./internal/channel -run '^$$' -fuzz FuzzAckDecode -fuzztime 5s
 	$(GO) test ./internal/scenario -run '^$$' -fuzz FuzzLoadScenario -fuzztime 5s
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzBatchScalarEquivalence -fuzztime 5s
 	$(GO) test ./internal/hier -run '^$$' -fuzz FuzzHierSharers -fuzztime 5s
+	$(GO) test ./internal/policy -run '^$$' -fuzz FuzzPLRUReference -fuzztime 5s
+	$(GO) test ./internal/cache -run '^$$' -fuzz FuzzCacheFillReference -fuzztime 5s
 
 # Shipped-template gate: every template under templates/ must load through
 # the strict parser/validator via the real CLI entry point.
@@ -107,9 +110,10 @@ bench:
 bench-jobs:
 	$(GO) test -bench 'BenchmarkRunAllJobs' -benchtime 3x -run '^$$' .
 
-# Perf-regression gate: run the pinned benchmark set and compare ns/op and
-# allocs/op against the committed BENCH.json baselines (±20%, with
-# re-measurement of gates that fail on a noisy first sample). See
+# Perf-regression gate: run the pinned benchmark set and compare ns/op
+# (±20%, with re-measurement of gates that fail on a noisy first sample) and
+# allocs/op (ceiling +1%, rounded up) against the committed BENCH.json
+# baselines. See
 # cmd/benchcheck for the calibration and retry details.
 bench-check:
 	$(GO) run ./cmd/benchcheck

@@ -9,7 +9,10 @@
 //
 // A benchmark fails the gate when its measured ns/op exceeds the baseline by
 // more than the tolerance (default ±20%), or when its allocs/op exceeds the
-// committed ceiling (allocation counts are deterministic, so no tolerance).
+// committed ceiling by more than 1%, rounded up (see allocLimit). The ns/op
+// tolerance does not apply to allocations: they are nearly deterministic
+// (eight BenchmarkFig8 runs on one host gave 9 875–9 902 allocs/op), so
+// the 1% only absorbs that jitter, and a 0-alloc gate stays exact.
 // Improvements beyond the tolerance are reported as stale baselines but do
 // not fail the build; run -update to re-pin them.
 //
@@ -64,6 +67,7 @@ type benchFile struct {
 	KernelSpeedup     map[string]any `json:"kernel_speedup,omitempty"`
 	BatchKernel       map[string]any `json:"batch_kernel,omitempty"`
 	CoroutineHandoff  map[string]any `json:"coroutine_handoff,omitempty"`
+	FillSummary       map[string]any `json:"fill_summary,omitempty"`
 	Benchmarks        map[string]any `json:"benchmarks"`
 	Speedups          map[string]any `json:"speedups,omitempty"`
 	TraceOverhead     map[string]any `json:"trace_overhead,omitempty"`
@@ -266,10 +270,7 @@ func evaluate(g gate, m result, tol, inflate float64) summaryRow {
 	ratio := ns / (g.NsPerOp * scale)
 	status := "ok  "
 	switch {
-	// The same tolerance applies to allocations, which keeps 0-alloc
-	// gates exact (0 * anything = 0) while giving the macro gates'
-	// engine-internal counts a little slack.
-	case float64(m.allocs) > float64(g.AllocsPerOp)*(1+tol/100):
+	case m.allocs > allocLimit(g.AllocsPerOp):
 		status = "FAIL"
 	case ratio > 1+tol/100:
 		status = "FAIL"
@@ -283,6 +284,12 @@ func evaluate(g gate, m result, tol, inflate float64) summaryRow {
 		baseline: g.NsPerOp * scale, measured: ns, delta: (ratio - 1) * 100,
 		allocs: m.allocs, maxAllocs: g.AllocsPerOp,
 	}
+}
+
+// allocLimit is the most allocs/op a gate accepts for its pinned ceiling:
+// the ceiling plus 1%, rounded up, so a 0-alloc gate allows none.
+func allocLimit(ceiling int64) int64 {
+	return ceiling + (ceiling+99)/100
 }
 
 // result is one measured benchmark, plus the reference-workload time

@@ -6,6 +6,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"leakyway/internal/mem"
 	"leakyway/internal/policy"
@@ -80,7 +81,10 @@ type Stats struct {
 //
 // Line state is held as structure-of-arrays: a flat address array, a packed
 // valid/dirty/coherence byte per way, the in-flight deadline array and the
-// core-valid (sharer) mask array, each indexed by set*ways+way. The split
+// core-valid (sharer) mask array, each indexed by set*ways+way. Each set
+// also keeps a summary (valid ways as one word, the latest in-flight
+// deadline) so a fill finds a free way or an evictable mask without
+// scanning the set. The split
 // keeps the hot probe loop scanning a contiguous uint64 lane (addresses)
 // with a parallel one-byte metadata lane, and — just as importantly — makes
 // recycling cheap: the cache records which sets were ever written, so Reset
@@ -90,13 +94,17 @@ type Stats struct {
 // rebuilding a hierarchy per trial.
 type Cache struct {
 	cfg   Config
+	all   policy.Mask    // one bit per way
 	addrs []mem.LineAddr // sets*ways line addresses
 	meta  []uint8        // sets*ways packed valid/dirty/coh
 	ready []int64        // sets*ways in-flight deadlines
+	sum   []setSummary   // per set
 	// sharers holds each line's core-valid bits: bit c set means core c
 	// may hold a private copy. The cache only stores and clears the mask
 	// (a fill or invalidation of the way resets it); package hier decides
-	// what the bits mean.
+	// what the bits mean. The lane is allocated by the first AddSharer, so
+	// caches that never track sharers (private levels, directories) do
+	// not carry it.
 	sharers []uint64
 
 	states []policy.SetState
@@ -110,6 +118,16 @@ type Cache struct {
 	isTouched []bool
 
 	stats Stats
+}
+
+// setSummary condenses one set's line state into words the fill path reads
+// instead of scanning the ways.
+type setSummary struct {
+	// valid has bit w set exactly when way w's meta valid bit is set.
+	valid policy.Mask
+	// latest is the largest readyAt installed since the last Reset. It is
+	// never lowered, so latest <= now proves no way is in flight.
+	latest int64
 }
 
 // New builds the cache. All sets share flat preallocated state arrays (each
@@ -126,10 +144,11 @@ func New(cfg Config) *Cache {
 	n := cfg.Sets * cfg.Ways
 	c := &Cache{
 		cfg:       cfg,
+		all:       policy.AllWays(cfg.Ways),
 		addrs:     make([]mem.LineAddr, n),
 		meta:      make([]uint8, n),
 		ready:     make([]int64, n),
-		sharers:   make([]uint64, n),
+		sum:       make([]setSummary, cfg.Sets),
 		states:    make([]policy.SetState, cfg.Sets),
 		isTouched: make([]bool, cfg.Sets),
 	}
@@ -150,8 +169,11 @@ func (c *Cache) Reset() {
 			c.addrs[i] = 0
 			c.meta[i] = 0
 			c.ready[i] = 0
-			c.sharers[i] = 0
 		}
+		if c.sharers != nil {
+			clear(c.sharers[base : base+c.cfg.Ways])
+		}
+		c.sum[s] = setSummary{}
 		c.states[s].Reset()
 		c.isTouched[s] = false
 	}
@@ -217,13 +239,20 @@ func (c *Cache) SetCoh(setIdx, way int, s CohState) {
 	c.meta[i] = c.meta[i]&^metaCohMask | uint8(s)<<metaCohShft
 }
 
-// Sharers returns the line's core-valid mask.
+// Sharers returns the line's core-valid mask (0 if no line of this cache
+// ever had a sharer added).
 func (c *Cache) Sharers(setIdx, way int) uint64 {
+	if c.sharers == nil {
+		return 0
+	}
 	return c.sharers[setIdx*c.cfg.Ways+way]
 }
 
 // AddSharer sets core's bit in the line's core-valid mask.
 func (c *Cache) AddSharer(setIdx, way, core int) {
+	if c.sharers == nil {
+		c.sharers = make([]uint64, len(c.addrs))
+	}
 	c.sharers[setIdx*c.cfg.Ways+way] |= 1 << uint(core)
 }
 
@@ -245,7 +274,7 @@ type Evicted struct {
 // as dropped, which is how the paper describes conflicting in-flight
 // prefetches behaving.
 func (c *Cache) Fill(setIdx int, la mem.LineAddr, cls policy.AccessClass, now, readyAt int64) (way int, ev Evicted, evicted bool) {
-	return c.FillRestricted(setIdx, la, cls, now, readyAt, policy.AllWays(c.cfg.Ways))
+	return c.FillRestricted(setIdx, la, cls, now, readyAt, c.all)
 }
 
 // FillRestricted is Fill with a way restriction: only ways in the allowed
@@ -263,25 +292,24 @@ func (c *Cache) FillRestricted(setIdx int, la mem.LineAddr, cls policy.AccessCla
 		c.states[setIdx].OnHit(w, cls)
 		return w, Evicted{}, false
 	}
-	way = -1
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.meta[base+w]&metaValid == 0 && allowed.Has(w) {
-			way = w
-			break
-		}
-	}
-	if way < 0 {
-		var evictable policy.Mask
-		for w := 0; w < c.cfg.Ways; w++ {
-			if c.ready[base+w] <= now {
-				evictable |= 1 << uint(w)
+	sum := &c.sum[setIdx]
+	if free := c.all &^ sum.valid & allowed; free != 0 {
+		way = bits.TrailingZeros64(uint64(free))
+	} else {
+		evictable := c.all
+		if sum.latest > now {
+			evictable = 0
+			for w := 0; w < c.cfg.Ways; w++ {
+				if c.ready[base+w] <= now {
+					evictable |= 1 << uint(w)
+				}
 			}
 		}
 		way = c.states[setIdx].Victim(evictable & allowed)
 		if way < 0 {
 			return -1, Evicted{}, false
 		}
-		ev = Evicted{Addr: c.addrs[base+way], Dirty: c.meta[base+way]&metaDirty != 0, Sharers: c.sharers[base+way]}
+		ev = Evicted{Addr: c.addrs[base+way], Dirty: c.meta[base+way]&metaDirty != 0, Sharers: c.Sharers(setIdx, way)}
 		evicted = true
 		c.stats.Evictions++
 		c.states[setIdx].OnInvalidate(way)
@@ -289,7 +317,11 @@ func (c *Cache) FillRestricted(setIdx int, la mem.LineAddr, cls policy.AccessCla
 	c.addrs[base+way] = la
 	c.meta[base+way] = metaValid
 	c.ready[base+way] = readyAt
-	c.sharers[base+way] = 0
+	if c.sharers != nil {
+		c.sharers[base+way] = 0
+	}
+	sum.valid |= 1 << uint(way)
+	sum.latest = max(sum.latest, readyAt)
 	c.states[setIdx].OnFill(way, cls)
 	c.stats.Fills++
 	return way, ev, evicted
@@ -310,11 +342,8 @@ func (c *Cache) Invalidate(setIdx int, la mem.LineAddr) (present, dirty bool) {
 // scanned.
 func (c *Cache) InvalidateAll() {
 	for _, s := range c.touched {
-		base := int(s) * c.cfg.Ways
-		for w := 0; w < c.cfg.Ways; w++ {
-			if c.meta[base+w]&metaValid != 0 {
-				c.invalidateWay(int(s), w)
-			}
+		for m := c.sum[s].valid; m != 0; m &= m - 1 {
+			c.invalidateWay(int(s), bits.TrailingZeros64(uint64(m)))
 		}
 	}
 }
@@ -326,7 +355,10 @@ func (c *Cache) invalidateWay(setIdx, way int) (dirty bool) {
 	c.addrs[i] = 0
 	c.meta[i] = 0
 	c.ready[i] = 0
-	c.sharers[i] = 0
+	if c.sharers != nil {
+		c.sharers[i] = 0
+	}
+	c.sum[setIdx].valid = c.sum[setIdx].valid.Without(way)
 	c.states[setIdx].OnInvalidate(way)
 	c.stats.Flushes++
 	return dirty
@@ -368,14 +400,7 @@ func (c *Cache) ViewSet(setIdx int) View {
 
 // Occupancy returns how many valid lines the set holds.
 func (c *Cache) Occupancy(setIdx int) int {
-	base := setIdx * c.cfg.Ways
-	n := 0
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.meta[base+w]&metaValid != 0 {
-			n++
-		}
-	}
-	return n
+	return bits.OnesCount64(uint64(c.sum[setIdx].valid))
 }
 
 // EvictionCandidate reports which line the policy would evict right now

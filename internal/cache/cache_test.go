@@ -161,6 +161,32 @@ func TestSharerMask(t *testing.T) {
 	}
 }
 
+// TestSharerLaneLazy: a cache that never saw AddSharer carries no sharer
+// lane, reports empty masks and still fills, evicts, invalidates and
+// resets; the first AddSharer allocates the lane.
+func TestSharerLaneLazy(t *testing.T) {
+	c := newTestCache(2, 2)
+	for la := mem.LineAddr(1); la <= 3; la++ {
+		if _, ev, evicted := c.Fill(0, la, policy.ClassLoad, 0, 0); evicted && ev.Sharers != 0 {
+			t.Fatalf("evicted line carries mask %#x without a sharer lane", ev.Sharers)
+		}
+	}
+	c.Invalidate(0, 3)
+	c.InvalidateAll()
+	c.Reset()
+	if c.sharers != nil {
+		t.Fatal("sharer lane allocated without AddSharer")
+	}
+	w, _, _ := c.Fill(1, 4, policy.ClassLoad, 0, 0)
+	if c.Sharers(1, w) != 0 {
+		t.Fatal("Sharers without a lane must report 0")
+	}
+	c.AddSharer(1, w, 5)
+	if c.sharers == nil || c.Sharers(1, w) != 1<<5 {
+		t.Fatalf("after AddSharer: lane allocated %v, mask %#x", c.sharers != nil, c.Sharers(1, w))
+	}
+}
+
 func TestInvalidateAll(t *testing.T) {
 	c := newTestCache(4, 2)
 	for i := 0; i < 6; i++ {

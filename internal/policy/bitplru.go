@@ -1,5 +1,7 @@
 package policy
 
+import "math/bits"
+
 // BitPLRU (MRU-bit pseudo-LRU, Malamy et al.) keeps one bit per way. A hit
 // sets the way's bit; when the last zero bit is consumed, all other bits are
 // cleared. The victim is the first way with a zero bit. Intel client L2s
@@ -14,40 +16,31 @@ func (*BitPLRU) Name() string { return "bit-plru" }
 
 // NewSet implements Policy.
 func (*BitPLRU) NewSet(ways int) SetState {
-	return &bitPLRUSet{mru: make([]bool, ways)}
+	return &bitPLRUSet{all: AllWays(ways)}
 }
 
+// bitPLRUSet holds the MRU bits as one mask; all has a bit per way.
 type bitPLRUSet struct {
-	mru []bool
+	all Mask
+	mru Mask
 }
 
 func (s *bitPLRUSet) touch(way int) {
-	s.mru[way] = true
-	for _, b := range s.mru {
-		if !b {
-			return
-		}
-	}
-	// All bits set: clear everything except the most recent access.
-	for i := range s.mru {
-		s.mru[i] = i == way
+	s.mru |= 1 << uint(way)
+	if s.mru == s.all {
+		// All bits set: clear everything except the most recent access.
+		s.mru = 1 << uint(way)
 	}
 }
 
 // Victim implements SetState: first zero-bit evictable way, else first
 // evictable way.
 func (s *bitPLRUSet) Victim(evictable Mask) int {
-	for way, b := range s.mru {
-		if !b && evictable.Has(way) {
-			return way
-		}
+	evictable &= s.all
+	if cold := evictable &^ s.mru; cold != 0 {
+		return firstWay(cold)
 	}
-	for way := range s.mru {
-		if evictable.Has(way) {
-			return way
-		}
-	}
-	return -1
+	return firstWay(evictable)
 }
 
 // OnFill implements SetState.
@@ -57,18 +50,14 @@ func (s *bitPLRUSet) OnFill(way int, _ AccessClass) { s.touch(way) }
 func (s *bitPLRUSet) OnHit(way int, _ AccessClass) { s.touch(way) }
 
 // OnInvalidate implements SetState.
-func (s *bitPLRUSet) OnInvalidate(way int) { s.mru[way] = false }
+func (s *bitPLRUSet) OnInvalidate(way int) { s.mru = s.mru.Without(way) }
 
 // Reset implements SetState.
-func (s *bitPLRUSet) Reset() {
-	for i := range s.mru {
-		s.mru[i] = false
-	}
-}
+func (s *bitPLRUSet) Reset() { s.mru = 0 }
 
 // AgeAt implements SetState: 1 for MRU bits.
 func (s *bitPLRUSet) AgeAt(way int) int {
-	if s.mru[way] {
+	if s.mru.Has(way) {
 		return 1
 	}
 	return 0
@@ -76,11 +65,9 @@ func (s *bitPLRUSet) AgeAt(way int) int {
 
 // Snapshot implements SetState: 1 for MRU bits.
 func (s *bitPLRUSet) Snapshot() []int {
-	out := make([]int, len(s.mru))
-	for i, b := range s.mru {
-		if b {
-			out[i] = 1
-		}
+	out := make([]int, bits.Len64(uint64(s.all)))
+	for i := range out {
+		out[i] = s.AgeAt(i)
 	}
 	return out
 }

@@ -6,6 +6,8 @@
 // baselines and for countermeasure studies.
 package policy
 
+import "math/bits"
+
 // AccessClass tells a policy what kind of request caused a fill or hit, so
 // that it can treat demand loads and non-temporal prefetches differently —
 // the asymmetry the entire paper exploits.
@@ -56,6 +58,14 @@ func (m Mask) Has(way int) bool { return m>>uint(way)&1 != 0 }
 
 // Without returns the mask with way removed.
 func (m Mask) Without(way int) Mask { return m &^ (1 << uint(way)) }
+
+// firstWay returns the lowest way in the mask, or -1 if it is empty.
+func firstWay(m Mask) int {
+	if m == 0 {
+		return -1
+	}
+	return bits.TrailingZeros64(uint64(m))
+}
 
 // Policy is a factory for per-set replacement state.
 type Policy interface {

@@ -21,53 +21,41 @@ func (*TreePLRU) NewSet(ways int) SetState {
 	if ways <= 0 || bits.OnesCount(uint(ways)) != 1 {
 		panic("policy: TreePLRU requires a power-of-two way count")
 	}
-	return &treePLRUSet{
-		ways: ways,
-		node: make([]bool, ways-1), // false = left subtree is colder
-	}
+	return &treePLRUSet{levels: bits.TrailingZeros(uint(ways))}
 }
 
+// treePLRUSet packs the ways-1 (at most 63) internal nodes into one word in
+// heap order: bit 0 is the root, node i's children are bits 2i+1 and 2i+2.
+// A set bit means the right subtree is colder. Way w's root path follows the
+// bits of w from the most significant one down, so touch and victimLeaf are
+// log2(ways) bit steps. (Shift counts are masked with &63 only so the
+// compiler can drop its oversized-shift handling; they never exceed 62.)
 type treePLRUSet struct {
-	ways int
-	node []bool // heap-ordered internal nodes; node[0] is the root
+	levels int // log2(ways)
+	node   uint64
 }
 
 // touch points the root path of way away from it, marking it most recent.
 func (s *treePLRUSet) touch(way int) {
-	// Walk from the root: at each node, descend toward the way and set
-	// the node to point to the *other* side.
-	idx := 0
-	lo, hi := 0, s.ways
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		goRight := way >= mid
-		s.node[idx] = !goRight // point away from the accessed side
-		if goRight {
-			idx = 2*idx + 2
-			lo = mid
-		} else {
-			idx = 2*idx + 1
-			hi = mid
-		}
+	node, idx := s.node, uint(0)
+	for l := s.levels - 1; l >= 0; l-- {
+		right := uint(way>>(uint(l)&63)) & 1
+		node = node&^(1<<(idx&63)) | uint64(right^1)<<(idx&63) // point away
+		idx = 2*idx + 1 + right
 	}
+	s.node = node
 }
 
 // victimLeaf follows the direction bits to the PLRU leaf without mutating
 // any state.
 func (s *treePLRUSet) victimLeaf() int {
-	idx := 0
-	lo, hi := 0, s.ways
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if s.node[idx] { // true = right subtree is colder
-			idx = 2*idx + 2
-			lo = mid
-		} else {
-			idx = 2*idx + 1
-			hi = mid
-		}
+	node, idx, leaf := s.node, uint(0), 0
+	for l := 0; l < s.levels; l++ {
+		right := uint(node>>(idx&63)) & 1
+		leaf = leaf<<1 | int(right)
+		idx = 2*idx + 1 + right
 	}
-	return lo
+	return leaf
 }
 
 // Victim follows the direction bits to the PLRU leaf. If that leaf is not
@@ -78,12 +66,7 @@ func (s *treePLRUSet) Victim(evictable Mask) int {
 	if leaf := s.victimLeaf(); evictable.Has(leaf) {
 		return leaf
 	}
-	for way := 0; way < s.ways; way++ {
-		if evictable.Has(way) {
-			return way
-		}
-	}
-	return -1
+	return firstWay(evictable & AllWays(1<<s.levels))
 }
 
 // OnFill implements SetState.
@@ -98,11 +81,7 @@ func (s *treePLRUSet) OnHit(way int, _ AccessClass) { s.touch(way) }
 func (s *treePLRUSet) OnInvalidate(int) {}
 
 // Reset implements SetState.
-func (s *treePLRUSet) Reset() {
-	for i := range s.node {
-		s.node[i] = false
-	}
-}
+func (s *treePLRUSet) Reset() { s.node = 0 }
 
 // AgeAt implements SetState: 1 for the victim-path leaf, 0 elsewhere.
 func (s *treePLRUSet) AgeAt(way int) int {
@@ -116,7 +95,7 @@ func (s *treePLRUSet) AgeAt(way int) int {
 // victim-path leaf as 1 and everything else as 0 so traces show the
 // candidate.
 func (s *treePLRUSet) Snapshot() []int {
-	out := make([]int, s.ways)
+	out := make([]int, 1<<s.levels)
 	out[s.victimLeaf()] = 1
 	return out
 }
