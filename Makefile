@@ -48,9 +48,10 @@ staticcheck:
 
 # Short fuzz runs over the wire-format decoders, the scenario template
 # loader, the batch-kernel equivalence property, the LLC sharer-mask
-# invariant and the packed PLRU and fill-path set summaries against their
-# per-way references (go test takes one -fuzz pattern per invocation, hence
-# one command per target).
+# invariant, the packed PLRU and fill-path set summaries against their
+# per-way references and the extent page table against the map-backed one
+# (go test takes one -fuzz pattern per invocation, hence one command per
+# target).
 fuzz-smoke:
 	$(GO) test ./internal/channel -run '^$$' -fuzz FuzzFrameDecode -fuzztime 5s
 	$(GO) test ./internal/channel -run '^$$' -fuzz FuzzAckDecode -fuzztime 5s
@@ -59,6 +60,7 @@ fuzz-smoke:
 	$(GO) test ./internal/hier -run '^$$' -fuzz FuzzHierSharers -fuzztime 5s
 	$(GO) test ./internal/policy -run '^$$' -fuzz FuzzPLRUReference -fuzztime 5s
 	$(GO) test ./internal/cache -run '^$$' -fuzz FuzzCacheFillReference -fuzztime 5s
+	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzAddressSpaceReference -fuzztime 5s
 
 # Shipped-template gate: every template under templates/ must load through
 # the strict parser/validator via the real CLI entry point.

@@ -68,6 +68,7 @@ type benchFile struct {
 	BatchKernel       map[string]any `json:"batch_kernel,omitempty"`
 	CoroutineHandoff  map[string]any `json:"coroutine_handoff,omitempty"`
 	FillSummary       map[string]any `json:"fill_summary,omitempty"`
+	MemLayer          map[string]any `json:"mem_layer,omitempty"`
 	Benchmarks        map[string]any `json:"benchmarks"`
 	Speedups          map[string]any `json:"speedups,omitempty"`
 	TraceOverhead     map[string]any `json:"trace_overhead,omitempty"`

@@ -18,20 +18,19 @@ var ErrOutOfMemory = errors.New("mem: out of physical frames")
 type PhysMem struct {
 	// frames is the shuffled free list. Frame numbers are stored narrow
 	// (machine construction is shuffle-bandwidth bound in experiment
-	// sweeps); uint32 covers pools up to 16 TiB.
+	// sweeps); NewFrameShuffle caps pools at 2^31-1 frames (8 TiB).
 	frames []uint32
 	next   int    // next index into frames to hand out
 	synth  uint64 // next synthetic frame for contiguous reservations
 }
 
 // FrameShuffle is the immutable shuffled free list for one (totalBytes,
-// seed) pair. Building it is the single most expensive step of machine
-// construction (a quarter-million-entry Fisher–Yates for a 1 GiB pool), yet
-// every machine with the same pool size and seed computes the identical
-// permutation — so sweeps that run many same-seed trials can compute it once
-// and share it. PhysMem only ever reads the frame list (allocation state
-// lives in the PhysMem, not here), which makes sharing safe even across
-// goroutines.
+// seed) pair. Every machine with the same pool size and seed computes the
+// identical permutation — a quarter-million-entry Fisher–Yates for a 1 GiB
+// pool, though a machine draws only a few thousand frames from it — so
+// sweeps that run many same-seed trials compute it once and share it.
+// PhysMem only ever reads the frame list (allocation state lives in the
+// PhysMem, not here), which makes sharing safe even across goroutines.
 type FrameShuffle struct {
 	frames []uint32
 }
@@ -41,17 +40,29 @@ type FrameShuffle struct {
 // identical to the one NewPhysMem has always produced.
 func NewFrameShuffle(totalBytes uint64, seed int64) *FrameShuffle {
 	n := totalBytes / PageSize
-	if n > 1<<32 {
-		panic(fmt.Sprintf("mem: NewFrameShuffle(%d): pool exceeds 16 TiB frame limit", totalBytes))
+	if n > 1<<31-1 {
+		panic(fmt.Sprintf("mem: NewFrameShuffle(%d): pool exceeds 8 TiB frame limit", totalBytes))
 	}
 	frames := make([]uint32, n)
 	for i := range frames {
 		frames[i] = uint32(i)
 	}
-	rng := rand.New(rand.NewSource(seed))
-	rng.Shuffle(len(frames), func(i, j int) {
+	// Fisher–Yates exactly as math/rand.(*Rand).Shuffle draws it, without
+	// its per-swap closure call. Below 2^31 elements Shuffle draws every
+	// index with Lemire's int31n on the top 32 bits of Int63, which is the
+	// only case the frame limit above allows.
+	src := rand.NewSource(seed)
+	for i := len(frames) - 1; i > 0; i-- {
+		n := uint32(i + 1)
+		prod := uint64(uint32(src.Int63()>>31)) * uint64(n)
+		if uint32(prod) < n {
+			for thresh := -n % n; uint32(prod) < thresh; {
+				prod = uint64(uint32(src.Int63()>>31)) * uint64(n)
+			}
+		}
+		j := prod >> 32
 		frames[i], frames[j] = frames[j], frames[i]
-	})
+	}
 	return &FrameShuffle{frames: frames}
 }
 
@@ -78,13 +89,15 @@ func (pm *PhysMem) TotalFrames() int { return len(pm.frames) }
 // FreeFrames reports how many frames remain allocatable.
 func (pm *PhysMem) FreeFrames() int { return len(pm.frames) - pm.next }
 
-// AllocFrame hands out the next randomized frame number.
-func (pm *PhysMem) AllocFrame() (uint64, error) {
-	if pm.next >= len(pm.frames) {
-		return 0, ErrOutOfMemory
+// takeFrames hands out the next n randomized frames, or none at all if
+// fewer than n remain. The returned slice aliases the shared frame list and
+// must not be written.
+func (pm *PhysMem) takeFrames(n uint64) ([]uint32, error) {
+	if n > uint64(pm.FreeFrames()) {
+		return nil, ErrOutOfMemory
 	}
-	f := uint64(pm.frames[pm.next])
-	pm.next++
+	f := pm.frames[pm.next : pm.next+int(n)]
+	pm.next += int(n)
 	return f, nil
 }
 

@@ -2,7 +2,8 @@ package mem
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 )
 
 // AddressSpace is a per-process virtual address space: a page table mapping
@@ -13,20 +14,30 @@ import (
 // the Reload+Refresh experiments model a shared library / deduplicated page
 // between victim and attacker.
 type AddressSpace struct {
-	pm    *PhysMem
-	pages map[uint64]uint64 // virtual page -> physical frame
-	brk   uint64            // next free virtual page
+	pm *PhysMem
 
-	// Direct-mapped software TLB over pages. Mappings are only ever added,
-	// never changed or removed, so cached entries can never go stale and
-	// the TLB needs no shootdown path.
+	// The page table is a sorted list of non-overlapping extents: address
+	// spaces here are a handful of large regions, so growing the region at
+	// brk and binary-searching a few extents beats hashing every page.
+	// hint is the extent the last table lookup hit.
+	extents []extent
+	hint    int
+	brk     uint64 // next free virtual page
+
+	// Direct-mapped software TLB in front of the page table. Mappings are
+	// only ever added, never changed or removed, so cached entries can
+	// never go stale and the TLB needs no shootdown path.
 	tlbTags   [tlbSlots]uint64 // page+1 per slot; 0 = empty
 	tlbFrames [tlbSlots]uint64
-
-	// tlMemo caches TranslationLevels results for unmapped pages; adding a
-	// mapping can deepen a neighbouring walk, so mutators drop it wholesale.
-	tlMemo map[uint64]int
 }
+
+// extent maps the virtual pages [start, start+len(frames)) to frames.
+type extent struct {
+	start  uint64
+	frames []uint64
+}
+
+func (e *extent) end() uint64 { return e.start + uint64(len(e.frames)) }
 
 // tlbSlots sizes the translation cache; collisions just recompute.
 const tlbSlots = 1 << 9
@@ -34,50 +45,127 @@ const tlbSlots = 1 << 9
 // NewAddressSpace creates an empty address space drawing frames from pm.
 func NewAddressSpace(pm *PhysMem) *AddressSpace {
 	return &AddressSpace{
-		pm:    pm,
-		pages: make(map[uint64]uint64),
-		brk:   0x1000, // leave page 0 unmapped, like a real process
+		pm:  pm,
+		brk: 0x1000, // leave page 0 unmapped, like a real process
 	}
 }
 
 // Alloc reserves size bytes of fresh virtual memory (rounded up to whole
 // pages) backed by randomized physical frames, and returns the base address.
+// It maps nothing if the pool cannot back every page.
 func (as *AddressSpace) Alloc(size uint64) (VAddr, error) {
-	if size == 0 {
-		return 0, fmt.Errorf("mem: Alloc(0): size must be positive")
+	npages, err := pageCount("Alloc", size)
+	if err != nil {
+		return 0, err
 	}
-	npages := (size + PageSize - 1) / PageSize
+	frames, err := as.pm.takeFrames(npages)
+	if err != nil {
+		return 0, err
+	}
 	base := as.brk
-	for i := uint64(0); i < npages; i++ {
-		frame, err := as.pm.AllocFrame()
-		if err != nil {
-			return 0, err
-		}
-		as.pages[base+i] = frame
+	slots := as.extendBrk(npages)
+	for i, f := range frames {
+		slots[i] = uint64(f)
 	}
-	as.brk += npages
-	as.tlMemo = nil
 	return VAddr(base << PageBits), nil
 }
 
 // AllocContiguous reserves size bytes backed by physically contiguous
 // frames (a modelled huge-page region) and returns the base address.
 func (as *AddressSpace) AllocContiguous(size uint64) (VAddr, error) {
-	if size == 0 {
-		return 0, fmt.Errorf("mem: AllocContiguous(0): size must be positive")
+	npages, err := pageCount("AllocContiguous", size)
+	if err != nil {
+		return 0, err
 	}
-	npages := (size + PageSize - 1) / PageSize
 	first, err := as.pm.AllocContiguous(int(npages))
 	if err != nil {
 		return 0, err
 	}
 	base := as.brk
-	for i := uint64(0); i < npages; i++ {
-		as.pages[base+i] = first + i
+	slots := as.extendBrk(npages)
+	for i := range slots {
+		slots[i] = first + uint64(i)
 	}
-	as.brk += npages
-	as.tlMemo = nil
 	return VAddr(base << PageBits), nil
+}
+
+// pageCount rounds a mapping of size bytes up to whole pages. It rejects a
+// zero size and one so close to 2^64 that the rounding wraps, so every
+// mapping it admits covers at least one page.
+func pageCount(op string, size uint64) (uint64, error) {
+	if size == 0 {
+		return 0, fmt.Errorf("mem: %s: size must be positive", op)
+	}
+	if size > math.MaxUint64-PageSize+1 {
+		return 0, fmt.Errorf("mem: %s: size %#x exceeds the address space", op, size)
+	}
+	return (size + PageSize - 1) / PageSize, nil
+}
+
+// extendBrk maps n pages at brk, growing the extent that ends there (or
+// starting one), advances brk past them, and returns their frame slots for
+// the caller to fill.
+func (as *AddressSpace) extendBrk(n uint64) []uint64 {
+	k := len(as.extents)
+	if k == 0 || as.extents[k-1].end() != as.brk {
+		as.extents = append(as.extents, extent{start: as.brk})
+		k++
+	}
+	e := &as.extents[k-1]
+	old := len(e.frames)
+	e.frames = slices.Grow(e.frames, int(n))[:old+int(n)]
+	as.brk += n
+	return e.frames[old:]
+}
+
+// search returns the index of the first extent that ends after page — the
+// one holding page, if any does — or len(extents).
+func (as *AddressSpace) search(page uint64) int {
+	lo, hi := 0, len(as.extents)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if as.extents[m].end() > page {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
+}
+
+// lookup walks the page table for one page.
+func (as *AddressSpace) lookup(page uint64) (uint64, bool) {
+	if h := as.hint; h < len(as.extents) {
+		if e := &as.extents[h]; page-e.start < uint64(len(e.frames)) {
+			return e.frames[page-e.start], true
+		}
+	}
+	i := as.search(page)
+	if i == len(as.extents) || as.extents[i].start > page {
+		return 0, false
+	}
+	as.hint = i
+	e := &as.extents[i]
+	return e.frames[page-e.start], true
+}
+
+// overlap reports the first mapped page in [start, start+n), if any, and
+// the index at which an extent covering that range would be inserted.
+func (as *AddressSpace) overlap(start, n uint64) (i int, first uint64, mapped bool) {
+	i = as.search(start)
+	if i == len(as.extents) || as.extents[i].start >= start+n {
+		return i, 0, false
+	}
+	return i, max(start, as.extents[i].start), true
+}
+
+// insert maps [start, start+len(frames)) at extent index i, which overlap
+// returned for a free range, and raises brk to the end of the mapping.
+func (as *AddressSpace) insert(i int, start uint64, frames []uint64) {
+	as.extents = slices.Insert(as.extents, i, extent{start: start, frames: frames})
+	if end := start + uint64(len(frames)); end > as.brk {
+		as.brk = end
+	}
 }
 
 // Translate resolves a virtual address to its physical address.
@@ -87,7 +175,7 @@ func (as *AddressSpace) Translate(va VAddr) (PAddr, error) {
 	if as.tlbTags[idx] == page+1 {
 		return PAddr(as.tlbFrames[idx]<<PageBits | uint64(va)&(PageSize-1)), nil
 	}
-	frame, ok := as.pages[page]
+	frame, ok := as.lookup(page)
 	if !ok {
 		return 0, fmt.Errorf("mem: page fault at %#x", uint64(va))
 	}
@@ -109,38 +197,53 @@ func (as *AddressSpace) MustTranslate(va VAddr) PAddr {
 // MapShared maps size bytes starting at the other space's base address into
 // this space at the same virtual address, sharing the physical frames. It
 // models page deduplication / a shared library segment. The virtual range
-// must not already be mapped here.
+// must not already be mapped here and must be mapped in other; on error
+// nothing is mapped.
 func (as *AddressSpace) MapShared(other *AddressSpace, base VAddr, size uint64) error {
-	if size == 0 {
-		return fmt.Errorf("mem: MapShared: size must be positive")
+	npages, err := pageCount("MapShared", size)
+	if err != nil {
+		return err
 	}
-	npages := (size + PageSize - 1) / PageSize
 	start := base.Page()
-	for i := uint64(0); i < npages; i++ {
-		if _, dup := as.pages[start+i]; dup {
-			return fmt.Errorf("mem: MapShared: virtual page %#x already mapped", start+i)
-		}
-		frame, ok := other.pages[start+i]
-		if !ok {
-			return fmt.Errorf("mem: MapShared: source page %#x not mapped", start+i)
-		}
-		as.pages[start+i] = frame
+	i, dup, isDup := as.overlap(start, npages)
+	frames, hole, isHole := other.framesOf(start, npages)
+	// Report the lowest offending page, a duplicate before a hole on the
+	// same page.
+	switch {
+	case isDup && (!isHole || dup <= hole):
+		return fmt.Errorf("mem: MapShared: virtual page %#x already mapped", dup)
+	case isHole:
+		return fmt.Errorf("mem: MapShared: source page %#x not mapped", hole)
 	}
-	if end := start + npages; end > as.brk {
-		as.brk = end
-	}
-	as.tlMemo = nil
+	as.insert(i, start, frames)
 	return nil
+}
+
+// framesOf copies out the frames backing [start, start+n), or reports the
+// first page in the range that is not mapped.
+func (as *AddressSpace) framesOf(start, n uint64) (frames []uint64, hole uint64, isHole bool) {
+	end := start + n
+	page := start
+	for i := as.search(start); page < end; i++ {
+		if i == len(as.extents) || as.extents[i].start > page {
+			return nil, page, true
+		}
+		e := &as.extents[i]
+		frames = append(frames, e.frames[page-e.start:min(e.end(), end)-e.start]...)
+		page = e.end()
+	}
+	return frames, 0, false
 }
 
 // MappedPages returns the mapped virtual page numbers in ascending order.
 // Used by tests and diagnostics.
 func (as *AddressSpace) MappedPages() []uint64 {
-	out := make([]uint64, 0, len(as.pages))
-	for p := range as.pages {
-		out = append(out, p)
+	var out []uint64
+	for _, e := range as.extents {
+		for p := e.start; p < e.end(); p++ {
+			out = append(out, p)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

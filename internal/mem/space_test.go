@@ -1,6 +1,11 @@
 package mem
 
-import "testing"
+import (
+	"errors"
+	"math"
+	"strings"
+	"testing"
+)
 
 func TestAllocAndTranslate(t *testing.T) {
 	pm := NewPhysMem(1<<20, 1)
@@ -113,5 +118,116 @@ func TestAllocAtAndTranslationLevels(t *testing.T) {
 	// Far away: depth 0.
 	if got := as.TranslationLevels(0xffff_0000_0000_0000); got != 0 {
 		t.Fatalf("far address depth = %d, want 0", got)
+	}
+}
+
+// TestAllocFailureMapsNothing: an allocation the pool cannot back, or a
+// share with a hole in its source, must leave the page table untouched.
+func TestAllocFailureMapsNothing(t *testing.T) {
+	as := NewAddressSpace(NewPhysMem(4*PageSize, 1))
+	base, err := as.Alloc(3 * PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := as.Alloc(2 * PageSize); !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("Alloc past the pool: err = %v, want ErrOutOfMemory", err)
+	}
+	if got := len(as.MappedPages()); got != 3 {
+		t.Fatalf("failed Alloc left %d pages mapped, want 3", got)
+	}
+	if _, err := as.Translate(base + 3*PageSize); err == nil {
+		t.Fatal("failed Alloc mapped the page the next Alloc hands out")
+	}
+	next, err := as.Alloc(PageSize)
+	if err != nil || next != base+3*PageSize {
+		t.Fatalf("Alloc after a failed Alloc = %#x, %v; want %#x", uint64(next), err, uint64(base+3*PageSize))
+	}
+
+	at := NewAddressSpace(NewPhysMem(2*PageSize, 1))
+	kbase := VAddr(0x7f00_0000_0000)
+	for try := 0; try < 2; try++ {
+		if err := at.AllocAt(kbase, 3*PageSize); !errors.Is(err, ErrOutOfMemory) {
+			t.Fatalf("AllocAt try %d: err = %v, want ErrOutOfMemory", try, err)
+		}
+	}
+	if got := len(at.MappedPages()); got != 0 {
+		t.Fatalf("failed AllocAt left %d pages mapped", got)
+	}
+
+	// A size within a page of 2^64 would round to zero pages.
+	huge := NewAddressSpace(NewPhysMem(4*PageSize, 1))
+	hbase, _ := huge.Alloc(2 * PageSize)
+	high := VAddr(0x7f00_0000_0000)
+	for _, size := range []uint64{math.MaxUint64, math.MaxUint64 - PageSize + 2} {
+		if _, err := huge.Alloc(size); err == nil {
+			t.Fatalf("Alloc(%#x) accepted", size)
+		}
+		if _, err := huge.AllocContiguous(size); err == nil {
+			t.Fatalf("AllocContiguous(%#x) accepted", size)
+		}
+		for _, at := range []VAddr{hbase + PageSize, high} {
+			if err := huge.AllocAt(at, size); err == nil || strings.Contains(err.Error(), "already mapped") {
+				t.Fatalf("AllocAt(%#x, %#x): err = %v, want a size error", uint64(at), size, err)
+			}
+			if err := huge.MapShared(as, at, size); err == nil || strings.Contains(err.Error(), "already mapped") {
+				t.Fatalf("MapShared(%#x, %#x): err = %v, want a size error", uint64(at), size, err)
+			}
+		}
+	}
+	if got := huge.MappedPages(); len(got) != 2 || got[0] != hbase.Page() {
+		t.Fatalf("oversized mappings left pages %#x mapped, want %#x and the next", got, hbase.Page())
+	}
+	if got := huge.TranslationLevels(high); got != 0 {
+		t.Fatalf("TranslationLevels(%#x) after oversized mappings = %d, want 0", uint64(high), got)
+	}
+	if err := huge.AllocAt(high-PageSize, 2*PageSize); err != nil {
+		t.Fatalf("AllocAt across %#x after oversized mappings: %v", uint64(high), err)
+	}
+
+	pm := NewPhysMem(1<<20, 1)
+	victim, spy := NewAddressSpace(pm), NewAddressSpace(pm)
+	shared, _ := victim.Alloc(2 * PageSize)
+	if err := spy.MapShared(victim, shared, 3*PageSize); err == nil {
+		t.Fatal("MapShared over an unmapped source page accepted")
+	}
+	if got := len(spy.MappedPages()); got != 0 {
+		t.Fatalf("failed MapShared left %d pages mapped", got)
+	}
+}
+
+// BenchmarkTranslateScattered measures translation of pages scattered over
+// a 64 MiB region: 4096 distinct pages through a 512-slot TLB, so nearly
+// every lookup walks the page table.
+func BenchmarkTranslateScattered(b *testing.B) {
+	as := NewAddressSpace(NewPhysMem(1<<30, 1))
+	base, err := as.Alloc(64 << 20)
+	if err != nil {
+		b.Fatal(err)
+	}
+	vas := make([]VAddr, 4096)
+	for i := range vas {
+		vas[i] = base + VAddr(uint64(i)*2654435761%(64<<20))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := as.Translate(vas[i%len(vas)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAddressSpaceAlloc measures building an eviction-set candidate
+// pool: a fresh address space over a machine's 1 GiB pool, mapping
+// 512 pages x 16 LLC ways.
+func BenchmarkAddressSpaceAlloc(b *testing.B) {
+	sh := NewFrameShuffle(1<<30, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		as := NewAddressSpace(NewPhysMemFrom(sh))
+		if _, err := as.Alloc(8192 * PageSize); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -7,46 +7,36 @@ import "fmt"
 // page-table walker does, which is what the prefetch-timing KASLR attacks
 // of Gruss et al. (the paper's Section VI-C related work) observe.
 const (
-	PageLevels    = 4
-	levelBits     = 9
-	pageIndexBits = PageBits // 12
+	PageLevels = 4
+	levelBits  = 9
 )
-
-// levelPrefix returns va's index prefix covering the top `level` levels
-// (level 1 = PML4 index only, level 4 = full page number).
-func levelPrefix(va VAddr, level int) uint64 {
-	shift := uint(pageIndexBits + (PageLevels-level)*levelBits)
-	return uint64(va) >> shift
-}
 
 // AllocAt maps size bytes of fresh physical frames at the given
 // page-aligned virtual base (modelling a kernel region or a fixed-address
-// mapping). It fails if any page in the range is already mapped.
+// mapping). It fails if any page in the range is already mapped, and maps
+// nothing if the pool cannot back every page.
 func (as *AddressSpace) AllocAt(base VAddr, size uint64) error {
 	if base.PageOffset() != 0 {
 		return fmt.Errorf("mem: AllocAt(%#x): base not page aligned", uint64(base))
 	}
-	if size == 0 {
-		return fmt.Errorf("mem: AllocAt: size must be positive")
+	npages, err := pageCount("AllocAt", size)
+	if err != nil {
+		return err
 	}
-	npages := (size + PageSize - 1) / PageSize
 	start := base.Page()
-	for i := uint64(0); i < npages; i++ {
-		if _, dup := as.pages[start+i]; dup {
-			return fmt.Errorf("mem: AllocAt: page %#x already mapped", start+i)
-		}
+	i, dup, isDup := as.overlap(start, npages)
+	if isDup {
+		return fmt.Errorf("mem: AllocAt: page %#x already mapped", dup)
 	}
-	for i := uint64(0); i < npages; i++ {
-		frame, err := as.pm.AllocFrame()
-		if err != nil {
-			return err
-		}
-		as.pages[start+i] = frame
+	drawn, err := as.pm.takeFrames(npages)
+	if err != nil {
+		return err
 	}
-	if end := start + npages; end > as.brk {
-		as.brk = end
+	frames := make([]uint64, len(drawn))
+	for j, f := range drawn {
+		frames[j] = uint64(f)
 	}
-	as.tlMemo = nil
+	as.insert(i, start, frames)
 	return nil
 }
 
@@ -57,33 +47,17 @@ func (as *AddressSpace) AllocAt(base VAddr, size uint64) error {
 // cannot read.
 func (as *AddressSpace) TranslationLevels(va VAddr) int {
 	page := va.Page()
-	if _, ok := as.pages[page]; ok {
+	if _, ok := as.lookup(page); ok {
 		return PageLevels
 	}
-	// An upper-level entry exists iff some mapped page shares the prefix.
-	// Address spaces here are small (thousands of pages), so a scan per
-	// level is acceptable; KASLR probes hammer the same unmapped pages, so
-	// the depth is memoized per page (any mutator drops the whole memo,
-	// since a new mapping can deepen a neighbouring walk).
-	if depth, ok := as.tlMemo[page]; ok {
-		return depth
-	}
-	depth := 0
+	// The entry at level l exists iff some mapped page shares va's index
+	// prefix for the top l levels, i.e. some extent intersects the aligned
+	// run of pages that prefix covers.
 	for level := PageLevels - 1; level >= 1; level-- {
-		want := levelPrefix(va, level)
-		for p := range as.pages {
-			if levelPrefix(VAddr(p<<PageBits), level) == want {
-				depth = level
-				break
-			}
-		}
-		if depth != 0 {
-			break
+		shift := uint(PageLevels-level) * levelBits
+		if _, _, ok := as.overlap(page>>shift<<shift, 1<<shift); ok {
+			return level
 		}
 	}
-	if as.tlMemo == nil {
-		as.tlMemo = make(map[uint64]int)
-	}
-	as.tlMemo[page] = depth
-	return depth
+	return 0
 }
