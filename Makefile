@@ -47,9 +47,9 @@ staticcheck:
 	fi
 
 # Short fuzz runs over the wire-format decoders, the scenario template
-# loader, the batch-kernel equivalence property, the LLC sharer-mask
-# invariant, the packed PLRU and fill-path set summaries against their
-# per-way references and the extent page table against the map-backed one
+# loader, the arena-vs-fresh-machine equivalence property, the LLC
+# sharer-mask invariant, the packed PLRU and fill-path set summaries against
+# their per-way references and the extent page table against the map-backed one
 # (go test takes one -fuzz pattern per invocation, hence one command per
 # target).
 fuzz-smoke:
@@ -68,20 +68,16 @@ template-validate:
 	$(GO) run ./cmd/leakyway -template templates/ validate
 
 # Traced-run determinism gate: the same traced fig8 run at -jobs 1 and
-# -jobs 8, and at fleet width 1 and the default width, must export
-# byte-identical traces. Filtered to the protocol-level subsystems to keep
-# the files small.
+# -jobs 8 must export byte-identical traces. Filtered to the protocol-level
+# subsystems to keep the files small.
 trace-smoke:
 	$(GO) build -o /tmp/leakyway-smoke ./cmd/leakyway
 	/tmp/leakyway-smoke -quick -jobs 1 -trace /tmp/leakyway-trace-j1.jsonl \
 		-trace-filter channel,sim,fault run fig8 > /dev/null
 	/tmp/leakyway-smoke -quick -jobs 8 -trace /tmp/leakyway-trace-j8.jsonl \
 		-trace-filter channel,sim,fault run fig8 > /dev/null
-	/tmp/leakyway-smoke -quick -jobs 1 -batch 1 -trace /tmp/leakyway-trace-b1.jsonl \
-		-trace-filter channel,sim,fault run fig8 > /dev/null
 	cmp /tmp/leakyway-trace-j1.jsonl /tmp/leakyway-trace-j8.jsonl
-	cmp /tmp/leakyway-trace-j1.jsonl /tmp/leakyway-trace-b1.jsonl
-	@echo "trace-smoke: traces byte-identical across -jobs 1/8 and -batch 1/default"
+	@echo "trace-smoke: traces byte-identical across -jobs 1/8"
 
 # Daemon robustness gate: drives the real leakywayd binary over HTTP and
 # signals — cache-hit resubmission, SIGTERM drain (exit 0, accepted jobs

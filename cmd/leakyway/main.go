@@ -21,9 +21,6 @@
 //	-quick                            reduced trial counts
 //	-jobs N                           worker goroutines (default NumCPU);
 //	                                  output is identical for every N
-//	-batch K                          lockstep fleet width for trial-sharded
-//	                                  experiments (default 8); output is
-//	                                  identical for every K
 //	-json FILE                        also write all metrics as JSON
 //	-trace FILE                       record a cycle-level event trace;
 //	                                  .jsonl writes compact JSONL, anything
@@ -72,7 +69,6 @@ func mainRun() int {
 	flag.Int64Var(&opt.seed, "seed", 42, "master seed for all stochastic elements")
 	flag.BoolVar(&opt.quick, "quick", false, "run with reduced trial counts")
 	flag.IntVar(&opt.jobs, "jobs", runtime.NumCPU(), "worker goroutines; results do not depend on this")
-	flag.IntVar(&opt.batch, "batch", 0, "lockstep fleet width for trial-sharded experiments (0 = default 8); results do not depend on this")
 	flag.StringVar(&opt.template, "template", "", "scenario template file or directory (run/validate)")
 	flag.StringVar(&opt.jsonPath, "json", "", "write metrics of every run experiment to this file as JSON")
 	flag.StringVar(&opt.tracePath, "trace", "", "write a cycle-level event trace to this file (.jsonl = JSONL, else Chrome trace-event JSON)")
@@ -191,7 +187,6 @@ type options struct {
 	seed        int64
 	quick       bool
 	jobs        int
-	batch       int
 	template    string
 	jsonPath    string
 	tracePath   string
@@ -253,7 +248,6 @@ func run(ids []string, opt options, out io.Writer) (err error) {
 	if opt.jobs > 0 {
 		ctx.Jobs = opt.jobs
 	}
-	ctx.BatchWidth = opt.batch
 	switch opt.platform {
 	case "both", "":
 		// default platforms

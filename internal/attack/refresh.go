@@ -115,7 +115,7 @@ func RunRefresh(platformCfg hier.Config, variant RefreshVariant, cfg RefreshConf
 
 	m.Spawn("attacker", 0, attackerAS, func(c *sim.Core) {
 		th := core.Calibrate(c, 48)
-		prepareCleanSet(c, m, dt, ls, variant != ReloadRefresh)
+		PrepareCleanSet(c, dt, ls, variant != ReloadRefresh)
 
 		conflict, spare := ls[w-1], ls[0]
 		for it := 0; it < cfg.Iterations; it++ {
@@ -189,11 +189,11 @@ func revertOps(variant RefreshVariant, w int) RevertOps {
 	return RevertOps{Flushes: 1, DRAMAccesses: 1}
 }
 
-// prepareCleanSet takes ownership of the whole target set: load every line
+// PrepareCleanSet takes ownership of the whole target set: load every line
 // to claim all ways, flush them all (the set is then empty), and refill in
 // order — dt first, then l0..l(w-2) — with loads (age 2, Figure 9) or
 // non-temporal prefetches (age 3, Figure 10).
-func prepareCleanSet(c *sim.Core, m *sim.Machine, dt mem.VAddr, ls []mem.VAddr, nta bool) {
+func PrepareCleanSet(c *sim.Core, dt mem.VAddr, ls []mem.VAddr, nta bool) {
 	w := len(ls)
 	all := append([]mem.VAddr{dt}, ls...)
 	for round := 0; round < 3; round++ {

@@ -90,8 +90,8 @@ type Stats struct {
 // recycling cheap: the cache records which sets were ever written, so Reset
 // restores a heavily-used cache to its freshly-built state by re-zeroing
 // only those sets instead of the whole multi-megabyte array.
-// sim.BatchMachine leans on that to run Monte-Carlo fleets without
-// rebuilding a hierarchy per trial.
+// sim.Arena leans on that to run Monte-Carlo trials without rebuilding a
+// hierarchy per trial.
 type Cache struct {
 	cfg   Config
 	all   policy.Mask    // one bit per way

@@ -37,8 +37,8 @@ func (s SweepResult) Peak() Report {
 // rate. bits is the message length per point.
 //
 // Each point's machine is built through the MachineSource its trial body
-// receives from trials; a nil trials runs the points as one width-1
-// sim.RunBatch fleet. The result is byte-identical for any TrialFor, since
+// receives from trials; a nil trials runs the points one after another on
+// a private sim.Arena. The result is byte-identical for any TrialFor, since
 // no point depends on how its machine was constructed or scheduled.
 //
 // tf, when non-nil, returns the tracer attached to point i's machine (nil

@@ -26,11 +26,10 @@ func freshTrials(n int, body func(i int, src sim.MachineSource)) {
 	}
 }
 
-// TestSweepTraceMatchesFreshMachines is the trace oracle for the batch
-// kernel: a traced sweep over a width-8 fleet, whose slots recycle
-// hierarchies between points, must export exactly the bytes the same sweep
-// exports on a fresh machine per point. Nine points over eight slots make
-// slot 0 run a second point on a recycled hierarchy.
+// TestSweepTraceMatchesFreshMachines is the trace oracle for the arena: a
+// traced sweep over one sim.Arena, which recycles the hierarchy from point
+// to point, must export exactly the bytes the same sweep exports on a fresh
+// machine per point.
 func TestSweepTraceMatchesFreshMachines(t *testing.T) {
 	p := platform.Skylake()
 	base := DefaultConfig(p.Name, p.FreqGHz)
@@ -52,18 +51,18 @@ func TestSweepTraceMatchesFreshMachines(t *testing.T) {
 	}
 	want, wantRes := export(freshTrials)
 	got, gotRes := export(func(n int, body func(i int, src sim.MachineSource)) {
-		sim.RunBatch(n, 8, sim.NewArena(), body)
+		sim.RunBatch(n, 1, sim.NewArena(), body)
 	})
 	if !bytes.Equal(got, want) {
 		i := 0
 		for i < len(want) && i < len(got) && want[i] == got[i] {
 			i++
 		}
-		t.Fatalf("batched trace diverges from fresh machines at byte %d (len %d vs %d)", i, len(got), len(want))
+		t.Fatalf("arena trace diverges from fresh machines at byte %d (len %d vs %d)", i, len(got), len(want))
 	}
 	for i := range wantRes.Points {
 		if gotRes.Points[i] != wantRes.Points[i] {
-			t.Fatalf("point %d: batched report %+v, fresh %+v", i, gotRes.Points[i], wantRes.Points[i])
+			t.Fatalf("point %d: arena report %+v, fresh %+v", i, gotRes.Points[i], wantRes.Points[i])
 		}
 	}
 }

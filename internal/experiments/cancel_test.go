@@ -50,7 +50,7 @@ func sleepExperiment(id string, shards int, d time.Duration, ran *atomic.Int64) 
 func spinExperiment(id string, trials int, started *atomic.Int64) Experiment {
 	return Experiment{
 		ID:    id,
-		Title: "synthetic spinning fleet",
+		Title: "synthetic spinning trials",
 		Run: func(ctx *Context) (*Result, error) {
 			ctx.BatchTrials(trials, func(i int, src sim.MachineSource) {
 				started.Add(1)
@@ -132,17 +132,15 @@ func TestCancelMidExperiment(t *testing.T) {
 	}
 }
 
-// TestCancelBatchFleet proves cancellation reaches trials running on the
-// batch kernel: width-8 fleets of machines that never finish return
-// context.Canceled promptly at -jobs 1 and 4, without leaking slot or
-// agent goroutines.
+// TestCancelBatchFleet proves cancellation reaches trials running through
+// BatchTrials: machines that never finish return context.Canceled promptly
+// at -jobs 1 and 4, without leaking worker or agent goroutines.
 func TestCancelBatchFleet(t *testing.T) {
 	const trials = 64
 	for _, jobs := range []int{1, 4} {
 		t.Run(fmt.Sprintf("jobs=%d", jobs), func(t *testing.T) {
 			base := runtime.NumGoroutine()
 			ctx := testContext(jobs)
-			ctx.BatchWidth = 8
 			cctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			ctx.Ctx = cctx
@@ -155,7 +153,7 @@ func TestCancelBatchFleet(t *testing.T) {
 				t.Fatalf("want context.Canceled, got %v", err)
 			}
 			if elapsed > 3*time.Second {
-				t.Fatalf("cancellation took %v; fleets must stop at a quantum boundary", elapsed)
+				t.Fatalf("cancellation took %v; running trials must stop within a context check", elapsed)
 			}
 			if n := started.Load(); n >= trials {
 				t.Fatalf("all %d trials started despite cancellation", n)
@@ -215,8 +213,8 @@ func TestUnguardedParallelNeverPanics(t *testing.T) {
 	}
 }
 
-// TestUnguardedBatchTrialsNeverPanics is the same contract for the batch
-// kernel: a pre-cancelled hand-built context runs no trial and returns.
+// TestUnguardedBatchTrialsNeverPanics is the same contract for
+// BatchTrials: a pre-cancelled hand-built context runs no trial and returns.
 func TestUnguardedBatchTrialsNeverPanics(t *testing.T) {
 	ctx := testContext(1)
 	cctx, cancel := context.WithCancel(context.Background())

@@ -64,58 +64,6 @@ func TestRunAllJobsMatrix(t *testing.T) {
 	}
 }
 
-// TestBatchWidthMatrix is the batch kernel's contract: every experiment
-// that routes trials through BatchTrials must produce identical metrics
-// and a byte-identical report for any fleet width and any worker count —
-// a serial width-1 fleet at -jobs 1 is the reference. A divergence means
-// the lockstep scheduler or the arena recycling leaked into simulation
-// state.
-func TestBatchWidthMatrix(t *testing.T) {
-	batched := []string{"fig8", "table2", "noise", "faults", "ablate-lanes"}
-	type outcome struct {
-		metrics map[string]map[string]float64
-		report  string
-	}
-	runWith := func(width, jobs int) outcome {
-		var buf bytes.Buffer
-		ctx := NewContext(&buf)
-		ctx.Quick = true
-		ctx.Seed = 42
-		ctx.Jobs = jobs
-		ctx.BatchWidth = width
-		out := outcome{metrics: map[string]map[string]float64{}}
-		for _, id := range batched {
-			r, err := RunOne(ctx, id)
-			if err != nil {
-				t.Fatalf("width=%d jobs=%d %s: %v", width, jobs, id, err)
-			}
-			out.metrics[id] = r.Metrics
-		}
-		out.report = buf.String()
-		return out
-	}
-	ref := runWith(1, 1)
-	if len(ref.report) == 0 {
-		t.Fatal("scalar reference run produced no report")
-	}
-	for _, width := range []int{3, 8} {
-		for _, jobs := range []int{1, 4} {
-			got := runWith(width, jobs)
-			if !reflect.DeepEqual(got.metrics, ref.metrics) {
-				t.Fatalf("width=%d jobs=%d: metrics diverge from scalar kernel", width, jobs)
-			}
-			if got.report != ref.report {
-				i := 0
-				for i < len(ref.report) && i < len(got.report) && ref.report[i] == got.report[i] {
-					i++
-				}
-				t.Fatalf("width=%d jobs=%d: report not byte-identical to scalar; first divergence at byte %d: %q",
-					width, jobs, i, got.report[max(0, i-60):min(i+60, len(got.report))])
-			}
-		}
-	}
-}
-
 // TestExperimentsDeterministic re-runs a representative sample of
 // experiments with the same seed and asserts every metric is bit-identical —
 // the reproducibility contract EXPERIMENTS.md makes.

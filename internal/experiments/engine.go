@@ -241,60 +241,29 @@ recruit:
 	}
 }
 
-// defaultBatchWidth is the lockstep fleet width when the context leaves
-// BatchWidth at zero. Eight machines per fleet keeps an arena's recycled
-// hierarchies hot without ballooning resident memory.
-const defaultBatchWidth = 8
-
-// batchWidth resolves the effective fleet width.
-func (ctx *Context) batchWidth() int {
-	switch {
-	case ctx.BatchWidth == 0:
-		return defaultBatchWidth
-	case ctx.BatchWidth < 1:
-		return 1
-	default:
-		return ctx.BatchWidth
-	}
-}
-
-// BatchTrials runs body(0), ..., body(n-1), where each body builds its
-// machines through the MachineSource it is handed, on the batched lockstep
-// kernel (sim.RunBatchContext): trials are striped across up to
-// ctx.workers() worker groups, and each group steps its trials as one fleet
-// of ctx.batchWidth() slots over a recycled construction arena. Output is
-// byte-identical to a fresh machine per trial for every Jobs value, batch
-// width, tracer and telemetry setting — bodies must only write per-index
-// state and derive randomness from per-trial seeds, exactly as Parallel
-// already requires.
+// BatchTrials is Parallel for trials that build their machines through
+// the MachineSource they are handed: each trial borrows a recycled
+// construction arena (sim.AcquireArena) and runs on it through
+// sim.RunBatchContext. Output is byte-identical to a fresh machine per
+// trial for every Jobs value, tracer and telemetry setting — bodies must
+// only write per-index state and derive randomness from per-trial seeds,
+// exactly as Parallel already requires.
 //
-// Cancellation behaves as in Parallel: the fleets stop at their next
-// quantum boundary, then a guarded context unwinds with the context's error
-// and a hand-built one returns early.
+// Cancellation behaves as in Parallel, except that a running trial also
+// stops within a few thousand simulated cycles; an aborted trial's arena is
+// dropped rather than recycled.
 func (ctx *Context) BatchTrials(n int, body func(i int, src sim.MachineSource)) {
-	width := ctx.batchWidth()
-	groups := min(ctx.workers(), (n+width-1)/width)
 	run := ctx.Ctx
 	if run == nil {
 		run = context.Background()
 	}
-	// Progress ticks once per trial, not once per fleet.
-	ctx.Progress.AddShards(n)
-	ctx.fanOut(groups, func(g int) {
-		count := (n - g + groups - 1) / groups // trials g, g+groups, ...
+	ctx.Parallel(n, func(i int) {
 		ar := sim.AcquireArena()
-		err := sim.RunBatchContext(run, count, width, ar, func(j int, src sim.MachineSource) {
-			body(g+j*groups, src)
-			ctx.Progress.ShardDone()
-		})
-		// An aborted fleet's arena is dropped rather than recycled.
+		err := sim.RunBatchContext(run, 1, ar, func(_ int, src sim.MachineSource) { body(i, src) })
 		if err == nil {
 			sim.ReleaseArena(ar)
 		}
 	})
-	if err := ctx.canceled(); err != nil {
-		ctx.abort(err)
-	}
 }
 
 // abort unwinds a cancelled task. Under the engine (guarded contexts) it

@@ -9,6 +9,9 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"leakyway/internal/sim"
 )
 
 // fakeSuite builds a list of synthetic experiments that each chat on
@@ -164,6 +167,28 @@ func TestParallelRunsEveryShardOnce(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBatchTrialsUsesFreeWorkers proves BatchTrials hands trials to free
+// engine workers like Parallel does: with two free worker tokens, trial 0
+// can wait for trial 1 to start only if the two run at once.
+func TestBatchTrialsUsesFreeWorkers(t *testing.T) {
+	ctx := NewContext(io.Discard)
+	ctx.Jobs = 2
+	sub := ctx.child(ctx.Seed, io.Discard, "")
+	sub.sem = make(chan struct{}, 2)
+	started1 := make(chan struct{})
+	sub.BatchTrials(2, func(i int, src sim.MachineSource) {
+		if i == 1 {
+			close(started1)
+			return
+		}
+		select {
+		case <-started1:
+		case <-time.After(5 * time.Second):
+			t.Errorf("trial 1 did not start while trial 0 was running")
+		}
+	})
 }
 
 // TestWriteMetricsJSONCanonical asserts the JSON export is byte-stable

@@ -37,17 +37,12 @@ type Context struct {
 	// serial. Any value produces byte-identical output for a given seed.
 	Jobs int
 
-	// BatchWidth is the lockstep fleet width for Monte-Carlo trial
-	// batching (see BatchTrials in engine.go): 0 picks the default, 1 runs
-	// each worker's trials as one serial fleet. Output is byte-identical
-	// for any value.
-	BatchWidth int
-
 	// Ctx, when non-nil, makes the run cancellable: the engine checks it
 	// before starting each experiment, between trial shards handed out by
-	// Parallel and at every quantum of a BatchTrials fleet, so RunAll
-	// returns the context's error (context.Canceled or DeadlineExceeded)
-	// within about one trial shard of cancellation.
+	// Parallel or BatchTrials, and every few thousand simulated cycles
+	// inside a running BatchTrials trial, so RunAll returns the context's
+	// error (context.Canceled or DeadlineExceeded) within about one trial
+	// shard of cancellation.
 	// Nil (the default) runs to completion with zero checking overhead.
 	Ctx context.Context
 
@@ -101,19 +96,18 @@ func NewContext(out io.Writer) *Context {
 // global -jobs cap.
 func (ctx *Context) child(seed int64, out io.Writer, label string) *Context {
 	return &Context{
-		Platforms:  ctx.Platforms,
-		Seed:       seed,
-		Quick:      ctx.Quick,
-		Out:        out,
-		Jobs:       ctx.Jobs,
-		BatchWidth: ctx.BatchWidth,
-		Ctx:        ctx.Ctx,
-		Progress:   ctx.Progress,
-		Trace:      ctx.Trace,
-		TraceMask:  ctx.TraceMask,
-		tracePath:  joinLabel(ctx.tracePath, label),
-		sem:        ctx.sem,
-		guarded:    ctx.guarded,
+		Platforms: ctx.Platforms,
+		Seed:      seed,
+		Quick:     ctx.Quick,
+		Out:       out,
+		Jobs:      ctx.Jobs,
+		Ctx:       ctx.Ctx,
+		Progress:  ctx.Progress,
+		Trace:     ctx.Trace,
+		TraceMask: ctx.TraceMask,
+		tracePath: joinLabel(ctx.tracePath, label),
+		sem:       ctx.sem,
+		guarded:   ctx.guarded,
 	}
 }
 

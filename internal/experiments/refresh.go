@@ -71,7 +71,7 @@ func stateWalk(ctx *Context, nta bool) (*Result, error) {
 		tr.Label(c, ls[0], "l0")
 		tr.Label(c, ls[w-1], "lw-1")
 
-		prepareWalkSet(c, dt, ls, nta)
+		attack.PrepareCleanSet(c, dt, ls, nta)
 		tr.Snap(m, c, dt, "step 1: attacker fills the set (dt first)")
 		op := func(va mem.VAddr) {
 			if nta {
@@ -121,31 +121,6 @@ func stateWalk(ctx *Context, nta bool) (*Result, error) {
 	ctx.Printf("verdicts: accessed=%v idle=%v (want true,false)\n", verdicts[0], verdicts[1])
 	res.Metric("state_walk_correct", ok)
 	return res, nil
-}
-
-// prepareWalkSet takes ownership of the set and fills it dt-first.
-func prepareWalkSet(c *sim.Core, dt mem.VAddr, ls []mem.VAddr, nta bool) {
-	all := append([]mem.VAddr{dt}, ls...)
-	for round := 0; round < 3; round++ {
-		for _, va := range all {
-			c.Load(va)
-		}
-	}
-	for _, va := range all {
-		c.Flush(va)
-	}
-	c.Fence()
-	fill := func(va mem.VAddr) {
-		if nta {
-			c.PrefetchNTA(va)
-		} else {
-			c.Load(va)
-		}
-	}
-	fill(dt)
-	for i := 0; i < len(ls)-1; i++ {
-		fill(ls[i])
-	}
 }
 
 func runFig9(ctx *Context) (*Result, error)  { return stateWalk(ctx, false) }

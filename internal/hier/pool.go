@@ -1,10 +1,16 @@
 package hier
 
+import (
+	"reflect"
+
+	"leakyway/internal/policy"
+)
+
 // Hierarchy recycling. Building a hierarchy is the dominant per-trial cost of
 // a Monte-Carlo sweep (the line arrays and per-set policy states dwarf the
-// stepping work of a short trial), so the batch kernel in package sim keeps a
-// Pool of hierarchies keyed by configuration and re-seeds one per trial
-// instead of rebuilding. Reset restores exactly the state New would produce —
+// stepping work of a short trial), so sim.Arena keeps a Pool of
+// hierarchies keyed by configuration and re-seeds one per trial instead of
+// rebuilding. Reset restores exactly the state New would produce —
 // the sparse touched-set tracking inside package cache makes this cost
 // proportional to the sets a trial actually used, not the geometry.
 
@@ -42,27 +48,56 @@ func (h *Hierarchy) reset(seed int64) {
 // Pool recycles hierarchies across trials that share a platform geometry.
 // It is not goroutine-safe; each worker owns its own Pool (see sim.Arena).
 type Pool struct {
-	// free holds idle hierarchies per caller configuration. The key is the
-	// config as passed to Get with Seed zeroed — before withDefaults runs —
-	// because defaulting materializes fresh policy pointers, which would
-	// make post-default configs from identical requests compare unequal.
-	free map[Config][]*Hierarchy
+	// free holds idle hierarchies per caller configuration (see poolKeyOf).
+	free map[poolKey][]*Hierarchy
 	// key remembers which free-list each checked-out hierarchy belongs to;
 	// the hierarchy's own cfg is the defaulted one and cannot be used.
-	key map[*Hierarchy]Config
+	key map[*Hierarchy]poolKey
+}
+
+// poolKey identifies a free list: the config as passed to Get — before
+// withDefaults runs — with Seed zeroed and each policy replaced by its
+// policyKey. Keying on policy pointers instead would give every caller
+// that builds its policies afresh (a scenario's llc_policy override, say)
+// a free list of its own that is never reused.
+type poolKey struct {
+	cfg                           Config
+	l1Policy, l2Policy, llcPolicy any
+}
+
+func poolKeyOf(cfg Config) poolKey {
+	k := poolKey{
+		l1Policy:  policyKey(cfg.L1Policy),
+		l2Policy:  policyKey(cfg.L2Policy),
+		llcPolicy: policyKey(cfg.LLCPolicy),
+	}
+	cfg.Seed = 0
+	cfg.L1Policy, cfg.L2Policy, cfg.LLCPolicy = nil, nil, nil
+	k.cfg = cfg
+	return k
+}
+
+// policyKey returns a comparable value holding p's type and parameters:
+// the struct a policy pointer points to, when that is comparable, or p
+// itself. Two policies with equal keys build identical per-set state.
+func policyKey(p policy.Policy) any {
+	v := reflect.ValueOf(p)
+	if v.Kind() == reflect.Pointer && !v.IsNil() && v.Elem().Comparable() {
+		return v.Elem().Interface()
+	}
+	return p
 }
 
 // NewPool returns an empty pool.
 func NewPool() *Pool {
-	return &Pool{free: map[Config][]*Hierarchy{}, key: map[*Hierarchy]Config{}}
+	return &Pool{free: map[poolKey][]*Hierarchy{}, key: map[*Hierarchy]poolKey{}}
 }
 
 // Get returns a hierarchy for cfg, recycling an idle one when the pool holds
 // a hierarchy built from an identical configuration (ignoring Seed). The
 // returned hierarchy is indistinguishable from New(cfg)'s result.
 func (p *Pool) Get(cfg Config) (*Hierarchy, error) {
-	k := cfg
-	k.Seed = 0
+	k := poolKeyOf(cfg)
 	if list := p.free[k]; len(list) > 0 {
 		h := list[len(list)-1]
 		p.free[k] = list[:len(list)-1]

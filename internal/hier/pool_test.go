@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"leakyway/internal/mem"
+	"leakyway/internal/policy"
 )
 
 func poolTestConfig(seed int64) Config {
@@ -94,6 +95,50 @@ func TestPoolKeysOnGeometry(t *testing.T) {
 	}
 	if c != a {
 		t.Fatalf("pool did not recycle the idle same-geometry hierarchy")
+	}
+}
+
+// TestPoolKeysPoliciesByValue pins that policies are keyed by type and
+// parameters, not by pointer: a caller that builds its policy afresh for
+// every machine must recycle, or each machine leaves a free list behind
+// that is never reused.
+func TestPoolKeysPoliciesByValue(t *testing.T) {
+	withLLC := func(seed int64, p policy.Policy) Config {
+		cfg := poolTestConfig(seed)
+		cfg.LLCPolicy = p
+		return cfg
+	}
+	p := NewPool()
+	a, err := p.Get(withLLC(1, policy.NewQuadAge()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Put(a)
+	b, err := p.Get(withLLC(2, policy.NewQuadAge()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b != a {
+		t.Fatalf("pool did not recycle across fresh but equal QuadAge policies")
+	}
+	p.Put(b)
+	for _, other := range []policy.Policy{policy.NewQuadAgeCountermeasure(), policy.NewSRRIP(), nil} {
+		c, err := p.Get(withLLC(3, other))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c == a {
+			t.Fatalf("pool recycled a QuadAge hierarchy for LLC policy %v", other)
+		}
+	}
+	// Random's seed is a parameter: Name() alone would merge these.
+	r1, err := p.Get(withLLC(4, policy.NewRandom(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Put(r1)
+	if r2, err := p.Get(withLLC(4, policy.NewRandom(2))); err != nil || r2 == r1 {
+		t.Fatalf("pool recycled a Random(1) hierarchy for Random(2) (err %v)", err)
 	}
 }
 

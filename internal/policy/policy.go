@@ -100,8 +100,8 @@ type SetState interface {
 	// meaning is policy-specific; -1 marks "no meaningful value".
 	Snapshot() []int
 	// Reset restores the state to exactly what NewSet returned, without
-	// allocating — the cache-arena recycling path (sim.BatchMachine) calls
-	// it instead of rebuilding per-set state for every Monte-Carlo trial.
+	// allocating — the arena recycling path (sim.Arena) calls it instead
+	// of rebuilding per-set state for every Monte-Carlo trial.
 	// Stateful policies must also rewind any internal randomness to its
 	// initial stream so a recycled set is indistinguishable from a fresh
 	// one.

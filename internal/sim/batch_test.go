@@ -22,7 +22,7 @@ func batchTestConfig() hier.Config {
 }
 
 // equivalenceTrial is one Monte-Carlo trial with enough moving parts to
-// expose any divergence between the scalar and batched kernels: two
+// expose any divergence between fresh and recycled machines: two
 // interacting agents with timed loads, non-temporal prefetches, flushes and
 // fences; staged faults (preemption, timer spikes, clock drift); the
 // hardware prefetchers; and a second machine per trial so the
@@ -62,8 +62,8 @@ func equivalenceTrial(i int, src MachineSource) []int64 {
 	})
 	m.Run()
 
-	// Second machine in the same trial: under the batch kernel this
-	// recycles the first machine's hierarchy, so an incomplete reset shows
+	// Second machine in the same trial: on an arena this recycles the
+	// first machine's hierarchy, so an incomplete reset shows
 	// up as a fingerprint difference against the scalar kernel.
 	m2 := src.NewMachine(cfg, 1<<24, seed^0x5a5a)
 	m2.Spawn("walker", 0, nil, func(c *Core) {
@@ -77,8 +77,8 @@ func equivalenceTrial(i int, src MachineSource) []int64 {
 	return fp
 }
 
-// scalarSource builds every machine from scratch: the reference kernel the
-// batched runs must match.
+// scalarSource builds every machine from scratch: the reference the arena
+// runs must match.
 type scalarSource struct{}
 
 func (scalarSource) NewMachine(cfg hier.Config, memBytes uint64, seed int64) *Machine {
@@ -106,21 +106,19 @@ func runEquivalenceTrials(n int, tf TrialFor) [][]int64 {
 func TestBatchScalarEquivalence(t *testing.T) {
 	const n = 10
 	want := runEquivalenceTrials(n, SerialTrials)
-	for _, width := range []int{1, 3, 8} {
-		got := runEquivalenceTrials(n, func(n int, body func(i int, src MachineSource)) {
-			RunBatch(n, width, NewArena(), body)
-		})
-		for i := range want {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Fatalf("width %d: trial %d fingerprint diverges from scalar (lengths %d vs %d)",
-					width, i, len(got[i]), len(want[i]))
-			}
+	got := runEquivalenceTrials(n, func(n int, body func(i int, src MachineSource)) {
+		RunBatch(n, 1, NewArena(), body)
+	})
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("trial %d fingerprint diverges from scalar (lengths %d vs %d)",
+				i, len(got[i]), len(want[i]))
 		}
 	}
 	// The global arena pool must not change results either.
 	ar := AcquireArena()
-	got := runEquivalenceTrials(n, func(n int, body func(i int, src MachineSource)) {
-		RunBatch(n, 4, ar, body)
+	got = runEquivalenceTrials(n, func(n int, body func(i int, src MachineSource)) {
+		RunBatch(n, 1, ar, body)
 	})
 	ReleaseArena(ar)
 	if !reflect.DeepEqual(got, want) {
@@ -129,10 +127,10 @@ func TestBatchScalarEquivalence(t *testing.T) {
 }
 
 func TestBatchRecyclesHierarchies(t *testing.T) {
-	const n, width = 12, 3
+	const n = 12
 	ar := NewArena()
 	hs := make([]*hier.Hierarchy, n)
-	RunBatch(n, width, ar, func(i int, src MachineSource) {
+	RunBatch(n, 1, ar, func(i int, src MachineSource) {
 		m := src.NewMachine(batchTestConfig(), 1<<24, int64(i))
 		hs[i] = m.H
 		m.Spawn("a", 0, nil, func(c *Core) {
@@ -145,17 +143,19 @@ func TestBatchRecyclesHierarchies(t *testing.T) {
 	for _, h := range hs {
 		distinct[h] = true
 	}
-	// Each of the width slots builds one hierarchy and recycles it for its
-	// remaining trials.
-	if len(distinct) != width {
-		t.Fatalf("batch of %d trials over %d slots built %d hierarchies; want %d",
-			n, width, len(distinct), width)
+	// The first trial builds the hierarchy and every later one recycles it.
+	if len(distinct) != 1 {
+		t.Fatalf("batch of %d trials built %d hierarchies; want 1", n, len(distinct))
 	}
 }
 
+// TestBatchPanicAbortsFleet pins the panic contract: the first panicking
+// trial stops the loop, its *AgentError reaches the caller, no later trial
+// starts, and every agent coroutine — the long-lived daemons included — is
+// gone by the time the panic surfaces.
 func TestBatchPanicAbortsFleet(t *testing.T) {
 	before := runtime.NumGoroutine()
-	var teardownPanics atomic.Int64
+	var started atomic.Int64
 	func() {
 		defer func() {
 			r := recover()
@@ -167,22 +167,12 @@ func TestBatchPanicAbortsFleet(t *testing.T) {
 				t.Fatalf("AgentError.Agent = %q, want %q", ae.Agent, "bomb")
 			}
 		}()
-		RunBatch(9, 3, NewArena(), func(i int, src MachineSource) {
+		RunBatch(9, 1, NewArena(), func(i int, src MachineSource) {
+			started.Add(1)
 			m := src.NewMachine(batchTestConfig(), 1<<24, int64(i))
 			name := "worker"
 			if i == 4 {
 				name = "bomb"
-			}
-			if i != 4 {
-				// Trials still in flight when the bomb goes off are
-				// stopped; each turns its batchKill unwind into a second
-				// panic, which must not displace the first.
-				defer func() {
-					if recover() != nil {
-						teardownPanics.Add(1)
-						panic("teardown panic")
-					}
-				}()
 			}
 			m.Spawn(name, 0, nil, func(c *Core) {
 				buf := c.Alloc(mem.PageSize)
@@ -194,7 +184,7 @@ func TestBatchPanicAbortsFleet(t *testing.T) {
 				}
 			})
 			// A long-lived daemon on every machine: the abort path must
-			// tear these down or their goroutines leak.
+			// tear it down or its coroutine leaks.
 			m.SpawnDaemon("noise", 1, nil, func(c *Core) {
 				buf := c.Alloc(mem.PageSize)
 				for {
@@ -206,21 +196,22 @@ func TestBatchPanicAbortsFleet(t *testing.T) {
 		})
 		t.Fatalf("RunBatch returned; want panic")
 	}()
-	if teardownPanics.Load() == 0 {
-		t.Fatal("no slot panicked while the fleet was being stopped")
+	if n := started.Load(); n != 5 {
+		t.Fatalf("%d trials started; want 5 (none after the panic)", n)
 	}
-	// All slot and agent goroutines must be gone once the panic surfaces.
 	settleGoroutines(t, before)
 }
 
+// TestRunBatchDegenerateWidths pins RunBatch's legacy width argument as
+// having no effect, with a nil (private) arena.
 func TestRunBatchDegenerateWidths(t *testing.T) {
 	want := runEquivalenceTrials(3, SerialTrials)
-	for _, width := range []int{0, 1} {
+	for _, width := range []int{0, 1, 8} {
 		got := runEquivalenceTrials(3, func(n int, body func(i int, src MachineSource)) {
 			RunBatch(n, width, nil, body)
 		})
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("width %d single-slot fleet diverges from scalar", width)
+			t.Fatalf("width %d diverges from scalar", width)
 		}
 	}
 	// n <= 0 must be a no-op, not a hang.
@@ -251,37 +242,35 @@ func spinTrial(started *atomic.Int64) func(i int, src MachineSource) {
 }
 
 // TestRunBatchContextCancel pins the kernel's cancellation contract: a
-// cancelled fleet stops at the next quantum boundary, returns ctx.Err(),
-// and tears every slot and agent goroutine down; a pre-cancelled context
-// starts no trial at all.
+// cancelled trial stops within ctxCheckCycles simulated cycles, returns
+// ctx.Err(), starts no further trial and tears every agent coroutine down;
+// a pre-cancelled context starts no trial at all.
 func TestRunBatchContextCancel(t *testing.T) {
-	for _, width := range []int{1, 8} {
-		before := runtime.NumGoroutine()
-		ctx, cancel := context.WithCancel(context.Background())
-		var started atomic.Int64
-		time.AfterFunc(40*time.Millisecond, cancel)
-		t0 := time.Now()
-		err := RunBatchContext(ctx, 32, width, NewArena(), spinTrial(&started))
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("width %d: err = %v, want context.Canceled", width, err)
-		}
-		if d := time.Since(t0); d > 3*time.Second {
-			t.Fatalf("width %d: cancellation took %v", width, d)
-		}
-		if n := started.Load(); n > int64(width) {
-			t.Fatalf("width %d: %d trials started after cancellation", width, n)
-		}
-		settleGoroutines(t, before)
-	}
-
+	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
 	var started atomic.Int64
-	if err := RunBatchContext(ctx, 8, 4, nil, spinTrial(&started)); !errors.Is(err, context.Canceled) {
+	time.AfterFunc(40*time.Millisecond, cancel)
+	t0 := time.Now()
+	err := RunBatchContext(ctx, 32, NewArena(), spinTrial(&started))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if d := time.Since(t0); d > 3*time.Second {
+		t.Fatalf("cancellation took %v", d)
+	}
+	if n := started.Load(); n != 1 {
+		t.Fatalf("%d trials started; want 1", n)
+	}
+	settleGoroutines(t, before)
+
+	ctx, cancel = context.WithCancel(context.Background())
+	cancel()
+	started.Store(0)
+	if err := RunBatchContext(ctx, 8, nil, spinTrial(&started)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled: err = %v, want context.Canceled", err)
 	}
 	if n := started.Load(); n != 0 {
-		t.Fatalf("pre-cancelled fleet started %d trials", n)
+		t.Fatalf("pre-cancelled run started %d trials", n)
 	}
 }
 
@@ -297,14 +286,13 @@ func settleGoroutines(t *testing.T, base int) {
 	}
 }
 
-// FuzzBatchScalarEquivalence drives randomized seeds and widths through
-// both kernels and requires identical fingerprints.
+// FuzzBatchScalarEquivalence drives randomized seeds through an arena and
+// through fresh machines and requires identical fingerprints.
 func FuzzBatchScalarEquivalence(f *testing.F) {
-	f.Add(int64(42), uint8(3))
-	f.Add(int64(-7), uint8(1))
-	f.Add(int64(1<<40), uint8(8))
-	f.Fuzz(func(t *testing.T, seed int64, width uint8) {
-		w := int(width%8) + 1
+	f.Add(int64(42))
+	f.Add(int64(-7))
+	f.Add(int64(1 << 40))
+	f.Fuzz(func(t *testing.T, seed int64) {
 		const n = 4
 		trial := func(i int, src MachineSource) []int64 {
 			cfg := batchTestConfig()
@@ -325,9 +313,9 @@ func FuzzBatchScalarEquivalence(f *testing.F) {
 		want := make([][]int64, n)
 		SerialTrials(n, func(i int, src MachineSource) { want[i] = trial(i, src) })
 		got := make([][]int64, n)
-		RunBatch(n, w, NewArena(), func(i int, src MachineSource) { got[i] = trial(i, src) })
+		RunBatch(n, 1, NewArena(), func(i int, src MachineSource) { got[i] = trial(i, src) })
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("batched fingerprints diverge from scalar (seed=%d width=%d)", seed, w)
+			t.Fatalf("arena fingerprints diverge from scalar (seed=%d)", seed)
 		}
 	})
 }

@@ -8,6 +8,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"iter"
 	"math"
@@ -52,12 +53,12 @@ type Machine struct {
 	// hierarchy; see SetTracer.
 	tr *trace.Tracer
 
-	// slot/quantumEnd connect a machine built by a BatchMachine's slot to
-	// the lockstep scheduler (batch.go): Run suspends the slot whenever the
-	// clock passes quantumEnd. Both are zero on scalar machines and the
-	// hook never fires.
-	slot       *batchSlot
-	quantumEnd int64
+	// ctx, set on machines an Arena builds inside RunBatchContext, makes
+	// Run stop a cancelled trial: it checks ctx once the clock passes
+	// checkAt, then moves checkAt ctxCheckCycles ahead (batch.go). Nil on
+	// every other machine, and the check never fires.
+	ctx     context.Context
+	checkAt int64
 }
 
 // SetTracer attaches an event sink to the machine and its hierarchy. The
@@ -198,12 +199,15 @@ func (m *Machine) Run() {
 		if a == nil {
 			break
 		}
-		if m.slot != nil && a.core.now > m.quantumEnd {
-			// Lockstep batching: this machine has used up its quantum;
-			// suspend the fleet slot until the scheduler resumes it.
-			// Scheduling never alters which agent runs next or any RNG
-			// draw, so batched output is byte-identical to scalar.
-			m.quantumEnd = m.slot.park(m, a.core.now)
+		if m.ctx != nil && a.core.now >= m.checkAt {
+			// Cancellation checkpoint. It never alters which agent runs
+			// next or any RNG draw, so the output is unchanged.
+			if m.ctx.Err() != nil {
+				m.killAll()
+				m.agents = nil
+				panic(canceledTrial{})
+			}
+			m.checkAt = a.core.now + ctxCheckCycles
 		}
 		if m.tr != nil {
 			// Stamp the agent context so hier events emitted during this
