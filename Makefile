@@ -67,17 +67,18 @@ fuzz-smoke:
 template-validate:
 	$(GO) run ./cmd/leakyway -template templates/ validate
 
-# Traced-run determinism gate: the same traced fig8 run at -jobs 1 and
-# -jobs 8 must export byte-identical traces. Filtered to the protocol-level
-# subsystems to keep the files small.
+# Traced-run determinism gate: the same traced fig6/fig7/fig8 run at
+# -jobs 1 and -jobs 8 must export byte-identical traces. fig6 and fig7 each
+# trace one recycled machine, fig8 a sweep of them. Filtered to the
+# protocol-level subsystems to keep the files small.
 trace-smoke:
 	$(GO) build -o /tmp/leakyway-smoke ./cmd/leakyway
 	/tmp/leakyway-smoke -quick -jobs 1 -trace /tmp/leakyway-trace-j1.jsonl \
-		-trace-filter channel,sim,fault run fig8 > /dev/null
+		-trace-filter channel,sim,fault run fig6 fig7 fig8 > /dev/null
 	/tmp/leakyway-smoke -quick -jobs 8 -trace /tmp/leakyway-trace-j8.jsonl \
-		-trace-filter channel,sim,fault run fig8 > /dev/null
+		-trace-filter channel,sim,fault run fig6 fig7 fig8 > /dev/null
 	cmp /tmp/leakyway-trace-j1.jsonl /tmp/leakyway-trace-j8.jsonl
-	@echo "trace-smoke: traces byte-identical across -jobs 1/8"
+	@echo "trace-smoke: fig6/fig7/fig8 traces byte-identical across -jobs 1/8"
 
 # Daemon robustness gate: drives the real leakywayd binary over HTTP and
 # signals — cache-hit resubmission, SIGTERM drain (exit 0, accepted jobs

@@ -14,7 +14,7 @@ func TestScopeVariantStrings(t *testing.T) {
 }
 
 func TestPrimePrefetchScopeLowFalseNegatives(t *testing.T) {
-	r := RunScope(platform.Skylake(), PrimePrefetchScope, ScopeConfig{Iterations: 300}, 7)
+	r := RunScope(fresh(platform.Skylake(), 7), PrimePrefetchScope, ScopeConfig{Iterations: 300})
 	if r.FalseNegativeRate > 0.05 {
 		t.Fatalf("Prime+Prefetch+Scope FN = %.1f%%, paper reports <2%%", 100*r.FalseNegativeRate)
 	}
@@ -28,7 +28,7 @@ func TestPrimePrefetchScopeLowFalseNegatives(t *testing.T) {
 }
 
 func TestPrimeScopeMissesFrequentEvents(t *testing.T) {
-	r := RunScope(platform.Skylake(), PrimeScope, ScopeConfig{Iterations: 300}, 7)
+	r := RunScope(fresh(platform.Skylake(), 7), PrimeScope, ScopeConfig{Iterations: 300})
 	if r.FalseNegativeRate < 0.3 {
 		t.Fatalf("Prime+Scope FN = %.1f%%; with a 1.5K-cycle victim it must miss a large fraction", 100*r.FalseNegativeRate)
 	}
@@ -44,8 +44,8 @@ func TestScopePrepComparison(t *testing.T) {
 	// Figure 11 headline: the prefetch variant's preparation is much
 	// faster, on both platforms.
 	for _, p := range platform.All() {
-		ps := RunScope(p, PrimeScope, ScopeConfig{Iterations: 200}, 11)
-		pps := RunScope(p, PrimePrefetchScope, ScopeConfig{Iterations: 200}, 11)
+		ps := RunScope(fresh(p, 11), PrimeScope, ScopeConfig{Iterations: 200})
+		pps := RunScope(fresh(p, 11), PrimePrefetchScope, ScopeConfig{Iterations: 200})
 		mps, mpps := stats.Mean(ps.PrepLatencies), stats.Mean(pps.PrepLatencies)
 		if mpps >= mps {
 			t.Fatalf("%s: prefetch prep (%.0f) not faster than Prime+Scope prep (%.0f)", p.Name, mpps, mps)
@@ -83,7 +83,7 @@ func TestFalseNegativeRateMatching(t *testing.T) {
 
 func TestRefreshVariantsAccurate(t *testing.T) {
 	for _, v := range []RefreshVariant{ReloadRefresh, PrefetchRefreshV1, PrefetchRefreshV2} {
-		r := RunRefresh(platform.Skylake(), v, RefreshConfig{Iterations: 400}, 7)
+		r := RunRefresh(fresh(platform.Skylake(), 7), v, RefreshConfig{Iterations: 400}, 7)
 		if r.Accuracy < 0.97 {
 			t.Errorf("%v accuracy = %.1f%%, want ≈100%%", v, 100*r.Accuracy)
 		}
@@ -94,9 +94,9 @@ func TestRefreshLatencyOrdering(t *testing.T) {
 	// Figure 12: Reload+Refresh > Prefetch+Refresh v1 > v2 on both
 	// platforms.
 	for _, p := range platform.All() {
-		rr := stats.Mean(RunRefresh(p, ReloadRefresh, RefreshConfig{Iterations: 300}, 5).IterLatencies)
-		v1 := stats.Mean(RunRefresh(p, PrefetchRefreshV1, RefreshConfig{Iterations: 300}, 5).IterLatencies)
-		v2 := stats.Mean(RunRefresh(p, PrefetchRefreshV2, RefreshConfig{Iterations: 300}, 5).IterLatencies)
+		rr := stats.Mean(RunRefresh(fresh(p, 5), ReloadRefresh, RefreshConfig{Iterations: 300}, 5).IterLatencies)
+		v1 := stats.Mean(RunRefresh(fresh(p, 5), PrefetchRefreshV1, RefreshConfig{Iterations: 300}, 5).IterLatencies)
+		v2 := stats.Mean(RunRefresh(fresh(p, 5), PrefetchRefreshV2, RefreshConfig{Iterations: 300}, 5).IterLatencies)
 		if !(rr > v1 && v1 > v2) {
 			t.Fatalf("%s: latency ordering broken: R+R=%.0f v1=%.0f v2=%.0f", p.Name, rr, v1, v2)
 		}
@@ -142,8 +142,8 @@ func TestXorshiftDeterministic(t *testing.T) {
 }
 
 func TestScopeDeterministic(t *testing.T) {
-	a := RunScope(platform.Skylake(), PrimePrefetchScope, ScopeConfig{Iterations: 50}, 3)
-	b := RunScope(platform.Skylake(), PrimePrefetchScope, ScopeConfig{Iterations: 50}, 3)
+	a := RunScope(fresh(platform.Skylake(), 3), PrimePrefetchScope, ScopeConfig{Iterations: 50})
+	b := RunScope(fresh(platform.Skylake(), 3), PrimePrefetchScope, ScopeConfig{Iterations: 50})
 	if len(a.Detections) != len(b.Detections) || a.FalseNegativeRate != b.FalseNegativeRate {
 		t.Fatal("RunScope not deterministic for equal seeds")
 	}

@@ -2,7 +2,6 @@ package attack
 
 import (
 	"leakyway/internal/core"
-	"leakyway/internal/hier"
 	"leakyway/internal/mem"
 	"leakyway/internal/sim"
 	"leakyway/internal/stats"
@@ -61,9 +60,10 @@ type ClassicResult struct {
 	TargetAccesses int
 }
 
-// RunClassic mounts the chosen classic attack against a windowed victim
-// sharing one line with the attacker.
-func RunClassic(platformCfg hier.Config, variant ClassicVariant, cfg ClassicConfig, seed int64) ClassicResult {
+// RunClassic mounts the chosen classic attack on m, which must not have run
+// yet, against a windowed victim sharing one line with the attacker; seed
+// drives the victim's access pattern.
+func RunClassic(m *sim.Machine, variant ClassicVariant, cfg ClassicConfig, seed int64) ClassicResult {
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 1000
 	}
@@ -78,7 +78,6 @@ func RunClassic(platformCfg hier.Config, variant ClassicVariant, cfg ClassicConf
 			cfg.Window = 5000
 		}
 	}
-	m := sim.MustNewMachine(platformCfg, 1<<30, seed)
 	attackerAS := m.NewSpace()
 	victimAS := m.NewSpace()
 
@@ -91,7 +90,7 @@ func RunClassic(platformCfg hier.Config, variant ClassicVariant, cfg ClassicConf
 	}
 	var ev []mem.VAddr
 	if variant == EvictReload {
-		ev = core.MustCongruentLines(m, attackerAS, dt, platformCfg.LLCWays)
+		ev = core.MustCongruentLines(m, attackerAS, dt, m.H.Config().LLCWays)
 	}
 
 	const start = int64(50_000)

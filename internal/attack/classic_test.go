@@ -22,7 +22,7 @@ func TestClassicVariantStrings(t *testing.T) {
 
 func TestClassicAttacksAccurate(t *testing.T) {
 	for _, v := range []ClassicVariant{FlushReload, FlushFlush, EvictReload} {
-		r := RunClassic(platform.Skylake(), v, ClassicConfig{Iterations: 300}, 7)
+		r := RunClassic(fresh(platform.Skylake(), 7), v, ClassicConfig{Iterations: 300}, 7)
 		if r.Accuracy < 0.98 {
 			t.Errorf("%v accuracy = %.1f%%, want ≈100%%", v, 100*r.Accuracy)
 		}
@@ -30,8 +30,8 @@ func TestClassicAttacksAccurate(t *testing.T) {
 }
 
 func TestFlushFlushIsStealthy(t *testing.T) {
-	ff := RunClassic(platform.Skylake(), FlushFlush, ClassicConfig{Iterations: 200}, 3)
-	fr := RunClassic(platform.Skylake(), FlushReload, ClassicConfig{Iterations: 200}, 3)
+	ff := RunClassic(fresh(platform.Skylake(), 3), FlushFlush, ClassicConfig{Iterations: 200}, 3)
+	fr := RunClassic(fresh(platform.Skylake(), 3), FlushReload, ClassicConfig{Iterations: 200}, 3)
 	if ff.TargetAccesses != 0 {
 		t.Fatalf("Flush+Flush issued %d demand accesses to the shared line; its whole point is zero", ff.TargetAccesses)
 	}
@@ -41,8 +41,8 @@ func TestFlushFlushIsStealthy(t *testing.T) {
 }
 
 func TestEvictReloadSlowerThanFlushReload(t *testing.T) {
-	fr := stats.Mean(RunClassic(platform.Skylake(), FlushReload, ClassicConfig{Iterations: 200}, 3).IterLatencies)
-	er := stats.Mean(RunClassic(platform.Skylake(), EvictReload, ClassicConfig{Iterations: 200}, 3).IterLatencies)
+	fr := stats.Mean(RunClassic(fresh(platform.Skylake(), 3), FlushReload, ClassicConfig{Iterations: 200}, 3).IterLatencies)
+	er := stats.Mean(RunClassic(fresh(platform.Skylake(), 3), EvictReload, ClassicConfig{Iterations: 200}, 3).IterLatencies)
 	if er < 3*fr {
 		t.Fatalf("conflict-based reset should dwarf CLFLUSH: F+R %.0f vs E+R %.0f cycles", fr, er)
 	}
@@ -50,7 +50,7 @@ func TestEvictReloadSlowerThanFlushReload(t *testing.T) {
 
 func TestClassicOnBothPlatforms(t *testing.T) {
 	for _, p := range platform.All() {
-		r := RunClassic(p, FlushReload, ClassicConfig{Iterations: 150}, 11)
+		r := RunClassic(fresh(p, 11), FlushReload, ClassicConfig{Iterations: 150}, 11)
 		if r.Accuracy < 0.98 {
 			t.Errorf("%s: Flush+Reload accuracy %.1f%%", p.Name, 100*r.Accuracy)
 		}
@@ -58,7 +58,7 @@ func TestClassicOnBothPlatforms(t *testing.T) {
 }
 
 func TestCoherenceAttackAccurate(t *testing.T) {
-	r := RunCoherence(platform.Skylake(), ClassicConfig{Iterations: 400}, 7)
+	r := RunCoherence(fresh(platform.Skylake(), 7), ClassicConfig{Iterations: 400}, 7)
 	if r.Accuracy < 0.98 {
 		t.Fatalf("coherence attack accuracy = %.1f%%, want ≈100%%", 100*r.Accuracy)
 	}
@@ -66,7 +66,7 @@ func TestCoherenceAttackAccurate(t *testing.T) {
 
 func TestCoherenceAttackIsCheap(t *testing.T) {
 	// One timed load per window: far cheaper than any flush/evict reset.
-	r := RunCoherence(platform.Skylake(), ClassicConfig{Iterations: 200}, 3)
+	r := RunCoherence(fresh(platform.Skylake(), 3), ClassicConfig{Iterations: 200}, 3)
 	if m := stats.Mean(r.IterLatencies); m > 300 {
 		t.Fatalf("coherence iteration mean %.0f cycles; expected a lone timed load", m)
 	}
@@ -74,7 +74,7 @@ func TestCoherenceAttackIsCheap(t *testing.T) {
 
 func TestKASLRRecovery(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
-		r := RunKASLR(platform.Skylake(), KASLRConfig{Slots: 128, Probes: 6}, seed)
+		r := RunKASLR(fresh(platform.Skylake(), seed), KASLRConfig{Slots: 128, Probes: 6}, seed)
 		if r.RecoveredSlot != r.TrueSlot {
 			t.Fatalf("seed %d: recovered slot %d, true %d", seed, r.RecoveredSlot, r.TrueSlot)
 		}
@@ -82,7 +82,7 @@ func TestKASLRRecovery(t *testing.T) {
 }
 
 func TestKASLRTimingSeparation(t *testing.T) {
-	r := RunKASLR(platform.Skylake(), KASLRConfig{Slots: 64, Probes: 8}, 3)
+	r := RunKASLR(fresh(platform.Skylake(), 3), KASLRConfig{Slots: 64, Probes: 8}, 3)
 	winner := r.SlotMeans[r.RecoveredSlot]
 	for slot, v := range r.SlotMeans {
 		if slot == r.RecoveredSlot {

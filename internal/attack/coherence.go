@@ -2,7 +2,6 @@ package attack
 
 import (
 	"leakyway/internal/core"
-	"leakyway/internal/hier"
 	"leakyway/internal/mem"
 	"leakyway/internal/sim"
 )
@@ -24,16 +23,16 @@ type CoherenceResult struct {
 	Accuracy float64
 }
 
-// RunCoherence mounts the write-detection attack against a windowed victim
-// that stores to the shared line in '1' windows.
-func RunCoherence(platformCfg hier.Config, cfg ClassicConfig, seed int64) CoherenceResult {
+// RunCoherence mounts the write-detection attack on m, which must not have
+// run yet, against a windowed victim that stores to the shared line in '1'
+// windows; seed drives the victim's write pattern.
+func RunCoherence(m *sim.Machine, cfg ClassicConfig, seed int64) CoherenceResult {
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 1000
 	}
 	if cfg.Window <= 0 {
 		cfg.Window = 5000
 	}
-	m := sim.MustNewMachine(platformCfg, 1<<30, seed)
 	attackerAS := m.NewSpace()
 	victimAS := m.NewSpace()
 

@@ -3,7 +3,6 @@ package attack
 import (
 	"math/rand"
 
-	"leakyway/internal/hier"
 	"leakyway/internal/mem"
 	"leakyway/internal/sim"
 )
@@ -43,9 +42,10 @@ type KASLRResult struct {
 // enough that user allocations never share upper-level entries with it.
 const kaslrRegionBase = mem.VAddr(0xffff_8000_0000_0000 >> 16 << 16) // keep arithmetic simple
 
-// RunKASLR maps a kernel image at a seed-chosen random slot and mounts the
-// prefetch-timing attack from an unprivileged agent.
-func RunKASLR(platformCfg hier.Config, cfg KASLRConfig, seed int64) KASLRResult {
+// RunKASLR maps a kernel image into m, which must not have run yet, at a
+// seed-chosen random slot and mounts the prefetch-timing attack from an
+// unprivileged agent.
+func RunKASLR(m *sim.Machine, cfg KASLRConfig, seed int64) KASLRResult {
 	if cfg.Slots <= 0 {
 		cfg.Slots = 128
 	}
@@ -58,7 +58,6 @@ func RunKASLR(platformCfg hier.Config, cfg KASLRConfig, seed int64) KASLRResult 
 	if cfg.Probes <= 0 {
 		cfg.Probes = 8
 	}
-	m := sim.MustNewMachine(platformCfg, 1<<30, seed)
 
 	// The "boot" chooses the secret slide and maps the kernel there.
 	rng := rand.New(rand.NewSource(seed ^ 0x5a1de))

@@ -2,7 +2,6 @@ package attack
 
 import (
 	"leakyway/internal/core"
-	"leakyway/internal/hier"
 	"leakyway/internal/mem"
 	"leakyway/internal/sim"
 )
@@ -60,9 +59,9 @@ type ScopeResult struct {
 	FalseNegativeRate float64
 }
 
-// RunScope mounts the scope attack on a fresh machine of the given platform
-// and measures preparation latency and event coverage.
-func RunScope(platformCfg hier.Config, variant ScopeVariant, cfg ScopeConfig, seed int64) ScopeResult {
+// RunScope mounts the scope attack on m, which must not have run yet, and
+// measures preparation latency and event coverage.
+func RunScope(m *sim.Machine, variant ScopeVariant, cfg ScopeConfig) ScopeResult {
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 1000
 	}
@@ -72,7 +71,6 @@ func RunScope(platformCfg hier.Config, variant ScopeVariant, cfg ScopeConfig, se
 	if cfg.ScopeTimeout <= 0 {
 		cfg.ScopeTimeout = 2 * cfg.VictimPeriod
 	}
-	m := sim.MustNewMachine(platformCfg, 1<<30, seed)
 	attackerAS := m.NewSpace()
 	victimAS := m.NewSpace()
 

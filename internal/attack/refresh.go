@@ -2,7 +2,6 @@ package attack
 
 import (
 	"leakyway/internal/core"
-	"leakyway/internal/hier"
 	"leakyway/internal/mem"
 	"leakyway/internal/sim"
 )
@@ -67,17 +66,17 @@ type RefreshResult struct {
 	Accuracy float64
 }
 
-// RunRefresh mounts the chosen attack on a fresh machine. The victim and
-// attacker share the monitored line dt (a deduplicated/shared-library page),
-// per the Reload+Refresh threat model.
-func RunRefresh(platformCfg hier.Config, variant RefreshVariant, cfg RefreshConfig, seed int64) RefreshResult {
+// RunRefresh mounts the chosen attack on m, which must not have run yet;
+// seed drives the victim's access pattern. The victim and attacker share
+// the monitored line dt (a deduplicated/shared-library page), per the
+// Reload+Refresh threat model.
+func RunRefresh(m *sim.Machine, variant RefreshVariant, cfg RefreshConfig, seed int64) RefreshResult {
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 1000
 	}
 	if cfg.Window <= 0 {
 		cfg.Window = 5000
 	}
-	m := sim.MustNewMachine(platformCfg, 1<<30, seed)
 	attackerAS := m.NewSpace()
 	victimAS := m.NewSpace()
 

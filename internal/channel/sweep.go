@@ -37,9 +37,11 @@ func (s SweepResult) Peak() Report {
 // rate. bits is the message length per point.
 //
 // Each point's machine is built through the MachineSource its trial body
-// receives from trials; a nil trials runs the points one after another on
-// a private sim.Arena. The result is byte-identical for any TrialFor, since
-// no point depends on how its machine was constructed or scheduled.
+// receives from trials — the experiment engine passes its Context.Parallel
+// — and a nil trials runs the points one after another through
+// sim.RunBatch on an arena borrowed from the process free list. The result
+// is byte-identical for any TrialFor, since no point depends on how its
+// machine was constructed or scheduled.
 //
 // tf, when non-nil, returns the tracer attached to point i's machine (nil
 // leaves the point untraced). The factory is called before the points fan

@@ -51,10 +51,10 @@ func runAblateSets(ctx *Context) (*Result, error) {
 	// transmission on its own machine, sharded across free workers.
 	intervals := []int64{1200, 1300, 1500, 1800, 2200}
 	reps := make([]channel.Report, len(variants)*len(intervals))
-	ctx.Parallel(len(reps), func(cell int) {
+	ctx.Parallel(len(reps), func(cell int, src sim.MachineSource) {
 		v := variants[cell/len(intervals)]
 		seed := ctx.ShardSeed(cell)
-		m := sim.MustNewMachine(cfg, 1<<30, seed)
+		m := src.NewMachine(cfg, 1<<30, seed)
 		c := base
 		c.Sets = v.sets
 		c.ReceiverOffset = v.recvOff
@@ -91,7 +91,7 @@ func runAblateHWPF(ctx *Context) (*Result, error) {
 	rows := [][]string{}
 	modes := []bool{false, true}
 	reps := make([]channel.Report, len(modes))
-	ctx.Parallel(len(modes), func(i int) {
+	ctx.Parallel(len(modes), func(i int, src sim.MachineSource) {
 		p := cfg
 		p.HWPrefetch.AdjacentLine = modes[i]
 		p.HWPrefetch.Stream = modes[i]
@@ -99,7 +99,7 @@ func runAblateHWPF(ctx *Context) (*Result, error) {
 		base.NoisePeriod = 0
 		base.Interval = 1500
 		seed := ctx.ShardSeed(i)
-		m := sim.MustNewMachine(p, 1<<30, seed)
+		m := src.NewMachine(p, 1<<30, seed)
 		reps[i], _ = channel.RunNTPNTP(m, base, channel.RandomMessage(bits, seed))
 	})
 	for i, hw := range modes {
@@ -133,14 +133,14 @@ func runAblatePolicy(ctx *Context) (*Result, error) {
 		{"SRRIP-HP", policy.NewSRRIP(), "srrip"},
 	}
 	reps := make([]channel.Report, len(policies))
-	ctx.Parallel(len(policies), func(i int) {
+	ctx.Parallel(len(policies), func(i int, src sim.MachineSource) {
 		p := cfg
 		p.LLCPolicy = policies[i].pol
 		base := channel.DefaultConfig(p.Name, p.FreqGHz)
 		base.NoisePeriod = 0
 		base.Interval = 1500
 		seed := ctx.SeedFor(policies[i].key)
-		m := sim.MustNewMachine(p, 1<<30, seed)
+		m := src.NewMachine(p, 1<<30, seed)
 		reps[i], _ = channel.RunNTPNTP(m, base, channel.RandomMessage(bits, seed))
 	})
 	for i, pc := range policies {

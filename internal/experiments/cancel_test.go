@@ -33,7 +33,7 @@ func sleepExperiment(id string, shards int, d time.Duration, ran *atomic.Int64) 
 		ID:    id,
 		Title: "synthetic sharded sleeper",
 		Run: func(ctx *Context) (*Result, error) {
-			ctx.Parallel(shards, func(i int) {
+			ctx.Parallel(shards, func(i int, _ sim.MachineSource) {
 				if ran != nil {
 					ran.Add(1)
 				}
@@ -44,30 +44,34 @@ func sleepExperiment(id string, shards int, d time.Duration, ran *atomic.Int64) 
 	}
 }
 
-// spinExperiment runs trials through ctx.BatchTrials, each on a machine
-// whose agents would spin far longer than any test allows; only
-// cancellation ends them.
+// spinTrial is a Parallel shard whose machine's agents would spin far
+// longer than any test allows; only cancellation ends them.
+func spinTrial(ctx *Context, started *atomic.Int64) func(i int, src sim.MachineSource) {
+	return func(i int, src sim.MachineSource) {
+		started.Add(1)
+		m := src.NewMachine(platform.Skylake(), 1<<26, ctx.ShardSeed(i))
+		m.Spawn("spinner", 0, nil, func(c *sim.Core) {
+			buf := c.Alloc(mem.PageSize)
+			for k := 0; ; k++ {
+				c.Load(buf + mem.VAddr((k%16)*64))
+			}
+		})
+		m.SpawnDaemon("noise", 1, nil, func(c *sim.Core) {
+			for {
+				c.Spin(50)
+			}
+		})
+		m.Run()
+	}
+}
+
+// spinExperiment runs spinTrial shards through ctx.Parallel.
 func spinExperiment(id string, trials int, started *atomic.Int64) Experiment {
 	return Experiment{
 		ID:    id,
 		Title: "synthetic spinning trials",
 		Run: func(ctx *Context) (*Result, error) {
-			ctx.BatchTrials(trials, func(i int, src sim.MachineSource) {
-				started.Add(1)
-				m := src.NewMachine(platform.Skylake(), 1<<26, ctx.ShardSeed(i))
-				m.Spawn("spinner", 0, nil, func(c *sim.Core) {
-					buf := c.Alloc(mem.PageSize)
-					for k := 0; ; k++ {
-						c.Load(buf + mem.VAddr((k%16)*64))
-					}
-				})
-				m.SpawnDaemon("noise", 1, nil, func(c *sim.Core) {
-					for {
-						c.Spin(50)
-					}
-				})
-				m.Run()
-			})
+			ctx.Parallel(trials, spinTrial(ctx, started))
 			return &Result{}, nil
 		},
 	}
@@ -132,9 +136,9 @@ func TestCancelMidExperiment(t *testing.T) {
 	}
 }
 
-// TestCancelBatchFleet proves cancellation reaches trials running through
-// BatchTrials: machines that never finish return context.Canceled promptly
-// at -jobs 1 and 4, without leaking worker or agent goroutines.
+// TestCancelBatchFleet proves cancellation reaches machines running inside
+// Parallel shards: machines that never finish return context.Canceled
+// promptly at -jobs 1 and 4, without leaking worker or agent goroutines.
 func TestCancelBatchFleet(t *testing.T) {
 	const trials = 64
 	for _, jobs := range []int{1, 4} {
@@ -200,30 +204,27 @@ func TestDeadlinePropagates(t *testing.T) {
 
 // TestUnguardedParallelNeverPanics pins the library-facing contract: on a
 // hand-built context (no engine, no runGuarded recover) a cancelled
-// Parallel stops early and returns instead of panicking into caller code.
+// Parallel stops early and returns instead of panicking into caller code,
+// both before any shard starts and while a shard's machine is running.
 func TestUnguardedParallelNeverPanics(t *testing.T) {
 	ctx := testContext(1)
 	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ctx.Ctx = cctx
 	calls := 0
-	ctx.Parallel(10, func(i int) { calls++ })
+	ctx.Parallel(10, func(i int, _ sim.MachineSource) { calls++ })
 	if calls != 0 {
 		t.Fatalf("pre-cancelled unguarded Parallel ran %d shards; want 0", calls)
 	}
-}
 
-// TestUnguardedBatchTrialsNeverPanics is the same contract for
-// BatchTrials: a pre-cancelled hand-built context runs no trial and returns.
-func TestUnguardedBatchTrialsNeverPanics(t *testing.T) {
-	ctx := testContext(1)
-	cctx, cancel := context.WithCancel(context.Background())
-	cancel()
+	cctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
 	ctx.Ctx = cctx
-	calls := 0
-	ctx.BatchTrials(10, func(i int, src sim.MachineSource) { calls++ })
-	if calls != 0 {
-		t.Fatalf("pre-cancelled unguarded BatchTrials ran %d trials; want 0", calls)
+	var started atomic.Int64
+	time.AfterFunc(20*time.Millisecond, cancel)
+	ctx.Parallel(10, spinTrial(ctx, &started))
+	if n := started.Load(); n != 1 {
+		t.Fatalf("unguarded Parallel cancelled mid-machine started %d shards; want 1", n)
 	}
 }
 
@@ -239,7 +240,7 @@ func TestShardPanicIsIsolated(t *testing.T) {
 				ID:    "bomb",
 				Title: "panics in shard 3",
 				Run: func(ctx *Context) (*Result, error) {
-					ctx.Parallel(8, func(i int) {
+					ctx.Parallel(8, func(i int, _ sim.MachineSource) {
 						if i == 3 {
 							panic("boom")
 						}

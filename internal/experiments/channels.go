@@ -48,8 +48,8 @@ func runTable2(ctx *Context) (*Result, error) {
 	byPlatform := make([]peaks, len(ctx.Platforms))
 	err := ctx.EachPlatform(func(sub *Context, cfg hier.Config) error {
 		base := channel.DefaultConfig(cfg.Name, cfg.FreqGHz)
-		ntp := channel.Sweep(cfg, channel.RunNTPNTP, base, []int64{1200, 1300, 1500, 1800, 2000}, bits, sub.SeedFor("ntpntp"), sub.BatchTrials, nil).Peak()
-		pp := channel.Sweep(cfg, channel.RunPrimeProbe, base, []int64{6500, 7000, 8000, 9000}, bits, sub.SeedFor("primeprobe"), sub.BatchTrials, nil).Peak()
+		ntp := channel.Sweep(cfg, channel.RunNTPNTP, base, []int64{1200, 1300, 1500, 1800, 2000}, bits, sub.SeedFor("ntpntp"), sub.Parallel, nil).Peak()
+		pp := channel.Sweep(cfg, channel.RunPrimeProbe, base, []int64{6500, 7000, 8000, 9000}, bits, sub.SeedFor("primeprobe"), sub.Parallel, nil).Peak()
 		for i := range ctx.Platforms {
 			if ctx.Platforms[i].Name == cfg.Name {
 				byPlatform[i] = peaks{ntp.CapacityKBps, pp.CapacityKBps}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"leakyway/internal/attack"
+	"leakyway/internal/sim"
 	"leakyway/internal/stats"
 )
 
@@ -20,9 +21,24 @@ func runClassic(ctx *Context) (*Result, error) {
 	res := &Result{}
 	iters := ctx.Trials(1000)
 	cfg := ctx.Platforms[0]
+	// The three classic attacks and the coherence channel each run on
+	// their own machine, so the four runs shard across free workers.
+	variants := []attack.ClassicVariant{attack.FlushReload, attack.FlushFlush, attack.EvictReload}
+	rs := make([]attack.ClassicResult, len(variants))
+	var coh attack.CoherenceResult
+	ctx.Parallel(len(variants)+1, func(i int, src sim.MachineSource) {
+		m := src.NewMachine(cfg, 1<<30, ctx.Seed)
+		if i < len(variants) {
+			rs[i] = attack.RunClassic(m, variants[i], attack.ClassicConfig{Iterations: iters}, ctx.Seed)
+			return
+		}
+		// The coherence-state channel (reference [67]) detects *writes*
+		// from pure load timing: no flushes, no evictions.
+		coh = attack.RunCoherence(m, attack.ClassicConfig{Iterations: iters}, ctx.Seed)
+	})
 	rows := [][]string{}
-	for _, v := range []attack.ClassicVariant{attack.FlushReload, attack.FlushFlush, attack.EvictReload} {
-		r := attack.RunClassic(cfg, v, attack.ClassicConfig{Iterations: iters}, ctx.Seed)
+	for i, v := range variants {
+		r := rs[i]
 		mean := stats.Mean(r.IterLatencies)
 		rows = append(rows, []string{
 			v.String(),
@@ -37,9 +53,6 @@ func runClassic(ctx *Context) (*Result, error) {
 		res.Metric(key+"_accuracy", r.Accuracy)
 		res.Metric(key+"_target_accesses", float64(r.TargetAccesses))
 	}
-	// The coherence-state channel (reference [67]) detects *writes* from
-	// pure load timing: no flushes, no evictions.
-	coh := attack.RunCoherence(cfg, attack.ClassicConfig{Iterations: iters}, ctx.Seed)
 	rows = append(rows, []string{
 		"Coherence (write detect)",
 		fmt.Sprintf("%.0f", stats.Mean(coh.IterLatencies)),

@@ -35,14 +35,14 @@ func runDefense(ctx *Context) (*Result, error) {
 		{"hardened insertion (load=1, NTA=2)", "hardened", func(p *hier.Config) { p.LLCPolicy = policy.NewQuadAgeCountermeasure() }},
 	}
 	reps := make([]channel.Report, len(variants))
-	ctx.Parallel(len(variants), func(i int) {
+	ctx.Parallel(len(variants), func(i int, src sim.MachineSource) {
 		p := base
 		variants[i].mod(&p)
 		ccfg := channel.DefaultConfig(p.Name, p.FreqGHz)
 		ccfg.NoisePeriod = 0
 		ccfg.Interval = 1500
 		seed := ctx.SeedFor(variants[i].key)
-		m := sim.MustNewMachine(p, 1<<30, seed)
+		m := src.NewMachine(p, 1<<30, seed)
 		reps[i], _ = channel.RunNTPNTP(m, ccfg, channel.RandomMessage(bits, seed))
 	})
 	for i, v := range variants {

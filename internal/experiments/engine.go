@@ -26,12 +26,15 @@ import (
 //   - concurrent metric recording goes through Result's lock and the
 //     final map is key-addressed, so recording order is invisible.
 //
-// Inside a task, Parallel hands trial shards to idle pool workers. The
-// pool uses a token bucket in which each outer worker holds a token for
-// its lifetime: while all workers are busy, inner Parallel finds no free
-// token and degrades to the calling goroutine running its shards itself
-// (never a deadlock); during the tail of a run, drained workers return
-// their tokens and the still-running heavy experiments soak them up.
+// Inside a task, Parallel is the only fan-out and the only way to get a
+// machine: it hands trial shards to idle pool workers, and each shard
+// builds its machines through a sim.MachineSource that recycles them on a
+// process-wide arena (sim.RunBatchContext). The pool uses a token bucket
+// in which each outer worker holds a token for its lifetime: while all
+// workers are busy, inner Parallel finds no free token and degrades to
+// the calling goroutine running its shards itself (never a deadlock);
+// during the tail of a run, drained workers return their tokens and the
+// still-running heavy experiments soak them up.
 
 // task is one unit of outer-level work.
 type taskState struct {
@@ -58,7 +61,7 @@ func runExperiments(ctx *Context, list []Experiment) (map[string]*Result, error)
 		e := list[i]
 		// Cancellation checkpoint: a cancelled run starts no new
 		// experiments; already-running ones unwind at their next shard
-		// boundary (see Parallel).
+		// boundary or machine context check (see Parallel).
 		if err := ctx.canceled(); err != nil {
 			slots[i].err = err
 			return
@@ -148,31 +151,45 @@ func (ctx *Context) workers() int {
 	return 1
 }
 
-// Parallel runs fn(0), ..., fn(n-1), recruiting an extra goroutine for
-// every free engine worker token; the calling goroutine always
-// participates, so Parallel makes progress even when the pool is
+// Parallel runs fn(0, src), ..., fn(n-1, src), recruiting an extra
+// goroutine for every free engine worker token; the calling goroutine
+// always participates, so Parallel makes progress even when the pool is
 // saturated and can never deadlock. Shards are handed out dynamically,
 // so fn must be schedule-independent: write results into per-index
 // slots and derive any randomness from ctx.ShardSeed(i) (or another
 // SplitSeed key), never from state shared across shards.
 //
-// Two robustness properties hold at shard granularity:
+// Each shard runs through sim.RunBatchContext and builds its machines
+// through the MachineSource it is handed: the first machine borrows a
+// recycled construction arena from the process free list, which the shard
+// returns when it finishes cleanly (a shard that builds no machine pins
+// none). Output is byte-identical to a fresh machine per build for every
+// Jobs value, tracer and telemetry setting. A shard must not touch a
+// machine after requesting the next one, and no machine may outlive its
+// shard.
+//
+// Two robustness properties hold:
 //
 //   - a panic in any shard — including one running on a recruited helper
 //     goroutine — stops the loop and is re-raised on the calling
 //     goroutine, where the engine's runGuarded converts it into a task
 //     error instead of killing the process;
-//   - when ctx.Ctx is cancelled, no further shards start. Under the
-//     engine the task then unwinds with the context's error; on a
-//     hand-built Context, Parallel simply returns early and the caller
-//     must check ctx.Ctx itself.
-func (ctx *Context) Parallel(n int, fn func(i int)) {
+//   - when ctx.Ctx is cancelled, no further shards start and a running
+//     machine stops within a few thousand simulated cycles (its arena is
+//     dropped rather than recycled). Under the engine the task then
+//     unwinds with the context's error; on a hand-built Context, Parallel
+//     simply returns early and the caller must check ctx.Ctx itself.
+func (ctx *Context) Parallel(n int, fn func(i int, src sim.MachineSource)) {
+	run := ctx.Ctx
+	if run == nil {
+		run = context.Background()
+	}
 	// Progress checkpoint: shards scheduled and (below) completed. Both
 	// are atomic ticks on the nil-safe Progress — they observe the run,
 	// never steer it, so output stays byte-identical with telemetry on.
 	ctx.Progress.AddShards(n)
 	ctx.fanOut(n, func(i int) {
-		fn(i)
+		sim.RunBatchContext(run, 1, nil, func(_ int, src sim.MachineSource) { fn(i, src) })
 		ctx.Progress.ShardDone()
 	})
 	if err := ctx.canceled(); err != nil {
@@ -241,31 +258,6 @@ recruit:
 	}
 }
 
-// BatchTrials is Parallel for trials that build their machines through
-// the MachineSource they are handed: each trial borrows a recycled
-// construction arena (sim.AcquireArena) and runs on it through
-// sim.RunBatchContext. Output is byte-identical to a fresh machine per
-// trial for every Jobs value, tracer and telemetry setting — bodies must
-// only write per-index state and derive randomness from per-trial seeds,
-// exactly as Parallel already requires.
-//
-// Cancellation behaves as in Parallel, except that a running trial also
-// stops within a few thousand simulated cycles; an aborted trial's arena is
-// dropped rather than recycled.
-func (ctx *Context) BatchTrials(n int, body func(i int, src sim.MachineSource)) {
-	run := ctx.Ctx
-	if run == nil {
-		run = context.Background()
-	}
-	ctx.Parallel(n, func(i int) {
-		ar := sim.AcquireArena()
-		err := sim.RunBatchContext(run, 1, ar, func(_ int, src sim.MachineSource) { body(i, src) })
-		if err == nil {
-			sim.ReleaseArena(ar)
-		}
-	})
-}
-
 // abort unwinds a cancelled task. Under the engine (guarded contexts) it
 // panics with taskAbort, which runGuarded turns into the context error;
 // on a hand-built context it is a no-op so the panic can never reach
@@ -286,7 +278,7 @@ func (ctx *Context) EachPlatform(fn func(sub *Context, cfg hier.Config) error) e
 	n := len(ctx.Platforms)
 	bufs := make([]bytes.Buffer, n)
 	errs := make([]error, n)
-	ctx.Parallel(n, func(i int) {
+	ctx.Parallel(n, func(i int, _ sim.MachineSource) {
 		cfg := ctx.Platforms[i]
 		sub := ctx.child(ctx.SeedFor("platform/"+shortName(cfg)), &bufs[i], "platform/"+shortName(cfg))
 		sub.Platforms = []hier.Config{cfg}

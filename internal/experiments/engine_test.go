@@ -26,7 +26,7 @@ func fakeSuite(n, lines int) []Experiment {
 			Title: "synthetic " + id,
 			Run: func(ctx *Context) (*Result, error) {
 				res := &Result{}
-				ctx.Parallel(lines, func(j int) {
+				ctx.Parallel(lines, func(j int, _ sim.MachineSource) {
 					// Yield aggressively so broken locking would actually
 					// interleave instead of passing by scheduling luck.
 					runtime.Gosched()
@@ -160,7 +160,7 @@ func TestParallelRunsEveryShardOnce(t *testing.T) {
 		sub.sem = sem
 		const n = 100
 		var counts [n]atomic.Int64
-		sub.Parallel(n, func(i int) { counts[i].Add(1) })
+		sub.Parallel(n, func(i int, _ sim.MachineSource) { counts[i].Add(1) })
 		for i := range counts {
 			if c := counts[i].Load(); c != 1 {
 				t.Fatalf("jobs=%d: shard %d ran %d times", jobs, i, c)
@@ -169,16 +169,16 @@ func TestParallelRunsEveryShardOnce(t *testing.T) {
 	}
 }
 
-// TestBatchTrialsUsesFreeWorkers proves BatchTrials hands trials to free
-// engine workers like Parallel does: with two free worker tokens, trial 0
-// can wait for trial 1 to start only if the two run at once.
-func TestBatchTrialsUsesFreeWorkers(t *testing.T) {
+// TestParallelUsesFreeWorkers proves Parallel hands shards to free engine
+// workers: with two free worker tokens, shard 0 can wait for shard 1 to
+// start only if the two run at once.
+func TestParallelUsesFreeWorkers(t *testing.T) {
 	ctx := NewContext(io.Discard)
 	ctx.Jobs = 2
 	sub := ctx.child(ctx.Seed, io.Discard, "")
 	sub.sem = make(chan struct{}, 2)
 	started1 := make(chan struct{})
-	sub.BatchTrials(2, func(i int, src sim.MachineSource) {
+	sub.Parallel(2, func(i int, _ sim.MachineSource) {
 		if i == 1 {
 			close(started1)
 			return
@@ -186,7 +186,7 @@ func TestBatchTrialsUsesFreeWorkers(t *testing.T) {
 		select {
 		case <-started1:
 		case <-time.After(5 * time.Second):
-			t.Errorf("trial 1 did not start while trial 0 was running")
+			t.Errorf("shard 1 did not start while shard 0 was running")
 		}
 	})
 }

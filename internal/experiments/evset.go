@@ -42,8 +42,8 @@ func runFig13(ctx *Context) (*Result, error) {
 			err    error
 		}
 		outs := make([]trialOut, trials)
-		sub.Parallel(trials, func(trial int) {
-			m := sim.MustNewMachine(cfg, 1<<31, sub.ShardSeed(trial))
+		sub.Parallel(trials, func(trial int, src sim.MachineSource) {
+			m := src.NewMachine(cfg, 1<<31, sub.ShardSeed(trial))
 			as := m.NewSpace()
 			o := &outs[trial]
 			m.Spawn("attacker", 0, as, func(c *sim.Core) {

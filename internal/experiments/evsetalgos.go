@@ -81,8 +81,8 @@ func runEvsetAlgos(ctx *Context) (*Result, error) {
 	}
 
 	rows := make([]row, len(algos))
-	ctx.Parallel(len(algos), func(i int) {
-		m := sim.MustNewMachine(cfg, 1<<31, ctx.SeedFor(algos[i].key))
+	ctx.Parallel(len(algos), func(i int, src sim.MachineSource) {
+		m := src.NewMachine(cfg, 1<<31, ctx.SeedFor(algos[i].key))
 		as := m.NewSpace()
 		rows[i] = row{name: algos[i].name, key: algos[i].key}
 		var target mem.VAddr

@@ -39,10 +39,9 @@ type Context struct {
 
 	// Ctx, when non-nil, makes the run cancellable: the engine checks it
 	// before starting each experiment, between trial shards handed out by
-	// Parallel or BatchTrials, and every few thousand simulated cycles
-	// inside a running BatchTrials trial, so RunAll returns the context's
-	// error (context.Canceled or DeadlineExceeded) within about one trial
-	// shard of cancellation.
+	// Parallel, and every few thousand simulated cycles inside every
+	// running machine, so RunAll returns the context's error
+	// (context.Canceled or DeadlineExceeded) promptly after cancellation.
 	// Nil (the default) runs to completion with zero checking overhead.
 	Ctx context.Context
 

@@ -23,31 +23,37 @@ func runNonInclusive(ctx *Context) (*Result, error) {
 	rows := [][]string{}
 	type variant struct {
 		name, key string
-		mod       func(p *platformCfg)
+		mod       func(p *hier.Config)
 	}
 	variants := []variant{
-		{"inclusive LLC (client parts)", "inclusive", func(p *platformCfg) {}},
-		{"non-inclusive LLC, no directory model", "noninclusive", func(p *platformCfg) {
+		{"inclusive LLC (client parts)", "inclusive", func(p *hier.Config) {}},
+		{"non-inclusive LLC, no directory model", "noninclusive", func(p *hier.Config) {
 			p.NonInclusive = true
 		}},
-		{"non-inclusive + directory, NTA tracked like loads", "dir_plain", func(p *platformCfg) {
+		{"non-inclusive + directory, NTA tracked like loads", "dir_plain", func(p *hier.Config) {
 			p.NonInclusive = true
 			p.DirectoryWays = 12
 		}},
-		{"non-inclusive + directory, NTA entries evict first (conjecture)", "dir_ntp", func(p *platformCfg) {
+		{"non-inclusive + directory, NTA entries evict first (conjecture)", "dir_ntp", func(p *hier.Config) {
 			p.NonInclusive = true
 			p.DirectoryWays = 12
 			p.DirectoryNTAIsVictim = true
 		}},
 	}
-	for _, v := range variants {
+	// Every variant runs on its own machine, so the four shard across
+	// free workers.
+	reps := make([]channel.Report, len(variants))
+	ctx.Parallel(len(variants), func(i int, src sim.MachineSource) {
 		p := ctx.Platforms[0]
-		v.mod(&p)
+		variants[i].mod(&p)
 		cfg := channel.DefaultConfig(p.Name, p.FreqGHz)
 		cfg.NoisePeriod = 0
 		cfg.Interval = 1500
-		m := sim.MustNewMachine(p, 1<<30, ctx.Seed)
-		rep, _ := channel.RunNTPNTP(m, cfg, channel.RandomMessage(bits, ctx.Seed))
+		m := src.NewMachine(p, 1<<30, ctx.Seed)
+		reps[i], _ = channel.RunNTPNTP(m, cfg, channel.RandomMessage(bits, ctx.Seed))
+	})
+	for i, v := range variants {
+		rep := reps[i]
 		rows = append(rows, []string{
 			v.name,
 			fmt.Sprintf("%.2f%%", 100*rep.BER),
@@ -62,6 +68,3 @@ func runNonInclusive(ctx *Context) (*Result, error) {
 	ctx.Printf("and the channel returns at full speed — the attack surface the paper left as future work\n")
 	return res, nil
 }
-
-// platformCfg aliases the hierarchy config for the variant table.
-type platformCfg = hier.Config

@@ -46,7 +46,7 @@ func runPollution(ctx *Context) (*Result, error) {
 		mean, hitRate float64
 	}
 	cells := make([]cellOut, len(variants)*trialsPer)
-	ctx.Parallel(len(cells), func(cell int) {
+	ctx.Parallel(len(cells), func(cell int, src sim.MachineSource) {
 		variant := variants[cell/trialsPer]
 		seed := ctx.SeedFor(variant.key, fmt.Sprint(cell%trialsPer))
 		// A scaled-down hierarchy keeps the run fast while preserving
@@ -59,7 +59,7 @@ func runPollution(ctx *Context) (*Result, error) {
 		p.L2Sets = 64 // 16 KiB L2
 		p.LLCSlices = 1
 		p.LLCSetsPerSlice = 256 // 256 KiB LLC
-		m := sim.MustNewMachine(p, 1<<30, seed)
+		m := src.NewMachine(p, 1<<30, seed)
 
 		// The streamer NTA-walks a buffer much larger than the LLC in
 		// column-major order — the strided pattern of a non-temporal

@@ -45,8 +45,9 @@ func TestProgressCheckpointsPopulate(t *testing.T) {
 
 // TestTelemetryNeverPerturbsOutput is the determinism acceptance gate:
 // report bytes and metrics must be identical with telemetry on or off,
-// at any -jobs. fig6 runs its shards through Parallel and fig8 its trials
-// through BatchTrials, so both engine paths run with the daemon's wiring.
+// at any -jobs. fig6 runs its one machine in a single Parallel shard and
+// fig8 fans its sweep trials out through Parallel, both with the daemon's
+// wiring.
 func TestTelemetryNeverPerturbsOutput(t *testing.T) {
 	ids := []string{"fig6", "fig8"}
 	baseline := map[string][]byte{}

@@ -39,79 +39,81 @@ func init() {
 }
 
 // stateWalk drives one accessed and one idle iteration of a refresh attack
-// with set-state snapshots, for the Figure 9/10 traces.
-func stateWalk(ctx *Context, nta bool) (*Result, error) {
+// with set-state snapshots, for the Figure 9/10 traces; id names the
+// experiment in setup failures.
+func stateWalk(ctx *Context, id string, nta bool) (*Result, error) {
 	res := &Result{}
 	cfg := quietPlatform(ctx.Platforms[0])
-	m := sim.MustNewMachine(cfg, 1<<30, ctx.Seed)
-	attackerAS := m.NewSpace()
-	victimAS := m.NewSpace()
-	dt, err := attackerAS.Alloc(mem.PageSize)
-	if err != nil {
-		return nil, err
-	}
-	if err := victimAS.MapShared(attackerAS, dt, mem.PageSize); err != nil {
-		return nil, err
-	}
-	w := cfg.LLCWays
-	ls := core.MustCongruentLines(m, attackerAS, dt, w)
-
 	tr := core.NewTrace()
 	verdicts := make([]bool, 2)
-
-	const window = int64(40_000)
-	m.SpawnDaemon("victim", 1, victimAS, func(c *sim.Core) {
-		// Window 0: access dt (case a). Window 1: stay idle (case b).
-		c.WaitUntil(window + window/2)
-		c.Load(dt)
-	})
-	m.Spawn("attacker", 0, attackerAS, func(c *sim.Core) {
-		th := core.Calibrate(c, 48)
-		tr.Label(c, dt, "dt")
-		tr.Label(c, ls[0], "l0")
-		tr.Label(c, ls[w-1], "lw-1")
-
-		attack.PrepareCleanSet(c, dt, ls, nta)
-		tr.Snap(m, c, dt, "step 1: attacker fills the set (dt first)")
-		op := func(va mem.VAddr) {
-			if nta {
-				c.PrefetchNTA(va)
-			} else {
-				c.Load(va)
-			}
+	ctx.Parallel(1, func(_ int, src sim.MachineSource) {
+		m := src.NewMachine(cfg, 1<<30, ctx.Seed)
+		attackerAS := m.NewSpace()
+		victimAS := m.NewSpace()
+		dt, err := attackerAS.Alloc(mem.PageSize)
+		if err != nil {
+			failf(id, "alloc shared line", err)
 		}
-		timedOp := func(va mem.VAddr) int64 {
-			if nta {
-				return c.TimedPrefetchNTA(va)
-			}
-			return c.TimedLoad(va)
+		if err := victimAS.MapShared(attackerAS, dt, mem.PageSize); err != nil {
+			failf(id, "map shared line", err)
 		}
-		for it := 0; it < 2; it++ {
-			caseName := "(a) victim accessed dt"
-			if it == 1 {
-				caseName = "(b) victim idle"
-			}
-			c.WaitUntil(window + int64(it+1)*window)
-			tr.Snap(m, c, dt, fmt.Sprintf("step 2 %s: after the wait window", caseName))
-			op(ls[w-1])
-			tr.Snap(m, c, dt, "step 3: conflict on l(w-1)")
-			t := timedOp(dt)
-			verdicts[it] = !th.IsMiss(t)
-			tr.Snap(m, c, dt, fmt.Sprintf("step 4: timed re-access of dt: %d cycles -> accessed=%v", t, verdicts[it]))
-			// Step 5 (v1-style revert for both walks).
-			c.Flush(dt)
-			c.Flush(ls[w-1])
-			op(dt)
-			op(ls[0])
-			if !nta {
-				for i := 1; i < w-1; i++ {
-					c.Load(ls[i])
+		w := cfg.LLCWays
+		ls := core.MustCongruentLines(m, attackerAS, dt, w)
+
+		const window = int64(40_000)
+		m.SpawnDaemon("victim", 1, victimAS, func(c *sim.Core) {
+			// Window 0: access dt (case a). Window 1: stay idle (case b).
+			c.WaitUntil(window + window/2)
+			c.Load(dt)
+		})
+		m.Spawn("attacker", 0, attackerAS, func(c *sim.Core) {
+			th := core.Calibrate(c, 48)
+			tr.Label(c, dt, "dt")
+			tr.Label(c, ls[0], "l0")
+			tr.Label(c, ls[w-1], "lw-1")
+
+			attack.PrepareCleanSet(c, dt, ls, nta)
+			tr.Snap(m, c, dt, "step 1: attacker fills the set (dt first)")
+			op := func(va mem.VAddr) {
+				if nta {
+					c.PrefetchNTA(va)
+				} else {
+					c.Load(va)
 				}
 			}
-			tr.Snap(m, c, dt, "step 5: state reverted")
-		}
+			timedOp := func(va mem.VAddr) int64 {
+				if nta {
+					return c.TimedPrefetchNTA(va)
+				}
+				return c.TimedLoad(va)
+			}
+			for it := 0; it < 2; it++ {
+				caseName := "(a) victim accessed dt"
+				if it == 1 {
+					caseName = "(b) victim idle"
+				}
+				c.WaitUntil(window + int64(it+1)*window)
+				tr.Snap(m, c, dt, fmt.Sprintf("step 2 %s: after the wait window", caseName))
+				op(ls[w-1])
+				tr.Snap(m, c, dt, "step 3: conflict on l(w-1)")
+				t := timedOp(dt)
+				verdicts[it] = !th.IsMiss(t)
+				tr.Snap(m, c, dt, fmt.Sprintf("step 4: timed re-access of dt: %d cycles -> accessed=%v", t, verdicts[it]))
+				// Step 5 (v1-style revert for both walks).
+				c.Flush(dt)
+				c.Flush(ls[w-1])
+				op(dt)
+				op(ls[0])
+				if !nta {
+					for i := 1; i < w-1; i++ {
+						c.Load(ls[i])
+					}
+				}
+				tr.Snap(m, c, dt, "step 5: state reverted")
+			}
+		})
+		m.Run()
 	})
-	m.Run()
 
 	ctx.Printf("%s", tr.Render())
 	ok := 0.0
@@ -123,8 +125,8 @@ func stateWalk(ctx *Context, nta bool) (*Result, error) {
 	return res, nil
 }
 
-func runFig9(ctx *Context) (*Result, error)  { return stateWalk(ctx, false) }
-func runFig10(ctx *Context) (*Result, error) { return stateWalk(ctx, true) }
+func runFig9(ctx *Context) (*Result, error)  { return stateWalk(ctx, "fig9", false) }
+func runFig10(ctx *Context) (*Result, error) { return stateWalk(ctx, "fig10", true) }
 
 func runFig12(ctx *Context) (*Result, error) {
 	res := &Result{}
@@ -139,9 +141,10 @@ func runFig12(ctx *Context) (*Result, error) {
 		// Each variant runs against its own machine, so the three attacks
 		// shard across free workers.
 		results := make([]attack.RefreshResult, len(variants))
-		sub.Parallel(len(variants), func(i int) {
-			results[i] = attack.RunRefresh(cfg, variants[i],
-				attack.RefreshConfig{Iterations: iters}, sub.SeedFor(variants[i].String()))
+		sub.Parallel(len(variants), func(i int, src sim.MachineSource) {
+			seed := sub.SeedFor(variants[i].String())
+			results[i] = attack.RunRefresh(src.NewMachine(cfg, 1<<30, seed), variants[i],
+				attack.RefreshConfig{Iterations: iters}, seed)
 		})
 		rows := [][]string{}
 		var means [3]float64
@@ -174,9 +177,17 @@ func runFig12(ctx *Context) (*Result, error) {
 func runTable3(ctx *Context) (*Result, error) {
 	res := &Result{}
 	cfg := ctx.Platforms[0]
+	// Each variant runs on its own machine, so the three attacks shard
+	// across free workers.
+	variants := []attack.RefreshVariant{attack.ReloadRefresh, attack.PrefetchRefreshV1, attack.PrefetchRefreshV2}
+	results := make([]attack.RefreshResult, len(variants))
+	ctx.Parallel(len(variants), func(i int, src sim.MachineSource) {
+		results[i] = attack.RunRefresh(src.NewMachine(cfg, 1<<30, ctx.Seed), variants[i],
+			attack.RefreshConfig{Iterations: ctx.Trials(300)}, ctx.Seed)
+	})
 	rows := [][]string{}
-	for _, v := range []attack.RefreshVariant{attack.ReloadRefresh, attack.PrefetchRefreshV1, attack.PrefetchRefreshV2} {
-		r := attack.RunRefresh(cfg, v, attack.RefreshConfig{Iterations: ctx.Trials(300)}, ctx.Seed)
+	for i, v := range variants {
+		r := results[i]
 		rows = append(rows, []string{
 			v.String(),
 			fmt.Sprintf("%d", r.Revert.Flushes),

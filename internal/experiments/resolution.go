@@ -28,8 +28,8 @@ func runResolution(ctx *Context) (*Result, error) {
 	cfg := ctx.Platforms[0]
 	trials := ctx.Trials(1000)
 
-	measure := func(scope bool) []int64 {
-		m := sim.MustNewMachine(cfg, 1<<30, ctx.Seed)
+	measure := func(src sim.MachineSource, scope bool) []int64 {
+		m := src.NewMachine(cfg, 1<<30, ctx.Seed)
 		attackerAS := m.NewSpace()
 		victimAS := m.NewSpace()
 		anchor, err := attackerAS.Alloc(mem.PageSize)
@@ -110,8 +110,13 @@ func runResolution(ctx *Context) (*Result, error) {
 		return delays
 	}
 
-	scopeDelays := measure(true)
-	probeDelays := measure(false)
+	// The scope and probing measurements each own a machine, so they shard
+	// across free workers.
+	delays := make([][]int64, 2)
+	ctx.Parallel(len(delays), func(i int, src sim.MachineSource) {
+		delays[i] = measure(src, i == 0)
+	})
+	scopeDelays, probeDelays := delays[0], delays[1]
 	sScope, sProbe := stats.Summarize(scopeDelays), stats.Summarize(probeDelays)
 	rows := [][]string{
 		{"scope hammering (Prime+Prefetch+Scope)", fmt.Sprintf("%d", sScope.N),

@@ -26,11 +26,11 @@ type revLab struct {
 	priv []mem.VAddr
 }
 
-// newRevLab builds the lab for the named experiment; id contextualizes
-// any setup failure so an engine job-failure record names the experiment
-// and phase instead of an opaque panic.
-func newRevLab(id string, cfg hier.Config, seed int64) *revLab {
-	m := sim.MustNewMachine(cfg, 1<<30, seed)
+// newRevLab builds the lab for the named experiment on a machine from src;
+// id contextualizes any setup failure so an engine job-failure record names
+// the experiment and phase instead of an opaque panic.
+func newRevLab(id string, src sim.MachineSource, cfg hier.Config, seed int64) *revLab {
+	m := src.NewMachine(cfg, 1<<30, seed)
 	as := m.NewSpace()
 	anchor, err := as.Alloc(mem.PageSize)
 	if err != nil {
@@ -107,8 +107,8 @@ func runFig2(ctx *Context) (*Result, error) {
 	// The positions are independent measurements, so each gets its own
 	// lab (machine + eviction sets) on a position-derived seed and the w
 	// position loops shard across free workers.
-	ctx.Parallel(w, func(a int) {
-		lab := newRevLab("fig2", cfg, ctx.ShardSeed(a))
+	ctx.Parallel(w, func(a int, src sim.MachineSource) {
+		lab := newRevLab("fig2", src, cfg, ctx.ShardSeed(a))
 		lab.m.Spawn("experimenter", 0, lab.as, func(c *sim.Core) {
 			var samples, control []int64
 			for trial := 0; trial < trials; trial++ {
@@ -170,52 +170,54 @@ func runFig2(ctx *Context) (*Result, error) {
 func runFig3(ctx *Context) (*Result, error) {
 	res := &Result{}
 	cfg := ctx.Platforms[0]
-	lab := newRevLab("fig3", cfg, ctx.Seed+1)
 	w := cfg.LLCWays
 	matches, total := 0, 0
 	var firstOrder []int
 
-	lab.m.Spawn("experimenter", 0, lab.as, func(c *sim.Core) {
-		for a := 1; a < w; a++ {
-			// Step 1: prepare [l0:2, l1:3, ..., l(w-1):3] — fill with
-			// lw, l1..l(w-1) in order, then load l0 which ages the
-			// set and evicts lw.
-			lab.emptyTargetSet(c)
-			c.Load(lab.ev[w])
-			for i := 1; i < w; i++ {
-				c.Load(lab.ev[i])
-			}
-			c.Load(lab.ev[0])
-			// Step 2: flush then prefetch la.
-			c.Flush(lab.ev[a])
-			c.Fence()
-			c.PrefetchNTA(lab.ev[a])
-			// Step 3: load l'1..l'(w-1); record which line each load
-			// evicts (simulator introspection instead of the paper's
-			// timing-probe-and-restart).
-			var order []int
-			for k := 1; k < w; k++ {
-				before := presentLines(lab, c)
-				c.Load(lab.evAlt[k-1])
-				after := presentLines(lab, c)
-				order = append(order, evictedIndex(before, after))
-			}
-			if a == 1 {
-				firstOrder = order
-			}
-			ok := true
-			for k := 1; k < w; k++ {
-				if order[k-1] != k {
-					ok = false
+	ctx.Parallel(1, func(_ int, src sim.MachineSource) {
+		lab := newRevLab("fig3", src, cfg, ctx.Seed+1)
+		lab.m.Spawn("experimenter", 0, lab.as, func(c *sim.Core) {
+			for a := 1; a < w; a++ {
+				// Step 1: prepare [l0:2, l1:3, ..., l(w-1):3] — fill with
+				// lw, l1..l(w-1) in order, then load l0 which ages the
+				// set and evicts lw.
+				lab.emptyTargetSet(c)
+				c.Load(lab.ev[w])
+				for i := 1; i < w; i++ {
+					c.Load(lab.ev[i])
+				}
+				c.Load(lab.ev[0])
+				// Step 2: flush then prefetch la.
+				c.Flush(lab.ev[a])
+				c.Fence()
+				c.PrefetchNTA(lab.ev[a])
+				// Step 3: load l'1..l'(w-1); record which line each load
+				// evicts (simulator introspection instead of the paper's
+				// timing-probe-and-restart).
+				var order []int
+				for k := 1; k < w; k++ {
+					before := presentLines(lab, c)
+					c.Load(lab.evAlt[k-1])
+					after := presentLines(lab, c)
+					order = append(order, evictedIndex(before, after))
+				}
+				if a == 1 {
+					firstOrder = order
+				}
+				ok := true
+				for k := 1; k < w; k++ {
+					if order[k-1] != k {
+						ok = false
+					}
+				}
+				total++
+				if ok {
+					matches++
 				}
 			}
-			total++
-			if ok {
-				matches++
-			}
-		}
+		})
+		lab.m.Run()
 	})
-	lab.m.Run()
 
 	rows := [][]string{}
 	for k, idx := range firstOrder {
@@ -259,8 +261,8 @@ func runFig4(ctx *Context) (*Result, error) {
 	cfg := ctx.Platforms[0]
 	trials := ctx.Trials(1000)
 
-	run := func(cfg hier.Config, seed int64) (fracDRAM float64, mean float64) {
-		lab := newRevLab("fig4", cfg, seed)
+	run := func(src sim.MachineSource, cfg hier.Config, seed int64) (fracDRAM float64, mean float64) {
+		lab := newRevLab("fig4", src, cfg, seed)
 		w := cfg.LLCWays
 		var samples []int64
 		misses := 0
@@ -298,14 +300,21 @@ func runFig4(ctx *Context) (*Result, error) {
 		return float64(misses) / float64(trials), stats.Mean(samples)
 	}
 
-	frac, mean := run(cfg, ctx.Seed+2)
-	ctx.Printf("stock policy: step-4 reload mean %.0f cycles, DRAM in %.1f%% of %d trials\n", mean, 100*frac, trials)
-	ctx.Printf("  -> the NTA hit left the age at 3 and the line was evicted (Property #2)\n")
-
-	// Ablation: if NTA hits refreshed ages, the line would survive.
+	// Ablation: if NTA hits refreshed ages, the line would survive. The
+	// stock and ablation runs each own a machine, so they shard across
+	// free workers.
 	abl := cfg
 	abl.LLCPolicy = &policy.QuadAge{LoadAge: 2, NTAAge: 3, HWAge: 2, MaxAge: 3, NTAHitUpdates: true}
-	fracAbl, meanAbl := run(abl, ctx.Seed+2)
+	cfgs := []hier.Config{cfg, abl}
+	fracs, means := make([]float64, len(cfgs)), make([]float64, len(cfgs))
+	ctx.Parallel(len(cfgs), func(i int, src sim.MachineSource) {
+		fracs[i], means[i] = run(src, cfgs[i], ctx.Seed+2)
+	})
+
+	frac, mean := fracs[0], means[0]
+	ctx.Printf("stock policy: step-4 reload mean %.0f cycles, DRAM in %.1f%% of %d trials\n", mean, 100*frac, trials)
+	ctx.Printf("  -> the NTA hit left the age at 3 and the line was evicted (Property #2)\n")
+	fracAbl, meanAbl := fracs[1], means[1]
 	ctx.Printf("ablation (NTA hit updates age): reload mean %.0f cycles, DRAM in %.1f%% of trials\n", meanAbl, 100*fracAbl)
 
 	res.Metric("stock_dram_fraction", frac)
@@ -319,31 +328,33 @@ func runFig4(ctx *Context) (*Result, error) {
 func runFig5(ctx *Context) (*Result, error) {
 	res := &Result{}
 	cfg := ctx.Platforms[0]
-	lab := newRevLab("fig5", cfg, ctx.Seed+3)
 	trials := ctx.Trials(1000)
 	var l1s, llcs, mems []int64
 
-	lab.m.Spawn("experimenter", 0, lab.as, func(c *sim.Core) {
-		lt := lab.ev[0]
-		for trial := 0; trial < trials; trial++ {
-			// Scenario 1: lt in L1.
-			c.Load(lt)
-			l1s = append(l1s, c.TimedPrefetchNTA(lt))
-			// Scenario 2: lt only in the LLC.
-			c.Load(lt)
-			core.EvictPrivate(c, lab.priv, 2)
-			llcs = append(llcs, c.TimedPrefetchNTA(lt))
-			// Scenario 3: lt nowhere — evict it from the whole
-			// hierarchy with LLC set conflicts.
-			for lab.m.H.Present(hier.LevelLLC, lab.as.MustTranslate(lt)) {
-				for _, va := range lab.ev[1:] {
-					c.Load(va)
+	ctx.Parallel(1, func(_ int, src sim.MachineSource) {
+		lab := newRevLab("fig5", src, cfg, ctx.Seed+3)
+		lab.m.Spawn("experimenter", 0, lab.as, func(c *sim.Core) {
+			lt := lab.ev[0]
+			for trial := 0; trial < trials; trial++ {
+				// Scenario 1: lt in L1.
+				c.Load(lt)
+				l1s = append(l1s, c.TimedPrefetchNTA(lt))
+				// Scenario 2: lt only in the LLC.
+				c.Load(lt)
+				core.EvictPrivate(c, lab.priv, 2)
+				llcs = append(llcs, c.TimedPrefetchNTA(lt))
+				// Scenario 3: lt nowhere — evict it from the whole
+				// hierarchy with LLC set conflicts.
+				for lab.m.H.Present(hier.LevelLLC, lab.as.MustTranslate(lt)) {
+					for _, va := range lab.ev[1:] {
+						c.Load(va)
+					}
 				}
+				mems = append(mems, c.TimedPrefetchNTA(lt))
 			}
-			mems = append(mems, c.TimedPrefetchNTA(lt))
-		}
+		})
+		lab.m.Run()
 	})
-	lab.m.Run()
 
 	rows := [][]string{
 		{"L1 hit", stats.Summarize(l1s).String()},

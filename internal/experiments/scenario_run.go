@@ -96,12 +96,6 @@ func runStateWalkSpec(ctx *Context, s *scenario.Spec) (*Result, error) {
 	sw := s.StateWalk
 	res := &Result{}
 	cfg := ctx.Platforms[0]
-	m := sim.MustNewMachine(cfg, 1<<30, ctx.Seed)
-	m.SetTracer(ctx.Tracer(shortName(cfg)))
-	ep, err := channel.Setup(m, 1, 0)
-	if err != nil {
-		return nil, err
-	}
 	tr := core.NewTrace()
 	msg := bitsOf(sw.Message)
 	got := make([]bool, len(msg))
@@ -111,34 +105,42 @@ func runStateWalkSpec(ctx *Context, s *scenario.Spec) (*Result, error) {
 	sendAt := func(i int) int64 { return sw.ReceiverReady + int64(2*i+1)*sw.PhaseStep }
 	readAt := func(i int) int64 { return sw.ReceiverReady + int64(2*i+2)*sw.PhaseStep }
 
-	m.Spawn("sender", 0, ep.SenderAS, func(c *sim.Core) {
-		tr.Label(c, ep.DS[0], "ds")
-		for i, b := range msg {
-			c.WaitUntil(sendAt(i))
-			if b {
-				c.PrefetchNTA(ep.DS[0])
-				tr.Snap(m, c, ep.DS[0], "sender prefetches ds to send '1'")
-			} else {
-				tr.Snap(m, c, ep.DS[0], "sender stays idle to send '0'")
+	ctx.Parallel(1, func(_ int, src sim.MachineSource) {
+		m := src.NewMachine(cfg, 1<<30, ctx.Seed)
+		m.SetTracer(ctx.Tracer(shortName(cfg)))
+		ep, err := channel.Setup(m, 1, 0)
+		if err != nil {
+			failf(s.ID, "statewalk: channel setup", err)
+		}
+		m.Spawn("sender", 0, ep.SenderAS, func(c *sim.Core) {
+			tr.Label(c, ep.DS[0], "ds")
+			for i, b := range msg {
+				c.WaitUntil(sendAt(i))
+				if b {
+					c.PrefetchNTA(ep.DS[0])
+					tr.Snap(m, c, ep.DS[0], "sender prefetches ds to send '1'")
+				} else {
+					tr.Snap(m, c, ep.DS[0], "sender stays idle to send '0'")
+				}
 			}
-		}
+		})
+		m.Spawn("receiver", 1, ep.ReceiverAS, func(c *sim.Core) {
+			th := core.Calibrate(c, sw.CalibrateSamples)
+			tr.Label(c, ep.DR[0], "dr")
+			for _, va := range ep.Filler[0] {
+				c.Load(va)
+			}
+			c.PrefetchNTA(ep.DR[0])
+			tr.Snap(m, c, ep.DR[0], "receiver prefetches dr to prepare the channel")
+			for i, b := range msg {
+				c.WaitUntil(readAt(i))
+				t := c.TimedPrefetchNTA(ep.DR[0])
+				got[i] = th.IsMiss(t)
+				tr.Snap(m, c, ep.DR[0], fmt.Sprintf("receiver prefetches dr: %d cycles -> reads '%s'", t, bit(b)))
+			}
+		})
+		m.Run()
 	})
-	m.Spawn("receiver", 1, ep.ReceiverAS, func(c *sim.Core) {
-		th := core.Calibrate(c, sw.CalibrateSamples)
-		tr.Label(c, ep.DR[0], "dr")
-		for _, va := range ep.Filler[0] {
-			c.Load(va)
-		}
-		c.PrefetchNTA(ep.DR[0])
-		tr.Snap(m, c, ep.DR[0], "receiver prefetches dr to prepare the channel")
-		for i, b := range msg {
-			c.WaitUntil(readAt(i))
-			t := c.TimedPrefetchNTA(ep.DR[0])
-			got[i] = th.IsMiss(t)
-			tr.Snap(m, c, ep.DR[0], fmt.Sprintf("receiver prefetches dr: %d cycles -> reads '%s'", t, bit(b)))
-		}
-	})
-	m.Run()
 
 	ctx.Printf("%s", tr.Render())
 	ok := 1.0
@@ -163,9 +165,13 @@ func runPipelineSpec(ctx *Context, s *scenario.Spec) (*Result, error) {
 	cfg := ctx.Platforms[0]
 	ccfg := channelFor(s, cfg)
 	msg := bitsOf(s.Pipeline.Message)
-	m := sim.MustNewMachine(cfg, 1<<30, ctx.Seed)
-	m.SetTracer(ctx.Tracer(shortName(cfg)))
-	rep, recv := channel.RunNTPNTP(m, ccfg, msg)
+	var rep channel.Report
+	var recv []bool
+	ctx.Parallel(1, func(_ int, src sim.MachineSource) {
+		m := src.NewMachine(cfg, 1<<30, ctx.Seed)
+		m.SetTracer(ctx.Tracer(shortName(cfg)))
+		rep, recv = channel.RunNTPNTP(m, ccfg, msg)
+	})
 
 	ctx.Printf("two-set schedule: sender transmits bit i on set i%%2 at iteration i;\n")
 	ctx.Printf("the receiver reads bit i from set i%%2 one iteration later.\n\n")
@@ -215,7 +221,7 @@ func runSweepSpec(ctx *Context, s *scenario.Spec) (*Result, error) {
 		sws := make([]channel.SweepResult, len(s.Sweep.Channels))
 		for i, ch := range s.Sweep.Channels {
 			sws[i] = channel.Sweep(cfg, sweepRunner(ch.Channel), base, ch.Intervals,
-				bits, sub.SeedFor(ch.Channel), sub.BatchTrials, tf(ch.Channel, ch.Intervals))
+				bits, sub.SeedFor(ch.Channel), sub.Parallel, tf(ch.Channel, ch.Intervals))
 		}
 		for _, sw := range sws {
 			sub.Printf("\n%s — %s\n", sw.Channel, sw.Platform)
@@ -256,7 +262,7 @@ func runLanesSpec(ctx *Context, s *scenario.Spec) (*Result, error) {
 	bits := ctx.Trials(sp.Bits)
 	rows := [][]string{}
 	reps := make([]channel.Report, len(sp.LaneCounts)*len(sp.Offsets))
-	ctx.BatchTrials(len(reps), func(cell int, src sim.MachineSource) {
+	ctx.Parallel(len(reps), func(cell int, src sim.MachineSource) {
 		lanes := sp.LaneCounts[cell/len(sp.Offsets)]
 		base := channelFor(s, cfg)
 		c := base
@@ -304,7 +310,7 @@ func runNoiseSpec(ctx *Context, s *scenario.Spec) (*Result, error) {
 		residual float64
 	}
 	outs := make([]levelOut, len(sp.Periods))
-	ctx.BatchTrials(len(sp.Periods), func(pi int, src sim.MachineSource) {
+	ctx.Parallel(len(sp.Periods), func(pi int, src sim.MachineSource) {
 		c := base
 		c.NoisePeriod = sp.Periods[pi]
 		seed := ctx.SeedFor(fmt.Sprintf("noise%d", sp.Periods[pi]))
@@ -403,7 +409,7 @@ func runFaultsSpec(ctx *Context, s *scenario.Spec) (*Result, error) {
 	// a scenario-derived seed, so cells shard across free workers and the
 	// result is schedule-independent. The seed key is "faults"+key
 	// regardless of the spec's ID (the ID already differentiates ctx.Seed).
-	ctx.BatchTrials(len(scenarios), func(si int, src sim.MachineSource) {
+	ctx.Parallel(len(scenarios), func(si int, src sim.MachineSource) {
 		sc := scenarios[si]
 		seedv := ctx.SeedFor("faults", sc.Key)
 		msg := channel.RandomMessage(rawBits, seedv)
@@ -502,20 +508,23 @@ func runVictimSpec(ctx *Context, s *scenario.Spec) (*Result, error) {
 	}
 	copy(key[:], raw)
 
-	m := sim.MustNewMachine(cfg, 1<<28, ctx.Seed)
-	m.SetTracer(ctx.Tracer(shortName(cfg)))
-	victimAS := m.NewSpace()
-	spyAS := m.NewSpace()
-	av, err := victim.NewAESVictim(victimAS, key, sp.Window, sp.Start)
-	if err != nil {
-		return nil, err
-	}
-	if err := spyAS.MapShared(victimAS, av.Table, mem.PageSize); err != nil {
-		return nil, err
-	}
-	av.Spawn(m, 1, victimAS, ctx.SeedFor("victim"))
-	obs := victim.SpyTTable(m, 0, spyAS, av, sp.Encryptions)
-	m.Run()
+	var obs *[]victim.Observation
+	ctx.Parallel(1, func(_ int, src sim.MachineSource) {
+		m := src.NewMachine(cfg, 1<<28, ctx.Seed)
+		m.SetTracer(ctx.Tracer(shortName(cfg)))
+		victimAS := m.NewSpace()
+		spyAS := m.NewSpace()
+		av, err := victim.NewAESVictim(victimAS, key, sp.Window, sp.Start)
+		if err != nil {
+			failf(s.ID, "victim: alloc T-table", err)
+		}
+		if err := spyAS.MapShared(victimAS, av.Table, mem.PageSize); err != nil {
+			failf(s.ID, "victim: map shared T-table", err)
+		}
+		av.Spawn(m, 1, victimAS, ctx.SeedFor("victim"))
+		obs = victim.SpyTTable(m, 0, spyAS, av, sp.Encryptions)
+		m.Run()
+	})
 
 	ctx.Printf("observed %d encryptions on %s\n", len(*obs), cfg.Name)
 	recovered, err := victim.RecoverHighNibbles(*obs)

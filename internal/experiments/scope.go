@@ -5,6 +5,7 @@ import (
 
 	"leakyway/internal/attack"
 	"leakyway/internal/hier"
+	"leakyway/internal/sim"
 	"leakyway/internal/stats"
 )
 
@@ -27,18 +28,16 @@ func runFig11(ctx *Context) (*Result, error) {
 	res := &Result{}
 	iters := ctx.Trials(2000)
 	err := ctx.EachPlatform(func(sub *Context, cfg hier.Config) error {
-		var ps, pps attack.ScopeResult
-		sub.Parallel(2, func(i int) {
-			switch i {
-			case 0:
-				ps = attack.RunScope(cfg, attack.PrimeScope, attack.ScopeConfig{Iterations: iters}, sub.SeedFor("primescope"))
-			case 1:
-				pps = attack.RunScope(cfg, attack.PrimePrefetchScope, attack.ScopeConfig{Iterations: iters}, sub.SeedFor("prefetchscope"))
-			}
+		variants := []attack.ScopeVariant{attack.PrimeScope, attack.PrimePrefetchScope}
+		rs := make([]attack.ScopeResult, len(variants))
+		sub.Parallel(len(variants), func(i int, src sim.MachineSource) {
+			m := src.NewMachine(cfg, 1<<30, sub.SeedFor(scopeKey(variants[i])))
+			rs[i] = attack.RunScope(m, variants[i], attack.ScopeConfig{Iterations: iters})
 		})
+		ps, pps := rs[0], rs[1]
 		sub.Printf("\n%s\n", cfg.Name)
 		rows := [][]string{}
-		for _, r := range []attack.ScopeResult{ps, pps} {
+		for _, r := range rs {
 			s := stats.Summarize(r.PrepLatencies)
 			rows = append(rows, []string{
 				r.Variant.String(),
@@ -83,10 +82,9 @@ func runFNRate(ctx *Context) (*Result, error) {
 	cfg := ctx.Platforms[0]
 	variants := []attack.ScopeVariant{attack.PrimeScope, attack.PrimePrefetchScope}
 	main := make([]attack.ScopeResult, len(variants))
-	ctx.Parallel(len(variants), func(i int) {
-		key := scopeKey(variants[i])
-		main[i] = attack.RunScope(cfg, variants[i],
-			attack.ScopeConfig{Iterations: iters, VictimPeriod: 1500}, ctx.SeedFor(key))
+	ctx.Parallel(len(variants), func(i int, src sim.MachineSource) {
+		m := src.NewMachine(cfg, 1<<30, ctx.SeedFor(scopeKey(variants[i])))
+		main[i] = attack.RunScope(m, variants[i], attack.ScopeConfig{Iterations: iters, VictimPeriod: 1500})
 	})
 	for i, v := range variants {
 		r := main[i]
@@ -112,12 +110,11 @@ func runFNRate(ctx *Context) (*Result, error) {
 	// Flatten the period × variant grid into independent cells; every
 	// cell owns its machine and seed, so the sweep shards freely.
 	env := make([]attack.ScopeResult, len(periods)*len(variants))
-	ctx.Parallel(len(env), func(i int) {
+	ctx.Parallel(len(env), func(i int, src sim.MachineSource) {
 		period := periods[i/len(variants)]
 		v := variants[i%len(variants)]
-		env[i] = attack.RunScope(cfg, v,
-			attack.ScopeConfig{Iterations: sweepIters, VictimPeriod: period},
-			ctx.SeedFor("envelope", fmt.Sprint(period), scopeKey(v)))
+		m := src.NewMachine(cfg, 1<<30, ctx.SeedFor("envelope", fmt.Sprint(period), scopeKey(v)))
+		env[i] = attack.RunScope(m, v, attack.ScopeConfig{Iterations: sweepIters, VictimPeriod: period})
 	})
 	envRows := [][]string{}
 	for pi, period := range periods {

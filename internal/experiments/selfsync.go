@@ -20,8 +20,7 @@ func runSelfSync(ctx *Context) (*Result, error) {
 	res := &Result{}
 	cfg := ctx.Platforms[0]
 	bits := ctx.Trials(1500)
-	rows := [][]string{}
-	for _, tc := range []struct {
+	cases := []struct {
 		name  string
 		start int64
 		noise int64
@@ -29,29 +28,35 @@ func runSelfSync(ctx *Context) (*Result, error) {
 		{"quiet, sender starts at 80K cycles", 80_000, 0},
 		{"quiet, sender starts at an odd epoch (137,213)", 137_213, 0},
 		{"noisy co-tenant (1 fill / 400K cycles)", 80_000, 400_000},
-	} {
+	}
+	// Run i < len(cases) renders table row i. The metrics do not come from
+	// any table row. They come from the last, unrendered run, which keeps
+	// DefaultConfig's Start (60 000) and NoisePeriod (450 000): quiet_ber
+	// and quiet_capacity describe a noisy channel (seed 42: 0.67% BER
+	// quick, 9.33% full) while the table's quiet rows show 0.00%. Pointing
+	// them at the first row changes the pinned metrics and waits for a
+	// re-pin (ROADMAP.md). Every run owns its machine, so the four shard
+	// across free workers.
+	reps := make([]channel.Report, len(cases)+1)
+	ctx.Parallel(len(reps), func(i int, src sim.MachineSource) {
 		ccfg := channel.DefaultConfig(cfg.Name, cfg.FreqGHz)
 		ccfg.Interval = 2500
-		ccfg.Start = tc.start
-		ccfg.NoisePeriod = tc.noise
-		m := sim.MustNewMachine(cfg, 1<<30, ctx.Seed)
-		rep, _ := channel.RunNTPNTPSelfSync(m, ccfg, channel.RandomMessage(bits, ctx.Seed))
+		if i < len(cases) {
+			ccfg.Start = cases[i].start
+			ccfg.NoisePeriod = cases[i].noise
+		}
+		m := src.NewMachine(cfg, 1<<30, ctx.Seed)
+		reps[i], _ = channel.RunNTPNTPSelfSync(m, ccfg, channel.RandomMessage(bits, ctx.Seed))
+	})
+	rows := [][]string{}
+	for i, tc := range cases {
 		rows = append(rows, []string{
 			tc.name,
-			fmt.Sprintf("%.2f%%", 100*rep.BER),
-			fmt.Sprintf("%.1f KB/s", rep.CapacityKBps),
+			fmt.Sprintf("%.2f%%", 100*reps[i].BER),
+			fmt.Sprintf("%.1f KB/s", reps[i].CapacityKBps),
 		})
 	}
-	// The metrics do not come from any table row. They come from this
-	// fourth, unrendered run, which keeps DefaultConfig's Start (60 000)
-	// and NoisePeriod (450 000): quiet_ber and quiet_capacity describe a
-	// noisy channel (seed 42: 0.67% BER quick, 9.33% full) while the
-	// table's quiet rows show 0.00%. Pointing them at the first row
-	// changes the pinned metrics and waits for a re-pin (ROADMAP.md).
-	mQuiet := sim.MustNewMachine(cfg, 1<<30, ctx.Seed)
-	ccfg := channel.DefaultConfig(cfg.Name, cfg.FreqGHz)
-	ccfg.Interval = 2500
-	repQ, _ := channel.RunNTPNTPSelfSync(mQuiet, ccfg, channel.RandomMessage(bits, ctx.Seed))
+	repQ := reps[len(cases)]
 	res.Metric("quiet_ber", repQ.BER)
 	res.Metric("quiet_capacity", repQ.CapacityKBps)
 	renderTable(ctx, []string{"scenario", "BER", "capacity"}, rows)

@@ -32,16 +32,12 @@ func runStealth(ctx *Context) (*Result, error) {
 	const start = int64(50_000)
 
 	type outcome struct {
-		name      string
-		key       string
-		mean      float64
-		missFrac  float64
-		collected int
+		mean     float64
+		missFrac float64
 	}
-	var outcomes []outcome
 
-	run := func(name, key string, attacker func(c *sim.Core, th core.Thresholds, dt mem.VAddr, ls []mem.VAddr, w int)) {
-		m := sim.MustNewMachine(cfg, 1<<30, ctx.Seed)
+	run := func(src sim.MachineSource, name string, attacker func(c *sim.Core, th core.Thresholds, dt mem.VAddr, ls []mem.VAddr, w int)) outcome {
+		m := src.NewMachine(cfg, 1<<30, ctx.Seed)
 		attackerAS := m.NewSpace()
 		victimAS := m.NewSpace()
 		dt, err := attackerAS.Alloc(mem.PageSize)
@@ -75,25 +71,59 @@ func runStealth(ctx *Context) (*Result, error) {
 		if len(vlat) > 0 {
 			frac = float64(misses) / float64(len(vlat))
 		}
-		outcomes = append(outcomes, outcome{name, key, stats.Mean(vlat), frac, len(vlat)})
-		res.Metric(key+"_victim_mean", stats.Mean(vlat))
-		res.Metric(key+"_victim_missfrac", frac)
+		return outcome{stats.Mean(vlat), frac}
 	}
 
-	// Flush+Reload: flush, wait, reload.
-	run("Flush+Reload", "flush_reload", func(c *sim.Core, th core.Thresholds, dt mem.VAddr, ls []mem.VAddr, w int) {
-		c.Flush(dt)
-		for it := 0; it < iters; it++ {
-			c.WaitUntil(start + int64(it+1)*window)
-			c.TimedLoad(dt)
+	attacks := []struct {
+		name, key string
+		attacker  func(c *sim.Core, th core.Thresholds, dt mem.VAddr, ls []mem.VAddr, w int)
+	}{
+		// Flush+Reload: flush, wait, reload.
+		{"Flush+Reload", "flush_reload", func(c *sim.Core, th core.Thresholds, dt mem.VAddr, ls []mem.VAddr, w int) {
 			c.Flush(dt)
-		}
-	})
+			for it := 0; it < iters; it++ {
+				c.WaitUntil(start + int64(it+1)*window)
+				c.TimedLoad(dt)
+				c.Flush(dt)
+			}
+		}},
 
-	// Reload+Refresh: the Figure 9 loop (age observation, no flush seen
-	// by the victim between its accesses — its hits stay hits).
-	run("Reload+Refresh", "reload_refresh", func(c *sim.Core, th core.Thresholds, dt mem.VAddr, ls []mem.VAddr, w int) {
-		prepareRR := func() {
+		// Reload+Refresh: the Figure 9 loop (age observation, no flush seen
+		// by the victim between its accesses — its hits stay hits).
+		{"Reload+Refresh", "reload_refresh", func(c *sim.Core, th core.Thresholds, dt mem.VAddr, ls []mem.VAddr, w int) {
+			prepareRR := func() {
+				all := append([]mem.VAddr{dt}, ls...)
+				for round := 0; round < 3; round++ {
+					for _, va := range all {
+						c.Load(va)
+					}
+				}
+				for _, va := range all {
+					c.Flush(va)
+				}
+				c.Fence()
+				c.Load(dt)
+				for i := 0; i < w-1; i++ {
+					c.Load(ls[i])
+				}
+			}
+			prepareRR()
+			for it := 0; it < iters; it++ {
+				c.WaitUntil(start + int64(it+1)*window)
+				c.Load(ls[w-1])
+				c.TimedLoad(dt)
+				c.Flush(dt)
+				c.Flush(ls[w-1])
+				c.Load(dt)
+				c.Load(ls[0])
+				for i := 1; i < w-1; i++ {
+					c.Load(ls[i])
+				}
+			}
+		}},
+
+		// Prefetch+Refresh v2: the cheapest reset.
+		{"Prefetch+Refresh v2", "prefetch_refresh", func(c *sim.Core, th core.Thresholds, dt mem.VAddr, ls []mem.VAddr, w int) {
 			all := append([]mem.VAddr{dt}, ls...)
 			for round := 0; round < 3; round++ {
 				for _, va := range all {
@@ -104,59 +134,36 @@ func runStealth(ctx *Context) (*Result, error) {
 				c.Flush(va)
 			}
 			c.Fence()
-			c.Load(dt)
-			for i := 0; i < w-1; i++ {
-				c.Load(ls[i])
-			}
-		}
-		prepareRR()
-		for it := 0; it < iters; it++ {
-			c.WaitUntil(start + int64(it+1)*window)
-			c.Load(ls[w-1])
-			c.TimedLoad(dt)
-			c.Flush(dt)
-			c.Flush(ls[w-1])
-			c.Load(dt)
-			c.Load(ls[0])
-			for i := 1; i < w-1; i++ {
-				c.Load(ls[i])
-			}
-		}
-	})
-
-	// Prefetch+Refresh v2: the cheapest reset.
-	run("Prefetch+Refresh v2", "prefetch_refresh", func(c *sim.Core, th core.Thresholds, dt mem.VAddr, ls []mem.VAddr, w int) {
-		all := append([]mem.VAddr{dt}, ls...)
-		for round := 0; round < 3; round++ {
-			for _, va := range all {
-				c.Load(va)
-			}
-		}
-		for _, va := range all {
-			c.Flush(va)
-		}
-		c.Fence()
-		c.PrefetchNTA(dt)
-		for i := 0; i < w-1; i++ {
-			c.PrefetchNTA(ls[i])
-		}
-		conflict, spare := ls[w-1], ls[0]
-		for it := 0; it < iters; it++ {
-			c.WaitUntil(start + int64(it+1)*window)
-			c.PrefetchNTA(conflict)
-			accessed := !th.IsMiss(c.TimedPrefetchNTA(dt))
-			c.Flush(dt)
 			c.PrefetchNTA(dt)
-			if accessed {
-				conflict, spare = spare, conflict
+			for i := 0; i < w-1; i++ {
+				c.PrefetchNTA(ls[i])
 			}
-		}
-	})
+			conflict, spare := ls[w-1], ls[0]
+			for it := 0; it < iters; it++ {
+				c.WaitUntil(start + int64(it+1)*window)
+				c.PrefetchNTA(conflict)
+				accessed := !th.IsMiss(c.TimedPrefetchNTA(dt))
+				c.Flush(dt)
+				c.PrefetchNTA(dt)
+				if accessed {
+					conflict, spare = spare, conflict
+				}
+			}
+		}},
+	}
 
+	// Each attack runs on its own machine, so the three shard across free
+	// workers.
+	outcomes := make([]outcome, len(attacks))
+	ctx.Parallel(len(attacks), func(i int, src sim.MachineSource) {
+		outcomes[i] = run(src, attacks[i].name, attacks[i].attacker)
+	})
 	rows := [][]string{}
-	for _, o := range outcomes {
+	for i, o := range outcomes {
+		res.Metric(attacks[i].key+"_victim_mean", o.mean)
+		res.Metric(attacks[i].key+"_victim_missfrac", o.missFrac)
 		rows = append(rows, []string{
-			o.name,
+			attacks[i].name,
 			fmt.Sprintf("%.1f cycles", o.mean),
 			fmt.Sprintf("%.1f%%", 100*o.missFrac),
 		})

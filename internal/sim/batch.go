@@ -53,10 +53,8 @@ type Arena struct {
 	shuffles map[shuffleKey]*mem.FrameShuffle
 
 	// cur is the machine NewMachine returned last, recycled by the next
-	// call. ctx, set for the duration of RunBatchContext, is handed to the
-	// machines built meanwhile so Run can stop a cancelled trial.
+	// call.
 	cur *Machine
-	ctx context.Context
 }
 
 // maxShuffles bounds the shuffle cache; a sweep touches a handful of
@@ -100,7 +98,6 @@ func (ar *Arena) NewMachine(cfg hier.Config, memBytes uint64, seed int64) *Machi
 		Phys:      mem.NewPhysMemFrom(ar.shuffle(memBytes, seed^0x9e3779b9)),
 		rng:       rand.New(rand.NewSource(seed ^ 0x5DEECE66D)),
 		SyncSlack: 3,
-		ctx:       ar.ctx,
 	}
 	return ar.cur
 }
@@ -120,8 +117,8 @@ func (ar *Arena) recycle() {
 // retained memory to a few workers' worth of hierarchies.
 var arenaPool = make(chan *Arena, 8)
 
-// AcquireArena returns a recycled arena, or a fresh one when none is idle.
-func AcquireArena() *Arena {
+// acquireArena returns a recycled arena, or a fresh one when none is idle.
+func acquireArena() *Arena {
 	select {
 	case ar := <-arenaPool:
 		return ar
@@ -130,16 +127,33 @@ func AcquireArena() *Arena {
 	}
 }
 
-// ReleaseArena returns an arena to the global free list; beyond the list's
+// releaseArena returns an arena to the global free list; beyond the list's
 // capacity the arena is dropped for the GC.
-func ReleaseArena(ar *Arena) {
-	if ar == nil {
-		return
-	}
+func releaseArena(ar *Arena) {
 	select {
 	case arenaPool <- ar:
 	default:
 	}
+}
+
+// batchSource is the MachineSource RunBatchContext hands its bodies. It
+// builds through the caller's arena or, without one, borrows an arena from
+// the free list on its first NewMachine call, so a run that builds no
+// machine pins none. Every machine it builds gets ctx (nil for a context
+// that can never be cancelled), which Machine.Run checks.
+type batchSource struct {
+	ar       *Arena
+	borrowed bool
+	ctx      context.Context
+}
+
+func (s *batchSource) NewMachine(cfg hier.Config, memBytes uint64, seed int64) *Machine {
+	if s.ar == nil {
+		s.ar, s.borrowed = acquireArena(), true
+	}
+	m := s.ar.NewMachine(cfg, memBytes, seed)
+	m.ctx = s.ctx
+	return m
 }
 
 // ctxCheckCycles is how many simulated cycles a cancellable machine runs
@@ -158,10 +172,13 @@ func RunBatch(n, width int, arena *Arena, body func(i int, src MachineSource)) {
 	RunBatchContext(context.Background(), n, arena, body)
 }
 
-// RunBatchContext executes body(0), ..., body(n-1) in order on arena (nil
-// for a private one). Bodies receive the arena as their MachineSource; the
-// simulation output of every trial is byte-identical to a fresh
-// MustNewMachine per trial.
+// RunBatchContext executes body(0), ..., body(n-1) in order on arena, or
+// with a nil arena on one borrowed from the process free list when the
+// first body builds a machine. The arena is returned to the list after a
+// clean run and dropped after a cancelled or panicking one. Bodies build
+// their machines through the MachineSource they receive; the simulation
+// output of every trial is byte-identical to a fresh MustNewMachine per
+// trial.
 //
 // ctx is checked before each trial, and machines built during the call
 // check it every ctxCheckCycles simulated cycles while they run: a
@@ -172,24 +189,27 @@ func RunBatch(n, width int, arena *Arena, body func(i int, src MachineSource)) {
 // whenever ctx is done on return, so a nil error means every trial ran to
 // completion.
 func RunBatchContext(ctx context.Context, n int, arena *Arena, body func(i int, src MachineSource)) (err error) {
-	if arena == nil {
-		arena = NewArena()
-	}
+	src := &batchSource{ar: arena}
 	if ctx.Done() != nil {
-		arena.ctx = ctx
+		src.ctx = ctx
 	}
 	defer func() {
-		arena.recycle()
-		arena.ctx = nil
-		if r := recover(); r != nil {
+		r := recover()
+		err = ctx.Err()
+		if src.ar != nil {
+			src.ar.recycle()
+			if src.borrowed && r == nil && err == nil {
+				releaseArena(src.ar)
+			}
+		}
+		if r != nil {
 			if _, ok := r.(canceledTrial); !ok {
 				panic(r)
 			}
 		}
-		err = ctx.Err()
 	}()
 	for i := 0; i < n && ctx.Err() == nil; i++ {
-		body(i, arena)
+		body(i, src)
 	}
 	return nil
 }

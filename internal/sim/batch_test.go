@@ -115,12 +115,11 @@ func TestBatchScalarEquivalence(t *testing.T) {
 				i, len(got[i]), len(want[i]))
 		}
 	}
-	// The global arena pool must not change results either.
-	ar := AcquireArena()
+	// An arena borrowed from the global free list must not change results
+	// either.
 	got = runEquivalenceTrials(n, func(n int, body func(i int, src MachineSource)) {
-		RunBatch(n, 1, ar, body)
+		RunBatch(n, 1, nil, body)
 	})
-	ReleaseArena(ar)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("global-arena batch run diverges from scalar")
 	}
@@ -271,6 +270,55 @@ func TestRunBatchContextCancel(t *testing.T) {
 	}
 	if n := started.Load(); n != 0 {
 		t.Fatalf("pre-cancelled run started %d trials", n)
+	}
+}
+
+// TestRunBatchBorrowsLazily pins how a nil-arena RunBatchContext uses the
+// process free list: a run that builds no machine leaves the list alone, a
+// clean run borrows an arena on its first NewMachine and returns it, and a
+// cancelled run drops the arena it borrowed.
+func TestRunBatchBorrowsLazily(t *testing.T) {
+	// seedPool empties the free list and leaves ar as its only entry.
+	seedPool := func(ar *Arena) {
+		for len(arenaPool) > 0 {
+			<-arenaPool
+		}
+		arenaPool <- ar
+	}
+	build := func(i int, src MachineSource) {
+		m := src.NewMachine(batchTestConfig(), 1<<24, int64(i))
+		m.Spawn("a", 0, nil, func(c *Core) { c.Load(c.Alloc(mem.PageSize)) })
+		m.Run()
+	}
+
+	ar := NewArena()
+	seedPool(ar)
+	if err := RunBatchContext(context.Background(), 3, nil, func(int, MachineSource) {}); err != nil {
+		t.Fatal(err)
+	}
+	if len(arenaPool) != 1 || len(ar.shuffles) != 0 {
+		t.Fatalf("machine-free run touched the free list (len %d, %d shuffles)", len(arenaPool), len(ar.shuffles))
+	}
+
+	if err := RunBatchContext(context.Background(), 2, nil, build); err != nil {
+		t.Fatal(err)
+	}
+	if len(arenaPool) != 1 || len(ar.shuffles) != 2 {
+		t.Fatalf("clean run: free list len %d, borrowed arena holds %d shuffles; want 1 and 2", len(arenaPool), len(ar.shuffles))
+	}
+	if got := <-arenaPool; got != ar {
+		t.Fatal("clean run returned a different arena than it borrowed")
+	}
+
+	seedPool(ar)
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(20*time.Millisecond, cancel)
+	var started atomic.Int64
+	if err := RunBatchContext(ctx, 4, nil, spinTrial(&started)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if len(arenaPool) != 0 {
+		t.Fatalf("cancelled run returned its arena to the free list (len %d)", len(arenaPool))
 	}
 }
 

@@ -253,7 +253,7 @@ type ScopeResult = attack.ScopeResult
 
 // RunScope mounts a scope attack against a periodic victim.
 func RunScope(p Platform, v ScopeVariant, cfg ScopeConfig, seed int64) ScopeResult {
-	return attack.RunScope(p, v, cfg, seed)
+	return attack.RunScope(sim.MustNewMachine(p, 1<<30, seed), v, cfg)
 }
 
 // RefreshVariant selects Reload+Refresh or one of the Prefetch+Refresh
@@ -275,7 +275,7 @@ type RefreshResult = attack.RefreshResult
 
 // RunRefresh mounts a refresh attack against a shared-memory victim.
 func RunRefresh(p Platform, v RefreshVariant, cfg RefreshConfig, seed int64) RefreshResult {
-	return attack.RunRefresh(p, v, cfg, seed)
+	return attack.RunRefresh(sim.MustNewMachine(p, 1<<30, seed), v, cfg, seed)
 }
 
 // ClassicVariant selects Flush+Reload, Flush+Flush or Evict+Reload.
@@ -299,12 +299,12 @@ type CoherenceResult = attack.CoherenceResult
 
 // RunClassic mounts a classic shared-memory attack.
 func RunClassic(p Platform, v ClassicVariant, cfg ClassicConfig, seed int64) ClassicResult {
-	return attack.RunClassic(p, v, cfg, seed)
+	return attack.RunClassic(sim.MustNewMachine(p, 1<<30, seed), v, cfg, seed)
 }
 
 // RunCoherence mounts the coherence-state write-detection attack.
 func RunCoherence(p Platform, cfg ClassicConfig, seed int64) CoherenceResult {
-	return attack.RunCoherence(p, cfg, seed)
+	return attack.RunCoherence(sim.MustNewMachine(p, 1<<30, seed), cfg, seed)
 }
 
 // KASLRConfig parameterizes the prefetch-timing KASLR break.
@@ -317,7 +317,7 @@ type KASLRResult = attack.KASLRResult
 // slot by timing prefetches of unmapped addresses (Section VI-C related
 // work: the page-table walk depth leaks through prefetch latency).
 func RunKASLR(p Platform, cfg KASLRConfig, seed int64) KASLRResult {
-	return attack.RunKASLR(p, cfg, seed)
+	return attack.RunKASLR(sim.MustNewMachine(p, 1<<30, seed), cfg, seed)
 }
 
 //
