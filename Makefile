@@ -47,7 +47,8 @@ staticcheck:
 	fi
 
 # Short fuzz runs over the wire-format decoders, the scenario template
-# loader, the arena-vs-fresh-machine equivalence property, the LLC
+# loader (each input as both YAML and JSON, with the canonical-marshal
+# fixed point), the arena-vs-fresh-machine equivalence property, the LLC
 # sharer-mask invariant, the packed PLRU and fill-path set summaries against
 # their per-way references and the extent page table against the map-backed one
 # (go test takes one -fuzz pattern per invocation, hence one command per

@@ -3,13 +3,54 @@ package scenario
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"strings"
 )
 
-// The strict tree→Spec decoder. Every getter records the first failure
-// (with the file and dotted field path) and turns subsequent calls into
-// no-ops, so decode functions read straight through without per-field
-// error plumbing. Unknown fields are rejected at every level.
+// field is one tagged struct field (the tags are the schema; see the
+// package comment).
+type field struct {
+	key       string
+	index     int
+	omitempty bool
+}
 
+// schema lists a struct type's fields in declaration (= canonical) order.
+type schema struct {
+	fields []field
+	keys   []string
+}
+
+// schemas holds the schema of every struct type reachable from Spec,
+// filled once at start-up.
+var schemas = map[reflect.Type]*schema{}
+
+func init() { register(reflect.TypeOf(Spec{})) }
+
+func register(t reflect.Type) {
+	s := &schema{}
+	schemas[t] = s
+	for i := 0; i < t.NumField(); i++ {
+		sf := t.Field(i)
+		tag, ok := sf.Tag.Lookup("yaml")
+		if !ok {
+			panic("scenario: untagged schema field " + t.Name() + "." + sf.Name)
+		}
+		key, opt, _ := strings.Cut(tag, ",")
+		s.fields = append(s.fields, field{key: key, index: i, omitempty: opt == "omitempty"})
+		s.keys = append(s.keys, key)
+		ft := sf.Type
+		if ft.Kind() == reflect.Pointer || ft.Kind() == reflect.Slice {
+			ft = ft.Elem()
+		}
+		if ft.Kind() == reflect.Struct && schemas[ft] == nil {
+			register(ft)
+		}
+	}
+}
+
+// The strict tree→Spec decoder records the first failure (with the file
+// and dotted field path) and turns the rest of the walk into no-ops.
 type dec struct {
 	file string
 	err  error
@@ -19,47 +60,6 @@ func (d *dec) fail(path, format string, args ...any) {
 	if d.err == nil {
 		d.err = fmt.Errorf("%s: %s: %s", d.file, path, fmt.Sprintf(format, args...))
 	}
-}
-
-// mapping asserts v is a mapping and returns it.
-func (d *dec) mapping(v any, path string) map[string]any {
-	if d.err != nil {
-		return nil
-	}
-	m, ok := v.(map[string]any)
-	if !ok {
-		d.fail(path, "expected a mapping, got %s", typeName(v))
-		return nil
-	}
-	return m
-}
-
-// checkUnknown rejects keys outside the known set.
-func (d *dec) checkUnknown(m map[string]any, path string, known ...string) {
-	if d.err != nil {
-		return
-	}
-	for k := range m {
-		found := false
-		for _, ok := range known {
-			if k == ok {
-				found = true
-				break
-			}
-		}
-		if !found {
-			// Deterministic choice irrelevant: fail on any one.
-			d.fail(joinPath(path, k), "unknown field (valid fields: %v)", known)
-			return
-		}
-	}
-}
-
-func joinPath(path, key string) string {
-	if path == "" {
-		return key
-	}
-	return path + "." + key
 }
 
 func typeName(v any) string {
@@ -82,470 +82,157 @@ func typeName(v any) string {
 	return fmt.Sprintf("%T", v)
 }
 
-func (d *dec) str(m map[string]any, path, key string) string {
-	v, ok := m[key]
-	if d.err != nil || !ok || v == nil {
-		return ""
+// expected names what a field of type t accepts, for type errors.
+func expected(t reflect.Type) string {
+	switch t.Kind() {
+	case reflect.Pointer:
+		return expected(t.Elem())
+	case reflect.String:
+		return "a string"
+	case reflect.Bool:
+		return "a bool"
+	case reflect.Int, reflect.Int64:
+		return "an integer"
+	case reflect.Float64:
+		return "a number"
+	case reflect.Slice:
+		return "a sequence"
 	}
-	s, isStr := v.(string)
-	if !isStr {
-		d.fail(joinPath(path, key), "expected a string, got %s", typeName(v))
-		return ""
-	}
-	return s
-}
-
-func (d *dec) integer(m map[string]any, path, key string) int64 {
-	v, ok := m[key]
-	if d.err != nil || !ok || v == nil {
-		return 0
-	}
-	switch n := v.(type) {
-	case int64:
-		return n
-	case float64:
-		if n == math.Trunc(n) && math.Abs(n) < 1<<53 {
-			return int64(n)
-		}
-	}
-	d.fail(joinPath(path, key), "expected an integer, got %s", typeName(v))
-	return 0
-}
-
-func (d *dec) intVal(m map[string]any, path, key string) int {
-	n := d.integer(m, path, key)
-	if d.err == nil && (n > math.MaxInt32 || n < math.MinInt32) {
-		d.fail(joinPath(path, key), "integer %d out of range", n)
-		return 0
-	}
-	return int(n)
-}
-
-func (d *dec) float(m map[string]any, path, key string) float64 {
-	v, ok := m[key]
-	if d.err != nil || !ok || v == nil {
-		return 0
-	}
-	switch n := v.(type) {
-	case int64:
-		return float64(n)
-	case float64:
-		return n
-	}
-	d.fail(joinPath(path, key), "expected a number, got %s", typeName(v))
-	return 0
-}
-
-// Pointer getters: nil when the key is absent, so explicit zeros survive.
-
-func (d *dec) i64p(m map[string]any, path, key string) *int64 {
-	if _, ok := m[key]; !ok || d.err != nil {
-		return nil
-	}
-	v := d.integer(m, path, key)
-	if d.err != nil {
-		return nil
-	}
-	return &v
-}
-
-func (d *dec) intp(m map[string]any, path, key string) *int {
-	if _, ok := m[key]; !ok || d.err != nil {
-		return nil
-	}
-	v := d.intVal(m, path, key)
-	if d.err != nil {
-		return nil
-	}
-	return &v
-}
-
-func (d *dec) f64p(m map[string]any, path, key string) *float64 {
-	if _, ok := m[key]; !ok || d.err != nil {
-		return nil
-	}
-	v := d.float(m, path, key)
-	if d.err != nil {
-		return nil
-	}
-	return &v
-}
-
-func (d *dec) boolp(m map[string]any, path, key string) *bool {
-	v, ok := m[key]
-	if !ok || d.err != nil {
-		return nil
-	}
-	b, isBool := v.(bool)
-	if !isBool {
-		d.fail(joinPath(path, key), "expected a bool, got %s", typeName(v))
-		return nil
-	}
-	return &b
-}
-
-func (d *dec) list(m map[string]any, path, key string) []any {
-	v, ok := m[key]
-	if d.err != nil || !ok || v == nil {
-		return nil
-	}
-	l, isList := v.([]any)
-	if !isList {
-		d.fail(joinPath(path, key), "expected a sequence, got %s", typeName(v))
-		return nil
-	}
-	return l
-}
-
-func (d *dec) i64s(m map[string]any, path, key string) []int64 {
-	l := d.list(m, path, key)
-	if l == nil {
-		return nil
-	}
-	out := make([]int64, 0, len(l))
-	for i, v := range l {
-		n, ok := v.(int64)
-		if !ok {
-			d.fail(fmt.Sprintf("%s[%d]", joinPath(path, key), i), "expected an integer, got %s", typeName(v))
-			return nil
-		}
-		out = append(out, n)
-	}
-	return out
-}
-
-func (d *dec) ints(m map[string]any, path, key string) []int {
-	l := d.i64s(m, path, key)
-	if l == nil {
-		return nil
-	}
-	out := make([]int, len(l))
-	for i, v := range l {
-		out[i] = int(v)
-	}
-	return out
+	return "a mapping"
 }
 
 // decodeSpec decodes a parsed document into a Spec.
 func decodeSpec(d *dec, root any) *Spec {
-	m := d.mapping(root, "")
-	if d.err != nil {
-		return nil
-	}
-	d.checkUnknown(m, "",
-		"id", "title", "paper", "kind",
-		"platform", "channel", "transport",
-		"statewalk", "pipeline", "sweep", "lanes", "noise", "faults", "victim",
-		"extract", "assert")
-	s := &Spec{
-		ID:    d.str(m, "", "id"),
-		Title: d.str(m, "", "title"),
-		Paper: d.str(m, "", "paper"),
-		Kind:  d.str(m, "", "kind"),
-	}
-	if v, ok := m["platform"]; ok {
-		s.Platform = decodePlatform(d, v, "platform")
-	}
-	if v, ok := m["channel"]; ok {
-		s.Channel = decodeChannel(d, v, "channel")
-	}
-	if v, ok := m["transport"]; ok {
-		s.Transport = decodeTransport(d, v, "transport")
-	}
-	if v, ok := m["statewalk"]; ok {
-		s.StateWalk = decodeStateWalk(d, v, "statewalk")
-	}
-	if v, ok := m["pipeline"]; ok {
-		s.Pipeline = decodePipeline(d, v, "pipeline")
-	}
-	if v, ok := m["sweep"]; ok {
-		s.Sweep = decodeSweep(d, v, "sweep")
-	}
-	if v, ok := m["lanes"]; ok {
-		s.Lanes = decodeLanes(d, v, "lanes")
-	}
-	if v, ok := m["noise"]; ok {
-		s.Noise = decodeNoise(d, v, "noise")
-	}
-	if v, ok := m["faults"]; ok {
-		s.Faults = decodeFaults(d, v, "faults")
-	}
-	if v, ok := m["victim"]; ok {
-		s.Victim = decodeVictim(d, v, "victim")
-	}
-	if v, ok := m["extract"]; ok {
-		s.Extract = decodeExtract(d, v, "extract")
-	}
-	if v, ok := m["assert"]; ok {
-		s.Assert = decodeAssert(d, v, "assert")
-	}
+	s := &Spec{}
+	d.decode(root, "", reflect.ValueOf(s).Elem())
 	if d.err != nil {
 		return nil
 	}
 	return s
 }
 
-func decodePlatform(d *dec, v any, path string) *PlatformSpec {
-	m := d.mapping(v, path)
+// decode stores the tree value v, found at path, in dst. Null leaves a scalar or list at
+// its zero value, as an absent key does (a pointer field still records the
+// explicit zero); a mapping, a bool and a list element must be spelled
+// out. A present section that decodes to its zero value is rejected: it
+// would marshal to a bare key that no parser reads back.
+func (d *dec) decode(v any, path string, dst reflect.Value) {
 	if d.err != nil {
-		return nil
+		return
 	}
-	d.checkUnknown(m, path, "base", "name", "cores", "freq_ghz",
-		"l1_sets", "l1_ways", "l2_sets", "l2_ways",
-		"llc_slices", "llc_sets_per_slice", "llc_ways", "llc_policy",
-		"adjacent_line", "stream_prefetch", "non_inclusive", "llc_partition_ways")
-	return &PlatformSpec{
-		Base:             d.str(m, path, "base"),
-		Name:             d.str(m, path, "name"),
-		Cores:            d.intVal(m, path, "cores"),
-		FreqGHz:          d.float(m, path, "freq_ghz"),
-		L1Sets:           d.intVal(m, path, "l1_sets"),
-		L1Ways:           d.intVal(m, path, "l1_ways"),
-		L2Sets:           d.intVal(m, path, "l2_sets"),
-		L2Ways:           d.intVal(m, path, "l2_ways"),
-		LLCSlices:        d.intVal(m, path, "llc_slices"),
-		LLCSetsPerSlice:  d.intVal(m, path, "llc_sets_per_slice"),
-		LLCWays:          d.intVal(m, path, "llc_ways"),
-		LLCPolicy:        d.str(m, path, "llc_policy"),
-		AdjacentLine:     d.boolp(m, path, "adjacent_line"),
-		StreamPrefetch:   d.boolp(m, path, "stream_prefetch"),
-		NonInclusive:     d.boolp(m, path, "non_inclusive"),
-		LLCPartitionWays: d.intp(m, path, "llc_partition_ways"),
-	}
-}
-
-func decodeChannel(d *dec, v any, path string) *ChannelSpec {
-	m := d.mapping(v, path)
-	if d.err != nil {
-		return nil
-	}
-	d.checkUnknown(m, path, "interval", "sets", "sender_offset", "receiver_offset",
-		"protocol_overhead", "start", "noise_period", "prime_walks")
-	return &ChannelSpec{
-		Interval:         d.i64p(m, path, "interval"),
-		Sets:             d.intp(m, path, "sets"),
-		SenderOffset:     d.i64p(m, path, "sender_offset"),
-		ReceiverOffset:   d.i64p(m, path, "receiver_offset"),
-		ProtocolOverhead: d.i64p(m, path, "protocol_overhead"),
-		Start:            d.i64p(m, path, "start"),
-		NoisePeriod:      d.i64p(m, path, "noise_period"),
-		PrimeWalks:       d.intp(m, path, "prime_walks"),
-	}
-}
-
-func decodeTransport(d *dec, v any, path string) *TransportSpec {
-	m := d.mapping(v, path)
-	if d.err != nil {
-		return nil
-	}
-	d.checkUnknown(m, path, "channel", "max_retries", "fer_window", "fer_threshold")
-	t := &TransportSpec{
-		MaxRetries:   d.intp(m, path, "max_retries"),
-		FERWindow:    d.intp(m, path, "fer_window"),
-		FERThreshold: d.f64p(m, path, "fer_threshold"),
-	}
-	if cv, ok := m["channel"]; ok {
-		t.Channel = decodeChannel(d, cv, joinPath(path, "channel"))
-	}
-	if d.err != nil {
-		return nil
-	}
-	return t
-}
-
-func decodeStateWalk(d *dec, v any, path string) *StateWalkSpec {
-	m := d.mapping(v, path)
-	if d.err != nil {
-		return nil
-	}
-	d.checkUnknown(m, path, "message", "calibrate_samples", "receiver_ready", "phase_step")
-	return &StateWalkSpec{
-		Message:          d.str(m, path, "message"),
-		CalibrateSamples: d.intVal(m, path, "calibrate_samples"),
-		ReceiverReady:    d.integer(m, path, "receiver_ready"),
-		PhaseStep:        d.integer(m, path, "phase_step"),
-	}
-}
-
-func decodePipeline(d *dec, v any, path string) *PipelineSpec {
-	m := d.mapping(v, path)
-	if d.err != nil {
-		return nil
-	}
-	d.checkUnknown(m, path, "message")
-	return &PipelineSpec{Message: d.str(m, path, "message")}
-}
-
-func decodeSweep(d *dec, v any, path string) *SweepSpec {
-	m := d.mapping(v, path)
-	if d.err != nil {
-		return nil
-	}
-	d.checkUnknown(m, path, "bits", "channels")
-	s := &SweepSpec{Bits: d.intVal(m, path, "bits")}
-	for i, cv := range d.list(m, path, "channels") {
-		cpath := fmt.Sprintf("%s.channels[%d]", path, i)
-		cm := d.mapping(cv, cpath)
-		if d.err != nil {
-			return nil
+	t := dst.Type()
+	switch t.Kind() {
+	case reflect.Pointer:
+		elem := reflect.New(t.Elem())
+		d.decode(v, path, elem.Elem())
+		if d.err == nil && t.Elem().Kind() == reflect.Struct && elem.Elem().IsZero() {
+			d.fail(path, "empty section (it sets no field to a non-zero value)")
 		}
-		d.checkUnknown(cm, cpath, "channel", "intervals")
-		s.Channels = append(s.Channels, SweepChannel{
-			Channel:   d.str(cm, cpath, "channel"),
-			Intervals: d.i64s(cm, cpath, "intervals"),
-		})
-	}
-	if d.err != nil {
-		return nil
-	}
-	return s
-}
-
-func decodeLanes(d *dec, v any, path string) *LanesSpec {
-	m := d.mapping(v, path)
-	if d.err != nil {
-		return nil
-	}
-	d.checkUnknown(m, path, "bits", "lane_counts", "offsets", "lane_cost")
-	return &LanesSpec{
-		Bits:       d.intVal(m, path, "bits"),
-		LaneCounts: d.ints(m, path, "lane_counts"),
-		Offsets:    d.i64s(m, path, "offsets"),
-		LaneCost:   d.integer(m, path, "lane_cost"),
-	}
-}
-
-func decodeNoise(d *dec, v any, path string) *NoiseSpec {
-	m := d.mapping(v, path)
-	if d.err != nil {
-		return nil
-	}
-	d.checkUnknown(m, path, "bits", "periods", "interleave_depth")
-	return &NoiseSpec{
-		Bits:            d.intVal(m, path, "bits"),
-		Periods:         d.i64s(m, path, "periods"),
-		InterleaveDepth: d.intVal(m, path, "interleave_depth"),
-	}
-}
-
-func decodeFaults(d *dec, v any, path string) *FaultsSpec {
-	m := d.mapping(v, path)
-	if d.err != nil {
-		return nil
-	}
-	d.checkUnknown(m, path, "raw_bits", "arq_bits", "interleave_depth", "scenarios")
-	f := &FaultsSpec{
-		RawBits:         d.intVal(m, path, "raw_bits"),
-		ARQBits:         d.intVal(m, path, "arq_bits"),
-		InterleaveDepth: d.intVal(m, path, "interleave_depth"),
-	}
-	for i, sv := range d.list(m, path, "scenarios") {
-		spath := fmt.Sprintf("%s.scenarios[%d]", path, i)
-		sm := d.mapping(sv, spath)
-		if d.err != nil {
-			return nil
+		dst.Set(elem)
+		return
+	case reflect.Struct:
+		d.decodeStruct(v, path, dst)
+		return
+	case reflect.Bool:
+		if b, ok := v.(bool); ok {
+			dst.SetBool(b)
+			return
 		}
-		d.checkUnknown(sm, spath, "key", "faults")
-		sc := FaultScenario{Key: d.str(sm, spath, "key")}
-		for j, fv := range d.list(sm, spath, "faults") {
-			fpath := fmt.Sprintf("%s.faults[%d]", spath, j)
-			fm := d.mapping(fv, fpath)
-			if d.err != nil {
-				return nil
+	case reflect.String:
+		if s, ok := v.(string); ok || v == nil {
+			dst.SetString(s)
+			return
+		}
+	case reflect.Int, reflect.Int64:
+		if n, ok := integral(v); ok || v == nil {
+			if t.Kind() == reflect.Int && (n > math.MaxInt32 || n < math.MinInt32) {
+				d.fail(path, "integer %d out of range", n)
 			}
-			d.checkUnknown(fm, fpath, "type", "role", "count", "min_dur", "max_dur",
-				"bursts", "walks", "gap", "ppm", "dur", "extra", "cost")
-			sc.Faults = append(sc.Faults, FaultSpec{
-				Type:   d.str(fm, fpath, "type"),
-				Role:   d.str(fm, fpath, "role"),
-				Count:  d.intVal(fm, fpath, "count"),
-				MinDur: d.integer(fm, fpath, "min_dur"),
-				MaxDur: d.integer(fm, fpath, "max_dur"),
-				Bursts: d.intVal(fm, fpath, "bursts"),
-				Walks:  d.intVal(fm, fpath, "walks"),
-				Gap:    d.integer(fm, fpath, "gap"),
-				PPM:    d.integer(fm, fpath, "ppm"),
-				Dur:    d.integer(fm, fpath, "dur"),
-				Extra:  d.integer(fm, fpath, "extra"),
-				Cost:   d.integer(fm, fpath, "cost"),
-			})
+			dst.SetInt(n)
+			return
 		}
-		f.Scenarios = append(f.Scenarios, sc)
+	case reflect.Float64:
+		if f, ok := number(v); ok || v == nil {
+			// An overflowing JSON number would marshal as +Inf, which
+			// reads back as a string; -0 would read back as 0.
+			if math.IsInf(f, 0) {
+				d.fail(path, "number out of range")
+			}
+			if f == 0 {
+				f = 0
+			}
+			dst.SetFloat(f)
+			return
+		}
+	case reflect.Slice:
+		if l, ok := v.([]any); ok || v == nil {
+			d.decodeList(l, path, dst)
+			return
+		}
 	}
-	if d.err != nil {
-		return nil
-	}
-	return f
+	d.fail(path, "expected %s, got %s", expected(t), typeName(v))
 }
 
-func decodeVictim(d *dec, v any, path string) *VictimSpec {
-	m := d.mapping(v, path)
-	if d.err != nil {
-		return nil
+// integral accepts an integer, or a float with an exact integer value.
+func integral(v any) (int64, bool) {
+	switch n := v.(type) {
+	case int64:
+		return n, true
+	case float64:
+		if n == math.Trunc(n) && math.Abs(n) < 1<<53 {
+			return int64(n), true
+		}
 	}
-	d.checkUnknown(m, path, "program", "key", "encryptions", "window", "start")
-	return &VictimSpec{
-		Program:     d.str(m, path, "program"),
-		Key:         d.str(m, path, "key"),
-		Encryptions: d.intVal(m, path, "encryptions"),
-		Window:      d.integer(m, path, "window"),
-		Start:       d.integer(m, path, "start"),
-	}
+	return 0, false
 }
 
-func decodeExtract(d *dec, v any, path string) []Extractor {
-	var out []Extractor
-	l, isList := v.([]any)
-	if !isList {
-		d.fail(path, "expected a sequence, got %s", typeName(v))
-		return nil
+func number(v any) (float64, bool) {
+	switch n := v.(type) {
+	case int64:
+		return float64(n), true
+	case float64:
+		return n, true
 	}
-	for i, ev := range l {
+	return 0, false
+}
+
+func (d *dec) decodeList(l []any, path string, dst reflect.Value) {
+	if len(l) == 0 {
+		return
+	}
+	out := reflect.MakeSlice(dst.Type(), len(l), len(l))
+	for i, e := range l {
 		epath := fmt.Sprintf("%s[%d]", path, i)
-		em := d.mapping(ev, epath)
-		if d.err != nil {
-			return nil
+		if e == nil {
+			d.fail(epath, "expected %s, got null", expected(dst.Type().Elem()))
 		}
-		d.checkUnknown(em, epath, "name", "type", "pattern", "group", "metric")
-		out = append(out, Extractor{
-			Name:    d.str(em, epath, "name"),
-			Type:    d.str(em, epath, "type"),
-			Pattern: d.str(em, epath, "pattern"),
-			Group:   d.intVal(em, epath, "group"),
-			Metric:  d.str(em, epath, "metric"),
-		})
+		d.decode(e, epath, out.Index(i))
 	}
-	if d.err != nil {
-		return nil
-	}
-	return out
+	dst.Set(out)
 }
 
-func decodeAssert(d *dec, v any, path string) []Assertion {
-	var out []Assertion
-	l, isList := v.([]any)
-	if !isList {
-		d.fail(path, "expected a sequence, got %s", typeName(v))
-		return nil
+// decodeStruct rejects unknown keys (the smallest first, so the error is
+// deterministic), then decodes the present fields in schema order.
+func (d *dec) decodeStruct(v any, path string, dst reflect.Value) {
+	m, ok := v.(map[string]any)
+	if !ok {
+		d.fail(path, "expected a mapping, got %s", typeName(v))
+		return
 	}
-	for i, av := range l {
-		apath := fmt.Sprintf("%s[%d]", path, i)
-		am := d.mapping(av, apath)
-		if d.err != nil {
-			return nil
+	sch := schemas[dst.Type()]
+	unknown := ""
+	for k := range m {
+		if !contains(sch.keys, k) && (unknown == "" || k < unknown) {
+			unknown = k
 		}
-		d.checkUnknown(am, apath, "metric", "extract", "op", "value", "max", "tol")
-		out = append(out, Assertion{
-			Metric:  d.str(am, apath, "metric"),
-			Extract: d.str(am, apath, "extract"),
-			Op:      d.str(am, apath, "op"),
-			Value:   d.float(am, apath, "value"),
-			Max:     d.float(am, apath, "max"),
-			Tol:     d.float(am, apath, "tol"),
-		})
 	}
-	if d.err != nil {
-		return nil
+	if unknown != "" {
+		d.fail(joinPath(path, unknown), "unknown field (valid fields: %v)", sch.keys)
+		return
 	}
-	return out
+	for _, f := range sch.fields {
+		if fv, present := m[f.key]; present {
+			d.decode(fv, joinPath(path, f.key), dst.Field(f.index))
+		}
+	}
 }

@@ -14,16 +14,16 @@ import (
 // Extracted values are named so assertions can reference them.
 type Extractor struct {
 	// Name keys the extracted value for assertions and output.
-	Name string
+	Name string `yaml:"name"`
 	// Type is "regex" or "metric".
-	Type string
+	Type string `yaml:"type"`
 	// Pattern and Group configure a regex extractor: the pattern runs
 	// over the experiment's rendered report and Group (default 1)
 	// selects the capture group.
-	Pattern string
-	Group   int
+	Pattern string `yaml:"pattern,omitempty"`
+	Group   int    `yaml:"group,omitempty"`
 	// Metric names the metric a metric extractor reads.
-	Metric string
+	Metric string `yaml:"metric,omitempty"`
 }
 
 // ExtractorTypes lists the valid Extractor.Type values.
@@ -33,15 +33,19 @@ func ExtractorTypes() []string { return []string{"regex", "metric"} }
 type Assertion struct {
 	// Exactly one of Metric (a metric key) or Extract (an extractor
 	// name) selects the checked value.
-	Metric  string
-	Extract string
+	Metric  string `yaml:"metric,omitempty"`
+	Extract string `yaml:"extract,omitempty"`
 	// Op compares the value against Value: eq, ne, lt, le, gt, ge,
 	// between (Value ≤ v ≤ Max) or approx (|v-Value| ≤ Tol).
-	Op    string
-	Value float64
-	Max   float64
-	Tol   float64
+	Op    string  `yaml:"op"`
+	Value float64 `yaml:"value"`
+	Max   float64 `yaml:"max,omitempty"`
+	Tol   float64 `yaml:"tol,omitempty"`
 }
+
+// keepZero emits max for every between assertion, max: 0 included, so
+// the canonical text always shows both bounds.
+func (a *Assertion) keepZero(key string) bool { return key == "max" && a.Op == "between" }
 
 // AssertionOps lists the valid Assertion.Op values.
 func AssertionOps() []string {

@@ -52,6 +52,9 @@ func TestParseJSONErrors(t *testing.T) {
 		{"syntax", `{"id":`, "demo.json"},
 		{"trailing data", `{"id": "x"} {"id": "y"}`, "trailing data"},
 		{"unknown field", `{"id": "x", "title": "T", "kind": "pipeline", "pipeline": {"message": "1"}, "bogus": 1}`, "bogus: unknown field"},
+		{"empty channel section", `{"id": "x", "title": "T", "kind": "pipeline", "pipeline": {"message": "1"}, "channel": {}}`, "channel: empty section"},
+		{"overflowing number", `{"id": "x", "title": "T", "kind": "pipeline", "pipeline": {"message": "1"}, "assert": [{"metric": "a", "op": "lt", "value": 1e999}]}`, "assert[0].value: number out of range"},
+		{"empty transport channel", `{"id": "x", "title": "T", "kind": "faults", "transport": {"channel": {}}}`, "transport.channel: empty section"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spec, err := Parse([]byte(tc.doc), "demo.json")

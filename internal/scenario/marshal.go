@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 )
@@ -14,166 +15,69 @@ import (
 // reproduces s exactly (the round-trip property test pins both).
 func Marshal(s *Spec) []byte {
 	e := &emitter{}
-	e.scalar(0, "id", s.ID)
-	e.scalar(0, "title", s.Title)
-	if s.Paper != "" {
-		e.scalar(0, "paper", s.Paper)
-	}
-	e.scalar(0, "kind", s.Kind)
-	if s.Platform != nil {
-		e.key(0, "platform")
-		e.platform(1, s.Platform)
-	}
-	if s.Channel != nil {
-		e.key(0, "channel")
-		e.channel(1, s.Channel)
-	}
-	if s.Transport != nil {
-		e.key(0, "transport")
-		t := s.Transport
-		if t.Channel != nil {
-			e.key(1, "channel")
-			e.channel(2, t.Channel)
-		}
-		e.intp(1, "max_retries", t.MaxRetries)
-		e.intp(1, "fer_window", t.FERWindow)
-		e.f64p(1, "fer_threshold", t.FERThreshold)
-	}
-	switch {
-	case s.StateWalk != nil:
-		e.key(0, "statewalk")
-		e.scalar(1, "message", s.StateWalk.Message)
-		e.scalar(1, "calibrate_samples", int64(s.StateWalk.CalibrateSamples))
-		e.scalar(1, "receiver_ready", s.StateWalk.ReceiverReady)
-		e.scalar(1, "phase_step", s.StateWalk.PhaseStep)
-	case s.Pipeline != nil:
-		e.key(0, "pipeline")
-		e.scalar(1, "message", s.Pipeline.Message)
-	case s.Sweep != nil:
-		e.key(0, "sweep")
-		e.scalar(1, "bits", int64(s.Sweep.Bits))
-		e.key(1, "channels")
-		for _, c := range s.Sweep.Channels {
-			e.item(2, "channel", c.Channel)
-			e.i64s(3, "intervals", c.Intervals)
-		}
-	case s.Lanes != nil:
-		e.key(0, "lanes")
-		e.scalar(1, "bits", int64(s.Lanes.Bits))
-		e.intList(1, "lane_counts", s.Lanes.LaneCounts)
-		e.i64s(1, "offsets", s.Lanes.Offsets)
-		e.scalar(1, "lane_cost", s.Lanes.LaneCost)
-	case s.Noise != nil:
-		e.key(0, "noise")
-		e.scalar(1, "bits", int64(s.Noise.Bits))
-		e.i64s(1, "periods", s.Noise.Periods)
-		e.scalar(1, "interleave_depth", int64(s.Noise.InterleaveDepth))
-	case s.Faults != nil:
-		e.key(0, "faults")
-		e.scalar(1, "raw_bits", int64(s.Faults.RawBits))
-		e.scalar(1, "arq_bits", int64(s.Faults.ARQBits))
-		e.scalar(1, "interleave_depth", int64(s.Faults.InterleaveDepth))
-		e.key(1, "scenarios")
-		for _, sc := range s.Faults.Scenarios {
-			e.item(2, "key", sc.Key)
-			if len(sc.Faults) > 0 {
-				e.key(3, "faults")
-				for _, f := range sc.Faults {
-					e.item(4, "type", f.Type)
-					if f.Role != "" {
-						e.scalar(5, "role", f.Role)
-					}
-					e.nonZero(5, "count", int64(f.Count))
-					e.nonZero(5, "min_dur", f.MinDur)
-					e.nonZero(5, "max_dur", f.MaxDur)
-					e.nonZero(5, "bursts", int64(f.Bursts))
-					e.nonZero(5, "walks", int64(f.Walks))
-					e.nonZero(5, "gap", f.Gap)
-					e.nonZero(5, "ppm", f.PPM)
-					e.nonZero(5, "dur", f.Dur)
-					e.nonZero(5, "extra", f.Extra)
-					e.nonZero(5, "cost", f.Cost)
-				}
-			}
-		}
-	case s.Victim != nil:
-		e.key(0, "victim")
-		e.scalar(1, "program", s.Victim.Program)
-		e.scalar(1, "key", s.Victim.Key)
-		e.scalar(1, "encryptions", int64(s.Victim.Encryptions))
-		e.scalar(1, "window", s.Victim.Window)
-		e.scalar(1, "start", s.Victim.Start)
-	}
-	if len(s.Extract) > 0 {
-		e.key(0, "extract")
-		for _, x := range s.Extract {
-			e.item(1, "name", x.Name)
-			e.scalar(2, "type", x.Type)
-			if x.Type == "regex" {
-				e.scalar(2, "pattern", x.Pattern)
-				e.nonZero(2, "group", int64(x.Group))
-			} else {
-				e.scalar(2, "metric", x.Metric)
-			}
-		}
-	}
-	if len(s.Assert) > 0 {
-		e.key(0, "assert")
-		for _, a := range s.Assert {
-			if a.Metric != "" {
-				e.item(1, "metric", a.Metric)
-			} else {
-				e.item(1, "extract", a.Extract)
-			}
-			e.scalar(2, "op", a.Op)
-			e.scalar(2, "value", a.Value)
-			if a.Op == "between" {
-				e.scalar(2, "max", a.Max)
-			}
-			if a.Op == "approx" {
-				e.scalar(2, "tol", a.Tol)
-			}
-		}
-	}
+	e.fields(0, reflect.ValueOf(s).Elem(), false)
 	return e.b.Bytes()
 }
 
-func (e *emitter) platform(ind int, p *PlatformSpec) {
-	if p.Base != "" {
-		e.scalar(ind, "base", p.Base)
+// keepZero lets a schema type emit an omitempty field that is zero.
+type keepZero interface{ keepZero(key string) bool }
+
+// fields emits an addressable struct's fields in schema order at level
+// ind, skipping empty omitempty fields. A list item passes dash, which
+// hangs the sequence dash on its first line; every list element type
+// in the schema starts with a scalar field.
+func (e *emitter) fields(ind int, v reflect.Value, dash bool) {
+	keep, _ := v.Addr().Interface().(keepZero)
+	for _, f := range schemas[v.Type()].fields {
+		fv := v.Field(f.index)
+		if f.omitempty && (fv.IsZero() || fv.Kind() == reflect.Slice && fv.Len() == 0) &&
+			(keep == nil || !keep.keepZero(f.key)) {
+			continue
+		}
+		e.field(ind, f.key, fv, dash)
+		dash = false
 	}
-	if p.Name != "" {
-		e.scalar(ind, "name", p.Name)
-	}
-	e.nonZero(ind, "cores", int64(p.Cores))
-	if p.FreqGHz != 0 {
-		e.scalar(ind, "freq_ghz", p.FreqGHz)
-	}
-	e.nonZero(ind, "l1_sets", int64(p.L1Sets))
-	e.nonZero(ind, "l1_ways", int64(p.L1Ways))
-	e.nonZero(ind, "l2_sets", int64(p.L2Sets))
-	e.nonZero(ind, "l2_ways", int64(p.L2Ways))
-	e.nonZero(ind, "llc_slices", int64(p.LLCSlices))
-	e.nonZero(ind, "llc_sets_per_slice", int64(p.LLCSetsPerSlice))
-	e.nonZero(ind, "llc_ways", int64(p.LLCWays))
-	if p.LLCPolicy != "" {
-		e.scalar(ind, "llc_policy", p.LLCPolicy)
-	}
-	e.boolp(ind, "adjacent_line", p.AdjacentLine)
-	e.boolp(ind, "stream_prefetch", p.StreamPrefetch)
-	e.boolp(ind, "non_inclusive", p.NonInclusive)
-	e.intp(ind, "llc_partition_ways", p.LLCPartitionWays)
 }
 
-func (e *emitter) channel(ind int, c *ChannelSpec) {
-	e.i64p(ind, "interval", c.Interval)
-	e.intp(ind, "sets", c.Sets)
-	e.i64p(ind, "sender_offset", c.SenderOffset)
-	e.i64p(ind, "receiver_offset", c.ReceiverOffset)
-	e.i64p(ind, "protocol_overhead", c.ProtocolOverhead)
-	e.i64p(ind, "start", c.Start)
-	e.i64p(ind, "noise_period", c.NoisePeriod)
-	e.intp(ind, "prime_walks", c.PrimeWalks)
+// field emits one key: a section as a nested block, a list of structs as
+// a block sequence, a list of integers in flow style, a scalar inline.
+func (e *emitter) field(ind int, key string, v reflect.Value, dash bool) {
+	if v.Kind() == reflect.Pointer {
+		v = v.Elem()
+	}
+	var x any
+	switch v.Kind() {
+	case reflect.Struct:
+		e.key(ind, key)
+		e.fields(ind+1, v, false)
+		return
+	case reflect.Slice:
+		if v.Type().Elem().Kind() == reflect.Struct {
+			e.key(ind, key)
+			for i := 0; i < v.Len(); i++ {
+				e.fields(ind+2, v.Index(i), true)
+			}
+			return
+		}
+		parts := make([]string, v.Len())
+		for i := range parts {
+			parts[i] = strconv.FormatInt(v.Index(i).Int(), 10)
+		}
+		x = flow(parts)
+	case reflect.String:
+		x = v.String()
+	case reflect.Bool:
+		x = v.Bool()
+	case reflect.Int, reflect.Int64:
+		x = v.Int()
+	case reflect.Float64:
+		x = v.Float()
+	}
+	if dash {
+		e.item(ind-1, key, x)
+	} else {
+		e.scalar(ind, key, x)
+	}
 }
 
 type emitter struct {
@@ -214,52 +118,6 @@ func (e *emitter) item(ind int, key string, v any) {
 	e.b.WriteString(": ")
 	e.b.WriteString(renderScalar(v))
 	e.b.WriteByte('\n')
-}
-
-func (e *emitter) nonZero(ind int, key string, v int64) {
-	if v != 0 {
-		e.scalar(ind, key, v)
-	}
-}
-
-func (e *emitter) intp(ind int, key string, v *int) {
-	if v != nil {
-		e.scalar(ind, key, int64(*v))
-	}
-}
-
-func (e *emitter) i64p(ind int, key string, v *int64) {
-	if v != nil {
-		e.scalar(ind, key, *v)
-	}
-}
-
-func (e *emitter) f64p(ind int, key string, v *float64) {
-	if v != nil {
-		e.scalar(ind, key, *v)
-	}
-}
-
-func (e *emitter) boolp(ind int, key string, v *bool) {
-	if v != nil {
-		e.scalar(ind, key, *v)
-	}
-}
-
-func (e *emitter) i64s(ind int, key string, vs []int64) {
-	parts := make([]string, len(vs))
-	for i, v := range vs {
-		parts[i] = strconv.FormatInt(v, 10)
-	}
-	e.scalar(ind, key, flow(parts))
-}
-
-func (e *emitter) intList(ind int, key string, vs []int) {
-	parts := make([]string, len(vs))
-	for i, v := range vs {
-		parts[i] = strconv.Itoa(v)
-	}
-	e.scalar(ind, key, flow(parts))
 }
 
 // flow wraps pre-rendered scalars in a flow sequence; the marker type

@@ -12,9 +12,18 @@
 // counterparts byte-identically for any -jobs value (the equivalence
 // harness in internal/experiments proves it).
 //
-// The loader is strict on purpose: unknown fields are rejected, every
-// error names the file and the field path that caused it, and a failed
-// Parse returns no Spec at all — never a partially-applied one.
+// The struct tags are the schema: `yaml:"key"` names each field's key and
+// fixes its place in the canonical order, and omitempty marks a field the
+// marshaller leaves out when it is zero. One reflective decoder and one
+// reflective emitter read the tags, so adding a field takes one tag (plus
+// its line in EXPERIMENTS.md, which a test enforces); range, enum and
+// cross-field rules stay hand-written in validate.go.
+//
+// The loader is strict on purpose: unknown fields are rejected (the
+// alphabetically first one is named), a present section that sets
+// nothing is rejected, every error names the file and the field path that
+// caused it, and a failed Parse returns no Spec at all — never a
+// partially-applied one.
 package scenario
 
 import (
@@ -35,40 +44,40 @@ type Spec struct {
 	// trace stream, and — critically — feeds the SplitSeed derivation,
 	// so a template with the same ID as a hand-coded experiment runs
 	// with identical randomness.
-	ID string
+	ID string `yaml:"id"`
 	// Title is the one-line banner ("Figure 8 — channel capacity ...").
-	Title string
+	Title string `yaml:"title"`
 	// Paper summarizes what the source paper reports for this artifact.
-	Paper string
+	Paper string `yaml:"paper,omitempty"`
 	// Kind selects the interpreter: statewalk, pipeline, sweep, lanes,
 	// noise, faults or victim.
-	Kind string
+	Kind string `yaml:"kind"`
 
 	// Platform, when present, replaces the context platforms with one
 	// custom configuration (base platform + geometry/policy/prefetcher
 	// overrides). Absent, the scenario runs on the context's platforms
 	// (both paper machines by default, or the CLI -platform selection).
-	Platform *PlatformSpec
+	Platform *PlatformSpec `yaml:"platform,omitempty"`
 	// Channel overrides fields of the per-platform DefaultConfig.
-	Channel *ChannelSpec
+	Channel *ChannelSpec `yaml:"channel,omitempty"`
 	// Transport overrides fields of the per-platform
 	// DefaultTransportConfig (faults kind only).
-	Transport *TransportSpec
+	Transport *TransportSpec `yaml:"transport,omitempty"`
 
 	// Exactly one of the following sections is set, per Kind.
-	StateWalk *StateWalkSpec
-	Pipeline  *PipelineSpec
-	Sweep     *SweepSpec
-	Lanes     *LanesSpec
-	Noise     *NoiseSpec
-	Faults    *FaultsSpec
-	Victim    *VictimSpec
+	StateWalk *StateWalkSpec `yaml:"statewalk,omitempty"`
+	Pipeline  *PipelineSpec  `yaml:"pipeline,omitempty"`
+	Sweep     *SweepSpec     `yaml:"sweep,omitempty"`
+	Lanes     *LanesSpec     `yaml:"lanes,omitempty"`
+	Noise     *NoiseSpec     `yaml:"noise,omitempty"`
+	Faults    *FaultsSpec    `yaml:"faults,omitempty"`
+	Victim    *VictimSpec    `yaml:"victim,omitempty"`
 
 	// Extract defines named typed extractors over the run's report text
 	// and metrics; Assert defines pass/fail checks over metrics and
 	// extracted values.
-	Extract []Extractor
-	Assert  []Assertion
+	Extract []Extractor `yaml:"extract,omitempty"`
+	Assert  []Assertion `yaml:"assert,omitempty"`
 }
 
 // Kind names.
@@ -92,26 +101,30 @@ func Kinds() []string {
 // from an explicit false/zero.
 type PlatformSpec struct {
 	// Base is "skylake" (default) or "kabylake".
-	Base string
+	Base string `yaml:"base,omitempty"`
 	// Name relabels the platform in output.
-	Name string
+	Name string `yaml:"name,omitempty"`
 	// Geometry overrides (0 = inherit base).
-	Cores                               int
-	FreqGHz                             float64
-	L1Sets, L1Ways                      int
-	L2Sets, L2Ways                      int
-	LLCSlices, LLCSetsPerSlice, LLCWays int
+	Cores           int     `yaml:"cores,omitempty"`
+	FreqGHz         float64 `yaml:"freq_ghz,omitempty"`
+	L1Sets          int     `yaml:"l1_sets,omitempty"`
+	L1Ways          int     `yaml:"l1_ways,omitempty"`
+	L2Sets          int     `yaml:"l2_sets,omitempty"`
+	L2Ways          int     `yaml:"l2_ways,omitempty"`
+	LLCSlices       int     `yaml:"llc_slices,omitempty"`
+	LLCSetsPerSlice int     `yaml:"llc_sets_per_slice,omitempty"`
+	LLCWays         int     `yaml:"llc_ways,omitempty"`
 	// LLCPolicy selects the last-level replacement policy: quadage
 	// (stock), quadage-countermeasure, lru, bit-plru, tree-plru, srrip
 	// or random. Empty inherits the base (stock QuadAge).
-	LLCPolicy string
+	LLCPolicy string `yaml:"llc_policy,omitempty"`
 	// Prefetcher switches (absent = inherit base, which is off).
-	AdjacentLine   *bool
-	StreamPrefetch *bool
+	AdjacentLine   *bool `yaml:"adjacent_line,omitempty"`
+	StreamPrefetch *bool `yaml:"stream_prefetch,omitempty"`
 	// NonInclusive switches the LLC to the server-part organization.
-	NonInclusive *bool
+	NonInclusive *bool `yaml:"non_inclusive,omitempty"`
 	// LLCPartitionWays enables the way-partitioning defense.
-	LLCPartitionWays *int
+	LLCPartitionWays *int `yaml:"llc_partition_ways,omitempty"`
 }
 
 // LLCPolicies lists the valid LLCPolicy values.
@@ -195,14 +208,14 @@ func llcPolicy(name string) policy.Policy {
 // (e.g. noise_period: 0, meaning "no background noise daemon") is
 // distinguishable from "inherit the default".
 type ChannelSpec struct {
-	Interval         *int64
-	Sets             *int
-	SenderOffset     *int64
-	ReceiverOffset   *int64
-	ProtocolOverhead *int64
-	Start            *int64
-	NoisePeriod      *int64
-	PrimeWalks       *int
+	Interval         *int64 `yaml:"interval,omitempty"`
+	Sets             *int   `yaml:"sets,omitempty"`
+	SenderOffset     *int64 `yaml:"sender_offset,omitempty"`
+	ReceiverOffset   *int64 `yaml:"receiver_offset,omitempty"`
+	ProtocolOverhead *int64 `yaml:"protocol_overhead,omitempty"`
+	Start            *int64 `yaml:"start,omitempty"`
+	NoisePeriod      *int64 `yaml:"noise_period,omitempty"`
+	PrimeWalks       *int   `yaml:"prime_walks,omitempty"`
 }
 
 // Apply overlays the overrides on base. A nil spec returns base as-is.
@@ -240,10 +253,10 @@ func (c *ChannelSpec) Apply(base channel.Config) channel.Config {
 // TransportSpec holds sparse overrides over the per-platform
 // channel.DefaultTransportConfig.
 type TransportSpec struct {
-	Channel      *ChannelSpec
-	MaxRetries   *int
-	FERWindow    *int
-	FERThreshold *float64
+	Channel      *ChannelSpec `yaml:"channel,omitempty"`
+	MaxRetries   *int         `yaml:"max_retries,omitempty"`
+	FERWindow    *int         `yaml:"fer_window,omitempty"`
+	FERThreshold *float64     `yaml:"fer_threshold,omitempty"`
 }
 
 // Apply overlays the overrides on base. A nil spec returns base as-is.
@@ -269,29 +282,29 @@ func (t *TransportSpec) Apply(base channel.TransportConfig) channel.TransportCon
 // with a timed prefetch, and every step snapshots the set.
 type StateWalkSpec struct {
 	// Message is the bit string to walk through ("10").
-	Message string
+	Message string `yaml:"message"`
 	// CalibrateSamples sizes the receiver's threshold calibration.
-	CalibrateSamples int
+	CalibrateSamples int `yaml:"calibrate_samples"`
 	// ReceiverReady is the cycle by which the receiver has prepared the
 	// channel; PhaseStep is the spacing between send and read phases.
-	ReceiverReady int64
-	PhaseStep     int64
+	ReceiverReady int64 `yaml:"receiver_ready"`
+	PhaseStep     int64 `yaml:"phase_step"`
 }
 
 // PipelineSpec demonstrates the two-set pipelined NTP+NTP schedule
 // (Figure 7) on Message.
 type PipelineSpec struct {
-	Message string
+	Message string `yaml:"message"`
 }
 
 // SweepSpec measures capacity and BER across transmission intervals
 // (Figure 8) for one or more channels on every platform.
 type SweepSpec struct {
 	// Bits per transmission (quick mode scales it down).
-	Bits int
+	Bits int `yaml:"bits"`
 	// Channels are swept in order; with exactly two, the report adds the
 	// peak-vs-peak comparison line.
-	Channels []SweepChannel
+	Channels []SweepChannel `yaml:"channels"`
 }
 
 // SweepChannel is one swept channel: a registry key plus its interval
@@ -300,9 +313,9 @@ type SweepChannel struct {
 	// Channel is "ntpntp" or "primeprobe"; it keys the seed derivation,
 	// the trace-stream labels and the "<platform>/<channel>_peak_kbps"
 	// metrics.
-	Channel string
+	Channel string `yaml:"channel"`
 	// Intervals is the cycle grid to sweep.
-	Intervals []int64
+	Intervals []int64 `yaml:"intervals"`
 }
 
 // SweepChannels lists the valid SweepChannel.Channel values.
@@ -312,24 +325,24 @@ func SweepChannels() []string { return []string{"ntpntp", "primeprobe"} }
 // count runs at intervals LaneCost*lanes + overhead + offset and the best
 // offset wins.
 type LanesSpec struct {
-	Bits int
+	Bits int `yaml:"bits"`
 	// LaneCounts are the lane widths to measure; each lane occupies two
 	// LLC sets, so 2*max(LaneCounts) must fit the LLC sets per slice.
-	LaneCounts []int
+	LaneCounts []int `yaml:"lane_counts"`
 	// Offsets are interval paddings swept around the expected knee.
-	Offsets []int64
+	Offsets []int64 `yaml:"offsets"`
 	// LaneCost is the per-lane receiver probe budget in cycles.
-	LaneCost int64
+	LaneCost int64 `yaml:"lane_cost"`
 }
 
 // NoiseSpec measures raw and interleaved-Hamming(7,4) reliability across
 // co-tenant noise intensities.
 type NoiseSpec struct {
-	Bits int
+	Bits int `yaml:"bits"`
 	// Periods are noise-daemon fill periods in cycles (0 = quiet).
-	Periods []int64
+	Periods []int64 `yaml:"periods"`
 	// InterleaveDepth is the Hamming(7,4) block-interleave depth.
-	InterleaveDepth int
+	InterleaveDepth int `yaml:"interleave_depth"`
 }
 
 // FaultsSpec runs every fault scenario against the raw channel, an
@@ -337,20 +350,20 @@ type NoiseSpec struct {
 type FaultsSpec struct {
 	// RawBits per raw/Hamming transmission (quick mode scales it down);
 	// ARQBits is the ARQ payload length (fixed, not scaled).
-	RawBits int
-	ARQBits int
+	RawBits int `yaml:"raw_bits"`
+	ARQBits int `yaml:"arq_bits"`
 	// InterleaveDepth is the Hamming(7,4) block-interleave depth.
-	InterleaveDepth int
+	InterleaveDepth int `yaml:"interleave_depth"`
 	// Scenarios is the injection menu; an empty Faults list means "no
 	// injection" (the baseline row).
-	Scenarios []FaultScenario
+	Scenarios []FaultScenario `yaml:"scenarios"`
 }
 
 // FaultScenario is one line of the injection menu: a key (used for seed
 // derivation, trace labels and metric names) plus the faults to compose.
 type FaultScenario struct {
-	Key    string
-	Faults []FaultSpec
+	Key    string      `yaml:"key"`
+	Faults []FaultSpec `yaml:"faults,omitempty"`
 }
 
 // Compile builds the composable fault scenario: nil for none, the bare
@@ -375,22 +388,25 @@ func (s FaultScenario) Compile() fault.Scenario {
 type FaultSpec struct {
 	// Type is preemption, pollution, clock-drift, timer-spikes or
 	// migration.
-	Type string
+	Type string `yaml:"type"`
 	// Role targets "sender" or "receiver" (default receiver) for the
 	// per-agent types.
-	Role string
+	Role string `yaml:"role,omitempty"`
 	// Preemption: Count windows of duration uniform in [MinDur, MaxDur].
-	Count          int
-	MinDur, MaxDur int64
+	Count  int   `yaml:"count,omitempty"`
+	MinDur int64 `yaml:"min_dur,omitempty"`
+	MaxDur int64 `yaml:"max_dur,omitempty"`
 	// Pollution: Bursts × Walks walks with Gap idle cycles per load.
-	Bursts, Walks int
-	Gap           int64
+	Bursts int   `yaml:"bursts,omitempty"`
+	Walks  int   `yaml:"walks,omitempty"`
+	Gap    int64 `yaml:"gap,omitempty"`
 	// Clock-drift: PPM parts per million.
-	PPM int64
+	PPM int64 `yaml:"ppm,omitempty"`
 	// Timer-spikes: Count windows of Dur cycles adding up to Extra.
-	Dur, Extra int64
+	Dur   int64 `yaml:"dur,omitempty"`
+	Extra int64 `yaml:"extra,omitempty"`
 	// Migration: rescheduling stall in cycles.
-	Cost int64
+	Cost int64 `yaml:"cost,omitempty"`
 }
 
 // FaultTypes lists the valid FaultSpec.Type values.
@@ -428,15 +444,15 @@ func (f FaultSpec) Compile() fault.Scenario {
 type VictimSpec struct {
 	// Program selects the victim: "aes" (T-table AES under a
 	// Flush+Reload T-table spy, first-round elimination analysis).
-	Program string
+	Program string `yaml:"program"`
 	// Key is the victim's 16-byte AES key as 32 hex characters.
-	Key string
+	Key string `yaml:"key"`
 	// Encryptions the spy observes.
-	Encryptions int
+	Encryptions int `yaml:"encryptions"`
 	// Window is the victim's per-encryption cycle budget; Start the
 	// cycle of the first encryption.
-	Window int64
-	Start  int64
+	Window int64 `yaml:"window"`
+	Start  int64 `yaml:"start"`
 }
 
 // VictimPrograms lists the valid VictimSpec.Program values.

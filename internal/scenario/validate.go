@@ -3,6 +3,7 @@ package scenario
 import (
 	"encoding/hex"
 	"fmt"
+	"reflect"
 	"regexp"
 
 	"leakyway/internal/channel"
@@ -24,6 +25,13 @@ func (v *validator) fail(path, format string, args ...any) {
 	if v.err == nil {
 		v.err = fmt.Errorf("%s: %s: %s", v.file, path, fmt.Sprintf(format, args...))
 	}
+}
+
+func joinPath(path, key string) string {
+	if path == "" {
+		return key
+	}
+	return path + "." + key
 }
 
 // Validate checks a decoded Spec: required fields, enum membership,
@@ -361,18 +369,11 @@ func (f FaultSpec) validate(v *validator, path string) {
 	if f.Role != "" && f.Role != "sender" && f.Role != "receiver" {
 		v.fail(joinPath(path, "role"), "unknown role %q (want sender or receiver)", f.Role)
 	}
-	set := map[string]bool{
-		"role":    f.Role != "",
-		"count":   f.Count != 0,
-		"min_dur": f.MinDur != 0, "max_dur": f.MaxDur != 0,
-		"bursts": f.Bursts != 0, "walks": f.Walks != 0, "gap": f.Gap != 0,
-		"ppm": f.PPM != 0,
-		"dur": f.Dur != 0, "extra": f.Extra != 0,
-		"cost": f.Cost != 0,
-	}
-	for key, isSet := range set {
-		if isSet && !contains(allowed, key) {
-			v.fail(joinPath(path, key), "field is not used by fault type %q (its fields: %v)", f.Type, allowed)
+	// The first set field the type does not use, in schema order.
+	rv := reflect.ValueOf(f)
+	for _, fl := range schemas[rv.Type()].fields {
+		if fl.key != "type" && !rv.Field(fl.index).IsZero() && !contains(allowed, fl.key) {
+			v.fail(joinPath(path, fl.key), "field is not used by fault type %q (its fields: %v)", f.Type, allowed)
 		}
 	}
 	switch f.Type {

@@ -64,6 +64,11 @@ func TestValidateNegative(t *testing.T) {
 			path: "bogus", msg: "unknown field",
 		},
 		{
+			name: "empty platform section",
+			yaml: minimal + "platform:\n  cores: 0\n",
+			path: "platform", msg: "empty section",
+		},
+		{
 			name: "unknown nested field",
 			yaml: minimal + "platform:\n  warp_drive: 1\n",
 			path: "platform.warp_drive", msg: "unknown field",
@@ -255,6 +260,28 @@ func TestValidateNegative(t *testing.T) {
 			}
 			if tc.msg != "" && !strings.Contains(got, tc.msg) {
 				t.Errorf("error lacks %q: %v", tc.msg, err)
+			}
+		})
+	}
+}
+
+// TestErrorsAreDeterministic: when a template breaks a rule in several
+// places, every parse names the same one — the daemon returns this text
+// in its 400 body, so it must not depend on map iteration order.
+func TestErrorsAreDeterministic(t *testing.T) {
+	faults := "id: demo\ntitle: T\nkind: faults\nfaults:\n  raw_bits: 10\n  arq_bits: 8\n" +
+		"  interleave_depth: 7\n  scenarios:\n    - key: x\n      faults:\n" +
+		"        - type: migration\n          cost: 5\n          ppm: 3\n          gap: 2\n          dur: 1\n"
+	for _, tc := range []struct{ name, yaml, want string }{
+		{"unknown fields in sorted order", minimal + "bogus3: 1\nbogus1: 1\nbogus2: 1\n", "bad.yaml: bogus1: unknown field"},
+		{"unused fault fields in schema order", faults, "bad.yaml: faults.scenarios[0].faults[0].gap: field is not used"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for i := 0; i < 20; i++ {
+				_, err := Parse([]byte(tc.yaml), "bad.yaml")
+				if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+					t.Fatalf("parse %d: got %v, want an error starting %q", i, err, tc.want)
+				}
 			}
 		})
 	}
