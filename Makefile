@@ -81,15 +81,17 @@ trace-smoke:
 	cmp /tmp/leakyway-trace-j1.jsonl /tmp/leakyway-trace-j8.jsonl
 	@echo "trace-smoke: fig6/fig7/fig8 traces byte-identical across -jobs 1/8"
 
-# Daemon robustness gate: drives the real leakywayd binary over HTTP and
-# signals — cache-hit resubmission, SIGTERM drain (exit 0, accepted jobs
-# completed), and SIGKILL crash-recovery with byte-identical metrics.
+# Daemon robustness gate: drives the real leakywayd binary over HTTP
+# (through service.Client) and signals — an SSE progress frame before done,
+# a /metricsz scrape, cache-hit resubmission, SIGTERM drain (exit 0,
+# accepted jobs completed), and SIGKILL crash-recovery with byte-identical
+# metrics.
 daemon-smoke:
 	$(GO) build -o /tmp/leakywayd-smoke ./cmd/leakywayd
 	$(GO) run ./cmd/daemonsmoke -bin /tmp/leakywayd-smoke
 
-# Disk-chaos gate: the same daemon binary under injected journal-fsync
-# failure and a tiny store quota — degraded mode must engage (503 +
+# Disk-chaos gate: the same daemon binary and client under injected
+# journal-fsync failure and a tiny store quota — degraded mode must engage (503 +
 # Retry-After, healthz degraded(reason)) and clear once the fault burns
 # out, quota eviction must hold the store under budget with every job
 # completing, and the daemon must still drain cleanly.

@@ -1,6 +1,7 @@
 // Command daemonsmoke is the end-to-end robustness gate for leakywayd.
-// It drives the real daemon binary over real HTTP and real signals and
-// proves the three properties the service exists for:
+// It drives the real daemon binary over real HTTP (through service.Client)
+// and real signals, and proves the three properties the service exists
+// for:
 //
 //  1. an identical resubmission is a cache hit (no re-simulation);
 //  2. SIGTERM drains — every accepted job completes and the process
@@ -18,10 +19,11 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"os/exec"
@@ -31,7 +33,7 @@ import (
 	"syscall"
 	"time"
 
-	"leakyway/internal/telemetry"
+	"leakyway/internal/service"
 )
 
 var (
@@ -71,8 +73,8 @@ func fatalf(format string, args ...any) {
 
 // daemon wraps one running leakywayd process.
 type daemon struct {
-	cmd  *exec.Cmd
-	base string // http://host:port
+	cmd *exec.Cmd
+	*service.Client
 }
 
 // The daemon logs via slog's text handler; the listen line carries the
@@ -109,7 +111,7 @@ func startDaemon(dataDir string, extra ...string) *daemon {
 
 	select {
 	case addr := <-addrCh:
-		return &daemon{cmd: cmd, base: "http://" + addr}
+		return &daemon{cmd: cmd, Client: service.NewClient("http://" + addr)}
 	case <-time.After(10 * time.Second):
 		cmd.Process.Kill()
 		fatalf("daemon never reported its listen address")
@@ -130,173 +132,39 @@ func (d *daemon) wait() int {
 	return -1
 }
 
-type jobView struct {
-	ID     string `json:"id"`
-	Key    string `json:"key"`
-	Status string `json:"status"`
-	Error  string `json:"error"`
+// job is the submission every phase sends: the template at seed, quick.
+func job(tmpl string, seed int64) service.Submission {
+	return service.Submission{Template: tmpl, Filename: filepath.Base(*template), Seed: seed, Quick: true}
 }
 
-// submit posts one job and returns the parsed view plus the X-Cache
-// header; wantStatus guards the HTTP status.
-func (d *daemon) submit(tmpl string, seed int64, wantStatus int) (jobView, string) {
-	body, _ := json.Marshal(map[string]any{
-		"template": tmpl,
-		"filename": "fig6.yaml",
-		"seed":     seed,
-		"quick":    true,
-	})
-	resp, err := http.Post(d.base+"/v1/jobs", "application/json", bytes.NewReader(body))
+// must ends the smoke on a client error.
+func must[T any](v T, err error) T {
 	if err != nil {
-		fatalf("submit: %v", err)
+		fatalf("%v", err)
 	}
-	defer resp.Body.Close()
-	data, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != wantStatus {
-		fatalf("submit: status %d, want %d: %s", resp.StatusCode, wantStatus, data)
-	}
-	var v jobView
-	if err := json.Unmarshal(data, &v); err != nil {
-		fatalf("submit response: %v (%s)", err, data)
-	}
-	return v, resp.Header.Get("X-Cache")
+	return v
 }
 
-// awaitDone polls a job until it reaches done.
+// awaitDone waits up to a minute for a job to reach done.
 func (d *daemon) awaitDone(id string) {
-	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(d.base + "/v1/jobs/" + id)
-		if err != nil {
-			fatalf("poll %s: %v", id, err)
-		}
-		data, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		var v jobView
-		json.Unmarshal(data, &v)
-		switch v.Status {
-		case "done":
-			return
-		case "failed", "canceled":
-			fatalf("job %s reached %q: %s", id, v.Status, v.Error)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	fatalf("job %s never completed", id)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	must(d.Await(ctx, id))
 }
 
-// artifact fetches one artifact's bytes.
-func (d *daemon) artifact(id, name string) []byte {
-	resp, err := http.Get(d.base + "/v1/jobs/" + id + "/artifacts/" + name)
-	if err != nil {
-		fatalf("artifact %s/%s: %v", id, name, err)
-	}
-	defer resp.Body.Close()
-	data, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != 200 {
-		fatalf("artifact %s/%s: status %d: %s", id, name, resp.StatusCode, data)
-	}
-	return data
+// health reads /v1/healthz: its status (200 or 503) and body.
+func (d *daemon) health() (int, map[string]any) {
+	hs, hb, err := d.Healthz()
+	must(hb, err)
+	return hs, hb
 }
 
-// watchEvents subscribes to a job's SSE stream and returns the number of
-// progress frames delivered before the done frame.
-func (d *daemon) watchEvents(id string) int {
-	resp, err := http.Get(d.base + "/v1/jobs/" + id + "/events")
-	if err != nil {
-		fatalf("events %s: %v", id, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		fatalf("events %s: status %d", id, resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		fatalf("events %s: content type %q", id, ct)
-	}
-	progress := 0
-	var event string
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if v, ok := strings.CutPrefix(line, "event: "); ok {
-			event = v
-			continue
-		}
-		if !strings.HasPrefix(line, "data: ") {
-			continue
-		}
-		switch event {
-		case "progress":
-			progress++
-		case "done":
-			return progress
-		}
-	}
-	fatalf("events %s: stream ended without a done frame: %v", id, sc.Err())
-	return 0
-}
-
-// scrapeMetrics asserts /metricsz serves valid-looking Prometheus text
-// exposition and contains the named sample family.
-func (d *daemon) scrapeMetrics(wantFamily string) {
-	resp, err := http.Get(d.base + "/metricsz")
-	if err != nil {
-		fatalf("metricsz: %v", err)
-	}
-	defer resp.Body.Close()
-	data, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != 200 {
-		fatalf("metricsz: status %d: %s", resp.StatusCode, data)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
-		fatalf("metricsz: content type %q, want Prometheus text 0.0.4", ct)
-	}
-	if !strings.Contains(string(data), wantFamily) {
-		fatalf("metricsz: no %s family in scrape:\n%s", wantFamily, data)
-	}
-}
-
-// submitRaw posts one job and returns the HTTP status, the Retry-After
-// header and the body, without fataling on any status.
-func (d *daemon) submitRaw(tmpl string, seed int64) (int, string, string) {
-	body, _ := json.Marshal(map[string]any{
-		"template": tmpl,
-		"filename": "fig6.yaml",
-		"seed":     seed,
-		"quick":    true,
-	})
-	resp, err := http.Post(d.base+"/v1/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		fatalf("submit: %v", err)
-	}
-	defer resp.Body.Close()
-	data, _ := io.ReadAll(resp.Body)
-	return resp.StatusCode, resp.Header.Get("Retry-After"), string(data)
-}
-
-// healthz returns the endpoint's HTTP status and decoded body.
-func (d *daemon) healthz() (int, map[string]any) {
-	resp, err := http.Get(d.base + "/v1/healthz")
-	if err != nil {
-		fatalf("healthz: %v", err)
-	}
-	defer resp.Body.Close()
-	var body map[string]any
-	json.NewDecoder(resp.Body).Decode(&body)
-	return resp.StatusCode, body
-}
-
-// metricValue scrapes /metricsz and returns one sample's value.
-func (d *daemon) metricValue(series string) float64 {
-	resp, err := http.Get(d.base + "/metricsz")
-	if err != nil {
-		fatalf("metricsz: %v", err)
-	}
-	defer resp.Body.Close()
-	data, _ := io.ReadAll(resp.Body)
-	v, ok := telemetry.SampleValue(string(data), series)
-	if !ok {
-		fatalf("metricsz: no %s sample in scrape", series)
+// submit posts one job and checks the X-Cache header it was answered with.
+func (d *daemon) submit(sub service.Submission, wantCache string) service.JobView {
+	v, cache, err := d.Submit(sub)
+	must(v, err)
+	if cache != wantCache {
+		fatalf("seed %d submission X-Cache %q, want %s", sub.Seed, cache, wantCache)
 	}
 	return v
 }
@@ -324,14 +192,15 @@ func phaseChaos(tmpl string) {
 
 	// The first admission hits the dead fsync: the accept cannot be made
 	// durable, so the daemon must refuse it and enter degraded mode.
-	status, retryAfter, body := d.submitRaw(tmpl, 1)
-	if status != http.StatusServiceUnavailable {
-		fatalf("submit during fsync outage: status %d, want 503: %s", status, body)
+	_, _, err = d.Submit(job(tmpl, 1))
+	var se *service.StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
+		fatalf("submit during fsync outage: %v, want status 503", err)
 	}
-	if retryAfter == "" {
+	if se.RetryAfter == "" {
 		fatalf("degraded 503 carries no Retry-After header")
 	}
-	hs, hb := d.healthz()
+	hs, hb := d.health()
 	if hs != http.StatusServiceUnavailable || hb["status"] != "degraded" {
 		fatalf("healthz during outage: %d %v, want 503/degraded", hs, hb)
 	}
@@ -344,7 +213,7 @@ func phaseChaos(tmpl string) {
 	// must notice and resume admissions.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		if hs, hb := d.healthz(); hs == http.StatusOK && hb["status"] == "ok" {
+		if hs, hb := d.health(); hs == http.StatusOK && hb["status"] == "ok" {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -352,7 +221,7 @@ func phaseChaos(tmpl string) {
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
-	if got := d.metricValue("leakywayd_degraded_entered_total"); got < 1 {
+	if got := must(d.Metric("leakywayd_degraded_entered_total")); got < 1 {
 		fatalf("degraded_entered_total %.0f after an outage, want >= 1", got)
 	}
 	fmt.Println("chaos-smoke: probe cleared degraded mode once the fault burned out")
@@ -361,14 +230,14 @@ func phaseChaos(tmpl string) {
 	// serves its artifacts, while older entries are evicted to hold the
 	// quota.
 	for i := int64(0); i < 12; i++ {
-		v, _ := d.submit(tmpl, 100+i, http.StatusAccepted)
+		v := d.submit(job(tmpl, 100+i), "miss")
 		d.awaitDone(v.ID)
-		d.artifact(v.ID, "metrics")
+		must(d.Artifact(v.ID, "metrics"))
 	}
-	if got := d.metricValue("leakywayd_store_evictions_total"); got < 1 {
+	if got := must(d.Metric("leakywayd_store_evictions_total")); got < 1 {
 		fatalf("12 unique jobs under a 16KiB quota evicted nothing")
 	}
-	if got := d.metricValue("leakywayd_store_bytes"); got > 16384 {
+	if got := must(d.Metric("leakywayd_store_bytes")); got > 16384 {
 		fatalf("store at %.0f bytes, quota 16384", got)
 	}
 	fmt.Println("chaos-smoke: quota-driven eviction kept the store under budget with all jobs completing")
@@ -395,27 +264,34 @@ func phaseDrain(tmpl string) []byte {
 
 	// First submission simulates. Ride its SSE stream while it runs: the
 	// stream must deliver at least one progress frame before done.
-	j1, cache := d.submit(tmpl, 42, http.StatusAccepted)
-	if cache != "miss" {
-		fatalf("first submission X-Cache %q, want miss", cache)
+	j1 := d.submit(job(tmpl, 42), "miss")
+	progress, done := 0, false
+	err = d.Events(context.Background(), j1.ID, func(name, _ string) bool {
+		switch name {
+		case "progress":
+			progress++
+		case "done":
+			done = true
+		}
+		return !done
+	})
+	if err != nil || !done {
+		fatalf("events %s: stream ended without a done frame: %v", j1.ID, err)
 	}
-	if n := d.watchEvents(j1.ID); n < 1 {
-		fatalf("SSE stream for %s delivered %d progress frames before done, want >= 1", j1.ID, n)
+	if progress < 1 {
+		fatalf("SSE stream for %s delivered %d progress frames before done, want >= 1", j1.ID, progress)
 	}
 	fmt.Println("daemon-smoke: SSE stream delivered progress before completion")
 	d.awaitDone(j1.ID)
-	metrics := d.artifact(j1.ID, "metrics")
+	metrics := must(d.Artifact(j1.ID, "metrics"))
 	if !json.Valid(metrics) {
 		fatalf("metrics artifact is not valid JSON")
 	}
-	d.scrapeMetrics("leakywayd_jobs_total")
+	must(d.Metric(`leakywayd_jobs_total{event="accepted"}`))
 	fmt.Println("daemon-smoke: first run completed, metrics fetched, /metricsz scraped")
 
 	// Identical resubmission must be served from the store.
-	j2, cache := d.submit(tmpl, 42, http.StatusOK)
-	if cache != "hit" {
-		fatalf("resubmission X-Cache %q, want hit", cache)
-	}
+	j2 := d.submit(job(tmpl, 42), "hit")
 	if j2.Key != j1.Key {
 		fatalf("resubmission key %s differs from %s", j2.Key, j1.Key)
 	}
@@ -423,7 +299,7 @@ func phaseDrain(tmpl string) []byte {
 
 	// Queue one more job, then SIGTERM: the drain must complete it and
 	// the process must exit 0.
-	j3, _ := d.submit(tmpl, 43, http.StatusAccepted)
+	j3 := d.submit(job(tmpl, 43), "miss")
 	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		fatalf("SIGTERM: %v", err)
 	}
@@ -452,10 +328,7 @@ func phaseCrashRecovery(tmpl string) []byte {
 	// -stall holds the attempt so the SIGKILL reliably lands while the
 	// accepted job is incomplete.
 	d := startDaemon(dataDir, "-stall", "1h")
-	j, cache := d.submit(tmpl, 42, http.StatusAccepted)
-	if cache != "miss" {
-		fatalf("phase B first submission X-Cache %q, want miss", cache)
-	}
+	j := d.submit(job(tmpl, 42), "miss")
 	if err := d.cmd.Process.Kill(); err != nil {
 		fatalf("SIGKILL: %v", err)
 	}
@@ -467,7 +340,7 @@ func phaseCrashRecovery(tmpl string) []byte {
 	d2 := startDaemon(dataDir)
 	defer d2.cmd.Process.Kill()
 	d2.awaitDone(j.ID)
-	metrics := d2.artifact(j.ID, "metrics")
+	metrics := must(d2.Artifact(j.ID, "metrics"))
 	fmt.Println("daemon-smoke: restart recovered the journalled job to done")
 
 	if err := d2.cmd.Process.Signal(syscall.SIGTERM); err != nil {

@@ -1,10 +1,8 @@
 package service
 
 import (
-	"encoding/json"
-	"fmt"
+	"errors"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -73,21 +71,16 @@ func TestChaosJournalFsyncFailureDegradesAndRecovers(t *testing.T) {
 
 	// Reads keep working while degraded: healthz reports the state, the
 	// finished job's artifacts stay servable.
-	h := s.Handler()
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/healthz", nil))
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("degraded healthz status %d, want 503", rec.Code)
+	c := newTestClient(t, s)
+	code, hb, err := c.Healthz()
+	if err != nil || code != http.StatusServiceUnavailable {
+		t.Fatalf("degraded healthz: %d %v, want status 503", code, err)
 	}
-	var hb map[string]any
-	json.Unmarshal(rec.Body.Bytes(), &hb)
 	if hb["status"] != "degraded" || hb["reason"] == "" {
 		t.Fatalf("degraded healthz body %v", hb)
 	}
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", fmt.Sprintf("/v1/jobs/%s/artifacts/report", j0.ID), nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("artifact read while degraded: %d", rec.Code)
+	if _, err := c.Artifact(j0.ID, "report"); err != nil {
+		t.Fatalf("artifact read while degraded: %v", err)
 	}
 
 	// Repeated submissions stay rejected and counted while the fault
@@ -236,10 +229,9 @@ func TestChaosChurnStaysUnderQuota(t *testing.T) {
 		t.Fatalf("first job record missing")
 	}
 	if !s.store.Has(first.Key) {
-		rec := httptest.NewRecorder()
-		s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/jobs/j-000001/artifacts/report", nil))
-		if rec.Code != http.StatusGone {
-			t.Fatalf("evicted artifact status %d, want 410", rec.Code)
+		_, err := newTestClient(t, s).Artifact("j-000001", "report")
+		if se := (*StatusError)(nil); !errors.As(err, &se) || se.Code != http.StatusGone {
+			t.Fatalf("evicted artifact: %v, want status 410", err)
 		}
 	}
 }

@@ -11,8 +11,9 @@ import (
 	"leakyway/internal/telemetry"
 )
 
-// jobView is the GET /v1/jobs/{id} response body.
-type jobView struct {
+// JobView is a job as clients see it: the body of GET /v1/jobs/{id}, of
+// submit and cancel answers and of the SSE done frame.
+type JobView struct {
 	ID        string   `json:"id"`
 	Key       string   `json:"key"`
 	Status    string   `json:"status"`
@@ -101,12 +102,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // viewOf renders a job's client-visible state, folding in the stored
 // result's artifact list when the job is done.
-func (s *Server) viewOf(id string) jobView {
+func (s *Server) viewOf(id string) JobView {
 	snap, ok := s.snapshotJob(id)
 	if !ok {
-		return jobView{}
+		return JobView{}
 	}
-	v := jobView{
+	v := JobView{
 		ID:       snap.ID,
 		Key:      snap.Key,
 		Status:   snap.Status,

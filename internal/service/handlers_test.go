@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -124,7 +125,7 @@ func TestHandlerSubmitLifecycleAndCacheHeaders(t *testing.T) {
 	if got := w.Header().Get("X-Cache"); got != "miss" {
 		t.Fatalf("first submit X-Cache %q, want miss", got)
 	}
-	var v jobView
+	var v JobView
 	if err := json.Unmarshal(w.Body.Bytes(), &v); err != nil {
 		t.Fatal(err)
 	}
@@ -133,20 +134,11 @@ func TestHandlerSubmitLifecycleAndCacheHeaders(t *testing.T) {
 	}
 
 	// Poll to done via the API.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		w = doJSON(h, "GET", "/v1/jobs/"+v.ID, nil)
-		if w.Code != 200 {
-			t.Fatalf("get job: %d (%s)", w.Code, w.Body.String())
-		}
-		json.Unmarshal(w.Body.Bytes(), &v)
-		if v.Status == StatusDone {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck at %q", v.Status)
-		}
-		time.Sleep(2 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	v, err := newTestClient(t, s).Await(ctx, v.ID)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(v.Artifacts) == 0 {
 		t.Fatalf("done job lists no artifacts")
@@ -243,31 +235,31 @@ func TestHandlerBackpressure429(t *testing.T) {
 		close(release)
 		s.Drain()
 	}()
-	h := s.Handler()
+	c := newTestClient(t, s)
 
-	if w := doJSON(h, "POST", "/v1/jobs", Submission{Template: tmplFor("q0"), Seed: 1}); w.Code != 202 {
-		t.Fatalf("submit 0: %d", w.Code)
+	if _, _, err := c.Submit(Submission{Template: tmplFor("q0"), Seed: 1}); err != nil {
+		t.Fatalf("submit 0: %v", err)
 	}
 	<-started
-	if w := doJSON(h, "POST", "/v1/jobs", Submission{Template: tmplFor("q1"), Seed: 1}); w.Code != 202 {
-		t.Fatalf("submit 1: %d", w.Code)
+	if _, _, err := c.Submit(Submission{Template: tmplFor("q1"), Seed: 1}); err != nil {
+		t.Fatalf("submit 1: %v", err)
 	}
-	w := doJSON(h, "POST", "/v1/jobs", Submission{Template: tmplFor("q2"), Seed: 1})
-	if w.Code != http.StatusTooManyRequests {
-		t.Fatalf("overflow submit: %d, want 429 (body %s)", w.Code, w.Body.String())
+	_, _, err := c.Submit(Submission{Template: tmplFor("q2"), Seed: 1})
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusTooManyRequests {
+		t.Fatalf("overflow submit: %v, want status 429", err)
 	}
-	if w.Header().Get("Retry-After") == "" {
+	if se.RetryAfter == "" {
 		t.Fatalf("429 without Retry-After header")
 	}
 }
 
 func TestHandlerHealthzAndMetricsz(t *testing.T) {
 	s := newTestServer(t, nil)
-	h := s.Handler()
+	c := newTestClient(t, s)
 
-	w := doJSON(h, "GET", "/v1/healthz", nil)
-	if w.Code != 200 || !strings.Contains(w.Body.String(), `"ok"`) {
-		t.Fatalf("healthz: %d %s", w.Code, w.Body.String())
+	if code, body, err := c.Healthz(); err != nil || code != 200 || body["status"] != "ok" {
+		t.Fatalf("healthz: %d %v %v", code, body, err)
 	}
 
 	j, err := s.Submit(Submission{Template: tmplFor("st"), Seed: 1})
@@ -276,10 +268,6 @@ func TestHandlerHealthzAndMetricsz(t *testing.T) {
 	}
 	waitStatus(t, s, j.ID, StatusDone)
 
-	w = doJSON(h, "GET", "/metricsz", nil)
-	if w.Code != 200 {
-		t.Fatalf("metricsz: %d", w.Code)
-	}
 	for series, want := range map[string]float64{
 		`leakywayd_jobs_total{event="accepted"}`:      1,
 		`leakywayd_jobs_total{event="completed"}`:     1,
@@ -288,22 +276,21 @@ func TestHandlerHealthzAndMetricsz(t *testing.T) {
 		"leakywayd_workers":                           float64(s.cfg.Workers),
 		"leakywayd_jobs_tracked":                      1,
 	} {
-		if got, ok := telemetry.SampleValue(w.Body.String(), series); !ok || got != want {
-			t.Fatalf("metricsz %s = %v (found %v), want %v:\n%s", series, got, ok, want, w.Body.String())
+		if got, err := c.Metric(series); err != nil || got != want {
+			t.Fatalf("metricsz %s = %v (%v), want %v", series, got, err, want)
 		}
 	}
 
 	if err := s.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	w = doJSON(h, "GET", "/v1/healthz", nil)
-	if w.Code != http.StatusServiceUnavailable || !strings.Contains(w.Body.String(), "draining") {
-		t.Fatalf("draining healthz: %d %s", w.Code, w.Body.String())
+	if code, body, err := c.Healthz(); err != nil || code != http.StatusServiceUnavailable || body["status"] != "draining" {
+		t.Fatalf("draining healthz: %d %v %v", code, body, err)
 	}
 	// Submissions during drain are refused with 503.
-	w = doJSON(h, "POST", "/v1/jobs", Submission{Template: tmplFor("late"), Seed: 1})
-	if w.Code != http.StatusServiceUnavailable {
-		t.Fatalf("submit while draining: %d, want 503", w.Code)
+	_, _, err = c.Submit(Submission{Template: tmplFor("late"), Seed: 1})
+	if se := (*StatusError)(nil); !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
+		t.Fatalf("submit while draining: %v, want status 503", err)
 	}
 }
 
@@ -321,7 +308,7 @@ func TestHandlerCancel(t *testing.T) {
 	h := s.Handler()
 
 	w := doJSON(h, "POST", "/v1/jobs", Submission{Template: tmplFor("hc"), Seed: 1})
-	var v jobView
+	var v JobView
 	json.Unmarshal(w.Body.Bytes(), &v)
 	<-started
 

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"syscall"
 	"time"
 
 	"leakyway/internal/iofault"
@@ -161,7 +163,7 @@ func writeCompacted(fsys iofault.FS, path string, entries []journalEntry) (iofau
 	if err := fsys.Rename(tmp, path); err != nil {
 		return nil, 0, fmt.Errorf("journal: %w", err)
 	}
-	syncDir(fsys, filepath.Dir(path))
+	syncDir(fsys, filepath.Dir(path)) // best-effort: the appends that follow are fsynced
 	af, err := fsys.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, 0, fmt.Errorf("journal: %w", err)
@@ -273,7 +275,7 @@ func (j *Journal) Rotate(entries []journalEntry) error {
 	if err := j.fs.Rename(tmp, j.path); err != nil {
 		return fmt.Errorf("journal: rotate: %w", err)
 	}
-	syncDir(j.fs, filepath.Dir(j.path))
+	syncDir(j.fs, filepath.Dir(j.path)) // best-effort: the appends that follow are fsynced
 	nf, err := j.fs.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		j.detached = true
@@ -296,11 +298,18 @@ func (j *Journal) Size() int64 { return j.size }
 // Close closes the journal file.
 func (j *Journal) Close() error { return j.f.Close() }
 
-// syncDir fsyncs a directory so a rename within it is durable;
-// best-effort, as not every filesystem supports it.
-func syncDir(fsys iofault.FS, dir string) {
-	if d, err := fsys.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
+// syncDir fsyncs a directory so a rename within it is durable. A
+// filesystem that cannot sync directories (EINVAL, ENOTSUP) counts as
+// success.
+func syncDir(fsys iofault.FS, dir string) error {
+	d, err := fsys.Open(dir)
+	if err != nil {
+		return err
 	}
+	err = d.Sync()
+	d.Close()
+	if errors.Is(err, syscall.EINVAL) || errors.Is(err, errors.ErrUnsupported) {
+		return nil
+	}
+	return err
 }

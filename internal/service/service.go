@@ -26,7 +26,6 @@ import (
 	"leakyway/internal/experiments"
 	"leakyway/internal/iofault"
 	"leakyway/internal/scenario"
-	"leakyway/internal/telemetry"
 )
 
 // Config parameterizes a Server. The zero value plus a DataDir is usable;
@@ -117,11 +116,6 @@ type Server struct {
 	baseCancel context.CancelFunc
 	wg         sync.WaitGroup
 }
-
-// Metrics exposes the server's telemetry registry — the same one
-// /metricsz renders — so embedders (loadgen, tests) can read counters
-// directly.
-func (s *Server) Metrics() *telemetry.Registry { return s.met.reg }
 
 // New opens the data directory, verifies store integrity, replays the
 // journal — re-enqueueing every accepted job that has no terminal record

@@ -1,14 +1,13 @@
 package service
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"maps"
 	"net/http"
-	"net/http/httptest"
 	"slices"
 	"strings"
 	"sync"
@@ -19,60 +18,6 @@ import (
 	"leakyway/internal/scenario"
 	"leakyway/internal/telemetry"
 )
-
-// sseEvent is one parsed server-sent event frame.
-type sseEvent struct {
-	name, data string
-}
-
-// readEvent parses frames of the form "event: x\ndata: y\n\n".
-func readEvent(br *bufio.Reader) (sseEvent, error) {
-	var ev sseEvent
-	for {
-		line, err := br.ReadString('\n')
-		if err != nil {
-			return ev, err
-		}
-		line = strings.TrimRight(line, "\n")
-		if line == "" {
-			if ev.name != "" || ev.data != "" {
-				return ev, nil
-			}
-			continue
-		}
-		if v, ok := strings.CutPrefix(line, "event: "); ok {
-			ev.name = v
-		}
-		if v, ok := strings.CutPrefix(line, "data: "); ok {
-			ev.data = v
-		}
-	}
-}
-
-// openStream GETs the events endpoint and returns a frame reader plus a
-// cancel that simulates client disconnect.
-func openStream(t *testing.T, base, id string) (*bufio.Reader, context.CancelFunc, *http.Response) {
-	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(ctx, "GET", base+"/v1/jobs/"+id+"/events", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		cancel()
-		t.Fatalf("open SSE stream: %v", err)
-	}
-	if resp.StatusCode != 200 {
-		cancel()
-		t.Fatalf("SSE stream status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		cancel()
-		t.Fatalf("SSE content type %q", ct)
-	}
-	return bufio.NewReader(resp.Body), cancel, resp
-}
 
 // TestSSELiveStreamAndReplay drives a job through two runner-published
 // phases while a subscriber watches live, then checks a late subscriber
@@ -96,8 +41,7 @@ func TestSSELiveStreamAndReplay(t *testing.T) {
 		}
 	})
 	defer s.Drain()
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
+	c := newTestClient(t, s)
 
 	j, err := s.Submit(Submission{Template: tmplFor("sse"), Seed: 1})
 	if err != nil {
@@ -105,77 +49,59 @@ func TestSSELiveStreamAndReplay(t *testing.T) {
 	}
 	<-started
 
-	br, cancel, resp := openStream(t, srv.URL, j.ID)
-	defer cancel()
-	defer resp.Body.Close()
-
 	// The stream opens with an immediate frame of the current state.
-	ev, err := readEvent(br)
+	// Releasing phase alpha must produce a beta frame, and finishing the
+	// job a done frame, after which the daemon closes the stream.
+	stage, doneData := 0, ""
+	err = c.Events(context.Background(), j.ID, func(name, data string) bool {
+		if doneData != "" {
+			t.Fatalf("frame %s %q after done", name, data)
+		}
+		switch {
+		case stage == 0:
+			if name != "progress" || !strings.Contains(data, `"phase":"alpha"`) {
+				t.Fatalf("first frame %s %s, want progress in phase alpha", name, data)
+			}
+			close(release1)
+			stage = 1
+		case stage == 1 && strings.Contains(data, `"phase":"beta"`):
+			close(release2)
+			stage = 2
+		case name == "done":
+			doneData = data
+		}
+		return true
+	})
 	if err != nil {
-		t.Fatalf("first frame: %v", err)
+		t.Fatalf("live stream: %v", err)
 	}
-	if ev.name != "progress" || !strings.Contains(ev.data, `"phase":"alpha"`) {
-		t.Fatalf("first frame %+v, want progress in phase alpha", ev)
-	}
-
-	// Advance the job; a changed snapshot must produce a new frame.
-	close(release1)
-	for {
-		ev, err = readEvent(br)
-		if err != nil {
-			t.Fatalf("mid-run frame: %v", err)
-		}
-		if strings.Contains(ev.data, `"phase":"beta"`) {
-			break
-		}
-	}
-
-	// Finish the job; the stream must end with a done frame and EOF.
-	close(release2)
-	for {
-		ev, err = readEvent(br)
-		if err != nil {
-			t.Fatalf("awaiting done frame: %v", err)
-		}
-		if ev.name == "done" {
-			break
-		}
-	}
-	if !strings.Contains(ev.data, `"status":"done"`) {
-		t.Fatalf("done frame %q missing terminal status", ev.data)
-	}
-	if _, err := readEvent(br); err != io.EOF {
-		t.Fatalf("stream did not close after done: %v", err)
+	if stage != 2 || !strings.Contains(doneData, `"status":"done"`) {
+		t.Fatalf("stream closed at stage %d with done frame %q, want both phases and a terminal status", stage, doneData)
 	}
 
 	// Late subscriber: the same job replays progress from the stored
 	// artifact, then the done frame.
-	br2, cancel2, resp2 := openStream(t, srv.URL, j.ID)
-	defer cancel2()
-	defer resp2.Body.Close()
-	progressFrames := 0
-	for {
-		ev, err := readEvent(br2)
-		if err != nil {
-			t.Fatalf("replay: %v", err)
-		}
-		if ev.name == "progress" {
+	progressFrames, doneData := 0, ""
+	err = c.Events(context.Background(), j.ID, func(name, data string) bool {
+		if name == "progress" {
 			progressFrames++
-			continue
+			return true
 		}
-		if ev.name == "done" {
-			if progressFrames == 0 {
-				t.Fatalf("replay produced no progress frames before done")
-			}
-			if !strings.Contains(ev.data, `"status":"done"`) {
-				t.Fatalf("replay done frame %q", ev.data)
-			}
-			break
-		}
+		doneData = data
+		return name != "done"
+	})
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if progressFrames == 0 {
+		t.Fatalf("replay produced no progress frames before done")
+	}
+	if !strings.Contains(doneData, `"status":"done"`) {
+		t.Fatalf("replay done frame %q", doneData)
 	}
 
 	// The progress artifact is fetchable directly and ends at 2/2 phases.
-	areq, err := http.Get(srv.URL + "/v1/jobs/" + j.ID + "/artifacts/progress")
+	areq, err := http.Get(c.base + "/v1/jobs/" + j.ID + "/artifacts/progress")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,8 +119,9 @@ func TestSSELiveStreamAndReplay(t *testing.T) {
 	}
 
 	// Unknown jobs get a plain 404, not a stream.
-	if r404, err := http.Get(srv.URL + "/v1/jobs/nope/events"); err != nil || r404.StatusCode != 404 {
-		t.Fatalf("events for unknown job: %v %d", err, r404.StatusCode)
+	err = c.Events(context.Background(), "nope", func(string, string) bool { return true })
+	if se := (*StatusError)(nil); !errors.As(err, &se) || se.Code != http.StatusNotFound {
+		t.Fatalf("events for unknown job: %v, want status 404", err)
 	}
 }
 
@@ -219,8 +146,7 @@ func TestSSEClientDisconnectFreesStream(t *testing.T) {
 	})
 	defer s.Drain()
 	defer close(release)
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
+	c := newTestClient(t, s)
 
 	j, err := s.Submit(Submission{Template: tmplFor("dc"), Seed: 1})
 	if err != nil {
@@ -228,16 +154,16 @@ func TestSSEClientDisconnectFreesStream(t *testing.T) {
 	}
 	<-started
 
-	br, cancel, resp := openStream(t, srv.URL, j.ID)
-	defer resp.Body.Close()
-	if _, err := readEvent(br); err != nil {
+	// Read one frame with the stream counted, then go away mid-run.
+	err = c.Events(context.Background(), j.ID, func(string, string) bool {
+		if got := s.met.sseSubs.Value(); got != 1 {
+			t.Fatalf("subscriber gauge %v with one open stream, want 1", got)
+		}
+		return false
+	})
+	if err != nil {
 		t.Fatalf("first frame: %v", err)
 	}
-	if got := s.met.sseSubs.Value(); got != 1 {
-		t.Fatalf("subscriber gauge %v with one open stream, want 1", got)
-	}
-
-	cancel() // client goes away mid-run
 	deadline := time.Now().Add(5 * time.Second)
 	for s.met.sseSubs.Value() != 0 {
 		if time.Now().After(deadline) {
@@ -370,8 +296,7 @@ func TestProgressFrameKeys(t *testing.T) {
 	})
 	defer s.Drain()
 	defer release()
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
+	c := newTestClient(t, s)
 
 	j, err := s.Submit(Submission{Template: tmplFor("keys"), Seed: 1, Quick: true})
 	if err != nil {
@@ -391,17 +316,16 @@ func TestProgressFrameKeys(t *testing.T) {
 		}
 	}
 
-	br, cancel, resp := openStream(t, srv.URL, j.ID)
-	defer cancel()
-	defer resp.Body.Close()
-	ev, err := readEvent(br)
+	err = c.Events(context.Background(), j.ID, func(name, data string) bool {
+		if name != "progress" {
+			t.Fatalf("first frame %s %s, want progress", name, data)
+		}
+		checkKeys("live frame", data)
+		return false
+	})
 	if err != nil {
 		t.Fatalf("first frame: %v", err)
 	}
-	if ev.name != "progress" {
-		t.Fatalf("first frame %+v, want progress", ev)
-	}
-	checkKeys("live frame", ev.data)
 	release()
 	waitStatus(t, s, j.ID, StatusDone)
 

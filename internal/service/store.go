@@ -334,8 +334,10 @@ func (s *Store) Artifact(key, name string) ([]byte, error) {
 }
 
 // Put writes a completed result as the entry for key: artifacts and
-// manifest land in a temp directory, every file is fsynced, and a final
-// rename publishes the entry atomically. A concurrent Put of the same key
+// manifest land in a temp directory, every file and then the directory
+// are fsynced, and a rename publishes the entry atomically. The store
+// directory is fsynced after the rename, so the entry is durable before
+// the caller journals the job done. A concurrent Put of the same key
 // (or an existing entry) wins harmlessly — results are deterministic, so
 // both sides wrote the same bytes. Publishing then evicts as needed to
 // bring the store back under its quota.
@@ -380,12 +382,20 @@ func (s *Store) Put(key, engine string, res *Result) error {
 		return fmt.Errorf("store: meta: %w", err)
 	}
 	size += int64(len(mb))
+	if err := syncDir(s.fs, tmp); err != nil {
+		return fmt.Errorf("store: entry sync: %w", err)
+	}
 	dst := s.entryDir(key)
 	if err := s.fs.Rename(tmp, dst); err != nil {
 		if s.Has(key) {
 			return nil // lost a benign race to an identical entry
 		}
 		return fmt.Errorf("store: publish: %w", err)
+	}
+	if err := syncDir(s.fs, s.dir); err != nil {
+		// Unpublish, so the caller's retry renames into a free slot.
+		s.fs.RemoveAll(dst)
+		return fmt.Errorf("store: publish sync: %w", err)
 	}
 
 	s.mu.Lock()

@@ -3,7 +3,9 @@ package service
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"leakyway/internal/iofault"
@@ -196,4 +198,103 @@ func dirExists(t *testing.T, path string) bool {
 	t.Helper()
 	_, err := iofault.OS().ReadDir(path)
 	return err == nil
+}
+
+// opRecorder is an iofault.Rule that logs every operation the injector
+// sees, in order. It faults only the first sync of exactly failSync, when
+// that is set.
+type opRecorder struct {
+	ops      []iofault.Op
+	failSync string
+}
+
+func (r *opRecorder) Name() string { return "record" }
+
+func (r *opRecorder) Check(op iofault.Op, _ *rand.Rand) iofault.Fault {
+	r.ops = append(r.ops, op)
+	if op.Kind == iofault.OpSync && r.failSync != "" && op.Path == r.failSync {
+		r.failSync = ""
+		return iofault.Fault{Err: iofault.ErrIO}
+	}
+	return iofault.Fault{}
+}
+
+// TestStorePutPublishesDurably checks the order of a miss's durable
+// writes: the entry's temp directory is synced before the rename that
+// publishes it, and the store directory after that rename and before the
+// worker journals the job done. Without the store-directory sync a power
+// loss could keep the done record and lose the entry it names.
+func TestStorePutPublishesDurably(t *testing.T) {
+	rec := &opRecorder{}
+	dataDir := t.TempDir()
+	s := newTestServer(t, func(c *Config) {
+		c.DataDir = dataDir
+		c.FS = iofault.NewInjector(iofault.OS(), 1, rec)
+	})
+	j, err := s.Submit(Submission{Template: tmplFor("durable"), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, s, j.ID, StatusDone)
+	if err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+
+	storeDir := filepath.Join(dataDir, "store")
+	journal := filepath.Join(dataDir, "journal.jsonl")
+	// at returns the index of the first op from index from on that has
+	// the kind and satisfies path, or -1.
+	at := func(from int, kind iofault.OpKind, path func(string) bool) int {
+		for i := from; i < len(rec.ops); i++ {
+			if rec.ops[i].Kind == kind && path(rec.ops[i].Path) {
+				return i
+			}
+		}
+		return -1
+	}
+	is := func(want string) func(string) bool { return func(p string) bool { return p == want } }
+
+	publish := at(0, iofault.OpRename, is(filepath.Join(storeDir, hexOf(j.Key))))
+	if publish < 0 {
+		t.Fatalf("no rename published the entry for %s", j.Key)
+	}
+	tmpSync := at(0, iofault.OpSync, func(p string) bool {
+		return filepath.Dir(p) == storeDir && strings.HasPrefix(filepath.Base(p), "tmp-")
+	})
+	if tmpSync < 0 || tmpSync > publish {
+		t.Fatalf("temp entry directory synced at op %d, want before the publishing rename (op %d)", tmpSync, publish)
+	}
+	done := at(publish, iofault.OpWrite, is(journal))
+	if done < 0 {
+		t.Fatalf("no journal append after the publishing rename (op %d)", publish)
+	}
+	if dirSync := at(publish, iofault.OpSync, is(storeDir)); dirSync < 0 || dirSync > done {
+		t.Fatalf("store directory synced at op %d, want between the publishing rename (op %d) and the done append (op %d)", dirSync, publish, done)
+	}
+}
+
+// TestStorePutFailsOnPublishSyncError checks that a failed sync of the
+// store directory fails Put, so the worker never journals the job done,
+// and unpublishes the entry, so the retry after the disk heals succeeds.
+func TestStorePutFailsOnPublishSyncError(t *testing.T) {
+	dir := t.TempDir()
+	inj := iofault.NewInjector(iofault.OS(), 1, &opRecorder{failSync: dir})
+	s, _, err := OpenStore(inj, dir, StoreOptions{Logger: testLogger(t)})
+	if err != nil {
+		t.Fatalf("OpenStore: %v", err)
+	}
+	key := storeKey(1)
+	res := &Result{Report: []byte("report\n"), Metrics: []byte("{}\n")}
+	if err := s.Put(key, "test-engine", res); err == nil || !strings.Contains(err.Error(), "publish sync") {
+		t.Fatalf("Put with a failing store-directory sync returned %v, want a publish sync error", err)
+	}
+	if s.Has(key) || dirExists(t, filepath.Join(dir, hexOf(key))) {
+		t.Fatalf("failed publish left the entry in place")
+	}
+	if err := s.Put(key, "test-engine", res); err != nil {
+		t.Fatalf("retry after the fault: %v", err)
+	}
+	if !s.Has(key) {
+		t.Fatalf("retry did not publish the entry")
+	}
 }

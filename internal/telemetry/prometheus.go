@@ -56,38 +56,6 @@ func SampleValue(exposition, series string) (v float64, ok bool) {
 	return 0, false
 }
 
-// ParseHistogram reads one unlabelled histogram family back out of a text
-// exposition: the bucket upper bounds (+Inf last), their cumulative counts
-// and the total sample count. Lines that do not parse are skipped.
-func ParseHistogram(exposition, family string) (bounds []float64, counts []uint64, total uint64) {
-	prefix := family + `_bucket{le="`
-	for _, line := range strings.Split(exposition, "\n") {
-		if v, ok := strings.CutPrefix(line, family+"_count "); ok {
-			total, _ = strconv.ParseUint(strings.TrimSpace(v), 10, 64)
-			continue
-		}
-		rest, ok := strings.CutPrefix(line, prefix)
-		if !ok {
-			continue
-		}
-		le, val, ok := strings.Cut(rest, `"} `)
-		if !ok {
-			continue
-		}
-		b, err := strconv.ParseFloat(le, 64) // accepts "+Inf"
-		if err != nil {
-			continue
-		}
-		n, err := strconv.ParseUint(strings.TrimSpace(val), 10, 64)
-		if err != nil {
-			continue
-		}
-		bounds = append(bounds, b)
-		counts = append(counts, n)
-	}
-	return bounds, counts, total
-}
-
 func writeHistogram(w io.Writer, f FamilySnapshot, s SeriesSnapshot) error {
 	for i, cum := range s.Buckets {
 		le := "+Inf"

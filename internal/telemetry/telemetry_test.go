@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"math"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -176,31 +174,6 @@ func TestSampleValueRoundTrip(t *testing.T) {
 		if got, ok := SampleValue(text, series); ok {
 			t.Fatalf("SampleValue(%q) = %v; want missing", series, got)
 		}
-	}
-}
-
-// TestParseHistogramRoundTrip reads a histogram family back out of
-// WritePrometheus's own output, ignoring other families and labelled series.
-func TestParseHistogramRoundTrip(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("wait_seconds", "Wait.", []float64{0.005, 0.1, 2.5})
-	for _, v := range []float64{0.001, 0.05, 0.07, 1, 3, 10} {
-		h.Observe(v)
-	}
-	r.Histogram("wait_seconds_other", "Other.", []float64{1}).Observe(0.5)
-	r.Histogram("run_seconds", "Run.", []float64{1}, L("kind", "x")).Observe(0.5)
-	var b strings.Builder
-	if err := WritePrometheus(&b, r.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	bounds, counts, total := ParseHistogram(b.String(), "wait_seconds")
-	wantBounds := []float64{0.005, 0.1, 2.5, math.Inf(1)}
-	wantCounts := []uint64{1, 3, 4, 6}
-	if !reflect.DeepEqual(bounds, wantBounds) || !reflect.DeepEqual(counts, wantCounts) || total != 6 {
-		t.Fatalf("ParseHistogram = %v, %v, %d; want %v, %v, 6", bounds, counts, total, wantBounds, wantCounts)
-	}
-	if bounds, counts, total := ParseHistogram(b.String(), "missing_seconds"); bounds != nil || counts != nil || total != 0 {
-		t.Fatalf("absent family parsed as %v, %v, %d", bounds, counts, total)
 	}
 }
 
