@@ -72,13 +72,18 @@ template-validate:
 # -jobs 1 and -jobs 8 must export byte-identical traces. fig6 and fig7 each
 # trace one recycled machine, fig8 a sweep of them. Filtered to the
 # protocol-level subsystems to keep the files small.
+#
+# The smoke targets build and write into a fresh temporary directory that
+# is removed on exit, so concurrent runs on one host do not clobber each
+# other.
 trace-smoke:
-	$(GO) build -o /tmp/leakyway-smoke ./cmd/leakyway
-	/tmp/leakyway-smoke -quick -jobs 1 -trace /tmp/leakyway-trace-j1.jsonl \
-		-trace-filter channel,sim,fault run fig6 fig7 fig8 > /dev/null
-	/tmp/leakyway-smoke -quick -jobs 8 -trace /tmp/leakyway-trace-j8.jsonl \
-		-trace-filter channel,sim,fault run fig6 fig7 fig8 > /dev/null
-	cmp /tmp/leakyway-trace-j1.jsonl /tmp/leakyway-trace-j8.jsonl
+	set -e; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/leakyway" ./cmd/leakyway; \
+	"$$tmp/leakyway" -quick -jobs 1 -trace "$$tmp/trace-j1.jsonl" \
+		-trace-filter channel,sim,fault run fig6 fig7 fig8 > /dev/null; \
+	"$$tmp/leakyway" -quick -jobs 8 -trace "$$tmp/trace-j8.jsonl" \
+		-trace-filter channel,sim,fault run fig6 fig7 fig8 > /dev/null; \
+	cmp "$$tmp/trace-j1.jsonl" "$$tmp/trace-j8.jsonl"
 	@echo "trace-smoke: fig6/fig7/fig8 traces byte-identical across -jobs 1/8"
 
 # Daemon robustness gate: drives the real leakywayd binary over HTTP
@@ -87,8 +92,9 @@ trace-smoke:
 # accepted jobs completed), and SIGKILL crash-recovery with byte-identical
 # metrics.
 daemon-smoke:
-	$(GO) build -o /tmp/leakywayd-smoke ./cmd/leakywayd
-	$(GO) run ./cmd/daemonsmoke -bin /tmp/leakywayd-smoke
+	set -e; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/leakywayd" ./cmd/leakywayd; \
+	$(GO) run ./cmd/daemonsmoke -bin "$$tmp/leakywayd"
 
 # Disk-chaos gate: the same daemon binary and client under injected
 # journal-fsync failure and a tiny store quota — degraded mode must engage (503 +
@@ -96,8 +102,9 @@ daemon-smoke:
 # out, quota eviction must hold the store under budget with every job
 # completing, and the daemon must still drain cleanly.
 chaos-smoke:
-	$(GO) build -o /tmp/leakywayd-smoke ./cmd/leakywayd
-	$(GO) run ./cmd/daemonsmoke -bin /tmp/leakywayd-smoke -chaos
+	set -e; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/leakywayd" ./cmd/leakywayd; \
+	$(GO) run ./cmd/daemonsmoke -bin "$$tmp/leakywayd" -chaos
 
 # The slow end-to-end daemon gates ride verify by default; CI splits them
 # into their own parallel job with `make verify VERIFY_SMOKES=`.

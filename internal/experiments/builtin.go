@@ -49,7 +49,7 @@ func specFig6() *scenario.Spec {
 		ID:    "fig6",
 		Title: "Figure 6 — LLC set states during NTP+NTP transmission",
 		Paper: "dr is installed as the eviction candidate; a sent '1' replaces it with ds; the receiver's timed prefetch reads the bit and resets the set",
-		Kind:  scenario.KindStateWalk,
+		Kind:  "statewalk",
 		StateWalk: &scenario.StateWalkSpec{
 			Message:          "10",
 			CalibrateSamples: 48,
@@ -67,7 +67,7 @@ func specFig7() *scenario.Spec {
 		ID:    "fig7",
 		Title: "Figure 7 — two-set pipelined NTP+NTP schedule",
 		Paper: "sender and receiver alternate sets; the receiver always detects the bit sent one iteration earlier",
-		Kind:  scenario.KindPipeline,
+		Kind:  "pipeline",
 		// The fault framework is absent and the message is short; disable
 		// the background noise daemon so the schedule renders cleanly.
 		Channel:  &scenario.ChannelSpec{NoisePeriod: i64p(0)},
@@ -83,7 +83,7 @@ func specFig8() *scenario.Spec {
 		ID:    "fig8",
 		Title: "Figure 8 — channel capacity and bit error rate vs raw transmission rate",
 		Paper: "BER stays low until a knee, then capacity collapses; NTP+NTP peaks ≈302/275 KB/s (SKL/KBL), Prime+Probe ≈86/81 KB/s",
-		Kind:  scenario.KindSweep,
+		Kind:  "sweep",
 		Sweep: &scenario.SweepSpec{
 			Bits: 2000,
 			Channels: []scenario.SweepChannel{
@@ -110,7 +110,7 @@ func specFaults() *scenario.Spec {
 		ID:    "faults",
 		Title: "Extension — fault injection: raw vs Hamming vs ARQ transport",
 		Paper: "Section IV-B3 lists preemption, noise and timing degradation as reliability threats; the ARQ transport must deliver through all of them",
-		Kind:  scenario.KindFaults,
+		Kind:  "faults",
 		Channel: &scenario.ChannelSpec{
 			Interval:    i64p(2000),
 			NoisePeriod: i64p(0), // the fault framework injects the interference
@@ -163,7 +163,7 @@ func specLanes() *scenario.Spec {
 		ID:    "ablate-lanes",
 		Title: "Extension — multi-lane NTP+NTP bandwidth scaling",
 		Paper: "the paper uses one two-set lane; extra lanes multiply bits per iteration until receiver probing saturates the interval",
-		Kind:  scenario.KindLanes,
+		Kind:  "lanes",
 		// Each extra lane adds one timed prefetch (~300 cycles worst case)
 		// of receiver work per iteration; sweep a few interval offsets
 		// around the expected knee and keep the best.
@@ -186,7 +186,7 @@ func specNoise() *scenario.Spec {
 		ID:    "noise",
 		Title: "Extension — channel reliability vs co-tenant noise (Section IV-B3)",
 		Paper: "other processes touching the target sets flip bits; the paper prescribes more reliable encodings",
-		Kind:  scenario.KindNoise,
+		Kind:  "noise",
 		Channel: &scenario.ChannelSpec{
 			Interval: i64p(1600),
 		},

@@ -55,23 +55,22 @@ func runSpec(ctx *Context, s *scenario.Spec) (*Result, error) {
 		sub.Platforms = []hier.Config{s.Platform.Config()}
 		ctx = sub
 	}
-	switch {
-	case s.StateWalk != nil:
-		return runStateWalkSpec(ctx, s)
-	case s.Pipeline != nil:
-		return runPipelineSpec(ctx, s)
-	case s.Sweep != nil:
-		return runSweepSpec(ctx, s)
-	case s.Lanes != nil:
-		return runLanesSpec(ctx, s)
-	case s.Noise != nil:
-		return runNoiseSpec(ctx, s)
-	case s.Faults != nil:
-		return runFaultsSpec(ctx, s)
-	case s.Victim != nil:
-		return runVictimSpec(ctx, s)
+	run, ok := interpreters[s.Kind]
+	if !ok {
+		return nil, fmt.Errorf("scenario %s: no runnable section", s.ID)
 	}
-	return nil, fmt.Errorf("scenario %s: no runnable section", s.ID)
+	return run(ctx, s)
+}
+
+// interpreters maps each scenario kind to its interpreter.
+var interpreters = map[string]func(*Context, *scenario.Spec) (*Result, error){
+	"statewalk": runStateWalkSpec,
+	"pipeline":  runPipelineSpec,
+	"sweep":     runSweepSpec,
+	"lanes":     runLanesSpec,
+	"noise":     runNoiseSpec,
+	"faults":    runFaultsSpec,
+	"victim":    runVictimSpec,
 }
 
 // bitsOf expands a validated "10110" message into bits.
@@ -190,17 +189,6 @@ func runPipelineSpec(ctx *Context, s *scenario.Spec) (*Result, error) {
 	return res, nil
 }
 
-// sweepRunner resolves a validated sweep channel key.
-func sweepRunner(key string) channel.Runner {
-	switch key {
-	case "ntpntp":
-		return channel.RunNTPNTP
-	case "primeprobe":
-		return channel.RunPrimeProbe
-	}
-	panic("scenario: unvalidated sweep channel " + key)
-}
-
 // runSweepSpec measures capacity and BER across transmission intervals
 // (Figure 8) for every configured channel on every platform.
 func runSweepSpec(ctx *Context, s *scenario.Spec) (*Result, error) {
@@ -220,7 +208,7 @@ func runSweepSpec(ctx *Context, s *scenario.Spec) (*Result, error) {
 		}
 		sws := make([]channel.SweepResult, len(s.Sweep.Channels))
 		for i, ch := range s.Sweep.Channels {
-			sws[i] = channel.Sweep(cfg, sweepRunner(ch.Channel), base, ch.Intervals,
+			sws[i] = channel.Sweep(cfg, ch.Runner(), base, ch.Intervals,
 				bits, sub.SeedFor(ch.Channel), sub.Parallel, tf(ch.Channel, ch.Intervals))
 		}
 		for _, sw := range sws {

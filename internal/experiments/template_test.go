@@ -143,3 +143,18 @@ func TestTemplateEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestEveryKindHasInterpreter checks that the interpreter table covers
+// exactly the scenario kinds: a kind without an interpreter would fail
+// at run time, an interpreter without a kind is dead code.
+func TestEveryKindHasInterpreter(t *testing.T) {
+	kinds := scenario.Kinds()
+	for _, k := range kinds {
+		if interpreters[k] == nil {
+			t.Errorf("kind %q has no interpreter", k)
+		}
+	}
+	if len(interpreters) != len(kinds) {
+		t.Errorf("%d interpreters for %d kinds %v", len(interpreters), len(kinds), kinds)
+	}
+}

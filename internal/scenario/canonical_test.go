@@ -135,7 +135,7 @@ func goldenSpecs(t *testing.T) []*Spec {
 	}
 	specs = append(specs, shipped...)
 	edge := &Spec{
-		ID: "edge", Title: "Edge cases", Kind: KindPipeline,
+		ID: "edge", Title: "Edge cases", Kind: "pipeline",
 		Platform: &PlatformSpec{LLCPartitionWays: intptr(0), NonInclusive: boolptr(false)},
 		Channel:  &ChannelSpec{NoisePeriod: i64ptr(0)},
 		Pipeline: &PipelineSpec{Message: "10"},
@@ -153,7 +153,7 @@ func goldenSpecs(t *testing.T) []*Spec {
 	specs = append(specs, edge)
 	for i, title := range titlePool {
 		specs = append(specs, &Spec{
-			ID: fmt.Sprintf("title-%d", i), Title: title, Paper: title, Kind: KindPipeline,
+			ID: fmt.Sprintf("title-%d", i), Title: title, Paper: title, Kind: "pipeline",
 			Platform: &PlatformSpec{Name: title},
 			Pipeline: &PipelineSpec{Message: "1"},
 		})

@@ -25,7 +25,16 @@ type schema struct {
 // filled once at start-up.
 var schemas = map[reflect.Type]*schema{}
 
-func init() { register(reflect.TypeOf(Spec{})) }
+func init() {
+	spec := reflect.TypeOf(Spec{})
+	register(spec)
+	sectionType := reflect.TypeOf((*section)(nil)).Elem()
+	for _, f := range schemas[spec].fields {
+		if spec.Field(f.index).Type.Implements(sectionType) {
+			kinds = append(kinds, f)
+		}
+	}
+}
 
 func register(t reflect.Type) {
 	s := &schema{}

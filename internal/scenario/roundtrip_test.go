@@ -93,27 +93,27 @@ func genSpec(r *rand.Rand) *Spec {
 		s.Channel = genChannel(r, 8000)
 	}
 	switch s.Kind {
-	case KindStateWalk:
+	case "statewalk":
 		s.StateWalk = &StateWalkSpec{
 			Message:          genBits(r),
 			CalibrateSamples: 1 + r.Intn(64),
 			ReceiverReady:    1 + int64(r.Intn(100000)),
 			PhaseStep:        1 + int64(r.Intn(10000)),
 		}
-	case KindPipeline:
+	case "pipeline":
 		s.Pipeline = &PipelineSpec{Message: genBits(r)}
-	case KindSweep:
+	case "sweep":
 		s.Sweep = genSweep(r)
-	case KindLanes:
+	case "lanes":
 		s.Lanes = genLanes(r)
-	case KindNoise:
+	case "noise":
 		s.Noise = genNoise(r)
-	case KindFaults:
+	case "faults":
 		s.Faults = genFaults(r)
 		if r.Intn(2) == 0 {
 			s.Transport = genTransport(r)
 		}
-	case KindVictim:
+	case "victim":
 		s.Victim = genVictim(r)
 	}
 	genExtractAssert(r, s)

@@ -16,8 +16,10 @@
 // fixes its place in the canonical order, and omitempty marks a field the
 // marshaller leaves out when it is zero. One reflective decoder and one
 // reflective emitter read the tags, so adding a field takes one tag (plus
-// its line in EXPERIMENTS.md, which a test enforces); range, enum and
-// cross-field rules stay hand-written in validate.go.
+// its line in EXPERIMENTS.md, which a test enforces). Each enum is one
+// table: a kind is a Spec field whose type implements section, and LLC
+// policies, fault types and sweep channels are table rows. Overrides map
+// onto their target configurations by field name (overlay).
 //
 // The loader is strict on purpose: unknown fields are rejected (the
 // alphabetically first one is named), a present section that sets
@@ -27,6 +29,8 @@
 package scenario
 
 import (
+	"reflect"
+
 	"leakyway/internal/channel"
 	"leakyway/internal/fault"
 	"leakyway/internal/hier"
@@ -49,8 +53,8 @@ type Spec struct {
 	Title string `yaml:"title"`
 	// Paper summarizes what the source paper reports for this artifact.
 	Paper string `yaml:"paper,omitempty"`
-	// Kind selects the interpreter: statewalk, pipeline, sweep, lanes,
-	// noise, faults or victim.
+	// Kind selects the interpreter and names the one kind section below
+	// that must be present (Kinds lists them).
 	Kind string `yaml:"kind"`
 
 	// Platform, when present, replaces the context platforms with one
@@ -64,7 +68,7 @@ type Spec struct {
 	// DefaultTransportConfig (faults kind only).
 	Transport *TransportSpec `yaml:"transport,omitempty"`
 
-	// Exactly one of the following sections is set, per Kind.
+	// The kind sections: exactly the one Kind names is set.
 	StateWalk *StateWalkSpec `yaml:"statewalk,omitempty"`
 	Pipeline  *PipelineSpec  `yaml:"pipeline,omitempty"`
 	Sweep     *SweepSpec     `yaml:"sweep,omitempty"`
@@ -80,20 +84,107 @@ type Spec struct {
 	Assert  []Assertion `yaml:"assert,omitempty"`
 }
 
-// Kind names.
-const (
-	KindStateWalk = "statewalk"
-	KindPipeline  = "pipeline"
-	KindSweep     = "sweep"
-	KindLanes     = "lanes"
-	KindNoise     = "noise"
-	KindFaults    = "faults"
-	KindVictim    = "victim"
-)
+// section is a kind section. Every Spec field whose type implements it is
+// one kind, named by the field's key; platforms are the configurations
+// the scenario targets.
+type section interface {
+	validate(v *validator, path string, platforms []hier.Config)
+}
 
-// Kinds lists the valid Kind values.
+// kinds lists Spec's kind sections in declaration order; it is filled
+// with the schema at start-up.
+var kinds []field
+
+// Kinds lists the valid Kind values, in declaration order.
 func Kinds() []string {
-	return []string{KindStateWalk, KindPipeline, KindSweep, KindLanes, KindNoise, KindFaults, KindVictim}
+	out := make([]string, len(kinds))
+	for i, k := range kinds {
+		out[i] = k.key
+	}
+	return out
+}
+
+// kindOf names the kind whose section has sec's type.
+func kindOf(sec section) string {
+	t := reflect.TypeOf(sec)
+	for _, k := range kinds {
+		if reflect.TypeOf(Spec{}).Field(k.index).Type == t {
+			return k.key
+		}
+	}
+	panic("scenario: " + t.String() + " is not a kind section")
+}
+
+// table is one enum: per row, the name a template spells and the value
+// it selects, in documentation order.
+type table[T any] []struct {
+	name string
+	val  T
+}
+
+func (t table[T]) names() []string {
+	out := make([]string, len(t))
+	for i, e := range t {
+		out[i] = e.name
+	}
+	return out
+}
+
+func (t table[T]) lookup(name string) (val T, ok bool) {
+	for _, e := range t {
+		if e.name == name {
+			return e.val, true
+		}
+	}
+	return val, false
+}
+
+// must looks up a name Validate has already checked, so a miss is a bug.
+func (t table[T]) must(name string) T {
+	v, ok := t.lookup(name)
+	if !ok {
+		panic("scenario: unvalidated enum value " + name)
+	}
+	return v
+}
+
+// overlay sets every field the override struct src sets onto the
+// same-named field of dst: a pointer field when non-nil (a pointer to a
+// nested override struct recurses into it), a plain field when positive
+// or, for a string, non-empty. Validation resolves overrides before it
+// rejects negative values, so a negative plain field inherits. A field
+// with no same-named, same-typed target is the caller's to map.
+func overlay(dst, src reflect.Value) {
+	for i := 0; i < src.NumField(); i++ {
+		tf, ok := dst.Type().FieldByName(src.Type().Field(i).Name)
+		if !ok {
+			continue
+		}
+		d, f := dst.FieldByIndex(tf.Index), src.Field(i)
+		if f.Kind() == reflect.Pointer {
+			if f.IsNil() {
+				continue
+			}
+			if f = f.Elem(); f.Kind() == reflect.Struct {
+				overlay(d, f)
+				continue
+			}
+		} else if f.IsZero() || f.CanInt() && f.Int() < 0 || f.CanFloat() && f.Float() < 0 {
+			continue
+		}
+		if f.Type() == d.Type() {
+			d.Set(f)
+		}
+	}
+}
+
+// applyTo returns base with spec's overrides overlaid; a nil spec
+// returns base as-is.
+func applyTo[C, S any](base C, spec *S) C {
+	if spec != nil {
+		overlay(reflect.ValueOf(&base).Elem(), reflect.ValueOf(spec).Elem())
+	}
+	return base
 }
 
 // PlatformSpec derives a custom platform from a named base. Zero-valued
@@ -114,9 +205,8 @@ type PlatformSpec struct {
 	LLCSlices       int     `yaml:"llc_slices,omitempty"`
 	LLCSetsPerSlice int     `yaml:"llc_sets_per_slice,omitempty"`
 	LLCWays         int     `yaml:"llc_ways,omitempty"`
-	// LLCPolicy selects the last-level replacement policy: quadage
-	// (stock), quadage-countermeasure, lru, bit-plru, tree-plru, srrip
-	// or random. Empty inherits the base (stock QuadAge).
+	// LLCPolicy selects the last-level replacement policy by its
+	// llcPolicies name. Empty inherits the base (stock QuadAge).
 	LLCPolicy string `yaml:"llc_policy,omitempty"`
 	// Prefetcher switches (absent = inherit base, which is off).
 	AdjacentLine   *bool `yaml:"adjacent_line,omitempty"`
@@ -127,46 +217,34 @@ type PlatformSpec struct {
 	LLCPartitionWays *int `yaml:"llc_partition_ways,omitempty"`
 }
 
-// LLCPolicies lists the valid LLCPolicy values.
-func LLCPolicies() []string {
-	return []string{"quadage", "quadage-countermeasure", "lru", "bit-plru", "tree-plru", "srrip", "random"}
+// llcPolicies is the llc_policy enum: each name and the constructor of
+// the policy it selects.
+var llcPolicies = table[func() policy.Policy]{
+	{"quadage", func() policy.Policy { return policy.NewQuadAge() }},
+	{"quadage-countermeasure", func() policy.Policy { return policy.NewQuadAgeCountermeasure() }},
+	{"lru", func() policy.Policy { return policy.NewLRU() }},
+	{"bit-plru", func() policy.Policy { return policy.NewBitPLRU() }},
+	{"tree-plru", func() policy.Policy { return policy.NewTreePLRU() }},
+	{"srrip", func() policy.Policy { return policy.NewSRRIP() }},
+	{"random", func() policy.Policy { return policy.NewRandom(0) }},
 }
 
-// Config resolves the spec into a concrete platform configuration.
-// Validate has already checked Base and LLCPolicy, so Config panics on an
-// unvalidated spec rather than failing silently.
+// LLCPolicies lists the valid LLCPolicy values.
+func LLCPolicies() []string { return llcPolicies.names() }
+
+// Config resolves the spec into a concrete platform configuration: the
+// base platform with every set field overlaid by name, plus the policy
+// and prefetcher switches, which have no same-named target. Validate has
+// already checked Base and LLCPolicy, so Config panics on an unvalidated
+// spec rather than failing silently.
 func (p *PlatformSpec) Config() hier.Config {
-	base := p.Base
-	if base == "" {
-		base = "skylake"
-	}
-	cfg, ok := platform.ByName(base)
+	cfg, ok := platform.ByName(baseOf(p.Base))
 	if !ok {
-		panic("scenario: unvalidated platform base " + base)
+		panic("scenario: unvalidated platform base " + p.Base)
 	}
-	if p.Name != "" {
-		cfg.Name = p.Name
-	}
-	if p.Cores > 0 {
-		cfg.Cores = p.Cores
-	}
-	if p.FreqGHz > 0 {
-		cfg.FreqGHz = p.FreqGHz
-	}
-	setIf := func(dst *int, v int) {
-		if v > 0 {
-			*dst = v
-		}
-	}
-	setIf(&cfg.L1Sets, p.L1Sets)
-	setIf(&cfg.L1Ways, p.L1Ways)
-	setIf(&cfg.L2Sets, p.L2Sets)
-	setIf(&cfg.L2Ways, p.L2Ways)
-	setIf(&cfg.LLCSlices, p.LLCSlices)
-	setIf(&cfg.LLCSetsPerSlice, p.LLCSetsPerSlice)
-	setIf(&cfg.LLCWays, p.LLCWays)
+	cfg = applyTo(cfg, p)
 	if p.LLCPolicy != "" {
-		cfg.LLCPolicy = llcPolicy(p.LLCPolicy)
+		cfg.LLCPolicy = llcPolicies.must(p.LLCPolicy)()
 	}
 	if p.AdjacentLine != nil {
 		cfg.HWPrefetch.AdjacentLine = *p.AdjacentLine
@@ -174,33 +252,7 @@ func (p *PlatformSpec) Config() hier.Config {
 	if p.StreamPrefetch != nil {
 		cfg.HWPrefetch.Stream = *p.StreamPrefetch
 	}
-	if p.NonInclusive != nil {
-		cfg.NonInclusive = *p.NonInclusive
-	}
-	if p.LLCPartitionWays != nil {
-		cfg.LLCPartitionWays = *p.LLCPartitionWays
-	}
 	return cfg
-}
-
-func llcPolicy(name string) policy.Policy {
-	switch name {
-	case "quadage":
-		return policy.NewQuadAge()
-	case "quadage-countermeasure":
-		return policy.NewQuadAgeCountermeasure()
-	case "lru":
-		return policy.NewLRU()
-	case "bit-plru":
-		return policy.NewBitPLRU()
-	case "tree-plru":
-		return policy.NewTreePLRU()
-	case "srrip":
-		return policy.NewSRRIP()
-	case "random":
-		return policy.NewRandom(0)
-	}
-	panic("scenario: unvalidated llc_policy " + name)
 }
 
 // ChannelSpec holds sparse overrides over the per-platform calibrated
@@ -219,36 +271,7 @@ type ChannelSpec struct {
 }
 
 // Apply overlays the overrides on base. A nil spec returns base as-is.
-func (c *ChannelSpec) Apply(base channel.Config) channel.Config {
-	if c == nil {
-		return base
-	}
-	if c.Interval != nil {
-		base.Interval = *c.Interval
-	}
-	if c.Sets != nil {
-		base.Sets = *c.Sets
-	}
-	if c.SenderOffset != nil {
-		base.SenderOffset = *c.SenderOffset
-	}
-	if c.ReceiverOffset != nil {
-		base.ReceiverOffset = *c.ReceiverOffset
-	}
-	if c.ProtocolOverhead != nil {
-		base.ProtocolOverhead = *c.ProtocolOverhead
-	}
-	if c.Start != nil {
-		base.Start = *c.Start
-	}
-	if c.NoisePeriod != nil {
-		base.NoisePeriod = *c.NoisePeriod
-	}
-	if c.PrimeWalks != nil {
-		base.PrimeWalks = *c.PrimeWalks
-	}
-	return base
-}
+func (c *ChannelSpec) Apply(base channel.Config) channel.Config { return applyTo(base, c) }
 
 // TransportSpec holds sparse overrides over the per-platform
 // channel.DefaultTransportConfig.
@@ -259,22 +282,10 @@ type TransportSpec struct {
 	FERThreshold *float64     `yaml:"fer_threshold,omitempty"`
 }
 
-// Apply overlays the overrides on base. A nil spec returns base as-is.
+// Apply overlays the overrides on base, the nested channel block on
+// base.Channel. A nil spec returns base as-is.
 func (t *TransportSpec) Apply(base channel.TransportConfig) channel.TransportConfig {
-	if t == nil {
-		return base
-	}
-	base.Channel = t.Channel.Apply(base.Channel)
-	if t.MaxRetries != nil {
-		base.MaxRetries = *t.MaxRetries
-	}
-	if t.FERWindow != nil {
-		base.FERWindow = *t.FERWindow
-	}
-	if t.FERThreshold != nil {
-		base.FERThreshold = *t.FERThreshold
-	}
-	return base
+	return applyTo(base, t)
 }
 
 // StateWalkSpec renders a Figure 6-style LLC set state walk: the sender
@@ -310,7 +321,7 @@ type SweepSpec struct {
 // SweepChannel is one swept channel: a registry key plus its interval
 // grid.
 type SweepChannel struct {
-	// Channel is "ntpntp" or "primeprobe"; it keys the seed derivation,
+	// Channel names a sweepChannels row; it keys the seed derivation,
 	// the trace-stream labels and the "<platform>/<channel>_peak_kbps"
 	// metrics.
 	Channel string `yaml:"channel"`
@@ -318,8 +329,18 @@ type SweepChannel struct {
 	Intervals []int64 `yaml:"intervals"`
 }
 
+// sweepChannels is the sweep channel enum: each name and the channel it
+// runs.
+var sweepChannels = table[channel.Runner]{
+	{"ntpntp", channel.RunNTPNTP},
+	{"primeprobe", channel.RunPrimeProbe},
+}
+
 // SweepChannels lists the valid SweepChannel.Channel values.
-func SweepChannels() []string { return []string{"ntpntp", "primeprobe"} }
+func SweepChannels() []string { return sweepChannels.names() }
+
+// Runner returns the channel a validated SweepChannel names.
+func (c SweepChannel) Runner() channel.Runner { return sweepChannels.must(c.Channel) }
 
 // LanesSpec measures multi-lane NTP+NTP bandwidth scaling: each lane
 // count runs at intervals LaneCost*lanes + overhead + offset and the best
@@ -386,8 +407,7 @@ func (s FaultScenario) Compile() fault.Scenario {
 // FaultSpec is one composable fault. Type selects the scenario; only the
 // fields that scenario uses may be set (the validator rejects the rest).
 type FaultSpec struct {
-	// Type is preemption, pollution, clock-drift, timer-spikes or
-	// migration.
+	// Type names a faultTypes row.
 	Type string `yaml:"type"`
 	// Role targets "sender" or "receiver" (default receiver) for the
 	// per-agent types.
@@ -409,10 +429,62 @@ type FaultSpec struct {
 	Cost int64 `yaml:"cost,omitempty"`
 }
 
-// FaultTypes lists the valid FaultSpec.Type values.
-func FaultTypes() []string {
-	return []string{"preemption", "pollution", "clock-drift", "timer-spikes", "migration"}
+// faultType is one fault type: the FaultSpec keys besides type that it
+// uses (setting any other is an error, so a typo'd scenario cannot
+// silently no-op), its range checks, and the scenario it compiles to.
+type faultType struct {
+	fields  []string
+	check   func(f FaultSpec, v *validator, path string)
+	compile func(f FaultSpec) fault.Scenario
 }
+
+// faultTypes is the fault type enum.
+var faultTypes = table[faultType]{
+	{"preemption", faultType{
+		fields: []string{"role", "count", "min_dur", "max_dur"},
+		check: func(f FaultSpec, v *validator, path string) {
+			mustBePositive(v, joinPath(path, "count"), f.Count)
+			if f.MinDur < 0 || f.MaxDur < f.MinDur {
+				v.fail(joinPath(path, "min_dur"), "need 0 <= min_dur <= max_dur, got [%d, %d]", f.MinDur, f.MaxDur)
+			}
+		},
+		compile: func(f FaultSpec) fault.Scenario {
+			return fault.Preemption{Role: faultRole(f.Role), Count: f.Count, MinDur: f.MinDur, MaxDur: f.MaxDur}
+		},
+	}},
+	{"pollution", faultType{
+		fields:  []string{"bursts", "walks", "gap"},
+		check:   func(f FaultSpec, v *validator, path string) { mustBePositive(v, joinPath(path, "bursts"), f.Bursts) },
+		compile: func(f FaultSpec) fault.Scenario { return fault.Pollution{Bursts: f.Bursts, Walks: f.Walks, Gap: f.Gap} },
+	}},
+	{"clock-drift", faultType{
+		fields: []string{"role", "ppm"},
+		check: func(f FaultSpec, v *validator, path string) {
+			if f.PPM == 0 {
+				v.fail(joinPath(path, "ppm"), "must be non-zero")
+			}
+		},
+		compile: func(f FaultSpec) fault.Scenario { return fault.ClockDrift{Role: faultRole(f.Role), PPM: f.PPM} },
+	}},
+	{"timer-spikes", faultType{
+		fields: []string{"role", "count", "dur", "extra"},
+		check: func(f FaultSpec, v *validator, path string) {
+			mustBePositive(v, joinPath(path, "count"), f.Count)
+			mustBePositive(v, joinPath(path, "dur"), f.Dur)
+		},
+		compile: func(f FaultSpec) fault.Scenario {
+			return fault.TimerSpikes{Role: faultRole(f.Role), Count: f.Count, Dur: f.Dur, Extra: f.Extra}
+		},
+	}},
+	{"migration", faultType{
+		fields:  []string{"role", "cost"},
+		check:   func(f FaultSpec, v *validator, path string) { mustBePositive(v, joinPath(path, "cost"), f.Cost) },
+		compile: func(f FaultSpec) fault.Scenario { return fault.Migration{Role: faultRole(f.Role), Cost: f.Cost} },
+	}},
+}
+
+// FaultTypes lists the valid FaultSpec.Type values.
+func FaultTypes() []string { return faultTypes.names() }
 
 func faultRole(role string) string {
 	if role == "sender" {
@@ -423,21 +495,7 @@ func faultRole(role string) string {
 
 // Compile builds the concrete fault scenario. Validate has already
 // checked Type, so Compile panics on an unvalidated spec.
-func (f FaultSpec) Compile() fault.Scenario {
-	switch f.Type {
-	case "preemption":
-		return fault.Preemption{Role: faultRole(f.Role), Count: f.Count, MinDur: f.MinDur, MaxDur: f.MaxDur}
-	case "pollution":
-		return fault.Pollution{Bursts: f.Bursts, Walks: f.Walks, Gap: f.Gap}
-	case "clock-drift":
-		return fault.ClockDrift{Role: faultRole(f.Role), PPM: f.PPM}
-	case "timer-spikes":
-		return fault.TimerSpikes{Role: faultRole(f.Role), Count: f.Count, Dur: f.Dur, Extra: f.Extra}
-	case "migration":
-		return fault.Migration{Role: faultRole(f.Role), Cost: f.Cost}
-	}
-	panic("scenario: unvalidated fault type " + f.Type)
-}
+func (f FaultSpec) Compile() fault.Scenario { return faultTypes.must(f.Type).compile(f) }
 
 // VictimSpec runs a victim program under a spy — no Go code needed to
 // express an end-to-end key-recovery scenario.

@@ -59,26 +59,20 @@ func (s *Spec) validate(v *validator) {
 		return
 	}
 
-	// Exactly the section for Kind must be present.
-	sections := []struct {
-		key     string
-		kind    string
-		present bool
-	}{
-		{"statewalk", KindStateWalk, s.StateWalk != nil},
-		{"pipeline", KindPipeline, s.Pipeline != nil},
-		{"sweep", KindSweep, s.Sweep != nil},
-		{"lanes", KindLanes, s.Lanes != nil},
-		{"noise", KindNoise, s.Noise != nil},
-		{"faults", KindFaults, s.Faults != nil},
-		{"victim", KindVictim, s.Victim != nil},
-	}
-	for _, sec := range sections {
-		if sec.kind == s.Kind && !sec.present {
-			v.fail(sec.key, "kind %q requires a %q section", s.Kind, sec.key)
-		}
-		if sec.kind != s.Kind && sec.present {
-			v.fail(sec.key, "section %q conflicts with kind %q", sec.key, s.Kind)
+	// Exactly the section for Kind must be present. sec stays nil when it
+	// is missing, which is reported here, so the per-kind checks below
+	// skip it.
+	var sec section
+	rv := reflect.ValueOf(s).Elem()
+	for _, k := range kinds {
+		f := rv.Field(k.index)
+		switch {
+		case k.key == s.Kind && f.IsNil():
+			v.fail(k.key, "kind %q requires a %q section", s.Kind, k.key)
+		case k.key == s.Kind:
+			sec = f.Interface().(section)
+		case !f.IsNil():
+			v.fail(k.key, "section %q conflicts with kind %q", k.key, s.Kind)
 		}
 	}
 
@@ -97,8 +91,8 @@ func (s *Spec) validate(v *validator) {
 		}
 	}
 	if s.Transport != nil {
-		if s.Kind != KindFaults {
-			v.fail("transport", "section %q is only used by kind %q", "transport", KindFaults)
+		if faults := kindOf((*FaultsSpec)(nil)); s.Kind != faults {
+			v.fail("transport", "section %q is only used by kind %q", "transport", faults)
 		}
 		for _, cfg := range platforms {
 			if err := s.Transport.Apply(channel.DefaultTransportConfig(cfg.Name, cfg.FreqGHz)).Validate(); err != nil {
@@ -107,23 +101,8 @@ func (s *Spec) validate(v *validator) {
 		}
 	}
 
-	// The section can be nil here when it is missing (already reported
-	// above); skip the per-kind checks rather than dereference it.
-	switch {
-	case s.Kind == KindStateWalk && s.StateWalk != nil:
-		s.StateWalk.validate(v, "statewalk")
-	case s.Kind == KindPipeline && s.Pipeline != nil:
-		s.Pipeline.validate(v, "pipeline")
-	case s.Kind == KindSweep && s.Sweep != nil:
-		s.Sweep.validate(v, "sweep")
-	case s.Kind == KindLanes && s.Lanes != nil:
-		s.Lanes.validate(v, "lanes", platforms)
-	case s.Kind == KindNoise && s.Noise != nil:
-		s.Noise.validate(v, "noise")
-	case s.Kind == KindFaults && s.Faults != nil:
-		s.Faults.validate(v, "faults")
-	case s.Kind == KindVictim && s.Victim != nil:
-		s.Victim.validate(v, "victim")
+	if sec != nil {
+		sec.validate(v, s.Kind, platforms)
 	}
 
 	s.validateExtractAssert(v)
@@ -203,38 +182,37 @@ func validBits(s string) bool {
 	return true
 }
 
-func (w *StateWalkSpec) validate(v *validator, path string) {
-	if !validBits(w.Message) {
-		v.fail(joinPath(path, "message"), "must be a non-empty string of 0s and 1s, got %q", w.Message)
-	}
-	if w.CalibrateSamples <= 0 {
-		v.fail(joinPath(path, "calibrate_samples"), "must be positive, got %d", w.CalibrateSamples)
-	}
-	if w.ReceiverReady <= 0 {
-		v.fail(joinPath(path, "receiver_ready"), "must be positive, got %d", w.ReceiverReady)
-	}
-	if w.PhaseStep <= 0 {
-		v.fail(joinPath(path, "phase_step"), "must be positive, got %d", w.PhaseStep)
+// mustBePositive fails path unless n > 0.
+func mustBePositive[N int | int64](v *validator, path string, n N) {
+	if n <= 0 {
+		v.fail(path, "must be positive, got %d", n)
 	}
 }
 
-func (p *PipelineSpec) validate(v *validator, path string) {
+func (w *StateWalkSpec) validate(v *validator, path string, _ []hier.Config) {
+	if !validBits(w.Message) {
+		v.fail(joinPath(path, "message"), "must be a non-empty string of 0s and 1s, got %q", w.Message)
+	}
+	mustBePositive(v, joinPath(path, "calibrate_samples"), w.CalibrateSamples)
+	mustBePositive(v, joinPath(path, "receiver_ready"), w.ReceiverReady)
+	mustBePositive(v, joinPath(path, "phase_step"), w.PhaseStep)
+}
+
+func (p *PipelineSpec) validate(v *validator, path string, _ []hier.Config) {
 	if !validBits(p.Message) {
 		v.fail(joinPath(path, "message"), "must be a non-empty string of 0s and 1s, got %q", p.Message)
 	}
 }
 
-func (w *SweepSpec) validate(v *validator, path string) {
-	if w.Bits <= 0 {
-		v.fail(joinPath(path, "bits"), "must be positive, got %d", w.Bits)
-	}
+func (w *SweepSpec) validate(v *validator, path string, _ []hier.Config) {
+	mustBePositive(v, joinPath(path, "bits"), w.Bits)
 	if len(w.Channels) == 0 {
 		v.fail(joinPath(path, "channels"), "at least one channel is required")
 	}
 	seen := map[string]bool{}
 	for i, c := range w.Channels {
 		cpath := fmt.Sprintf("%s.channels[%d]", path, i)
-		if !contains(SweepChannels(), c.Channel) {
+		if _, ok := sweepChannels.lookup(c.Channel); !ok {
 			v.fail(joinPath(cpath, "channel"), "unknown channel %q (valid channels: %v)", c.Channel, SweepChannels())
 		}
 		if seen[c.Channel] {
@@ -245,17 +223,13 @@ func (w *SweepSpec) validate(v *validator, path string) {
 			v.fail(joinPath(cpath, "intervals"), "at least one interval is required")
 		}
 		for j, iv := range c.Intervals {
-			if iv <= 0 {
-				v.fail(fmt.Sprintf("%s.intervals[%d]", cpath, j), "must be positive, got %d", iv)
-			}
+			mustBePositive(v, fmt.Sprintf("%s.intervals[%d]", cpath, j), iv)
 		}
 	}
 }
 
 func (l *LanesSpec) validate(v *validator, path string, platforms []hier.Config) {
-	if l.Bits <= 0 {
-		v.fail(joinPath(path, "bits"), "must be positive, got %d", l.Bits)
-	}
+	mustBePositive(v, joinPath(path, "bits"), l.Bits)
 	if len(l.LaneCounts) == 0 {
 		v.fail(joinPath(path, "lane_counts"), "at least one lane count is required")
 	}
@@ -282,15 +256,11 @@ func (l *LanesSpec) validate(v *validator, path string, platforms []hier.Config)
 			v.fail(fmt.Sprintf("%s.offsets[%d]", path, i), "must be non-negative, got %d", off)
 		}
 	}
-	if l.LaneCost <= 0 {
-		v.fail(joinPath(path, "lane_cost"), "must be positive, got %d", l.LaneCost)
-	}
+	mustBePositive(v, joinPath(path, "lane_cost"), l.LaneCost)
 }
 
-func (n *NoiseSpec) validate(v *validator, path string) {
-	if n.Bits <= 0 {
-		v.fail(joinPath(path, "bits"), "must be positive, got %d", n.Bits)
-	}
+func (n *NoiseSpec) validate(v *validator, path string, _ []hier.Config) {
+	mustBePositive(v, joinPath(path, "bits"), n.Bits)
 	if len(n.Periods) == 0 {
 		v.fail(joinPath(path, "periods"), "at least one period is required")
 	}
@@ -304,31 +274,13 @@ func (n *NoiseSpec) validate(v *validator, path string) {
 		}
 		seen[p] = true
 	}
-	if n.InterleaveDepth <= 0 {
-		v.fail(joinPath(path, "interleave_depth"), "must be positive, got %d", n.InterleaveDepth)
-	}
+	mustBePositive(v, joinPath(path, "interleave_depth"), n.InterleaveDepth)
 }
 
-// faultFields names the FaultSpec fields each type consumes; setting any
-// other field is an error, so a typo'd scenario cannot silently no-op.
-var faultFields = map[string][]string{
-	"preemption":   {"role", "count", "min_dur", "max_dur"},
-	"pollution":    {"bursts", "walks", "gap"},
-	"clock-drift":  {"role", "ppm"},
-	"timer-spikes": {"role", "count", "dur", "extra"},
-	"migration":    {"role", "cost"},
-}
-
-func (f *FaultsSpec) validate(v *validator, path string) {
-	if f.RawBits <= 0 {
-		v.fail(joinPath(path, "raw_bits"), "must be positive, got %d", f.RawBits)
-	}
-	if f.ARQBits <= 0 {
-		v.fail(joinPath(path, "arq_bits"), "must be positive, got %d", f.ARQBits)
-	}
-	if f.InterleaveDepth <= 0 {
-		v.fail(joinPath(path, "interleave_depth"), "must be positive, got %d", f.InterleaveDepth)
-	}
+func (f *FaultsSpec) validate(v *validator, path string, _ []hier.Config) {
+	mustBePositive(v, joinPath(path, "raw_bits"), f.RawBits)
+	mustBePositive(v, joinPath(path, "arq_bits"), f.ARQBits)
+	mustBePositive(v, joinPath(path, "interleave_depth"), f.InterleaveDepth)
 	if len(f.Scenarios) == 0 {
 		v.fail(joinPath(path, "scenarios"), "at least one scenario is required")
 	}
@@ -361,7 +313,7 @@ func (f *FaultsSpec) validate(v *validator, path string) {
 }
 
 func (f FaultSpec) validate(v *validator, path string) {
-	allowed, ok := faultFields[f.Type]
+	ft, ok := faultTypes.lookup(f.Type)
 	if !ok {
 		v.fail(joinPath(path, "type"), "unknown fault type %q (valid types: %v)", f.Type, FaultTypes())
 		return
@@ -372,56 +324,23 @@ func (f FaultSpec) validate(v *validator, path string) {
 	// The first set field the type does not use, in schema order.
 	rv := reflect.ValueOf(f)
 	for _, fl := range schemas[rv.Type()].fields {
-		if fl.key != "type" && !rv.Field(fl.index).IsZero() && !contains(allowed, fl.key) {
-			v.fail(joinPath(path, fl.key), "field is not used by fault type %q (its fields: %v)", f.Type, allowed)
+		if fl.key != "type" && !rv.Field(fl.index).IsZero() && !contains(ft.fields, fl.key) {
+			v.fail(joinPath(path, fl.key), "field is not used by fault type %q (its fields: %v)", f.Type, ft.fields)
 		}
 	}
-	switch f.Type {
-	case "preemption":
-		if f.Count <= 0 {
-			v.fail(joinPath(path, "count"), "must be positive, got %d", f.Count)
-		}
-		if f.MinDur < 0 || f.MaxDur < f.MinDur {
-			v.fail(joinPath(path, "min_dur"), "need 0 <= min_dur <= max_dur, got [%d, %d]", f.MinDur, f.MaxDur)
-		}
-	case "pollution":
-		if f.Bursts <= 0 {
-			v.fail(joinPath(path, "bursts"), "must be positive, got %d", f.Bursts)
-		}
-	case "clock-drift":
-		if f.PPM == 0 {
-			v.fail(joinPath(path, "ppm"), "must be non-zero")
-		}
-	case "timer-spikes":
-		if f.Count <= 0 {
-			v.fail(joinPath(path, "count"), "must be positive, got %d", f.Count)
-		}
-		if f.Dur <= 0 {
-			v.fail(joinPath(path, "dur"), "must be positive, got %d", f.Dur)
-		}
-	case "migration":
-		if f.Cost <= 0 {
-			v.fail(joinPath(path, "cost"), "must be positive, got %d", f.Cost)
-		}
-	}
+	ft.check(f, v, path)
 }
 
-func (w *VictimSpec) validate(v *validator, path string) {
+func (w *VictimSpec) validate(v *validator, path string, _ []hier.Config) {
 	if !contains(VictimPrograms(), w.Program) {
 		v.fail(joinPath(path, "program"), "unknown program %q (valid programs: %v)", w.Program, VictimPrograms())
 	}
 	if raw, err := hex.DecodeString(w.Key); err != nil || len(raw) != 16 {
 		v.fail(joinPath(path, "key"), "must be 32 hex characters (a 16-byte AES key), got %q", w.Key)
 	}
-	if w.Encryptions <= 0 {
-		v.fail(joinPath(path, "encryptions"), "must be positive, got %d", w.Encryptions)
-	}
-	if w.Window <= 0 {
-		v.fail(joinPath(path, "window"), "must be positive, got %d", w.Window)
-	}
-	if w.Start <= 0 {
-		v.fail(joinPath(path, "start"), "must be positive, got %d", w.Start)
-	}
+	mustBePositive(v, joinPath(path, "encryptions"), w.Encryptions)
+	mustBePositive(v, joinPath(path, "window"), w.Window)
+	mustBePositive(v, joinPath(path, "start"), w.Start)
 }
 
 func (s *Spec) validateExtractAssert(v *validator) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 
 	"leakyway/internal/experiments"
@@ -121,7 +122,7 @@ func (s *Server) viewOf(id string) JobView {
 			for name := range meta.Artifacts {
 				names = append(names, name)
 			}
-			sortStrings(names)
+			slices.Sort(names)
 			v.Artifacts = names
 			v.AssertFailed = meta.AssertFailed
 			v.AssertTotal = meta.AssertTotal

@@ -149,26 +149,32 @@ func marshalEntries(entries []journalEntry) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// writeCompacted writes a compacted journal (temp file + fsync + rename)
-// and reopens it for appending, returning the open handle and its size.
-func writeCompacted(fsys iofault.FS, path string, entries []journalEntry) (iofault.File, int64, error) {
+// compact writes entries as a fresh journal at path (temp file, fsync,
+// rename, directory sync) and opens it for appending, returning the
+// handle and its size. renamed reports that the rename replaced path, so
+// a handle opened on the old file no longer backs it.
+func compact(fsys iofault.FS, path string, entries []journalEntry) (f iofault.File, size int64, renamed bool, err error) {
 	data, err := marshalEntries(entries)
 	if err != nil {
-		return nil, 0, fmt.Errorf("journal: %w", err)
+		return nil, 0, false, err
 	}
 	tmp := path + ".tmp"
 	if err := writeSynced(fsys, tmp, data); err != nil {
-		return nil, 0, fmt.Errorf("journal: %w", err)
+		return nil, 0, false, err
 	}
 	if err := fsys.Rename(tmp, path); err != nil {
-		return nil, 0, fmt.Errorf("journal: %w", err)
+		return nil, 0, false, err
 	}
-	syncDir(fsys, filepath.Dir(path)) // best-effort: the appends that follow are fsynced
-	af, err := fsys.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	// Until the directory is synced a power loss can undo the rename, and
+	// with it every append fsynced to the new file after it.
+	if err := syncDir(fsys, filepath.Dir(path)); err != nil {
+		return nil, 0, true, fmt.Errorf("sync dir: %w", err)
+	}
+	f, err = fsys.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, 0, fmt.Errorf("journal: %w", err)
+		return nil, 0, true, fmt.Errorf("reopen: %w", err)
 	}
-	return af, int64(len(data)), nil
+	return f, int64(len(data)), true, nil
 }
 
 // rewriteJournal writes a compacted journal and opens it for appending.
@@ -176,9 +182,9 @@ func writeCompacted(fsys iofault.FS, path string, entries []journalEntry) (iofau
 // exactly the live state, so the file cannot grow without bound across
 // restarts.
 func rewriteJournal(fsys iofault.FS, path string, entries []journalEntry, cfg journalConfig) (*Journal, error) {
-	f, size, err := writeCompacted(fsys, path, entries)
+	f, size, _, err := compact(fsys, path, entries)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("journal: %w", err)
 	}
 	return &Journal{fs: fsys, f: f, path: path, cfg: cfg, size: size, compactedSize: size}, nil
 }
@@ -258,33 +264,24 @@ func (j *Journal) NeedsRotation() bool {
 }
 
 // Rotate compacts the journal online: the live entries are written as a
-// fresh segment (temp + fsync + rename) that atomically replaces the
-// grown one, and appending continues on the new segment. Failure before
-// the rename leaves the old segment and handle fully valid; failure
-// after it (reopen failed) detaches the journal, which refuses further
-// appends rather than losing them to an unlinked inode.
+// fresh segment (the same compaction a restart performs) that atomically
+// replaces the grown one, and appending continues on the new segment.
+// Failure before the rename leaves the old segment and handle fully
+// valid; failure after it (directory sync or reopen failed) detaches the
+// journal, which refuses further appends rather than losing them to an
+// unlinked inode or an undurable rename.
 func (j *Journal) Rotate(entries []journalEntry) error {
-	data, err := marshalEntries(entries)
+	nf, size, renamed, err := compact(j.fs, j.path, entries)
 	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	tmp := j.path + ".tmp"
-	if err := writeSynced(j.fs, tmp, data); err != nil {
+		if renamed {
+			j.detached = true
+		}
 		return fmt.Errorf("journal: rotate: %w", err)
-	}
-	if err := j.fs.Rename(tmp, j.path); err != nil {
-		return fmt.Errorf("journal: rotate: %w", err)
-	}
-	syncDir(j.fs, filepath.Dir(j.path)) // best-effort: the appends that follow are fsynced
-	nf, err := j.fs.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		j.detached = true
-		return fmt.Errorf("journal: rotate reopen: %w", err)
 	}
 	j.f.Close()
 	j.f = nf
-	j.size = int64(len(data))
-	j.compactedSize = j.size
+	j.size = size
+	j.compactedSize = size
 	j.wedged = false
 	if j.rotations != nil {
 		j.rotations.Inc()

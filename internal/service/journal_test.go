@@ -260,3 +260,38 @@ func TestJournalDetachesWhenRotateReopenFails(t *testing.T) {
 		t.Fatalf("rotated segment replays %d entries, %v; want 1", len(entries), err)
 	}
 }
+
+// TestJournalCompactionFailsOnDirSyncError checks that a failed sync of
+// the data directory after compaction's rename fails the compaction: a
+// power loss could undo the rename and, with it, every acknowledged
+// append made to the new file. Startup compaction fails New; an online
+// rotation detaches the journal.
+func TestJournalCompactionFailsOnDirSyncError(t *testing.T) {
+	dataDir := t.TempDir()
+	_, err := New(Config{
+		DataDir:    dataDir,
+		Workers:    1,
+		QueueCap:   1,
+		MaxRetries: -1,
+		Runner:     stubRunner(0, nil, nil),
+		Logger:     testLogger(t),
+		FS:         iofault.NewInjector(iofault.OS(), 1, &opRecorder{failSync: dataDir}),
+	})
+	if err == nil {
+		t.Fatalf("New succeeded although the data directory's sync after startup compaction failed")
+	}
+
+	dir := t.TempDir()
+	rec := &opRecorder{}
+	j := openTestJournal(t, iofault.NewInjector(iofault.OS(), 1, rec), filepath.Join(dir, "journal.jsonl"), testJournalConfig())
+	if err := j.Append(acceptEntry(1)); err != nil {
+		t.Fatalf("append: %v", err)
+	}
+	rec.failSync = dir
+	if err := j.Rotate([]journalEntry{acceptEntry(1)}); err == nil {
+		t.Fatalf("rotate with a failing directory sync must error")
+	}
+	if err := j.Append(acceptEntry(2)); err == nil {
+		t.Fatalf("journal accepted an append after a rotation whose rename is not durable")
+	}
+}

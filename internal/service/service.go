@@ -20,6 +20,7 @@ import (
 	"log/slog"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -340,7 +341,7 @@ func (s *Server) liveEntries() []journalEntry {
 	for id := range s.jobs {
 		ids = append(ids, id)
 	}
-	sortStrings(ids)
+	slices.Sort(ids)
 	var entries []journalEntry
 	for _, id := range ids {
 		j := s.jobs[id]
@@ -356,14 +357,6 @@ func (s *Server) liveEntries() []journalEntry {
 		}
 	}
 	return entries
-}
-
-func sortStrings(ss []string) {
-	for i := 1; i < len(ss); i++ {
-		for k := i; k > 0 && ss[k] < ss[k-1]; k-- {
-			ss[k], ss[k-1] = ss[k-1], ss[k]
-		}
-	}
 }
 
 // seqOf parses the numeric part of a "j-000042" job ID.
