@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet bench-vet fmt-check staticcheck test race fuzz-smoke trace-smoke template-validate daemon-smoke chaos-smoke verify bench bench-jobs bench-check bench-baseline cover clean
+.PHONY: all build vet bench-vet fmt-check staticcheck test race fuzz-smoke trace-smoke template-validate daemon-smoke chaos-smoke verify bench bench-jobs bench-check cover clean
 
 all: verify
 
@@ -119,17 +119,13 @@ bench:
 bench-jobs:
 	$(GO) test -bench 'BenchmarkRunAllJobs' -benchtime 3x -run '^$$' .
 
-# Perf-regression gate: run the pinned benchmark set and compare ns/op
-# (±20%, with re-measurement of gates that fail on a noisy first sample) and
-# allocs/op (ceiling +1%, rounded up) against the committed BENCH.json
-# baselines. See
-# cmd/benchcheck for the calibration and retry details.
+# Perf-regression gate: time the BENCH.json gates on the working tree and
+# on the base revision (HEAD with uncommitted changes, HEAD^1 without) in
+# nine alternating pairs; fail when a gate's median head/base ns/op ratio
+# exceeds +20% or its allocs/op exceed the base's +1%, rounded up. See
+# cmd/benchcheck.
 bench-check:
 	$(GO) run ./cmd/benchcheck
-
-# Re-pin the BENCH.json baselines from this host's measurements.
-bench-baseline:
-	$(GO) run ./cmd/benchcheck -update
 
 # Coverage floor over the simulation core: fail below $(COVER_FLOOR)%
 # of statements across internal/... . The profile is left at cover.out

@@ -1,80 +1,75 @@
-// Command benchcheck is the CI perf-regression gate: it runs the pinned
-// microbenchmark set and compares ns/op and allocs/op against the committed
-// baselines in BENCH.json ("gates" section).
+// Command benchcheck is the CI perf-regression gate. It times the benchmarks
+// listed in BENCH.json ("gates") on the working tree (head) and on a base
+// revision, and fails when head is slower than the base.
 //
-//	go run ./cmd/benchcheck             # check against baselines
-//	go run ./cmd/benchcheck -update     # refresh baselines from this host
-//	go run ./cmd/benchcheck -inflate 2  # sanity-check the gate itself: a
-//	                                    # synthetic 2x slowdown must fail
+//	go run ./cmd/benchcheck              # head against the base revision
+//	go run ./cmd/benchcheck -inflate 1.3 # self-test: a synthetic 30%
+//	                                     # slowdown must fail
 //
-// A benchmark fails the gate when its measured ns/op exceeds the baseline by
-// more than the tolerance (default ±20%), or when its allocs/op exceeds the
-// committed ceiling by more than 1%, rounded up (see allocLimit). The ns/op
-// tolerance does not apply to allocations: they are nearly deterministic
-// (eight BenchmarkFig8 runs on one host gave 9 875–9 902 allocs/op), so
-// the 1% only absorbs that jitter, and a 0-alloc gate stays exact.
-// Improvements beyond the tolerance are reported as stale baselines but do
-// not fail the build; run -update to re-pin them.
+// The base is HEAD when tracked files differ from it (a local change) and
+// HEAD^1 otherwise (a pull request's merge commit, or a push). Its tree is
+// extracted with `git archive` into a temporary directory that every exit
+// removes; nothing is written under .git.
 //
-// Benchmarks run with fixed iteration counts (-benchtime Nx) so short CI
-// runs measure identical work on every invocation. Shared runners see
-// seconds-long speed excursions that one sample cannot average away, so a
-// gate that fails its first measurement is re-measured (up to -retries extra
-// attempts) and passes if any attempt lands inside the tolerance; a genuine
-// regression fails every attempt.
+// Each gate package is compiled once per side (`go test -c`), and the two
+// binaries run in alternating pairs at the gate's fixed -benchtime, one
+// -test.count per run. A gate fails when the median of its per-pair
+// head/base ns/op ratios exceeds 1 + tolerance_pct/100 (BENCH.json: 20%).
+// Host speed drifts over seconds (one HierAccess binary measured 13.9–24.6
+// ns in five back-to-back runs), so only runs that share a speed window
+// compare: the two runs of a pair do, a pin taken on another day does not.
+//
+// Allocations are compared as each side's fewest allocs/op over its runs:
+// host scheduling only adds to them (an experiment shard that finds the
+// arena free list empty builds a fresh arena, and BenchmarkFig2 flips
+// between ~1 330 and ~11 770 allocs/op from run to run), while a change to
+// the code moves every run. Between its low runs the count jitters by a few
+// allocations, so head may allocate at most the base's count plus 1%,
+// rounded up (see allocLimit), and a 0-alloc gate stays exact. A gate the
+// base lacks is "new" and passes; a gate with no head result fails.
 package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"os/exec"
+	"os/signal"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
 	"strings"
-	"time"
+	"syscall"
 )
 
-// gate is one pinned benchmark in BENCH.json. CalNs is the reference
-// workload's time measured immediately before this gate's benchmark ran on
-// the pinning host: the check compares ns_per_op/cal_ns ratios, a
-// dimensionless cost that cancels host-speed differences (CPU steal,
-// frequency scaling, a different CI runner) which would otherwise swamp a
-// ±20% gate.
+// pairs is the number of alternating base/head pairs per gate. With 5 pairs
+// the median ratio of identical binaries reached 1.21 on a shared 2-vCPU
+// host; with 9 it stayed within 0.89–1.08.
+const pairs = 9
+
+// The two sides of a pair, as indices into per-side arrays.
+const (
+	base = iota
+	head
+)
+
+// gate is one benchmark listed in BENCH.json.
 type gate struct {
-	Bench       string  `json:"bench"`
-	Package     string  `json:"package"`
-	Benchtime   string  `json:"benchtime"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	CalNs       float64 `json:"cal_ns"`
+	Bench     string `json:"bench"`
+	Package   string `json:"package"`
+	Benchtime string `json:"benchtime"`
 }
 
-// gatesSection is BENCH.json's "gates" object.
-type gatesSection struct {
-	TolerancePct float64 `json:"tolerance_pct"`
-	Entries      []gate  `json:"entries"`
-}
-
-// benchFile mirrors BENCH.json so -update can rewrite the gates without
-// disturbing the narrative sections.
-type benchFile struct {
-	Date              string         `json:"date"`
-	Host              map[string]any `json:"host"`
-	KernelSpeedup     map[string]any `json:"kernel_speedup,omitempty"`
-	BatchKernel       map[string]any `json:"batch_kernel,omitempty"`
-	CoroutineHandoff  map[string]any `json:"coroutine_handoff,omitempty"`
-	FillSummary       map[string]any `json:"fill_summary,omitempty"`
-	MemLayer          map[string]any `json:"mem_layer,omitempty"`
-	Benchmarks        map[string]any `json:"benchmarks"`
-	Speedups          map[string]any `json:"speedups,omitempty"`
-	TraceOverhead     map[string]any `json:"trace_overhead,omitempty"`
-	TelemetryOverhead map[string]any `json:"telemetry_overhead,omitempty"`
-	Determinism       string         `json:"determinism,omitempty"`
-	Gates             gatesSection   `json:"gates"`
+// sample is one benchmark's result from one run.
+type sample struct {
+	ns     float64
+	allocs int64
 }
 
 // benchLine matches one `go test -bench` result line, with or without the
@@ -83,310 +78,292 @@ type benchFile struct {
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.e+]+) ns/op(?:.*?\s([0-9]+) allocs/op)?`)
 
 func main() {
-	os.Exit(run())
+	path := flag.String("baseline", "BENCH.json", "file listing the gates and their tolerance")
+	inflate := flag.Float64("inflate", 1, "multiply head ns/op (gate self-test: -inflate 1.3 must fail)")
+	flag.Parse()
+	failed, err := check(*path, *inflate)
+	switch {
+	case err != nil:
+		fmt.Fprintln(os.Stderr, "benchcheck:", err)
+		os.Exit(2)
+	case failed:
+		os.Exit(1)
+	}
 }
 
-func run() int {
-	var (
-		path      = flag.String("baseline", "BENCH.json", "baseline file to check or update")
-		update    = flag.Bool("update", false, "rewrite the baselines from this host's measurements")
-		tolerance = flag.Float64("tolerance", 0, "override ns/op tolerance percentage (0 = use the file's)")
-		inflate   = flag.Float64("inflate", 1, "multiply measured ns/op (gate self-test: -inflate 2 must fail)")
-		retries   = flag.Int("retries", 3, "extra measurement attempts for gates that fail (noise guard)")
-	)
-	flag.Parse()
-
-	raw, err := os.ReadFile(*path)
+// check times the gates listed in path, prints a verdict per gate and
+// reports whether any failed. Its deferred calls run on every return, so
+// the base tree never outlives it.
+func check(path string, inflate float64) (failed bool, err error) {
+	var file struct {
+		Gates struct {
+			TolerancePct float64 `json:"tolerance_pct"`
+			Entries      []gate  `json:"entries"`
+		} `json:"gates"`
+	}
+	raw, err := os.ReadFile(path)
+	if err == nil {
+		err = json.Unmarshal(raw, &file)
+	}
+	if err == nil && len(file.Gates.Entries) == 0 {
+		err = errors.New("no gates")
+	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchcheck:", err)
-		return 2
+		return false, fmt.Errorf("%s: %v", path, err)
 	}
-	var bf benchFile
-	if err := json.Unmarshal(raw, &bf); err != nil {
-		fmt.Fprintf(os.Stderr, "benchcheck: parse %s: %v\n", *path, err)
-		return 2
-	}
-	if len(bf.Gates.Entries) == 0 {
-		fmt.Fprintf(os.Stderr, "benchcheck: %s has no gates\n", *path)
-		return 2
-	}
-	tol := bf.Gates.TolerancePct
-	if *tolerance > 0 {
-		tol = *tolerance
-	}
+	tol := file.Gates.TolerancePct
 
-	measured, err := runBenchmarks(bf.Gates.Entries)
+	// An interrupt cancels the running child, so check still returns
+	// through the deferred removal of the base tree.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	tmp, err := os.MkdirTemp("", "benchcheck-")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchcheck:", err)
-		return 2
+		return false, err
+	}
+	defer os.RemoveAll(tmp)
+	rev, baseRoot, err := extractBase(ctx, tmp)
+	if err != nil {
+		return false, err
+	}
+	roots := [2]string{baseRoot, "."}
+	bins, err := build(ctx, file.Gates.Entries, roots, tmp)
+	if err != nil {
+		return false, err
+	}
+	fmt.Printf("benchcheck: head (working tree) against base %s, %d alternating pairs\n", rev, pairs)
+	samples, err := measure(file.Gates.Entries, pairs, func(side int, g gate) (sample, bool, error) {
+		if bins[side][g.Package] == "" { // the base tree lacks this package
+			return sample{}, false, nil
+		}
+		return runBinary(ctx, bins[side][g.Package], filepath.Join(roots[side], g.Package), g)
+	})
+	if err != nil {
+		return false, err
 	}
 
-	if *update {
-		var rows []summaryRow
-		for i := range bf.Gates.Entries {
-			g := &bf.Gates.Entries[i]
-			m, ok := measured[g.Bench]
-			if !ok {
-				fmt.Fprintf(os.Stderr, "benchcheck: %s produced no result\n", g.Bench)
-				return 2
+	rows := make([]row, 0, len(file.Gates.Entries))
+	for _, g := range file.Gates.Entries {
+		r := verdict(g.Bench, samples[base][g.Bench], samples[head][g.Bench], tol, inflate)
+		fmt.Printf("%-4s  %-32s base %s  head %s  ratio %s  allocs %d→%d\n",
+			r.status, r.bench, cell(r.baseNs, 1), cell(r.headNs, 1), cell(r.ratio, 3), r.baseAllocs, r.headAllocs)
+		failed = failed || r.status == "FAIL"
+		rows = append(rows, r)
+	}
+	summary := fmt.Sprintf("all %d gates within +%.0f%% of base %s", len(rows), tol, rev)
+	if failed {
+		summary = fmt.Sprintf("FAILED against base %s (ns/op ratio +%.0f%%, allocs +1%%)", rev, tol)
+	}
+	writeStepSummary("benchcheck: "+summary, rows)
+	fmt.Println("benchcheck:", summary)
+	return failed, nil
+}
+
+// extractBase picks the base revision, writes its tree into tmp/base and
+// returns the revision and that directory.
+func extractBase(ctx context.Context, tmp string) (rev, root string, err error) {
+	rev = "HEAD^1"
+	err = exec.CommandContext(ctx, "git", "diff", "--quiet", "HEAD").Run()
+	var exit *exec.ExitError
+	switch {
+	case errors.As(err, &exit) && exit.ExitCode() == 1:
+		rev = "HEAD" // uncommitted changes to tracked files
+	case err != nil:
+		return "", "", fmt.Errorf("git diff --quiet HEAD: %v", err)
+	}
+	hash, err := exec.CommandContext(ctx, "git", "rev-parse", "--short", "--verify", rev+"^{commit}").Output()
+	if err != nil {
+		return "", "", fmt.Errorf("base %s: not found (CI needs fetch-depth: 2): %v", rev, err)
+	}
+	// Run from a subdirectory, git archive takes only that subtree, with
+	// paths relative to it, so the base tree's root matches the current one.
+	archive, err := exec.CommandContext(ctx, "git", "archive", "--format=tar", rev).Output()
+	if err != nil {
+		return "", "", fmt.Errorf("git archive %s: %v", rev, err)
+	}
+	dir := filepath.Join(tmp, "base")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		return "", "", err
+	}
+	untar := exec.CommandContext(ctx, "tar", "-x", "-C", dir)
+	untar.Stdin = bytes.NewReader(archive)
+	if out, err := untar.CombinedOutput(); err != nil {
+		return "", "", fmt.Errorf("extract %s: %v\n%s", rev, err, out)
+	}
+	return fmt.Sprintf("%s (%s)", rev, bytes.TrimSpace(hash)), dir, nil
+}
+
+// build compiles each gate package's test binary once per side into tmp and
+// returns the binaries by side and package. A package the base tree lacks
+// gets no base binary, so its gates come out "new".
+func build(ctx context.Context, gates []gate, roots [2]string, tmp string) ([2]map[string]string, error) {
+	bins := [2]map[string]string{{}, {}}
+	for side, root := range roots {
+		for _, g := range gates {
+			if bins[side][g.Package] != "" {
+				continue // built for an earlier gate
 			}
-			rows = append(rows, summaryRow{
-				bench: g.Bench, status: "repinned",
-				baseline: g.NsPerOp, measured: m.ns,
-				delta:  (m.ns/g.NsPerOp - 1) * 100,
-				allocs: m.allocs, maxAllocs: g.AllocsPerOp,
-			})
-			g.NsPerOp = m.ns
-			g.AllocsPerOp = m.allocs
-			g.CalNs = m.cal
-		}
-		writeStepSummary("benchcheck: re-pinned baselines", rows)
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		enc.SetEscapeHTML(false) // keep "->" in narrative strings readable
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(&bf); err != nil {
-			fmt.Fprintln(os.Stderr, "benchcheck:", err)
-			return 2
-		}
-		if err := os.WriteFile(*path, buf.Bytes(), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "benchcheck:", err)
-			return 2
-		}
-		fmt.Printf("benchcheck: rewrote %d baselines in %s\n", len(bf.Gates.Entries), *path)
-		return 0
-	}
-
-	failed := false
-	maxAttempts := 1 + *retries
-	if maxAttempts < 1 {
-		maxAttempts = 1
-	}
-	// latest holds each gate's most recent evaluation; re-measured gates
-	// overwrite their first noisy sample, so the job summary shows the
-	// verdict attempt.
-	latest := map[string]summaryRow{}
-	pending := bf.Gates.Entries
-	for attempt := 1; ; attempt++ {
-		var still []gate
-		for _, g := range pending {
-			m, ok := measured[g.Bench]
-			if !ok {
-				fmt.Printf("FAIL  %-28s no result (renamed or removed?)\n", g.Bench)
-				latest[g.Bench] = summaryRow{bench: g.Bench, status: "FAIL (no result)"}
-				failed = true
+			dir := filepath.Join(root, g.Package)
+			if _, err := os.Stat(dir); side == base && errors.Is(err, fs.ErrNotExist) {
 				continue
 			}
-			row := evaluate(g, m, tol, *inflate)
-			latest[g.Bench] = row
-			if row.status == "FAIL" {
-				still = append(still, g)
+			bin := filepath.Join(tmp, fmt.Sprintf("%d-%d.test", side, len(bins[side])))
+			cmd := exec.CommandContext(ctx, "go", "test", "-c", "-o", bin, ".")
+			cmd.Dir = dir
+			if out, err := cmd.CombinedOutput(); err != nil {
+				return bins, fmt.Errorf("go test -c in %s: %v\n%s", dir, err, out)
+			}
+			bins[side][g.Package] = bin
+		}
+	}
+	return bins, nil
+}
+
+// measure runs every gate on both sides in n pairs and returns each side's
+// samples per benchmark, in pair order. The two runs of a pair are adjacent;
+// pair k runs base first when k is even and head first when it is odd. Each
+// pair sweeps all gates in turn, so a slow excursion of a few seconds spoils
+// at most a pair or two of any one gate.
+func measure(gates []gate, n int, run func(side int, g gate) (sample, bool, error)) ([2]map[string][]sample, error) {
+	samples := [2]map[string][]sample{{}, {}}
+	for k := 0; k < n; k++ {
+		order := [2]int{base, head}
+		if k%2 == 1 {
+			order = [2]int{head, base}
+		}
+		for _, g := range gates {
+			for _, side := range order {
+				s, ok, err := run(side, g)
+				if err != nil {
+					return samples, err
+				}
+				if ok {
+					samples[side][g.Bench] = append(samples[side][g.Bench], s)
+				}
 			}
 		}
-		if len(still) == 0 || attempt == maxAttempts {
-			failed = failed || len(still) > 0
-			break
-		}
-		fmt.Printf("benchcheck: %d gate(s) outside tolerance; re-measuring (attempt %d of %d)\n",
-			len(still), attempt+1, maxAttempts)
-		measured, err = runBenchmarks(still)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchcheck:", err)
-			return 2
-		}
-		pending = still
 	}
-	rows := make([]summaryRow, 0, len(bf.Gates.Entries))
-	for _, g := range bf.Gates.Entries {
-		if row, ok := latest[g.Bench]; ok {
-			rows = append(rows, row)
-		}
-	}
-	if failed {
-		writeStepSummary(fmt.Sprintf("benchcheck: FAILED (tolerance ±%.0f%%)", tol), rows)
-		fmt.Printf("benchcheck: FAILED (tolerance ±%.0f%%, %d attempts); if intentional, re-pin with `go run ./cmd/benchcheck -update`\n", tol, maxAttempts)
-		return 1
-	}
-	writeStepSummary(fmt.Sprintf("benchcheck: all %d gates within ±%.0f%%", len(bf.Gates.Entries), tol), rows)
-	fmt.Printf("benchcheck: all %d gates within ±%.0f%%\n", len(bf.Gates.Entries), tol)
-	return 0
+	return samples, nil
 }
 
-// summaryRow is one gate's outcome for the CI job summary: the (scaled)
-// baseline it was held against, what was measured, and the verdict.
-type summaryRow struct {
-	bench     string
-	status    string
-	baseline  float64 // scaled baseline ns/op (or pinned ns/op in -update)
-	measured  float64 // measured ns/op
-	delta     float64 // percent vs baseline
-	allocs    int64
-	maxAllocs int64
-}
-
-// writeStepSummary appends a markdown before/after table to the file named
-// by $GITHUB_STEP_SUMMARY, the GitHub Actions job-summary sink. Outside CI
-// (variable unset) it does nothing; write errors are reported but never
-// change the gate's exit status.
-func writeStepSummary(title string, rows []summaryRow) {
-	path := os.Getenv("GITHUB_STEP_SUMMARY")
-	if path == "" || len(rows) == 0 {
-		return
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "### %s\n\n", title)
-	sb.WriteString("| benchmark | baseline ns/op | measured ns/op | Δ | allocs/op (max) | status |\n")
-	sb.WriteString("|---|---:|---:|---:|---:|---|\n")
-	for _, r := range rows {
-		fmt.Fprintf(&sb, "| %s | %.0f | %.0f | %+.1f%% | %d (%d) | %s |\n",
-			r.bench, r.baseline, r.measured, r.delta, r.allocs, r.maxAllocs, r.status)
-	}
-	sb.WriteString("\n")
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+// runBinary runs gate g once from its package directory dir; ok is false
+// when the binary has no such benchmark.
+func runBinary(ctx context.Context, bin, dir string, g gate) (s sample, ok bool, err error) {
+	cmd := exec.CommandContext(ctx, bin, "-test.run", "^$", "-test.bench", "^"+g.Bench+"$",
+		"-test.benchtime", g.Benchtime, "-test.count", "1", "-test.benchmem", "-test.timeout", "10m")
+	cmd.Dir = dir
+	raw, err := cmd.CombinedOutput()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchcheck: step summary:", err)
-		return
+		return s, false, fmt.Errorf("%s -test.bench %s: %v\n%s", bin, g.Bench, err, raw)
 	}
-	defer f.Close()
-	if _, err := f.WriteString(sb.String()); err != nil {
-		fmt.Fprintln(os.Stderr, "benchcheck: step summary:", err)
+	for _, line := range strings.Split(string(raw), "\n") {
+		m := benchLine.FindStringSubmatch(line)
+		if m == nil || m[1] != g.Bench {
+			continue
+		}
+		s.ns, err = strconv.ParseFloat(m[2], 64)
+		if err != nil {
+			return s, false, fmt.Errorf("parse ns/op in %q: %v", line, err)
+		}
+		s.allocs, _ = strconv.ParseInt(m[3], 10, 64) // "" (no allocs column) reads as 0
+		return s, true, nil
 	}
+	return s, false, nil
 }
 
-// evaluate prints one gate's result line and returns its summary row.
-func evaluate(g gate, m result, tol, inflate float64) summaryRow {
-	ns := m.ns * inflate
-	// Host-speed factor for this gate's invocation window, clamped: a
-	// factor outside [0.25, 4] means calibration itself is broken, and
-	// scaling that far would make the gate meaningless either way.
-	scale := 1.0
-	if g.CalNs > 0 && m.cal > 0 {
-		scale = m.cal / g.CalNs
-		if scale < 0.25 {
-			scale = 0.25
-		} else if scale > 4 {
-			scale = 4
+// row is one gate's verdict. The ns/op figures are per-side medians and
+// ratio is the median per-pair head/base ratio; allocs are per-side minima.
+type row struct {
+	bench, status          string
+	baseNs, headNs, ratio  float64
+	baseAllocs, headAllocs int64
+}
+
+// verdict judges one gate from its paired samples (head ns/op multiplied by
+// inflate): "FAIL" when head has no result, its median ratio exceeds
+// 1+tol/100 or its allocations exceed allocLimit of the base's; "new" when
+// only the base has no result; "ok" otherwise.
+func verdict(bench string, b, h []sample, tol, inflate float64) row {
+	r := row{bench: bench, status: "FAIL"}
+	r.baseNs, r.baseAllocs = summarize(b, 1)
+	r.headNs, r.headAllocs = summarize(h, inflate)
+	switch {
+	case len(h) == 0:
+	case len(b) == 0:
+		r.status = "new"
+	default:
+		ratios := make([]float64, min(len(b), len(h)))
+		for i := range ratios {
+			ratios[i] = h[i].ns * inflate / b[i].ns
+		}
+		r.ratio = median(ratios)
+		if r.ratio <= 1+tol/100 && r.headAllocs <= allocLimit(r.baseAllocs) {
+			r.status = "ok"
 		}
 	}
-	ratio := ns / (g.NsPerOp * scale)
-	status := "ok  "
-	switch {
-	case m.allocs > allocLimit(g.AllocsPerOp):
-		status = "FAIL"
-	case ratio > 1+tol/100:
-		status = "FAIL"
-	case ratio < 1-tol/100:
-		status = "note" // faster than baseline: stale, not fatal
-	}
-	fmt.Printf("%s  %-28s %10.1f ns/op (scaled baseline %10.1f, %+.0f%%)  %d allocs/op (max %d)\n",
-		status, g.Bench, ns, g.NsPerOp*scale, (ratio-1)*100, m.allocs, g.AllocsPerOp)
-	return summaryRow{
-		bench: g.Bench, status: strings.TrimSpace(status),
-		baseline: g.NsPerOp * scale, measured: ns, delta: (ratio - 1) * 100,
-		allocs: m.allocs, maxAllocs: g.AllocsPerOp,
-	}
+	return r
 }
 
-// allocLimit is the most allocs/op a gate accepts for its pinned ceiling:
-// the ceiling plus 1%, rounded up, so a 0-alloc gate allows none.
+// summarize returns the median ns/op of ss times scale and their fewest
+// allocs/op, or zeros for no samples.
+func summarize(ss []sample, scale float64) (ns float64, allocs int64) {
+	xs := make([]float64, len(ss))
+	for i, s := range ss {
+		xs[i] = s.ns * scale
+		if i == 0 || s.allocs < allocs {
+			allocs = s.allocs
+		}
+	}
+	return median(xs), allocs
+}
+
+// allocLimit is the most allocs/op head may make against the base's count:
+// that count plus 1%, rounded up, so a 0-alloc gate allows none.
 func allocLimit(ceiling int64) int64 {
 	return ceiling + (ceiling+99)/100
 }
 
-// result is one measured benchmark, plus the reference-workload time
-// sampled just before its invocation.
-type result struct {
-	ns     float64
-	allocs int64
-	cal    float64
+// median returns the middle element of xs (0 if empty), sorting it in place.
+func median(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sort.Float64s(xs)
+	return xs[len(xs)/2]
 }
 
-// calSink defeats dead-code elimination of the calibration loop.
-var calSink uint64
-
-// calibrate times a fixed pure-ALU workload (an LCG chain, serially
-// dependent so the compiler cannot vectorize it away) and returns the best
-// of three runs in nanoseconds. It runs immediately before each benchmark
-// invocation so the sample shares that invocation's host-speed window; the
-// benchmarks under test are L1-resident, so they track core speed the same
-// way this loop does.
-func calibrate() float64 {
-	best := 0.0
-	for rep := 0; rep < 3; rep++ {
-		start := time.Now()
-		x := uint64(rep + 1)
-		for i := 0; i < 50_000_000; i++ {
-			x = x*6364136223846793005 + 1442695040888963407
-		}
-		calSink += x
-		el := float64(time.Since(start).Nanoseconds())
-		if best == 0 || el < best {
-			best = el
-		}
+// cell formats a figure, or "-" for a side without results.
+func cell(v float64, prec int) string {
+	if v == 0 {
+		return "-"
 	}
-	return best
+	return strconv.FormatFloat(v, 'f', prec, 64)
 }
 
-// runBenchmarks executes the gate set, one `go test` per (package,
-// benchtime) group, and parses the results.
-func runBenchmarks(gates []gate) (map[string]result, error) {
-	type groupKey struct{ pkg, benchtime string }
-	groups := map[groupKey][]string{}
-	for _, g := range gates {
-		k := groupKey{g.Package, g.Benchtime}
-		groups[k] = append(groups[k], g.Bench)
+// writeStepSummary appends a markdown table of the verdicts to the file
+// named by $GITHUB_STEP_SUMMARY, the GitHub Actions job-summary sink.
+// Outside CI (variable unset) it does nothing; write errors are reported
+// but never change the gate's exit status.
+func writeStepSummary(title string, rows []row) {
+	path := os.Getenv("GITHUB_STEP_SUMMARY")
+	if path == "" {
+		return
 	}
-	keys := make([]groupKey, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "### %s\n\n", title)
+	sb.WriteString("| benchmark | base ns/op | head ns/op | median ratio | allocs base→head | status |\n")
+	sb.WriteString("|---|---:|---:|---:|---:|---|\n")
+	for _, r := range rows {
+		fmt.Fprintf(&sb, "| %s | %s | %s | %s | %d→%d | %s |\n",
+			r.bench, cell(r.baseNs, 1), cell(r.headNs, 1), cell(r.ratio, 3), r.baseAllocs, r.headAllocs, r.status)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].pkg != keys[j].pkg {
-			return keys[i].pkg < keys[j].pkg
-		}
-		return keys[i].benchtime < keys[j].benchtime
-	})
-
-	out := map[string]result{}
-	for _, k := range keys {
-		cal := calibrate()
-		pattern := "^(" + strings.Join(groups[k], "|") + ")$"
-		// -count 5, median per benchmark: fixed iteration counts make each
-		// repetition measure identical work, and the median damps both
-		// one-off stalls and brief frequency excursions. Allocation counts
-		// are near-deterministic; the max is kept so growth trips the gate.
-		cmd := exec.Command("go", "test", "-run", "^$", "-bench", pattern,
-			"-benchtime", k.benchtime, "-count", "5", "-benchmem", k.pkg)
-		raw, err := cmd.CombinedOutput()
-		if err != nil {
-			return nil, fmt.Errorf("go test -bench %s %s: %v\n%s", pattern, k.pkg, err, raw)
-		}
-		samples := map[string][]float64{}
-		for _, line := range strings.Split(string(raw), "\n") {
-			m := benchLine.FindStringSubmatch(line)
-			if m == nil {
-				continue
-			}
-			ns, err := strconv.ParseFloat(m[2], 64)
-			if err != nil {
-				return nil, fmt.Errorf("parse ns/op in %q: %v", line, err)
-			}
-			var allocs int64
-			if m[3] != "" {
-				allocs, _ = strconv.ParseInt(m[3], 10, 64)
-			}
-			samples[m[1]] = append(samples[m[1]], ns)
-			if prev, seen := out[m[1]]; !seen || allocs > prev.allocs {
-				out[m[1]] = result{allocs: allocs}
-			}
-		}
-		for name, ns := range samples {
-			sort.Float64s(ns)
-			r := out[name]
-			r.ns = ns[len(ns)/2]
-			r.cal = cal
-			out[name] = r
-		}
+	sb.WriteString("\n")
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	if err == nil {
+		_, err = f.WriteString(sb.String())
+		err = errors.Join(err, f.Close())
 	}
-	return out, nil
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchcheck: step summary:", err)
+	}
 }

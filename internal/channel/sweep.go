@@ -83,15 +83,6 @@ func Sweep(platform hier.Config, run Runner, base Config, intervals []int64, bit
 	return out
 }
 
-// DefaultIntervals returns the interval grid used for the Figure 8 sweeps:
-// dense around the capacity knee, sparser in the tails.
-func DefaultIntervals() []int64 {
-	return []int64{
-		600, 800, 1000, 1100, 1200, 1300, 1400, 1500, 1700,
-		2000, 2400, 3000, 4000, 5000, 7000, 10000,
-	}
-}
-
 // RandomMessage generates a deterministic pseudo-random bit string.
 func RandomMessage(n int, seed int64) []bool {
 	rng := rand.New(rand.NewSource(seed ^ 0x6d657373))

@@ -56,21 +56,3 @@ func PrimePrefetchScopePrepare(c *sim.Core, evset []mem.VAddr, rounds int) int {
 	refs++
 	return refs
 }
-
-// PrimeSet walks the whole eviction set once with demand loads — the basic
-// Prime step of Prime+Probe.
-func PrimeSet(c *sim.Core, evset []mem.VAddr) {
-	for _, va := range evset {
-		c.Load(va)
-	}
-}
-
-// ProbeSet re-walks the eviction set, timing every load, and returns the
-// total probe time — the Probe step of Prime+Probe.
-func ProbeSet(c *sim.Core, evset []mem.VAddr) int64 {
-	var total int64
-	for _, va := range evset {
-		total += c.TimedLoad(va)
-	}
-	return total
-}

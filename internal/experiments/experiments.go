@@ -205,16 +205,6 @@ func (r *Result) Metric(name string, v float64) {
 	r.mu.Unlock()
 }
 
-// Merge copies every metric of other into r (nil is a no-op).
-func (r *Result) Merge(other *Result) {
-	if other == nil {
-		return
-	}
-	for k, v := range other.Metrics {
-		r.Metric(k, v)
-	}
-}
-
 // Experiment is one table/figure reproduction.
 type Experiment struct {
 	// ID is the registry key ("fig2", "table2", ...).
