@@ -49,10 +49,10 @@ staticcheck:
 # Short fuzz runs over the wire-format decoders, the scenario template
 # loader (each input as both YAML and JSON, with the canonical-marshal
 # fixed point), the arena-vs-fresh-machine equivalence property, the LLC
-# sharer-mask invariant, the packed PLRU and fill-path set summaries against
-# their per-way references and the extent page table against the map-backed one
-# (go test takes one -fuzz pattern per invocation, hence one command per
-# target).
+# sharer-mask invariant, the packed PLRU, bit-plane quad-age and fill-path set
+# summaries against their per-way references and the extent page table against
+# the map-backed one (go test takes one -fuzz pattern per invocation, hence one
+# command per target).
 fuzz-smoke:
 	$(GO) test ./internal/channel -run '^$$' -fuzz FuzzFrameDecode -fuzztime 5s
 	$(GO) test ./internal/channel -run '^$$' -fuzz FuzzAckDecode -fuzztime 5s
@@ -60,6 +60,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzBatchScalarEquivalence -fuzztime 5s
 	$(GO) test ./internal/hier -run '^$$' -fuzz FuzzHierSharers -fuzztime 5s
 	$(GO) test ./internal/policy -run '^$$' -fuzz FuzzPLRUReference -fuzztime 5s
+	$(GO) test ./internal/policy -run '^$$' -fuzz FuzzQuadAgeReference -fuzztime 5s
 	$(GO) test ./internal/cache -run '^$$' -fuzz FuzzCacheFillReference -fuzztime 5s
 	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzAddressSpaceReference -fuzztime 5s
 

@@ -256,7 +256,7 @@ func (c *Cache) AddSharer(setIdx, way, core int) {
 	c.sharers[setIdx*c.cfg.Ways+way] |= 1 << uint(core)
 }
 
-// Evicted describes a line displaced by Fill.
+// Evicted describes a line displaced by Fill or Install.
 type Evicted struct {
 	Addr  mem.LineAddr
 	Dirty bool
@@ -267,31 +267,35 @@ type Evicted struct {
 // Fill installs la into the given set with the given access class at time
 // now; the fill completes (and the line becomes evictable) at readyAt.
 //
-// It prefers an invalid way; otherwise it asks the policy for a victim,
-// skipping ways whose fills are still in flight at time now. It returns the
-// way now holding la and the displaced line, if any. way is -1 when every
-// way is in flight and nothing can be replaced — the caller treats the fill
-// as dropped, which is how the paper describes conflicting in-flight
-// prefetches behaving.
+// A line already present (racing fills) is treated as a hit refresh of its
+// way. Otherwise Fill is Install with every way allowed.
 func (c *Cache) Fill(setIdx int, la mem.LineAddr, cls policy.AccessClass, now, readyAt int64) (way int, ev Evicted, evicted bool) {
-	return c.FillRestricted(setIdx, la, cls, now, readyAt, c.all)
+	if w, present := c.Probe(setIdx, la); present {
+		c.states[setIdx].OnHit(w, cls)
+		return w, Evicted{}, false
+	}
+	return c.Install(setIdx, la, cls, now, readyAt, c.all)
 }
 
-// FillRestricted is Fill with a way restriction: only ways in the allowed
-// mask may receive the line or be evicted. This is the mechanism behind
-// way-partitioned (isolation) LLC defenses: a security domain's fills can
-// never displace another domain's lines. The mask form keeps the eviction
-// decision allocation-free — no closure is built per fill.
-func (c *Cache) FillRestricted(setIdx int, la mem.LineAddr, cls policy.AccessClass, now, readyAt int64, allowed policy.Mask) (way int, ev Evicted, evicted bool) {
+// Install puts la, which the caller knows is absent from the set (it has
+// just missed there and installed nothing since), into a way of the allowed
+// mask. Installing a present line would hold it twice; Fill is the entry
+// point for callers that have not looked.
+//
+// Install prefers an allowed invalid way; otherwise it asks the policy for a
+// victim among the allowed ways whose fills are no longer in flight at time
+// now. It returns the way now holding la and the displaced line, if any.
+// way is -1 when every allowed way is in flight and nothing can be replaced
+// — the caller treats the fill as dropped, which is how the paper describes
+// conflicting in-flight prefetches behaving. The allowed mask is the
+// mechanism behind way-partitioned (isolation) LLC defenses: a security
+// domain's fills can never displace another domain's lines. Bits of
+// allowed beyond the set's ways are ignored.
+func (c *Cache) Install(setIdx int, la mem.LineAddr, cls policy.AccessClass, now, readyAt int64, allowed policy.Mask) (way int, ev Evicted, evicted bool) {
 	// Mark before any state can change: even a dropped fill may have aged
 	// the set through the policy's victim search.
 	c.markTouched(setIdx)
 	base := setIdx * c.cfg.Ways
-	if w, present := c.Probe(setIdx, la); present {
-		// Already present (racing fills): treat as a hit refresh.
-		c.states[setIdx].OnHit(w, cls)
-		return w, Evicted{}, false
-	}
 	sum := &c.sum[setIdx]
 	if free := c.all &^ sum.valid & allowed; free != 0 {
 		way = bits.TrailingZeros64(uint64(free))
@@ -334,7 +338,7 @@ func (c *Cache) Invalidate(setIdx int, la mem.LineAddr) (present, dirty bool) {
 	if !ok {
 		return false, false
 	}
-	return true, c.invalidateWay(setIdx, w)
+	return true, c.InvalidateWay(setIdx, w)
 }
 
 // InvalidateAll invalidates every valid line, exactly as Invalidate would
@@ -343,13 +347,15 @@ func (c *Cache) Invalidate(setIdx int, la mem.LineAddr) (present, dirty bool) {
 func (c *Cache) InvalidateAll() {
 	for _, s := range c.touched {
 		for m := c.sum[s].valid; m != 0; m &= m - 1 {
-			c.invalidateWay(int(s), bits.TrailingZeros64(uint64(m)))
+			c.InvalidateWay(int(s), bits.TrailingZeros64(uint64(m)))
 		}
 	}
 }
 
-// invalidateWay empties one valid way and reports whether it was dirty.
-func (c *Cache) invalidateWay(setIdx, way int) (dirty bool) {
+// InvalidateWay empties one valid way, found by Probe or Lookup with no
+// fill or invalidation of the set since, and reports whether it was dirty.
+// It is Invalidate without the second probe.
+func (c *Cache) InvalidateWay(setIdx, way int) (dirty bool) {
 	i := setIdx*c.cfg.Ways + way
 	dirty = c.meta[i]&metaDirty != 0
 	c.addrs[i] = 0

@@ -52,7 +52,7 @@ func checkSummaries(c *Cache) error {
 	return nil
 }
 
-// bruteFill is what FillRestricted must do, computed by scanning every way
+// bruteFill is what Fill and Install must do, computed by scanning every way
 // before the fill: the present way, else the first allowed invalid way,
 // else the evictable mask handed to the policy (ready <= now, allowed).
 func bruteFill(c *Cache, set int, la mem.LineAddr, now int64, allowed policy.Mask) (present, free int, evictable policy.Mask) {
@@ -78,9 +78,10 @@ func bruteFill(c *Cache, set int, la mem.LineAddr, now int64, allowed policy.Mas
 
 // FuzzCacheFillReference checks the fill path's set summaries against a
 // brute-force per-way scan. The first byte picks the geometry and policy;
-// each later 4-byte group is one op: Fill or FillRestricted (random allowed
-// mask, clock step and in-flight window), Invalidate, InvalidateAll or
-// Reset. Before every fill the expected way or evictable mask is computed
+// each later 4-byte group is one op: Fill, or Install with a random allowed
+// mask when the line is absent (Install's precondition; a present line goes
+// through Fill), with a clock step and in-flight window; Invalidate,
+// InvalidateAll or Reset. Before every fill the expected way or evictable mask is computed
 // by scanning the lanes; after every op the summaries must match the lanes.
 func FuzzCacheFillReference(f *testing.F) {
 	f.Add([]byte{0, 0, 2, 0, 0, 0, 4, 0, 70, 0, 6, 0, 70, 0, 8, 1, 0, 3, 10, 9, 0})
@@ -116,10 +117,10 @@ func FuzzCacheFillReference(f *testing.F) {
 				present, free, evictable := bruteFill(c, set, la, now, allowed)
 				calls, cls := rec.calls, policy.AccessClass(op%4)
 				var way int
-				if op < 6 {
+				if op < 6 || present >= 0 {
 					way, _, _ = c.Fill(set, la, cls, now, readyAt)
 				} else {
-					way, _, _ = c.FillRestricted(set, la, cls, now, readyAt, allowed)
+					way, _, _ = c.Install(set, la, cls, now, readyAt, allowed)
 				}
 				called := rec.calls != calls
 				switch {

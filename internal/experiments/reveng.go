@@ -304,7 +304,7 @@ func runFig4(ctx *Context) (*Result, error) {
 	// stock and ablation runs each own a machine, so they shard across
 	// free workers.
 	abl := cfg
-	abl.LLCPolicy = &policy.QuadAge{LoadAge: 2, NTAAge: 3, HWAge: 2, MaxAge: 3, NTAHitUpdates: true}
+	abl.LLCPolicy = &policy.QuadAge{LoadAge: 2, NTAAge: 3, HWAge: 2, NTAHitUpdates: true}
 	cfgs := []hier.Config{cfg, abl}
 	fracs, means := make([]float64, len(cfgs)), make([]float64, len(cfgs))
 	ctx.Parallel(len(cfgs), func(i int, src sim.MachineSource) {

@@ -71,3 +71,22 @@ func BenchmarkHierCrossCoreEvict(b *testing.B) {
 		now += h.Load(1, pa, now).Latency
 	}
 }
+
+// BenchmarkHierFlush measures the CLFLUSH path: each iteration flushes a
+// line that both cores of the test part hold (an LLC line with two sharer
+// bits, so the flush visits both cores' L1 and L2 and invalidates the LLC
+// way) and then reloads it from both cores.
+func BenchmarkHierFlush(b *testing.B) {
+	h := MustNew(testConfig())
+	pa := mem.PAddr(0x4040)
+	var now int64
+	now += h.Load(0, pa, now).Latency
+	now += h.Load(1, pa, now).Latency
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now += h.Flush(pa, now).Latency
+		now += h.Load(0, pa, now).Latency
+		now += h.Load(1, pa, now).Latency
+	}
+}

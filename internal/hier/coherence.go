@@ -79,7 +79,7 @@ func (h *Hierarchy) invalidateRemote(core int, la mem.LineAddr) (extra int64) {
 				h.markLLCDirty(la)
 				extra = h.cfg.Lat.CohTransfer
 			}
-			h.l1[c].Invalidate(h.l1Set(la), la)
+			h.l1[c].InvalidateWay(h.l1Set(la), w)
 			if extra == 0 {
 				extra = h.cfg.Lat.CohInval
 			}
@@ -89,7 +89,7 @@ func (h *Hierarchy) invalidateRemote(core int, la mem.LineAddr) (extra int64) {
 				h.markLLCDirty(la)
 				extra = h.cfg.Lat.CohTransfer
 			}
-			h.l2[c].Invalidate(h.l2Set(la), la)
+			h.l2[c].InvalidateWay(h.l2Set(la), w)
 			if extra == 0 {
 				extra = h.cfg.Lat.CohInval
 			}

@@ -19,8 +19,9 @@ import (
 // exactly that hypothesis (quad-age directory entries, PREFETCHNTA inserted
 // as the eviction candidate) so the conjecture can be tested end to end.
 
-// dirFill records la as resident in some private cache; an evicted
-// directory entry back-invalidates its line everywhere.
+// dirFill records la, which dirTouch has just missed in the directory, as
+// resident in some private cache; an evicted directory entry
+// back-invalidates its line everywhere.
 func (h *Hierarchy) dirFill(la mem.LineAddr, cls policy.AccessClass, now, ready int64) {
 	if h.dir == nil {
 		return
@@ -31,7 +32,7 @@ func (h *Hierarchy) dirFill(la mem.LineAddr, cls policy.AccessClass, now, ready 
 		cls = policy.ClassLoad
 	}
 	slice, set := h.loc.Locate(la)
-	_, ev, evicted := h.dir[slice].Fill(set, la, cls, now, ready)
+	_, ev, evicted := h.dir[slice].Install(set, la, cls, now, ready, anyWay)
 	if evicted {
 		for c := 0; c < h.cfg.Cores; c++ {
 			h.l1[c].Invalidate(h.l1Set(ev.Addr), ev.Addr)

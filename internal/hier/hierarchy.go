@@ -59,6 +59,7 @@ type Hierarchy struct {
 	llc []*cache.Cache // per slice
 	dir []*cache.Cache // coherence directory per slice (non-inclusive mode)
 	rng *rand.Rand
+	jit jitters           // per-tier samplers for cfg.Lat
 	pf  []*corePrefetcher // per core, nil when disabled
 
 	// l1SetMask/l2SetMask are Sets-1 when the set count is a power of two
@@ -69,8 +70,6 @@ type Hierarchy struct {
 	// partMask holds the per-core allowed-way masks under way
 	// partitioning; nil when the LLC is unpartitioned.
 	partMask []policy.Mask
-	// allWaysLLC is the unrestricted LLC fill mask.
-	allWaysLLC policy.Mask
 	// allCores has one bit per core: the sharer mask of every line on a
 	// non-inclusive LLC, where private copies can outlive the LLC line.
 	allCores uint64
@@ -81,6 +80,9 @@ type Hierarchy struct {
 	trAgent string
 	trCore  int
 }
+
+// anyWay lets cache.Install use every way of the set.
+const anyWay = ^policy.Mask(0)
 
 // setIndexMask returns sets-1 for power-of-two set counts, else -1.
 func setIndexMask(sets int) int {
@@ -101,15 +103,15 @@ func New(cfg Config) (*Hierarchy, error) {
 		return nil, err
 	}
 	h := &Hierarchy{
-		cfg:        cfg,
-		geo:        geo,
-		loc:        geo.NewLocator(),
-		rng:        rand.New(rand.NewSource(cfg.Seed ^ 0x1ea11e57)),
-		trCore:     -1,
-		l1SetMask:  setIndexMask(cfg.L1Sets),
-		l2SetMask:  setIndexMask(cfg.L2Sets),
-		allWaysLLC: policy.AllWays(cfg.LLCWays),
-		allCores:   ^uint64(0) >> (MaxCores - cfg.Cores),
+		cfg:       cfg,
+		geo:       geo,
+		loc:       geo.NewLocator(),
+		rng:       rand.New(rand.NewSource(cfg.Seed ^ 0x1ea11e57)),
+		jit:       newJitters(cfg.Lat),
+		trCore:    -1,
+		l1SetMask: setIndexMask(cfg.L1Sets),
+		l2SetMask: setIndexMask(cfg.L2Sets),
+		allCores:  ^uint64(0) >> (MaxCores - cfg.Cores),
 	}
 	if n := cfg.LLCPartitionWays; n > 0 {
 		h.partMask = make([]policy.Mask, cfg.Cores)
@@ -180,6 +182,10 @@ func (h *Hierarchy) l2Set(la mem.LineAddr) int {
 // lets per-operation costs be read without copying the whole Config.
 func (h *Hierarchy) Lat() *LatencyConfig { return &h.cfg.Lat }
 
+// TimerJitter returns the sampler for the latency model's TimerJit, built
+// with the hierarchy, for the measurement noise of timed operations.
+func (h *Hierarchy) TimerJitter() *Jitter { return &h.jit.timer }
+
 func (h *Hierarchy) checkCore(core int) {
 	if core < 0 || core >= h.cfg.Cores {
 		panic(fmt.Sprintf("hier: core %d out of range [0,%d)", core, h.cfg.Cores))
@@ -188,26 +194,37 @@ func (h *Hierarchy) checkCore(core int) {
 
 // Load performs a demand load by core at cycle now.
 func (h *Hierarchy) Load(core int, pa mem.PAddr, now int64) Result {
+	res, _, _ := h.load(core, pa.Line(), now)
+	return res
+}
+
+// load is Load returning the core's L1 and L2 ways holding la afterwards;
+// a way is -1 where no copy was installed, and an L1 hit reports its L1 way
+// and an L2 way of -1 without looking at the L2.
+func (h *Hierarchy) load(core int, la mem.LineAddr, now int64) (res Result, w1, w2 int) {
 	h.checkCore(core)
-	la := pa.Line()
 	lat := &h.cfg.Lat
 
 	// L1 hit: private hit, no LLC state change (the property Prime+Scope
 	// depends on: scoping the candidate from L1 leaves its LLC age alone).
-	if _, ok := h.lookupTraced(h.l1[core], LevelL1, -1, h.l1Set(la), la, policy.ClassLoad, now); ok {
-		return Result{Level: LevelL1, Latency: sample(h.rng, lat.L1Hit, lat.L1Jit)}
+	if w, ok := h.lookupTraced(h.l1[core], LevelL1, -1, h.l1Set(la), la, policy.ClassLoad, now); ok {
+		return Result{Level: LevelL1, Latency: lat.L1Hit + h.jit.l1.Draw(h.rng)}, w, -1
 	}
 	h.hwPrefetch(core, la, now)
 
 	// L2 hit: refill L1 (inheriting the L2 copy's coherence state),
 	// still no LLC change. The core's sharer bit is already set: it
-	// holds the L2 copy.
-	if w, ok := h.l2[core].Probe(h.l2Set(la), la); ok {
-		st := h.l2[core].Coh(h.l2Set(la), w)
-		h.lookupTraced(h.l2[core], LevelL2, -1, h.l2Set(la), la, policy.ClassLoad, now)
-		l := sample(h.rng, lat.L2Hit, lat.L2Jit)
-		h.setPrivCoh(core, h.fillL1(core, la, policy.ClassLoad, now, now+l), -1, la, st)
-		return Result{Level: LevelL2, Latency: l}
+	// holds the L2 copy. A demand load that misses the L2 is not counted
+	// as an L2 miss (PrefetchNTA and PrefetchT0 misses are); the
+	// benchmark digests pin that accounting.
+	set2 := h.l2Set(la)
+	if w, ok := h.l2[core].Probe(set2, la); ok {
+		st := h.l2[core].Coh(set2, w)
+		h.touchTraced(h.l2[core], LevelL2, -1, set2, w, la, policy.ClassLoad, now, "")
+		l := lat.L2Hit + h.jit.l2.Draw(h.rng)
+		w1 = h.fillL1(core, la, policy.ClassLoad, now, now+l)
+		h.setPrivCoh(core, w1, -1, la, st)
+		return Result{Level: LevelL2, Latency: l}, w1, w
 	}
 
 	// Past the private caches: one LLC probe decides hit or miss and
@@ -224,9 +241,9 @@ func (h *Hierarchy) Load(core int, pa mem.PAddr, now int64) Result {
 	if sharedRem {
 		st = cache.CohShared
 	}
-	res, w1, w2 := h.fillFromOuter(core, slice, set, way, la, policy.ClassLoad, extra, now)
+	res, w1, w2 = h.fillFromOuter(core, slice, set, way, la, policy.ClassLoad, extra, now)
 	h.setPrivCoh(core, w1, w2, la, st)
-	return res
+	return res, w1, w2
 }
 
 // fillFromOuter completes an access that missed core's private caches,
@@ -238,9 +255,9 @@ func (h *Hierarchy) Load(core int, pa mem.PAddr, now int64) Result {
 func (h *Hierarchy) fillFromOuter(core, slice, set, way int, la mem.LineAddr, cls policy.AccessClass, extra, now int64) (res Result, w1, w2 int) {
 	lat := &h.cfg.Lat
 	if way >= 0 {
-		res = Result{Level: LevelLLC, Latency: sample(h.rng, lat.LLCHit, lat.LLCJit) + extra}
+		res = Result{Level: LevelLLC, Latency: lat.LLCHit + h.jit.llc.Draw(h.rng) + extra}
 	} else {
-		res = Result{Level: LevelMem, Latency: sample(h.rng, lat.Mem, lat.MemJit) + extra}
+		res = Result{Level: LevelMem, Latency: lat.Mem + h.jit.mem.Draw(h.rng) + extra}
 		if way = h.fillLLC(core, slice, set, la, cls, now, now+res.Latency); way < 0 {
 			res.Dropped = true
 			return res, -1, -1
@@ -261,19 +278,8 @@ func (h *Hierarchy) Store(core int, pa mem.PAddr, now int64) Result {
 	la := pa.Line()
 	if w, ok := h.l1[core].Probe(h.l1Set(la), la); ok {
 		st := h.l1[core].Coh(h.l1Set(la), w)
-		traced := h.tr.On(trace.PkgHier)
-		ageBefore := -1
-		if traced {
-			ageBefore = h.l1[core].AgeOf(h.l1Set(la), w)
-		}
-		h.l1[core].Touch(h.l1Set(la), w, policy.ClassLoad)
-		if traced {
-			e := h.hierEvent("hit", LevelL1, -1, h.l1Set(la), now)
-			e.Way, e.AgeBefore, e.AgeAfter = w, ageBefore, h.l1[core].AgeOf(h.l1Set(la), w)
-			e.Addr, e.Note = uint64(la), "store"
-			h.tr.Emit(e)
-		}
-		l := sample(h.rng, h.cfg.Lat.L1Hit, h.cfg.Lat.L1Jit)
+		h.touchTraced(h.l1[core], LevelL1, -1, h.l1Set(la), w, la, policy.ClassLoad, now, "store")
+		l := h.cfg.Lat.L1Hit + h.jit.l1.Draw(h.rng)
 		if st == cache.CohShared {
 			l += h.invalidateRemote(core, la)
 		}
@@ -281,10 +287,8 @@ func (h *Hierarchy) Store(core int, pa mem.PAddr, now int64) Result {
 		h.setPrivCoh(core, w, w2, la, cache.CohModified)
 		return Result{Level: LevelL1, Latency: l}
 	}
-	res := h.Load(core, pa, now)
+	res, w1, w2 := h.load(core, la, now)
 	res.Latency += h.invalidateRemote(core, la)
-	w1, _ := h.l1[core].Probe(h.l1Set(la), la)
-	w2, _ := h.l2[core].Probe(h.l2Set(la), la)
 	h.setPrivCoh(core, w1, w2, la, cache.CohModified)
 	return res
 }
@@ -304,22 +308,22 @@ func (h *Hierarchy) PrefetchNTA(core int, pa mem.PAddr, now int64) Result {
 	lat := &h.cfg.Lat
 
 	if _, ok := h.lookupTraced(h.l1[core], LevelL1, -1, h.l1Set(la), la, policy.ClassNTA, now); ok {
-		return Result{Level: LevelL1, Latency: sample(h.rng, lat.L1Hit, lat.L1Jit)}
+		return Result{Level: LevelL1, Latency: lat.L1Hit + h.jit.l1.Draw(h.rng)}
 	}
 	if _, ok := h.lookupTraced(h.l2[core], LevelL2, -1, h.l2Set(la), la, policy.ClassNTA, now); ok {
-		l := sample(h.rng, lat.L2Hit, lat.L2Jit)
+		l := lat.L2Hit + h.jit.l2.Draw(h.rng)
 		h.fillL1(core, la, policy.ClassNTA, now, now+l)
 		return Result{Level: LevelL2, Latency: l}
 	}
 	slice, set := h.loc.Locate(la)
 	if way, ok := h.lookupTraced(h.llc[slice], LevelLLC, slice, set, la, policy.ClassNTA, now); ok {
 		// ClassNTA hit: QuadAge leaves the age untouched (Property #2).
-		l := sample(h.rng, lat.LLCHit, lat.LLCJit)
+		l := lat.LLCHit + h.jit.llc.Draw(h.rng)
 		h.llc[slice].AddSharer(set, way, core)
 		h.fillL1(core, la, policy.ClassNTA, now, now+l)
 		return Result{Level: LevelLLC, Latency: l}
 	}
-	l := sample(h.rng, lat.Mem, lat.MemJit)
+	l := lat.Mem + h.jit.mem.Draw(h.rng)
 	if h.cfg.NonInclusive {
 		// On non-inclusive parts PREFETCHNTA brings the line only into
 		// the requesting core's L1 (and the coherence directory) — the
@@ -345,10 +349,10 @@ func (h *Hierarchy) PrefetchT0(core int, pa mem.PAddr, now int64) Result {
 	la := pa.Line()
 	lat := &h.cfg.Lat
 	if _, ok := h.lookupTraced(h.l1[core], LevelL1, -1, h.l1Set(la), la, policy.ClassT0, now); ok {
-		return Result{Level: LevelL1, Latency: sample(h.rng, lat.L1Hit, lat.L1Jit)}
+		return Result{Level: LevelL1, Latency: lat.L1Hit + h.jit.l1.Draw(h.rng)}
 	}
 	if _, ok := h.lookupTraced(h.l2[core], LevelL2, -1, h.l2Set(la), la, policy.ClassT0, now); ok {
-		l := sample(h.rng, lat.L2Hit, lat.L2Jit)
+		l := lat.L2Hit + h.jit.l2.Draw(h.rng)
 		h.fillL1(core, la, policy.ClassT0, now, now+l)
 		return Result{Level: LevelL2, Latency: l}
 	}
@@ -376,8 +380,8 @@ func (h *Hierarchy) Flush(pa mem.PAddr, now int64) Result {
 			present, dirty = true, dirty || d
 		}
 	}
-	if p, d := h.llc[slice].Invalidate(set, la); p {
-		present, dirty = true, dirty || d
+	if way >= 0 {
+		present, dirty = true, h.llc[slice].InvalidateWay(set, way) || dirty
 	}
 	h.dirDrop(la)
 	base := lat.FlushAbsent
@@ -403,11 +407,15 @@ func (h *Hierarchy) Flush(pa mem.PAddr, now int64) Result {
 		}
 		h.tr.Emit(e)
 	}
-	return Result{Level: level, Latency: sample(h.rng, base, lat.FlushJit)}
+	return Result{Level: level, Latency: base + h.jit.flush.Draw(h.rng)}
 }
 
 // FenceLatency returns the cost of an LFENCE.
 func (h *Hierarchy) FenceLatency() int64 { return h.cfg.Lat.Fence }
+
+// The fill helpers below install with cache.Install: each follows a miss
+// for la in the same set, and nothing in between installs la there (the
+// hardware prefetcher never targets the demand line itself).
 
 // fillL1 installs la into core's L1 (evictions are silent; a dirty victim
 // propagates its dirtiness to an L2/LLC copy when present) and returns its
@@ -415,7 +423,7 @@ func (h *Hierarchy) FenceLatency() int64 { return h.cfg.Lat.Fence }
 // tracks the fill.
 func (h *Hierarchy) fillL1(core int, la mem.LineAddr, cls policy.AccessClass, now, ready int64) int {
 	meta := h.fillMeta(h.l1[core], h.l1Set(la))
-	way, ev, evicted := h.l1[core].Fill(h.l1Set(la), la, cls, now, ready)
+	way, ev, evicted := h.l1[core].Install(h.l1Set(la), la, cls, now, ready, anyWay)
 	h.traceFill(h.l1[core], LevelL1, -1, h.l1Set(la), la, way, ev, evicted, meta, now)
 	if evicted && ev.Dirty {
 		h.propagateDirty(core, ev.Addr)
@@ -428,7 +436,7 @@ func (h *Hierarchy) fillL1(core int, la mem.LineAddr, cls policy.AccessClass, no
 // the L1) and returns its way, -1 when the fill was dropped.
 func (h *Hierarchy) fillL2(core int, la mem.LineAddr, cls policy.AccessClass, now, ready int64) int {
 	meta := h.fillMeta(h.l2[core], h.l2Set(la))
-	way, ev, evicted := h.l2[core].Fill(h.l2Set(la), la, cls, now, ready)
+	way, ev, evicted := h.l2[core].Install(h.l2Set(la), la, cls, now, ready, anyWay)
 	h.traceFill(h.l2[core], LevelL2, -1, h.l2Set(la), la, way, ev, evicted, meta, now)
 	if evicted && ev.Dirty {
 		h.propagateDirty(core, ev.Addr)
@@ -455,12 +463,12 @@ func (h *Hierarchy) propagateDirty(core int, la mem.LineAddr) {
 // sharer mask starts empty, or -1 when the fill was dropped because no
 // permitted way could be replaced.
 func (h *Hierarchy) fillLLC(core, slice, set int, la mem.LineAddr, cls policy.AccessClass, now, ready int64) int {
-	allowed := h.allWaysLLC
+	allowed := anyWay
 	if h.partMask != nil {
 		allowed = h.partMask[core]
 	}
 	meta := h.fillMeta(h.llc[slice], set)
-	way, ev, evicted := h.llc[slice].FillRestricted(set, la, cls, now, ready, allowed)
+	way, ev, evicted := h.llc[slice].Install(set, la, cls, now, ready, allowed)
 	h.traceFill(h.llc[slice], LevelLLC, slice, set, la, way, ev, evicted, meta, now)
 	if evicted {
 		h.backInvalidate(ev, now)

@@ -3,6 +3,7 @@ package hier
 import (
 	"testing"
 
+	"leakyway/internal/cache"
 	"leakyway/internal/mem"
 )
 
@@ -306,6 +307,50 @@ func TestLevelString(t *testing.T) {
 	for lvl, want := range map[Level]string{LevelL1: "L1", LevelL2: "L2", LevelLLC: "LLC", LevelMem: "DRAM", Level(9): "?"} {
 		if lvl.String() != want {
 			t.Errorf("Level(%d).String() = %q, want %q", lvl, lvl.String(), want)
+		}
+	}
+}
+
+// TestL2MissAccounting pins a counter quirk the benchmark digests depend
+// on: a demand Load that misses the L2 probes it without counting a miss,
+// while PrefetchNTA and PrefetchT0 L2 misses are counted. An L2 hit is
+// counted on every path. Fixing the quirk moves the pinned cache counters.
+func TestL2MissAccounting(t *testing.T) {
+	for _, tc := range []struct {
+		op         string
+		do         func(h *Hierarchy, pa mem.PAddr, now int64) Result
+		missCounts bool
+	}{
+		{"load", func(h *Hierarchy, pa mem.PAddr, now int64) Result { return h.Load(0, pa, now) }, false},
+		{"nta", func(h *Hierarchy, pa mem.PAddr, now int64) Result { return h.PrefetchNTA(0, pa, now) }, true},
+		{"t0", func(h *Hierarchy, pa mem.PAddr, now int64) Result { return h.PrefetchT0(0, pa, now) }, true},
+	} {
+		h := MustNew(testConfig())
+		pa := mem.PAddr(0x4040)
+		if res := tc.do(h, pa, 0); res.Level != LevelMem {
+			t.Fatalf("%s: cold access served from %v", tc.op, res.Level)
+		}
+		want := cache.Stats{}
+		if tc.missCounts {
+			want.Misses = 1
+		}
+		if tc.op != "nta" { // NTA bypasses the L2 (Property #1)
+			want.Fills = 1
+		}
+		if got := h.L2Stats(0); got != want {
+			t.Errorf("%s: L2 counters after a cold miss %+v, want %+v", tc.op, got, want)
+		}
+		// Evict the line from the L1 only, then re-access: an L2 hit
+		// (or, for NTA, another L2 miss served by the LLC).
+		h.l1[0].Invalidate(h.l1Set(pa.Line()), pa.Line())
+		tc.do(h, pa, 1000)
+		if tc.op == "nta" {
+			want.Misses++
+		} else {
+			want.Hits++
+		}
+		if got := h.L2Stats(0); got != want {
+			t.Errorf("%s: L2 counters after the re-access %+v, want %+v", tc.op, got, want)
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package hier
 
-import "math/rand"
+import (
+	"math/bits"
+	"math/rand"
+)
 
 // LatencyConfig is the cycle-cost model. Base values are calibrated so that
 // *timed* operations (base + timer overhead + jitter) land in the ranges the
@@ -63,10 +66,84 @@ func DefaultLatency() LatencyConfig {
 	}
 }
 
-// sample draws base ± jit using the hierarchy's RNG.
-func sample(rng *rand.Rand, base, jit int64) int64 {
+// Jitter draws the uniform noise of one jittered tier: a value in
+// [-jit, +jit], exactly as rng.Int63n(2*jit+1) - jit would, consuming the
+// same Int63 draws. Int63n rejects draws above a bound and reduces the rest
+// with a 64-bit division; Jitter precomputes the bound and replaces the
+// division by Lemire's 128-bit fastmod (Lemire, Kaser and Kurz, "Faster
+// Remainder by Direct Computation", 2019), which is exact for every 64-bit
+// dividend and divisor.
+type Jitter struct {
+	jit int64
+	n   uint64 // 2*jit+1; 0 when the tier has no jitter
+	max int64  // largest accepted draw, as in Int63n
+	// mHi:mLo is the fastmod multiplier ceil(2^128 / n).
+	mHi, mLo uint64
+}
+
+// NewJitter precomputes the sampler for amplitude jit. A jit of zero or
+// less yields a sampler that draws nothing and returns 0; jit must be
+// below 2^62 so that 2*jit+1 fits in an int64.
+func NewJitter(jit int64) Jitter {
 	if jit <= 0 {
-		return base
+		return Jitter{}
 	}
-	return base + rng.Int63n(2*jit+1) - jit
+	n := uint64(2*jit + 1)
+	// ceil(2^128/n) = floor((2^128-1)/n) + 1, computed as two 64-bit
+	// long divisions of 2^128-1 = (2^64-1)*2^64 + (2^64-1).
+	hi, r := bits.Div64(0, ^uint64(0), n)
+	lo, _ := bits.Div64(r, ^uint64(0), n)
+	lo, carry := bits.Add64(lo, 1, 0)
+	return Jitter{
+		jit: jit,
+		n:   n,
+		max: int64((1<<63 - 1) - (1<<63)%n),
+		mHi: hi + carry,
+		mLo: lo,
+	}
+}
+
+// Draw returns the next jitter value from rng. It is small enough to
+// inline, so a jitter-free tier costs no call.
+func (j *Jitter) Draw(rng *rand.Rand) int64 {
+	if j.n == 0 {
+		return 0
+	}
+	return j.draw(rng)
+}
+
+// draw is Draw for a jittered tier.
+func (j *Jitter) draw(rng *rand.Rand) int64 {
+	v := rng.Int63()
+	for v > j.max {
+		v = rng.Int63()
+	}
+	return int64(j.mod(uint64(v))) - j.jit
+}
+
+// mod returns v % n: the low 128 bits of M*v, times n, shifted down 128.
+func (j *Jitter) mod(v uint64) uint64 {
+	h, low := bits.Mul64(j.mLo, v)
+	high := h + j.mHi*v
+	carryIn, _ := bits.Mul64(low, j.n)
+	top, mid := bits.Mul64(high, j.n)
+	_, carry := bits.Add64(mid, carryIn, 0)
+	return top + carry
+}
+
+// jitters holds one precomputed Jitter per jittered tier of a
+// LatencyConfig.
+type jitters struct {
+	l1, l2, llc, mem, flush, timer Jitter
+}
+
+func newJitters(l LatencyConfig) jitters {
+	return jitters{
+		l1:    NewJitter(l.L1Jit),
+		l2:    NewJitter(l.L2Jit),
+		llc:   NewJitter(l.LLCJit),
+		mem:   NewJitter(l.MemJit),
+		flush: NewJitter(l.FlushJit),
+		timer: NewJitter(l.TimerJit),
+	}
 }

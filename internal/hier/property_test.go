@@ -3,6 +3,7 @@ package hier
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -98,6 +99,90 @@ func TestOccupancyNeverExceedsWays(t *testing.T) {
 		}
 		if occ := h.LLCOccupancy(pa); occ > cfg.LLCWays {
 			t.Fatalf("set occupancy %d exceeds %d ways", occ, cfg.LLCWays)
+		}
+	}
+}
+
+// checkNoDuplicates verifies the precondition cache.Install relies on held
+// at every fill: no set of any L1, L2, LLC or directory cache holds one
+// line in two ways.
+func checkNoDuplicates(h *Hierarchy) error {
+	for _, c := range slices.Concat(h.l1, h.l2, h.llc, h.dir) {
+		for set := 0; set < c.Sets(); set++ {
+			lines := c.ViewSet(set).Lines
+			for i, a := range lines {
+				for _, b := range lines[i+1:] {
+					if a.Valid && b.Valid && a.Addr == b.Addr {
+						return fmt.Errorf("%s set %d holds %v twice", c.Name(), set, a.Addr)
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// TestNoDuplicateLinesUnderRandomOps drives three-core hierarchies with the
+// HW prefetchers on — inclusive, way-partitioned, and non-inclusive with a
+// coherence directory — through random Load, PrefetchNTA, PrefetchT0, Store
+// and Flush streams, and checks after every op that no cache set holds a
+// line twice. The address pool mixes scattered lines with more congruent
+// lines than an LLC set has ways. With 500-cycle clock steps every fill
+// completes before the next op; with steps of 0-7 cycles fills are still
+// in flight when later ones arrive, and some LLC fills are dropped, which
+// the test requires to happen.
+func TestNoDuplicateLinesUnderRandomOps(t *testing.T) {
+	configs := map[string]Config{
+		"prefetch":    sharerTestConfig(0),
+		"partitioned": sharerTestConfig(2),
+	}
+	dir := sharerTestConfig(0)
+	dir.NonInclusive, dir.DirectoryWays, dir.DirectoryNTAIsVictim = true, 4, true
+	configs["directory"] = dir
+	for name, cfg := range configs {
+		for _, small := range []bool{false, true} {
+			dropped := 0
+			for seed := int64(1); seed <= 8; seed++ {
+				cfg.Seed = seed
+				h := MustNew(cfg)
+				rng := rand.New(rand.NewSource(seed))
+				addrs := congruentLines(h, mem.PAddr(0x4040), cfg.LLCWays+4)
+				for range 16 {
+					addrs = append(addrs, mem.PAddr(rng.Intn(1<<14))&^(mem.LineSize-1))
+				}
+				now := int64(0)
+				for i := range 300 {
+					if small {
+						now += rng.Int63n(8)
+					} else {
+						now += 500
+					}
+					pa := addrs[rng.Intn(len(addrs))]
+					core := rng.Intn(cfg.Cores)
+					var res Result
+					switch rng.Intn(6) {
+					case 0, 1:
+						res = h.Load(core, pa, now)
+					case 2:
+						res = h.PrefetchNTA(core, pa, now)
+					case 3:
+						res = h.PrefetchT0(core, pa, now)
+					case 4:
+						res = h.Store(core, pa, now)
+					case 5:
+						res = h.Flush(pa, now)
+					}
+					if res.Dropped {
+						dropped++
+					}
+					if err := checkNoDuplicates(h); err != nil {
+						t.Fatalf("%s small=%v seed %d op %d: %v", name, small, seed, i, err)
+					}
+				}
+			}
+			if small && dropped == 0 {
+				t.Errorf("%s: no LLC fill was dropped with small clock steps", name)
+			}
 		}
 	}
 }

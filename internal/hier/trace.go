@@ -32,29 +32,38 @@ func (h *Hierarchy) hierEvent(kind string, lvl Level, slice, set int, now int64)
 	return e
 }
 
-// lookupTraced is cache.Lookup plus hit/miss events carrying the way and
-// the replacement age before/after the touch. The untraced path is
-// exactly c.Lookup — same stats, same policy updates.
+// lookupTraced is cache.Lookup plus hit/miss events; a hit is reported by
+// touchTraced. The untraced path is exactly c.Lookup — same stats, same
+// policy updates.
 func (h *Hierarchy) lookupTraced(c *cache.Cache, lvl Level, slice, set int, la mem.LineAddr, cls policy.AccessClass, now int64) (way int, hit bool) {
 	if !h.tr.On(trace.PkgHier) {
 		return c.Lookup(set, la, cls)
 	}
-	way, present := c.Probe(set, la)
-	ageBefore := -1
-	if present {
-		ageBefore = c.AgeOf(set, way)
+	if way, hit = c.Probe(set, la); hit {
+		h.touchTraced(c, lvl, slice, set, way, la, cls, now, "")
+		return way, true
 	}
-	way, hit = c.Lookup(set, la, cls)
-	var e trace.Event
-	if hit {
-		e = h.hierEvent("hit", lvl, slice, set, now)
-		e.Way, e.AgeBefore, e.AgeAfter = way, ageBefore, c.AgeOf(set, way)
-	} else {
-		e = h.hierEvent("miss", lvl, slice, set, now)
-	}
+	c.Lookup(set, la, cls) // counts the miss
+	e := h.hierEvent("miss", lvl, slice, set, now)
 	e.Addr = uint64(la)
 	h.tr.Emit(e)
-	return way, hit
+	return -1, false
+}
+
+// touchTraced is cache.Touch of a way Probe found, plus a hit event
+// carrying the way, the replacement age before and after the touch, and
+// note.
+func (h *Hierarchy) touchTraced(c *cache.Cache, lvl Level, slice, set, way int, la mem.LineAddr, cls policy.AccessClass, now int64, note string) {
+	if !h.tr.On(trace.PkgHier) {
+		c.Touch(set, way, cls)
+		return
+	}
+	ageBefore := c.AgeOf(set, way)
+	c.Touch(set, way, cls)
+	e := h.hierEvent("hit", lvl, slice, set, now)
+	e.Way, e.AgeBefore, e.AgeAfter = way, ageBefore, c.AgeOf(set, way)
+	e.Addr, e.Note = uint64(la), note
+	h.tr.Emit(e)
 }
 
 // fillMeta snapshots a set's replacement ages before a fill. It returns

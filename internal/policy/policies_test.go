@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -206,6 +207,54 @@ func TestAccessClassString(t *testing.T) {
 	for cls, s := range want {
 		if cls.String() != s {
 			t.Errorf("%d.String() = %q, want %q", cls, cls.String(), s)
+		}
+	}
+}
+
+// TestInvalidateReplacementState pins what a flush or back-invalidation
+// (OnInvalidate) does to each policy's replacement state, a modelling
+// choice: Flushgeist shows replacement metadata surviving CLFLUSH on real
+// parts. Tree-PLRU and random keep their state, so the set's next victims
+// are those of an identical set that saw no invalidation. Bit-PLRU, LRU,
+// SRRIP and quad-age clear the way: its MRU bit, use stamp (the way ranks
+// oldest), RRPV or age returns to the never-filled value. Each set fills
+// ways 0-3 with loads, hits way 1, then invalidates way 1.
+func TestInvalidateReplacementState(t *testing.T) {
+	for _, tc := range []struct {
+		pol          Policy
+		keeps        bool
+		before, want []int
+	}{
+		{NewTreePLRU(), true, []int{0, 0, 1, 0}, []int{0, 0, 1, 0}},
+		{NewRandom(7), true, []int{0, 0, 0, 0}, []int{0, 0, 0, 0}},
+		{NewBitPLRU(), false, []int{0, 1, 0, 1}, []int{0, 0, 0, 1}},
+		{NewLRU(), false, []int{3, 0, 2, 1}, []int{2, 3, 1, 0}},
+		{NewSRRIP(), false, []int{2, 0, 2, 2}, []int{2, -1, 2, 2}},
+		{NewQuadAge(), false, []int{2, 1, 2, 2}, []int{2, -1, 2, 2}},
+	} {
+		name := tc.pol.Name()
+		s, twin := tc.pol.NewSet(4), tc.pol.NewSet(4)
+		for _, st := range []SetState{s, twin} {
+			fillSet(st, 4)
+			st.OnHit(1, ClassLoad)
+		}
+		if got := s.Snapshot(); !slices.Equal(got, tc.before) {
+			t.Fatalf("%s: state before invalidation %v, want %v", name, got, tc.before)
+		}
+		s.OnInvalidate(1)
+		if got := s.Snapshot(); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: state after invalidating way 1 %v, want %v", name, got, tc.want)
+		}
+		if !tc.keeps {
+			continue
+		}
+		for i := 0; i < 8; i++ {
+			v, w := s.Victim(allEvictable.Without(i%4)), twin.Victim(allEvictable.Without(i%4))
+			if v != w {
+				t.Fatalf("%s: victim %d after invalidation is way %d, without it way %d", name, i, v, w)
+			}
+			s.OnFill(v, ClassLoad)
+			twin.OnFill(w, ClassLoad)
 		}
 	}
 }

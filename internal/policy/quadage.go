@@ -1,6 +1,9 @@
 package policy
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // QuadAge is the quad-age pseudo-LRU used by Intel client LLCs, as
 // reverse-engineered by Briongos et al. and re-verified in Section II-B /
@@ -28,14 +31,15 @@ type QuadAge struct {
 	// NTAHitUpdates, if true, makes an NTA hit decrement the age like a
 	// demand hit (used to ablate Property #2).
 	NTAHitUpdates bool
-	// MaxAge is the oldest age; 3 for the 2-bit Intel scheme.
-	MaxAge int
 }
+
+// maxQuadAge is the oldest age of the 2-bit scheme.
+const maxQuadAge = 3
 
 // NewQuadAge returns the policy with the stock Intel client parameters the
 // paper reverse-engineers: load age 2, NTA age 3, NTA hits leave ages alone.
 func NewQuadAge() *QuadAge {
-	return &QuadAge{LoadAge: 2, NTAAge: 3, HWAge: 2, MaxAge: 3}
+	return &QuadAge{LoadAge: 2, NTAAge: 3, HWAge: 2}
 }
 
 // NewQuadAgeCountermeasure returns the Section VI-D mitigation: loads insert
@@ -43,7 +47,7 @@ func NewQuadAge() *QuadAge {
 // sooner than a loaded line but is no longer guaranteed to be the eviction
 // candidate.
 func NewQuadAgeCountermeasure() *QuadAge {
-	return &QuadAge{LoadAge: 1, NTAAge: 2, HWAge: 1, MaxAge: 3}
+	return &QuadAge{LoadAge: 1, NTAAge: 2, HWAge: 1}
 }
 
 // Name implements Policy.
@@ -51,33 +55,39 @@ func (q *QuadAge) Name() string {
 	return fmt.Sprintf("qlru(load=%d,nta=%d)", q.LoadAge, q.NTAAge)
 }
 
-// NewSet implements Policy.
+// NewSet implements Policy. It panics on an insertion age outside the
+// 2-bit range 0..3.
 func (q *QuadAge) NewSet(ways int) SetState {
-	ages := make([]int8, ways)
-	for i := range ages {
-		ages[i] = -1
+	for _, a := range []int{q.LoadAge, q.NTAAge, q.HWAge} {
+		if a < 0 || a > maxQuadAge {
+			panic(fmt.Sprintf("policy: quad-age insertion age %d outside 0..%d", a, maxQuadAge))
+		}
 	}
 	return &quadAgeSet{
-		maxAge:        int8(q.MaxAge),
-		loadAge:       int8(q.LoadAge),
-		ntaAge:        int8(q.NTAAge),
-		hwAge:         int8(q.HWAge),
+		all:           AllWays(ways),
+		loadAge:       uint8(q.LoadAge),
+		ntaAge:        uint8(q.NTAAge),
+		hwAge:         uint8(q.HWAge),
 		ntaHitUpdates: q.NTAHitUpdates,
-		ages:          ages,
 	}
 }
 
-// quadAgeSet keeps the insertion parameters denormalized into small fields
-// and the ages as a flat int8 array so the victim scan stays in one or two
-// cache lines even for wide LLC sets.
+// quadAgeSet keeps the ages as bit planes: way w is valid when valid has
+// bit w, and its age is 2*hi[w] + lo[w]. Invalid ways keep hi and lo clear,
+// so hi&lo is exactly the set of valid age-3 ways. The victim scan and the
+// aging pass are then a few word operations for any width up to 64 ways,
+// and the state needs no per-set slice.
 type quadAgeSet struct {
-	maxAge, loadAge, ntaAge, hwAge int8
-	ntaHitUpdates                  bool
-	ages                           []int8 // -1 for invalid ways
+	valid, hi, lo Mask
+	all           Mask // one bit per way
+	loadAge       uint8
+	ntaAge        uint8
+	hwAge         uint8
+	ntaHitUpdates bool
 }
 
 // insertAge maps an access class to its insertion age.
-func (s *quadAgeSet) insertAge(cls AccessClass) int8 {
+func (s *quadAgeSet) insertAge(cls AccessClass) uint8 {
 	switch cls {
 	case ClassNTA:
 		return s.ntaAge
@@ -93,39 +103,36 @@ func (s *quadAgeSet) insertAge(cls AccessClass) int8 {
 // with outstanding fills — the effect the paper leans on when it spaces out
 // sender and receiver prefetches.
 func (s *quadAgeSet) Victim(evictable Mask) int {
-	if evictable&AllWays(len(s.ages)) == 0 {
+	evictable &= s.all
+	if evictable == 0 {
 		return -1
 	}
-	// The aging loop terminates: each round either finds a max-age
-	// evictable way or raises every age toward MaxAge; after at most
-	// MaxAge rounds some evictable way has age MaxAge.
-	for round := 0; ; round++ {
-		for way, age := range s.ages {
-			if age >= s.maxAge && evictable.Has(way) {
-				return way
-			}
+	// Each round takes the first evictable age-3 way, else ages every
+	// valid way below 3 by one (a 2-bit increment across the planes).
+	// Three rounds saturate every valid way, so five always suffice to
+	// find a valid evictable way; when only invalid ways are evictable,
+	// fall back to the first of them to stay total.
+	for range 5 {
+		if m := s.hi & s.lo & evictable; m != 0 {
+			return bits.TrailingZeros64(uint64(m))
 		}
-		for way, age := range s.ages {
-			if age >= 0 && age < s.maxAge {
-				s.ages[way] = age + 1
-			}
-		}
-		if round > int(s.maxAge) {
-			// All evictable ways are pinned below MaxAge only if
-			// MaxAge saturation already happened; fall back to the
-			// first evictable way to stay total.
-			for way := range s.ages {
-				if evictable.Has(way) {
-					return way
-				}
-			}
-		}
+		m := s.valid &^ (s.hi & s.lo)
+		s.hi ^= s.lo & m
+		s.lo ^= m
 	}
+	return firstWay(evictable)
 }
+
+// wayBit is way's bit in a plane. The & 63 (a no-op for the at most 64
+// ways a Mask holds) spares the compiler the shift-overflow handling.
+func wayBit(way int) Mask { return 1 << (uint(way) & 63) }
 
 // OnFill implements SetState.
 func (s *quadAgeSet) OnFill(way int, cls AccessClass) {
-	s.ages[way] = s.insertAge(cls)
+	b, age := wayBit(way), s.insertAge(cls)
+	s.valid |= b
+	s.hi = s.hi&^b | -Mask(age>>1)&b
+	s.lo = s.lo&^b | -Mask(age&1)&b
 }
 
 // OnHit implements SetState.
@@ -133,31 +140,39 @@ func (s *quadAgeSet) OnHit(way int, cls AccessClass) {
 	if cls == ClassNTA && !s.ntaHitUpdates {
 		return // Property #2: an NTA hit leaves the age untouched.
 	}
-	if s.ages[way] > 0 {
-		s.ages[way]--
+	// A 2-bit decrement of a nonzero age: lo flips, and hi flips when lo
+	// borrows. Age 0 (and an invalid way) stays put.
+	if b := wayBit(way); (s.hi|s.lo)&b != 0 {
+		s.hi ^= b &^ s.lo
+		s.lo ^= b
 	}
 }
 
 // OnInvalidate implements SetState.
 func (s *quadAgeSet) OnInvalidate(way int) {
-	s.ages[way] = -1
+	s.valid = s.valid.Without(way)
+	s.hi = s.hi.Without(way)
+	s.lo = s.lo.Without(way)
 }
 
-// AgeAt implements SetState.
-func (s *quadAgeSet) AgeAt(way int) int { return int(s.ages[way]) }
+// AgeAt implements SetState; -1 marks an invalid way.
+func (s *quadAgeSet) AgeAt(way int) int {
+	if !s.valid.Has(way) {
+		return -1
+	}
+	return int(s.hi>>uint(way)&1)<<1 | int(s.lo>>uint(way)&1)
+}
 
 // Reset implements SetState.
 func (s *quadAgeSet) Reset() {
-	for i := range s.ages {
-		s.ages[i] = -1
-	}
+	s.valid, s.hi, s.lo = 0, 0, 0
 }
 
 // Snapshot implements SetState; it returns the raw ages.
 func (s *quadAgeSet) Snapshot() []int {
-	out := make([]int, len(s.ages))
-	for i, a := range s.ages {
-		out[i] = int(a)
+	out := make([]int, bits.Len64(uint64(s.all)))
+	for w := range out {
+		out[w] = s.AgeAt(w)
 	}
 	return out
 }

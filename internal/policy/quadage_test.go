@@ -132,7 +132,7 @@ func TestQuadAgeNTAHitDoesNotUpdate(t *testing.T) {
 		t.Fatalf("demand hit should decrement age to 2, got %d", got)
 	}
 	// Ablation switch: NTAHitUpdates makes NTA hits behave like loads.
-	q2 := &QuadAge{LoadAge: 2, NTAAge: 3, HWAge: 2, MaxAge: 3, NTAHitUpdates: true}
+	q2 := &QuadAge{LoadAge: 2, NTAAge: 3, HWAge: 2, NTAHitUpdates: true}
 	s2 := q2.NewSet(2)
 	s2.OnFill(0, ClassNTA)
 	s2.OnHit(0, ClassNTA)
@@ -239,7 +239,7 @@ func TestQuadAgeCountermeasure(t *testing.T) {
 	s.OnFill(3, ClassLoad)
 	// Age way 3 to 3 by three aging passes through eviction attempts is
 	// complex; instead verify simply that the NTA way is NOT at max age.
-	if ages[1] >= q.MaxAge {
+	if ages[1] >= maxQuadAge {
 		t.Fatal("countermeasure should not insert NTA at max age")
 	}
 }
@@ -256,7 +256,7 @@ func TestQuadAgeSnapshotIsCopy(t *testing.T) {
 }
 
 // TestQuadAgeInvariants is a property test: under arbitrary operation
-// sequences, ages stay in [-1, MaxAge] and Victim (when anything is
+// sequences, ages stay in [-1, 3] and Victim (when anything is
 // evictable) returns a valid way.
 func TestQuadAgeInvariants(t *testing.T) {
 	q := NewQuadAge()
@@ -282,7 +282,7 @@ func TestQuadAgeInvariants(t *testing.T) {
 				valid[w] = false
 			}
 			for way, age := range s.Snapshot() {
-				if age < -1 || age > q.MaxAge {
+				if age < -1 || age > maxQuadAge {
 					return false
 				}
 				if valid[way] && age < 0 {

@@ -109,11 +109,7 @@ func (c *Core) Fence() {
 // returned (and charged) cycles are latency + timer overhead + jitter,
 // matching how the paper's numbers include measurement cost.
 func (c *Core) timed(lat int64) int64 {
-	cfg := c.m.H.Lat()
-	t := lat + cfg.TimerOverhead
-	if cfg.TimerJit > 0 {
-		t += c.m.rng.Int63n(2*cfg.TimerJit+1) - cfg.TimerJit
-	}
+	t := lat + c.m.H.Lat().TimerOverhead + c.m.H.TimerJitter().Draw(c.m.rng)
 	t += c.spikeJitter()
 	return t
 }
