@@ -20,13 +20,14 @@
 // compare: the two runs of a pair do, a pin taken on another day does not.
 //
 // Allocations are compared as each side's fewest allocs/op over its runs:
-// host scheduling only adds to them (an experiment shard that finds the
-// arena free list empty builds a fresh arena, and BenchmarkFig2 flips
-// between ~1 330 and ~11 770 allocs/op from run to run), while a change to
-// the code moves every run. Between its low runs the count jitters by a few
-// allocations, so head may allocate at most the base's count plus 1%,
-// rounded up (see allocLimit), and a 0-alloc gate stays exact. A gate the
-// base lacks is "new" and passes; a gate with no head result fails.
+// host scheduling only adds to them (the run in which two experiment
+// shards of one configuration first overlap builds a second hierarchy, so
+// BenchmarkFig2 occasionally reads ~5 540 instead of ~1 310 allocs/op),
+// while a change to the code moves every run. Between its low runs the
+// count jitters by a few allocations, so head may allocate at most the
+// base's count plus 1%, rounded up (see allocLimit), and a 0-alloc gate
+// stays exact. A gate the base lacks is "new" and passes; a gate with no
+// head result fails.
 package main
 
 import (

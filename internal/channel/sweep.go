@@ -39,8 +39,9 @@ func (s SweepResult) Peak() Report {
 // Each point's machine is built through the MachineSource its trial body
 // receives from trials — the experiment engine passes its Context.Parallel
 // — and a nil trials runs the points one after another through
-// sim.RunBatch on an arena borrowed from the process free list. The result
-// is byte-identical for any TrialFor, since no point depends on how its
+// sim.RunBatch on a fresh arena, which recycles each point's hierarchy
+// for the next through the process-wide pool. The result is
+// byte-identical for any TrialFor, since no point depends on how its
 // machine was constructed or scheduled.
 //
 // tf, when non-nil, returns the tracer attached to point i's machine (nil

@@ -28,8 +28,9 @@ import (
 //
 // Inside a task, Parallel is the only fan-out and the only way to get a
 // machine: it hands trial shards to idle pool workers, and each shard
-// builds its machines through a sim.MachineSource that recycles them on a
-// process-wide arena (sim.RunBatchContext). The pool uses a token bucket
+// builds its machines through a sim.MachineSource that recycles them
+// through the process-wide hierarchy pool and shuffle memo
+// (sim.RunBatchContext). The pool uses a token bucket
 // in which each outer worker holds a token for its lifetime: while all
 // workers are busy, inner Parallel finds no free token and degrades to
 // the calling goroutine running its shards itself (never a deadlock);
@@ -160,10 +161,10 @@ func (ctx *Context) workers() int {
 // SplitSeed key), never from state shared across shards.
 //
 // Each shard runs through sim.RunBatchContext and builds its machines
-// through the MachineSource it is handed: the first machine borrows a
-// recycled construction arena from the process free list, which the shard
-// returns when it finishes cleanly (a shard that builds no machine pins
-// none). Output is byte-identical to a fresh machine per build for every
+// through the MachineSource it is handed, which takes hierarchies from the
+// process-wide pool and frame shuffles from the process-wide memo; a shard
+// that finishes cleanly returns its last hierarchy to the pool (a shard
+// that builds no machine builds nothing). Output is byte-identical to a fresh machine per build for every
 // Jobs value, tracer and telemetry setting. A shard must not touch a
 // machine after requesting the next one, and no machine may outlive its
 // shard.
@@ -175,8 +176,8 @@ func (ctx *Context) workers() int {
 //     goroutine, where the engine's runGuarded converts it into a task
 //     error instead of killing the process;
 //   - when ctx.Ctx is cancelled, no further shards start and a running
-//     machine stops within a few thousand simulated cycles (its arena is
-//     dropped rather than recycled). Under the engine the task then
+//     machine stops within a few thousand simulated cycles (its hierarchy
+//     is dropped rather than recycled). Under the engine the task then
 //     unwinds with the context's error; on a hand-built Context, Parallel
 //     simply returns early and the caller must check ctx.Ctx itself.
 func (ctx *Context) Parallel(n int, fn func(i int, src sim.MachineSource)) {

@@ -15,68 +15,65 @@ import (
 // themselves a side channel (Yao et al., the paper's reference [67]) and
 // the attack package demonstrates it.
 
-// snoopLoad resolves a demand read that missed the requester's private
-// caches: remote Modified copies are downgraded to Shared (their dirtiness
-// propagating to the LLC copy), remote Exclusive copies degrade to Shared.
-// Only the cores in mask (the line's sharers, see Hierarchy.sharers) are
-// snooped, in ascending order. It returns the extra forwarding latency and
-// whether any remote copy exists (which decides Shared vs Exclusive fill
-// for the requester).
-func (h *Hierarchy) snoopLoad(core int, la mem.LineAddr, mask uint64) (extra int64, shared bool) {
+// llcLine is a line's place in the LLC: its slice and set, and the way
+// holding it there (-1 when the LLC does not hold it).
+type llcLine struct{ slice, set, way int }
+
+// locateLLC finds la's place in the LLC.
+func (h *Hierarchy) locateLLC(la mem.LineAddr) llcLine {
+	slice, set := h.loc.Locate(la)
+	way, _ := h.llc[slice].Probe(set, la)
+	return llcLine{slice, set, way}
+}
+
+// snoopLoad resolves a demand read of la, whose LLC place is at, that
+// missed the requester's private caches: remote Modified copies are
+// downgraded to Shared (their dirtiness propagating to the LLC copy),
+// remote Exclusive copies degrade to Shared. Only the line's sharers (see
+// Hierarchy.sharers) are snooped, in ascending order. It returns the extra
+// forwarding latency and whether any remote copy exists (which decides
+// Shared vs Exclusive fill for the requester).
+func (h *Hierarchy) snoopLoad(core int, la mem.LineAddr, at llcLine) (extra int64, shared bool) {
 	l1Set, l2Set := h.l1Set(la), h.l2Set(la)
-	for m := mask &^ (1 << uint(core)); m != 0; m &= m - 1 {
+	for m := h.sharers(at.slice, at.set, at.way) &^ (1 << uint(core)); m != 0; m &= m - 1 {
 		c := bits.TrailingZeros64(m)
-		found, modified := h.snoopPrivate(h.l1[c], l1Set, la)
-		if found {
-			shared = true
-			if modified {
-				extra = h.cfg.Lat.CohTransfer
-			}
-		}
-		found, modified = h.snoopPrivate(h.l2[c], l2Set, la)
-		if found {
-			shared = true
-			if modified {
-				extra = h.cfg.Lat.CohTransfer
-			}
+		found1, modified1 := h.snoopPrivate(h.l1[c], l1Set, la)
+		found2, modified2 := h.snoopPrivate(h.l2[c], l2Set, la)
+		shared = shared || found1 || found2
+		if modified1 || modified2 {
+			// Forward dirty data; the LLC copy absorbs the dirtiness.
+			h.markLLCDirty(at)
+			extra = h.cfg.Lat.CohTransfer
 		}
 	}
 	return extra, shared
 }
 
-// snoopPrivate downgrades one private cache's copy of la for a remote load.
-// It reports whether a copy existed and whether it was Modified (in which
-// case the dirty data was forwarded into the LLC copy).
+// snoopPrivate downgrades one private cache's copy of la to Shared for a
+// remote load. It reports whether a copy existed and whether it was
+// Modified, whose dirty data the caller forwards into the LLC copy.
 func (h *Hierarchy) snoopPrivate(pc *cache.Cache, set int, la mem.LineAddr) (found, modified bool) {
 	w, ok := pc.Probe(set, la)
 	if !ok {
 		return false, false
 	}
-	switch pc.Coh(set, w) {
-	case cache.CohModified:
-		// Forward dirty data; the LLC copy absorbs the dirtiness and
-		// the owner keeps a Shared copy.
-		h.markLLCDirty(la)
-		pc.SetCoh(set, w, cache.CohShared)
-		return true, true
-	case cache.CohExclusive:
+	st := pc.Coh(set, w)
+	if st == cache.CohModified || st == cache.CohExclusive {
 		pc.SetCoh(set, w, cache.CohShared)
 	}
-	return true, false
+	return true, st == cache.CohModified
 }
 
-// invalidateRemote removes every other core's private copy of la (the RFO /
-// upgrade step of a store), visiting only the line's sharers. It returns
-// the invalidation latency if any copy existed. A remote Modified copy
-// first forwards its data.
-func (h *Hierarchy) invalidateRemote(core int, la mem.LineAddr) (extra int64) {
-	slice, set := h.loc.Locate(la)
-	way, _ := h.llc[slice].Probe(set, la)
-	for m := h.sharers(slice, set, way) &^ (1 << uint(core)); m != 0; m &= m - 1 {
+// invalidateRemote removes every other core's private copy of la, whose
+// LLC place is at (the RFO / upgrade step of a store), visiting only the
+// line's sharers. It returns the invalidation latency if any copy existed.
+// A remote Modified copy first forwards its data.
+func (h *Hierarchy) invalidateRemote(core int, la mem.LineAddr, at llcLine) (extra int64) {
+	for m := h.sharers(at.slice, at.set, at.way) &^ (1 << uint(core)); m != 0; m &= m - 1 {
 		c := bits.TrailingZeros64(m)
 		if w, ok := h.l1[c].Probe(h.l1Set(la), la); ok {
 			if h.l1[c].Coh(h.l1Set(la), w) == cache.CohModified {
-				h.markLLCDirty(la)
+				h.markLLCDirty(at)
 				extra = h.cfg.Lat.CohTransfer
 			}
 			h.l1[c].InvalidateWay(h.l1Set(la), w)
@@ -86,7 +83,7 @@ func (h *Hierarchy) invalidateRemote(core int, la mem.LineAddr) (extra int64) {
 		}
 		if w, ok := h.l2[c].Probe(h.l2Set(la), la); ok {
 			if h.l2[c].Coh(h.l2Set(la), w) == cache.CohModified {
-				h.markLLCDirty(la)
+				h.markLLCDirty(at)
 				extra = h.cfg.Lat.CohTransfer
 			}
 			h.l2[c].InvalidateWay(h.l2Set(la), w)
@@ -112,11 +109,11 @@ func (h *Hierarchy) setPrivCoh(core, w1, w2 int, la mem.LineAddr, st cache.CohSt
 	}
 }
 
-// markLLCDirty flags la's LLC copy as holding forwarded dirty data.
-func (h *Hierarchy) markLLCDirty(la mem.LineAddr) {
-	slice, set := h.loc.Locate(la)
-	if w, ok := h.llc[slice].Probe(set, la); ok {
-		h.llc[slice].MarkDirty(set, w)
+// markLLCDirty flags the LLC copy at at, if any, as holding forwarded
+// dirty data.
+func (h *Hierarchy) markLLCDirty(at llcLine) {
+	if at.way >= 0 {
+		h.llc[at.slice].MarkDirty(at.set, at.way)
 	}
 }
 

@@ -79,6 +79,11 @@ type Hierarchy struct {
 	tr      *trace.Tracer
 	trAgent string
 	trCore  int
+
+	// pool is the Pool that handed the hierarchy out, nil unless it is
+	// checked out of one; poolKey names the free list it goes back to.
+	pool    *Pool
+	poolKey poolKey
 }
 
 // anyWay lets cache.Install use every way of the set.
@@ -194,14 +199,16 @@ func (h *Hierarchy) checkCore(core int) {
 
 // Load performs a demand load by core at cycle now.
 func (h *Hierarchy) Load(core int, pa mem.PAddr, now int64) Result {
-	res, _, _ := h.load(core, pa.Line(), now)
+	res, _, _ := h.load(core, pa.Line(), now, nil)
 	return res
 }
 
 // load is Load returning the core's L1 and L2 ways holding la afterwards;
 // a way is -1 where no copy was installed, and an L1 hit reports its L1 way
-// and an L2 way of -1 without looking at the L2.
-func (h *Hierarchy) load(core int, la mem.LineAddr, now int64) (res Result, w1, w2 int) {
+// and an L2 way of -1 without looking at the L2. When the access reaches
+// the LLC and at is non-nil, load stores la's LLC place afterwards in *at;
+// a private hit never looks at the LLC and leaves *at alone.
+func (h *Hierarchy) load(core int, la mem.LineAddr, now int64, at *llcLine) (res Result, w1, w2 int) {
 	h.checkCore(core)
 	lat := &h.cfg.Lat
 
@@ -230,19 +237,23 @@ func (h *Hierarchy) load(core int, la mem.LineAddr, now int64) (res Result, w1, 
 	// Past the private caches: one LLC probe decides hit or miss and
 	// yields the line's sharer mask. A demand hit updates the line's age
 	// (decrement).
-	slice, set := h.loc.Locate(la)
-	way, _ := h.lookupTraced(h.llc[slice], LevelLLC, slice, set, la, policy.ClassLoad, now)
+	var place llcLine
+	place.slice, place.set = h.loc.Locate(la)
+	place.way, _ = h.lookupTraced(h.llc[place.slice], LevelLLC, place.slice, place.set, la, policy.ClassLoad, now)
 
 	// Resolve coherence with the other cores that may hold a copy (a
 	// remote Modified copy forwards with a latency penalty; any remote
 	// copy makes the requester's fill Shared rather than Exclusive).
-	extra, sharedRem := h.snoopLoad(core, la, h.sharers(slice, set, way))
+	extra, sharedRem := h.snoopLoad(core, la, place)
 	st := cache.CohExclusive
 	if sharedRem {
 		st = cache.CohShared
 	}
-	res, w1, w2 = h.fillFromOuter(core, slice, set, way, la, policy.ClassLoad, extra, now)
+	res, w1, w2, place.way = h.fillFromOuter(core, place.slice, place.set, place.way, la, policy.ClassLoad, extra, now)
 	h.setPrivCoh(core, w1, w2, la, st)
+	if at != nil {
+		*at = place
+	}
 	return res, w1, w2
 }
 
@@ -250,9 +261,9 @@ func (h *Hierarchy) load(core int, la mem.LineAddr, now int64) (res Result, w1, 
 // given the LLC lookup's way (-1 on a miss). An LLC hit costs the LLC
 // latency; a miss costs DRAM's and fills the inclusive LLC first. extra is
 // added to either. Unless the LLC fill is dropped, core becomes a sharer
-// of the line, which is filled into its L2 and L1; their ways are returned
-// (-1 where no copy was installed).
-func (h *Hierarchy) fillFromOuter(core, slice, set, way int, la mem.LineAddr, cls policy.AccessClass, extra, now int64) (res Result, w1, w2 int) {
+// of the line, which is filled into its L2 and L1; their ways and the LLC
+// way are returned (-1 where no copy was installed).
+func (h *Hierarchy) fillFromOuter(core, slice, set, way int, la mem.LineAddr, cls policy.AccessClass, extra, now int64) (res Result, w1, w2, llcWay int) {
 	lat := &h.cfg.Lat
 	if way >= 0 {
 		res = Result{Level: LevelLLC, Latency: lat.LLCHit + h.jit.llc.Draw(h.rng) + extra}
@@ -260,13 +271,13 @@ func (h *Hierarchy) fillFromOuter(core, slice, set, way int, la mem.LineAddr, cl
 		res = Result{Level: LevelMem, Latency: lat.Mem + h.jit.mem.Draw(h.rng) + extra}
 		if way = h.fillLLC(core, slice, set, la, cls, now, now+res.Latency); way < 0 {
 			res.Dropped = true
-			return res, -1, -1
+			return res, -1, -1, -1
 		}
 	}
 	h.llc[slice].AddSharer(set, way, core)
 	w2 = h.fillL2(core, la, cls, now, now+res.Latency)
 	w1 = h.fillL1(core, la, cls, now, now+res.Latency)
-	return res, w1, w2
+	return res, w1, w2, way
 }
 
 // Store is a demand store: it obtains the line in Modified state. A hit on
@@ -281,14 +292,18 @@ func (h *Hierarchy) Store(core int, pa mem.PAddr, now int64) Result {
 		h.touchTraced(h.l1[core], LevelL1, -1, h.l1Set(la), w, la, policy.ClassLoad, now, "store")
 		l := h.cfg.Lat.L1Hit + h.jit.l1.Draw(h.rng)
 		if st == cache.CohShared {
-			l += h.invalidateRemote(core, la)
+			l += h.invalidateRemote(core, la, h.locateLLC(la))
 		}
 		w2, _ := h.l2[core].Probe(h.l2Set(la), la)
 		h.setPrivCoh(core, w, w2, la, cache.CohModified)
 		return Result{Level: LevelL1, Latency: l}
 	}
-	res, w1, w2 := h.load(core, la, now)
-	res.Latency += h.invalidateRemote(core, la)
+	at := llcLine{slice: -1}
+	res, w1, w2 := h.load(core, la, now, &at)
+	if at.slice < 0 { // an L2 hit: load never looked at the LLC
+		at = h.locateLLC(la)
+	}
+	res.Latency += h.invalidateRemote(core, la, at)
 	h.setPrivCoh(core, w1, w2, la, cache.CohModified)
 	return res
 }
@@ -358,7 +373,7 @@ func (h *Hierarchy) PrefetchT0(core int, pa mem.PAddr, now int64) Result {
 	}
 	slice, set := h.loc.Locate(la)
 	way, _ := h.lookupTraced(h.llc[slice], LevelLLC, slice, set, la, policy.ClassT0, now)
-	res, _, _ := h.fillFromOuter(core, slice, set, way, la, policy.ClassT0, 0, now)
+	res, _, _, _ := h.fillFromOuter(core, slice, set, way, la, policy.ClassT0, 0, now)
 	return res
 }
 

@@ -2,15 +2,16 @@ package hier
 
 import (
 	"reflect"
+	"sync"
 
 	"leakyway/internal/policy"
 )
 
 // Hierarchy recycling. Building a hierarchy is the dominant per-trial cost of
 // a Monte-Carlo sweep (the line arrays and per-set policy states dwarf the
-// stepping work of a short trial), so sim.Arena keeps a Pool of
-// hierarchies keyed by configuration and re-seeds one per trial instead of
-// rebuilding. Reset restores exactly the state New would produce —
+// stepping work of a short trial), so package sim keeps one process-wide
+// Pool of hierarchies keyed by configuration and re-seeds one per trial
+// instead of rebuilding. Reset restores exactly the state New would produce —
 // the sparse touched-set tracking inside package cache makes this cost
 // proportional to the sets a trial actually used, not the geometry.
 
@@ -46,20 +47,21 @@ func (h *Hierarchy) reset(seed int64) {
 }
 
 // Pool recycles hierarchies across trials that share a platform geometry.
-// It is not goroutine-safe; each worker owns its own Pool (see sim.Arena).
+// It is safe for concurrent use: its lock guards only the free lists, and a
+// hierarchy is built or reset outside it. A checked-out hierarchy that is
+// never put back is not referenced by the pool.
 type Pool struct {
+	mu sync.Mutex
 	// free holds idle hierarchies per caller configuration (see poolKeyOf).
 	free map[poolKey][]*Hierarchy
-	// key remembers which free-list each checked-out hierarchy belongs to;
-	// the hierarchy's own cfg is the defaulted one and cannot be used.
-	key map[*Hierarchy]poolKey
 }
 
 // poolKey identifies a free list: the config as passed to Get — before
 // withDefaults runs — with Seed zeroed and each policy replaced by its
 // policyKey. Keying on policy pointers instead would give every caller
 // that builds its policies afresh (a scenario's llc_policy override, say)
-// a free list of its own that is never reused.
+// a free list of its own that is never reused. A hierarchy's own cfg is
+// the defaulted one, so the key is kept next to it (Hierarchy.poolKey).
 type poolKey struct {
 	cfg                           Config
 	l1Policy, l2Policy, llcPolicy any
@@ -90,7 +92,7 @@ func policyKey(p policy.Policy) any {
 
 // NewPool returns an empty pool.
 func NewPool() *Pool {
-	return &Pool{free: map[poolKey][]*Hierarchy{}, key: map[*Hierarchy]poolKey{}}
+	return &Pool{free: map[poolKey][]*Hierarchy{}}
 }
 
 // Get returns a hierarchy for cfg, recycling an idle one when the pool holds
@@ -98,31 +100,34 @@ func NewPool() *Pool {
 // returned hierarchy is indistinguishable from New(cfg)'s result.
 func (p *Pool) Get(cfg Config) (*Hierarchy, error) {
 	k := poolKeyOf(cfg)
+	var h *Hierarchy
+	p.mu.Lock()
 	if list := p.free[k]; len(list) > 0 {
-		h := list[len(list)-1]
+		h = list[len(list)-1]
+		list[len(list)-1] = nil
 		p.free[k] = list[:len(list)-1]
+	}
+	p.mu.Unlock()
+	if h != nil {
 		h.reset(cfg.Seed)
-		p.key[h] = k
-		return h, nil
+	} else {
+		var err error
+		if h, err = New(cfg); err != nil {
+			return nil, err
+		}
 	}
-	h, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	p.key[h] = k
+	h.pool, h.poolKey = p, k
 	return h, nil
 }
 
 // Put returns a hierarchy obtained from Get to the pool. Hierarchies the
-// pool did not hand out are ignored.
+// pool did not hand out, or already got back, are ignored.
 func (p *Pool) Put(h *Hierarchy) {
-	if h == nil {
+	if h == nil || h.pool != p {
 		return
 	}
-	k, ok := p.key[h]
-	if !ok {
-		return
-	}
-	delete(p.key, h)
-	p.free[k] = append(p.free[k], h)
+	h.pool = nil
+	p.mu.Lock()
+	p.free[h.poolKey] = append(p.free[h.poolKey], h)
+	p.mu.Unlock()
 }

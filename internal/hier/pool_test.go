@@ -1,7 +1,9 @@
 package hier
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"leakyway/internal/mem"
 	"leakyway/internal/policy"
@@ -153,4 +155,32 @@ func TestPoolPutForeignHierarchyIgnored(t *testing.T) {
 	if got == h {
 		t.Fatalf("pool recycled a hierarchy it never handed out")
 	}
+}
+
+// TestPoolDropsUnreturned: a hierarchy checked out and never put back (a
+// cancelled trial's) is not kept alive by the pool, even when it came off
+// a free list.
+func TestPoolDropsUnreturned(t *testing.T) {
+	p := NewPool()
+	h, err := p.Get(poolTestConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Put(h)
+	if h, err = p.Get(poolTestConfig(2)); err != nil {
+		t.Fatal(err)
+	}
+	collected := make(chan struct{})
+	runtime.SetFinalizer(h, func(*Hierarchy) { close(collected) })
+	h = nil
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			runtime.KeepAlive(p)
+			return
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+	t.Fatal("the pool kept a hierarchy it handed out and never got back")
 }

@@ -15,6 +15,8 @@ type corePrefetcher struct {
 	// stream detector: a small table of recent streams.
 	streams [4]streamEntry
 	clock   uint64
+	// out holds observeMiss's result, reused from one miss to the next.
+	out []mem.LineAddr
 }
 
 type streamEntry struct {
@@ -26,25 +28,27 @@ type streamEntry struct {
 }
 
 func newCorePrefetcher(cfg HWPrefetchConfig) *corePrefetcher {
-	return &corePrefetcher{cfg: cfg}
+	return &corePrefetcher{cfg: cfg, out: make([]mem.LineAddr, 0, 1+max(cfg.StreamDepth, 0))}
 }
 
 // observeMiss returns the lines the prefetchers want to pull in after a
-// demand miss on la.
+// demand miss on la, in a buffer the next call overwrites.
 func (p *corePrefetcher) observeMiss(la mem.LineAddr) []mem.LineAddr {
-	var out []mem.LineAddr
+	out := p.out[:0]
 	if p.cfg.AdjacentLine {
 		// Pair the line with its 128-byte buddy (flip line-address bit 0).
 		out = append(out, la^1)
 	}
 	if p.cfg.Stream {
-		out = append(out, p.observeStream(la)...)
+		out = p.observeStream(la, out)
 	}
+	p.out = out
 	return out
 }
 
-// observeStream updates the stream table and returns run-ahead prefetches.
-func (p *corePrefetcher) observeStream(la mem.LineAddr) []mem.LineAddr {
+// observeStream updates the stream table and appends run-ahead prefetches
+// to out.
+func (p *corePrefetcher) observeStream(la mem.LineAddr, out []mem.LineAddr) []mem.LineAddr {
 	p.clock++
 	page := la.Frame()
 	lineInPage := uint64(la) & (mem.LinesPerPage - 1)
@@ -70,7 +74,7 @@ func (p *corePrefetcher) observeStream(la mem.LineAddr) []mem.LineAddr {
 			}
 		}
 		p.streams[lru] = streamEntry{page: page, lastLine: lineInPage, lastUsed: p.clock, valid: true}
-		return nil
+		return out
 	}
 	s := &p.streams[idx]
 	s.lastUsed = p.clock
@@ -81,10 +85,9 @@ func (p *corePrefetcher) observeStream(la mem.LineAddr) []mem.LineAddr {
 	}
 	s.lastLine = lineInPage
 	if s.hits < 2 {
-		return nil
+		return out
 	}
 	// Confirmed ascending stream: run ahead, staying inside the page.
-	var out []mem.LineAddr
 	for d := 1; d <= p.cfg.StreamDepth; d++ {
 		next := lineInPage + uint64(d)
 		if next >= mem.LinesPerPage {

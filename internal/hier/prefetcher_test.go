@@ -82,3 +82,30 @@ func TestPrefetchersDisabledByDefault(t *testing.T) {
 		t.Fatal("buddy line cached although prefetchers are disabled")
 	}
 }
+
+// TestPrefetcherMissDoesNotAllocate pins the demand-miss path with both
+// prefetchers on as allocation-free: a Load pointer chase over congruent
+// lines (adjacent-line suggestions) and an ascending walk the stream
+// prefetcher confirms (run-ahead suggestions), flushed so it misses again.
+func TestPrefetcherMissDoesNotAllocate(t *testing.T) {
+	cfg := testConfig()
+	cfg.HWPrefetch = HWPrefetchConfig{AdjacentLine: true, Stream: true}
+	h := MustNew(cfg)
+	chase := congruentLines(h, mem.PAddr(0x4040), 12)
+	walk := mem.PAddr(0x20000)
+	var now int64
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, pa := range chase {
+			now += h.Load(0, pa, now).Latency
+		}
+		for i := 0; i < 8; i++ {
+			now += h.Load(0, walk+mem.PAddr(i*64), now).Latency
+		}
+		for i := 0; i < 8; i++ {
+			now += h.Flush(walk+mem.PAddr(i*64), now).Latency
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("demand misses with the prefetchers on allocated %.1f times per run; want 0", allocs)
+	}
+}

@@ -77,9 +77,7 @@ func bruteSnoop(h *Hierarchy, core int, la mem.LineAddr) (extra int64, shared bo
 func checkSnoop(h *Hierarchy, core int, pa mem.PAddr) error {
 	la := pa.Line()
 	wantExtra, wantShared := bruteSnoop(h, core, la)
-	slice, set := h.loc.Locate(la)
-	way, _ := h.llc[slice].Probe(set, la)
-	extra, shared := h.snoopLoad(core, la, h.sharers(slice, set, way))
+	extra, shared := h.snoopLoad(core, la, h.locateLLC(la))
 	if extra != wantExtra || shared != wantShared {
 		return fmt.Errorf("snoop of %v for core %d = (%d, %v), brute-force scan = (%d, %v)",
 			la, core, extra, shared, wantExtra, wantShared)

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"math/rand"
+	"sync"
 
 	"leakyway/internal/hier"
 	"leakyway/internal/mem"
@@ -13,8 +14,8 @@ import (
 // only in seed or channel parameters; building each machine from scratch
 // (frame shuffle, cache arrays, per-set policy state) costs more than
 // stepping it. RunBatch runs the trials one after another on an Arena,
-// which recycles hierarchies (hier.Pool) and shares immutable frame
-// shuffles (mem.FrameShuffle) across them.
+// which recycles hierarchies through one process-wide hier.Pool and shares
+// immutable frame shuffles (mem.FrameShuffle) from one process-wide memo.
 //
 // Recycling is invisible to the simulation: a recycled machine is
 // indistinguishable from a fresh one, so a sweep is byte-identical to a
@@ -38,66 +39,88 @@ type MachineSource interface {
 // body's duration.
 type TrialFor func(n int, body func(i int, src MachineSource))
 
+// Process-wide construction state. Experiment contexts are created freely
+// (one per daemon job, one per benchmark iteration), so everything an arena
+// recycles lives here, shared by every arena: idle hierarchies in one pool
+// and frame shuffles in one memo. Each is behind its own lock, taken when a
+// machine is built or recycled and never per simulated access. The pool
+// holds at most as many hierarchies per configuration as were checked out
+// at once.
+var (
+	hierarchies = hier.NewPool()
+	shuffles    = struct {
+		sync.Mutex
+		m map[shuffleKey]*mem.FrameShuffle
+	}{m: map[shuffleKey]*mem.FrameShuffle{}}
+)
+
 // shuffleKey identifies one frame shuffle: pool size plus the PhysMem seed.
 type shuffleKey struct {
 	bytes uint64
 	seed  int64
 }
 
-// Arena owns the recyclable construction state for one worker: a hierarchy
-// pool and a bounded cache of frame shuffles. It is a MachineSource whose
-// NewMachine recycles the machine it returned last. It is not
-// goroutine-safe.
-type Arena struct {
-	pool     *hier.Pool
-	shuffles map[shuffleKey]*mem.FrameShuffle
-
-	// cur is the machine NewMachine returned last, recycled by the next
-	// call.
-	cur *Machine
-}
-
-// maxShuffles bounds the shuffle cache; a sweep touches a handful of
-// (size, seed) pairs, so overflow means the workload changed and the cache
+// maxShuffles bounds the shuffle memo; a sweep touches a handful of
+// (size, seed) pairs, so overflow means the workload changed and the memo
 // is simply restarted.
 const maxShuffles = 32
 
-// NewArena returns an empty arena.
-func NewArena() *Arena {
-	return &Arena{pool: hier.NewPool(), shuffles: map[shuffleKey]*mem.FrameShuffle{}}
-}
-
-// shuffle returns the cached frame shuffle for (bytes, seed), computing and
-// caching it on first use.
-func (ar *Arena) shuffle(bytes uint64, seed int64) *mem.FrameShuffle {
+// shuffle returns the memoized frame shuffle for (bytes, seed), computing
+// and memoizing it on first use. A FrameShuffle is immutable, so it is
+// built outside the lock and shared by every goroutine; two builders racing
+// on one key compute the same permutation.
+func shuffle(bytes uint64, seed int64) *mem.FrameShuffle {
 	k := shuffleKey{bytes, seed}
-	if sh, ok := ar.shuffles[k]; ok {
+	shuffles.Lock()
+	sh, ok := shuffles.m[k]
+	shuffles.Unlock()
+	if ok {
 		return sh
 	}
-	if len(ar.shuffles) >= maxShuffles {
-		ar.shuffles = map[shuffleKey]*mem.FrameShuffle{}
+	sh = mem.NewFrameShuffle(bytes, seed)
+	shuffles.Lock()
+	if len(shuffles.m) >= maxShuffles {
+		shuffles.m = map[shuffleKey]*mem.FrameShuffle{}
 	}
-	sh := mem.NewFrameShuffle(bytes, seed)
-	ar.shuffles[k] = sh
+	shuffles.m[k] = sh
+	shuffles.Unlock()
 	return sh
 }
 
-// NewMachine is MustNewMachine through the arena: the hierarchy comes from
-// the pool and the frame shuffle from the cache, and the machine the arena
-// returned last is recycled first, so the caller must not touch it again.
-// The result is indistinguishable from MustNewMachine(cfg, memBytes, seed).
+// Arena is the MachineSource of one trial loop: its NewMachine recycles the
+// machine it returned last into the process-wide pool and builds the next
+// from it. It holds nothing else, so a fresh arena costs nothing to make.
+// It is not goroutine-safe.
+type Arena struct {
+	// cur is the machine NewMachine returned last, recycled by the next
+	// call.
+	cur *Machine
+	// ctx is handed to every machine the arena builds (nil for a context
+	// that can never be cancelled), which Machine.Run checks; see
+	// RunBatchContext.
+	ctx context.Context
+}
+
+// NewArena returns an empty arena.
+func NewArena() *Arena { return &Arena{} }
+
+// NewMachine is MustNewMachine through the process-wide pool and shuffle
+// memo, and the machine the arena returned last is recycled first, so the
+// caller must not touch it again. The result is indistinguishable from
+// MustNewMachine(cfg, memBytes, seed).
 func (ar *Arena) NewMachine(cfg hier.Config, memBytes uint64, seed int64) *Machine {
 	ar.recycle()
 	cfg.Seed = seed
-	h, err := ar.pool.Get(cfg)
+	h, err := hierarchies.Get(cfg)
 	if err != nil {
 		panic(err)
 	}
 	ar.cur = &Machine{
 		H:         h,
-		Phys:      mem.NewPhysMemFrom(ar.shuffle(memBytes, seed^0x9e3779b9)),
+		Phys:      mem.NewPhysMemFrom(shuffle(memBytes, seed^0x9e3779b9)),
 		rng:       rand.New(rand.NewSource(seed ^ 0x5DEECE66D)),
 		SyncSlack: 3,
+		ctx:       ar.ctx,
 	}
 	return ar.cur
 }
@@ -105,55 +128,9 @@ func (ar *Arena) NewMachine(cfg hier.Config, memBytes uint64, seed int64) *Machi
 // recycle returns the last machine's hierarchy to the pool.
 func (ar *Arena) recycle() {
 	if ar.cur != nil {
-		ar.pool.Put(ar.cur.H)
+		hierarchies.Put(ar.cur.H)
 		ar.cur = nil
 	}
-}
-
-// Process-global arena free list. Experiment contexts are created freely
-// (one per daemon job, one per benchmark iteration), so tying recycled
-// hierarchies to a context would rebuild them constantly; a small global
-// pool keeps the steady-state construction cost near zero while bounding
-// retained memory to a few workers' worth of hierarchies.
-var arenaPool = make(chan *Arena, 8)
-
-// acquireArena returns a recycled arena, or a fresh one when none is idle.
-func acquireArena() *Arena {
-	select {
-	case ar := <-arenaPool:
-		return ar
-	default:
-		return NewArena()
-	}
-}
-
-// releaseArena returns an arena to the global free list; beyond the list's
-// capacity the arena is dropped for the GC.
-func releaseArena(ar *Arena) {
-	select {
-	case arenaPool <- ar:
-	default:
-	}
-}
-
-// batchSource is the MachineSource RunBatchContext hands its bodies. It
-// builds through the caller's arena or, without one, borrows an arena from
-// the free list on its first NewMachine call, so a run that builds no
-// machine pins none. Every machine it builds gets ctx (nil for a context
-// that can never be cancelled), which Machine.Run checks.
-type batchSource struct {
-	ar       *Arena
-	borrowed bool
-	ctx      context.Context
-}
-
-func (s *batchSource) NewMachine(cfg hier.Config, memBytes uint64, seed int64) *Machine {
-	if s.ar == nil {
-		s.ar, s.borrowed = acquireArena(), true
-	}
-	m := s.ar.NewMachine(cfg, memBytes, seed)
-	m.ctx = s.ctx
-	return m
 }
 
 // ctxCheckCycles is how many simulated cycles a cancellable machine runs
@@ -172,13 +149,12 @@ func RunBatch(n, width int, arena *Arena, body func(i int, src MachineSource)) {
 	RunBatchContext(context.Background(), n, arena, body)
 }
 
-// RunBatchContext executes body(0), ..., body(n-1) in order on arena, or
-// with a nil arena on one borrowed from the process free list when the
-// first body builds a machine. The arena is returned to the list after a
-// clean run and dropped after a cancelled or panicking one. Bodies build
-// their machines through the MachineSource they receive; the simulation
-// output of every trial is byte-identical to a fresh MustNewMachine per
-// trial.
+// RunBatchContext executes body(0), ..., body(n-1) in order on arena (a
+// nil arena is a fresh one). A clean run returns its last machine's
+// hierarchy to the process-wide pool; a cancelled or panicking run drops
+// it. Bodies build their machines through the MachineSource they receive;
+// the simulation output of every trial is byte-identical to a fresh
+// MustNewMachine per trial.
 //
 // ctx is checked before each trial, and machines built during the call
 // check it every ctxCheckCycles simulated cycles while they run: a
@@ -189,19 +165,19 @@ func RunBatch(n, width int, arena *Arena, body func(i int, src MachineSource)) {
 // whenever ctx is done on return, so a nil error means every trial ran to
 // completion.
 func RunBatchContext(ctx context.Context, n int, arena *Arena, body func(i int, src MachineSource)) (err error) {
-	src := &batchSource{ar: arena}
+	if arena == nil {
+		arena = NewArena()
+	}
 	if ctx.Done() != nil {
-		src.ctx = ctx
+		arena.ctx = ctx
 	}
 	defer func() {
 		r := recover()
 		err = ctx.Err()
-		if src.ar != nil {
-			src.ar.recycle()
-			if src.borrowed && r == nil && err == nil {
-				releaseArena(src.ar)
-			}
+		if r == nil && err == nil {
+			arena.recycle()
 		}
+		arena.cur, arena.ctx = nil, nil
 		if r != nil {
 			if _, ok := r.(canceledTrial); !ok {
 				panic(r)
@@ -209,7 +185,7 @@ func RunBatchContext(ctx context.Context, n int, arena *Arena, body func(i int, 
 		}
 	}()
 	for i := 0; i < n && ctx.Err() == nil; i++ {
-		body(i, src)
+		body(i, arena)
 	}
 	return nil
 }

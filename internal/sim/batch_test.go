@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -115,7 +116,7 @@ func TestBatchScalarEquivalence(t *testing.T) {
 				i, len(got[i]), len(want[i]))
 		}
 	}
-	// An arena borrowed from the global free list must not change results
+	// A nil arena, which the engine passes, must not change results
 	// either.
 	got = runEquivalenceTrials(n, func(n int, body func(i int, src MachineSource)) {
 		RunBatch(n, 1, nil, body)
@@ -273,52 +274,97 @@ func TestRunBatchContextCancel(t *testing.T) {
 	}
 }
 
-// TestRunBatchBorrowsLazily pins how a nil-arena RunBatchContext uses the
-// process free list: a run that builds no machine leaves the list alone, a
-// clean run borrows an arena on its first NewMachine and returns it, and a
-// cancelled run drops the arena it borrowed.
-func TestRunBatchBorrowsLazily(t *testing.T) {
-	// seedPool empties the free list and leaves ar as its only entry.
-	seedPool := func(ar *Arena) {
-		for len(arenaPool) > 0 {
-			<-arenaPool
-		}
-		arenaPool <- ar
-	}
+// TestRecyclerContract pins how RunBatchContext uses the process-wide
+// recycler: a run that builds no machine builds nothing, a clean run
+// returns its last hierarchy so the next same-config build gets it back,
+// and a cancelled run's hierarchy is never reused.
+func TestRecyclerContract(t *testing.T) {
+	cfg := batchTestConfig()
+	cfg.Name = "recycler-contract" // a pool key no other test uses
+	var last *hier.Hierarchy
 	build := func(i int, src MachineSource) {
-		m := src.NewMachine(batchTestConfig(), 1<<24, int64(i))
+		m := src.NewMachine(cfg, 1<<24, int64(i))
+		last = m.H
 		m.Spawn("a", 0, nil, func(c *Core) { c.Load(c.Alloc(mem.PageSize)) })
 		m.Run()
 	}
+	memoLen := func() int {
+		shuffles.Lock()
+		defer shuffles.Unlock()
+		return len(shuffles.m)
+	}
+
+	if err := RunBatchContext(context.Background(), 1, nil, build); err != nil {
+		t.Fatal(err)
+	}
+	first, memo := last, memoLen()
 
 	ar := NewArena()
-	seedPool(ar)
-	if err := RunBatchContext(context.Background(), 3, nil, func(int, MachineSource) {}); err != nil {
-		t.Fatal(err)
-	}
-	if len(arenaPool) != 1 || len(ar.shuffles) != 0 {
-		t.Fatalf("machine-free run touched the free list (len %d, %d shuffles)", len(arenaPool), len(ar.shuffles))
+	if allocs := testing.AllocsPerRun(10, func() {
+		RunBatch(3, 1, ar, func(int, MachineSource) {})
+	}); allocs != 0 || memoLen() != memo {
+		t.Fatalf("machine-free run allocated %.0f times and grew the shuffle memo %d -> %d", allocs, memo, memoLen())
 	}
 
-	if err := RunBatchContext(context.Background(), 2, nil, build); err != nil {
+	if err := RunBatchContext(context.Background(), 1, nil, build); err != nil {
 		t.Fatal(err)
 	}
-	if len(arenaPool) != 1 || len(ar.shuffles) != 2 {
-		t.Fatalf("clean run: free list len %d, borrowed arena holds %d shuffles; want 1 and 2", len(arenaPool), len(ar.shuffles))
-	}
-	if got := <-arenaPool; got != ar {
-		t.Fatal("clean run returned a different arena than it borrowed")
+	if last != first {
+		t.Fatal("the build after a clean run did not get the hierarchy that run returned")
 	}
 
-	seedPool(ar)
 	ctx, cancel := context.WithCancel(context.Background())
-	time.AfterFunc(20*time.Millisecond, cancel)
-	var started atomic.Int64
-	if err := RunBatchContext(ctx, 4, nil, spinTrial(&started)); !errors.Is(err, context.Canceled) {
+	err := RunBatchContext(ctx, 1, nil, func(i int, src MachineSource) {
+		cancel()
+		build(i, src)
+	})
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if len(arenaPool) != 0 {
-		t.Fatalf("cancelled run returned its arena to the free list (len %d)", len(arenaPool))
+	if last != first {
+		t.Fatal("the cancelled run did not get the pooled hierarchy")
+	}
+	if err := RunBatchContext(context.Background(), 1, nil, build); err != nil {
+		t.Fatal(err)
+	}
+	if last == first {
+		t.Fatal("a cancelled run's hierarchy was reused")
+	}
+}
+
+// TestRunBatchConcurrentMatchesSerial runs four trial loops at once on the
+// process-wide recycler, over seeds every loop shares and seeds only one
+// loop uses: hierarchies and shuffles then cross goroutines, and every
+// fingerprint must still equal a fresh machine's. Run it under -race.
+func TestRunBatchConcurrentMatchesSerial(t *testing.T) {
+	const loops, shared, own = 4, 3, 3
+	index := func(g, j int) int {
+		if j < shared {
+			return j
+		}
+		return 100*(g+1) + j
+	}
+	got := make([][][]int64, loops)
+	var wg sync.WaitGroup
+	for g := range loops {
+		got[g] = make([][]int64, shared+own)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			RunBatch(shared+own, 1, nil, func(j int, src MachineSource) {
+				got[g][j] = equivalenceTrial(index(g, j), src)
+			})
+		}()
+	}
+	wg.Wait()
+	for g := range loops {
+		for j := range shared + own {
+			var want []int64
+			SerialTrials(1, func(_ int, src MachineSource) { want = equivalenceTrial(index(g, j), src) })
+			if !reflect.DeepEqual(got[g][j], want) {
+				t.Fatalf("loop %d trial %d (index %d) diverges from a fresh machine", g, j, index(g, j))
+			}
+		}
 	}
 }
 

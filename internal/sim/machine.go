@@ -53,7 +53,7 @@ type Machine struct {
 	// hierarchy; see SetTracer.
 	tr *trace.Tracer
 
-	// ctx, set on machines built through RunBatchContext's source, makes
+	// ctx, set on machines built through RunBatchContext's arena, makes
 	// Run stop a cancelled trial: it checks ctx once the clock passes
 	// checkAt, then moves checkAt ctxCheckCycles ahead (batch.go). Nil on
 	// every other machine, and the check never fires.
