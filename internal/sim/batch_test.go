@@ -274,6 +274,55 @@ func TestRunBatchContextCancel(t *testing.T) {
 	}
 }
 
+// TestCancelWhileHostParked cancels a two-agent trial from the second
+// agent's turn, so the host is parked in the scheduling loop when the
+// cancellation checkpoint fires: the host body unwinds with its defers
+// run, RunBatchContext returns ctx.Err() without starting another trial,
+// no coroutine survives, and trials on a fresh arena still match fresh
+// machines.
+func TestCancelWhileHostParked(t *testing.T) {
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var started atomic.Int64
+	unwound, finished := false, false
+	spin := func(c *Core) {
+		for k := 0; k < 1<<20; k++ {
+			c.Spin(40)
+		}
+	}
+	err := RunBatchContext(ctx, 4, NewArena(), func(i int, src MachineSource) {
+		started.Add(1)
+		m := src.NewMachine(batchTestConfig(), 1<<24, int64(i))
+		m.Spawn("host", 0, nil, func(c *Core) {
+			defer func() { unwound = true }()
+			spin(c)
+			finished = true
+		})
+		m.Spawn("canceller", 1, nil, func(c *Core) {
+			c.Spin(1000)
+			cancel()
+			spin(c)
+		})
+		m.Run()
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if n := started.Load(); n != 1 || finished || !unwound {
+		t.Fatalf("started %d trials, host finished %v, host unwound %v; want 1, false, true", n, finished, unwound)
+	}
+	settleGoroutines(t, before)
+
+	want := runEquivalenceTrials(3, SerialTrials)
+	got := runEquivalenceTrials(3, func(n int, body func(i int, src MachineSource)) {
+		RunBatch(n, 1, NewArena(), body)
+	})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("trials after a cancelled run diverge from fresh machines")
+	}
+}
+
 // TestRecyclerContract pins how RunBatchContext uses the process-wide
 // recycler: a run that builds no machine builds nothing, a clean run
 // returns its last hierarchy so the next same-config build gets it back,

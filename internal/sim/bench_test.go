@@ -29,19 +29,31 @@ func BenchmarkMachineTimedOp(b *testing.B) {
 }
 
 // BenchmarkMachineTwoAgentHandoff measures the worst case for the batched
-// scheduler: two agents in lockstep (equal op costs), forcing a coroutine
-// switch between the agents at almost every operation.
+// scheduler with two agents: in lockstep (equal op costs) they hand off at
+// almost every operation. The host runs on Run's goroutine and the other
+// agent is a coroutine, so each handoff is one coroutine switch.
 func BenchmarkMachineTwoAgentHandoff(b *testing.B) {
+	benchLockstep(b, "a", "b")
+}
+
+// BenchmarkMachineThreeAgentHandoff adds a second coroutine agent to the
+// lockstep: every round hands off host -> b -> c -> host, and the b -> c
+// handoff goes through the scheduling loop on the host's stack, two
+// coroutine switches.
+func BenchmarkMachineThreeAgentHandoff(b *testing.B) {
+	benchLockstep(b, "a", "b", "c")
+}
+
+// benchLockstep runs one agent per name, each spinning b.N equal steps.
+func benchLockstep(b *testing.B, names ...string) {
 	m := newTestMachine(1)
-	mk := func(name string) {
+	for _, name := range names {
 		m.Spawn(name, 0, nil, func(c *Core) {
 			for i := 0; i < b.N; i++ {
 				c.Spin(10)
 			}
 		})
 	}
-	mk("a")
-	mk("b")
 	b.ReportAllocs()
 	b.ResetTimer()
 	m.Run()

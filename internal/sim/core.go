@@ -50,10 +50,10 @@ func (c *Core) emitTimed(kind string, start, t int64) {
 }
 
 // step advances the local clock, applies any scheduled disturbances that
-// have come due, and hands control back to the machine only once the clock
-// passes the batching bound — every op remains a scheduling point
-// semantically, but the coroutine switch is skipped while this agent would
-// be re-picked anyway.
+// have come due, and parks the agent only once the clock passes the
+// batching bound — every op remains a scheduling point semantically, but
+// the handoff (a coroutine yield, or on the host a pass through the
+// scheduling loop) is skipped while this agent would be re-picked anyway.
 func (c *Core) step(cost int64) {
 	c.now += cost
 	if c.agent.faults != nil {
@@ -172,7 +172,8 @@ func (c *Core) Spin(cycles int64) {
 	c.step(cycles)
 }
 
-// WaitUntil spins until the core's TSC reaches t (plus sync slack jitter),
+// WaitUntil spins until the core's TSC reaches t plus a uniform
+// 0..Machine.SyncSlack cycles of sync slack,
 // the synchronization primitive the channel protocols use. The target is
 // in the agent's perceived clock: under a drift fault a fast clock wakes
 // early in global time, exactly as a real skewed TSC would. If t is

@@ -1,10 +1,13 @@
 // Package sim runs attacker/victim programs against a hier.Hierarchy on a
 // deterministic global cycle clock. Each program (Agent) is an ordinary Go
-// function making memory operations through its Core, run as a coroutine
-// (iter.Pull): the Machine resumes exactly one agent at a time — always the
-// one earliest on the clock — and the agent suspends itself at a scheduling
-// point, so cross-core interleavings are reproducible bit-for-bit for a
-// given seed, while the attack code reads like the paper's listings.
+// function making memory operations through its Core. The machine runs
+// exactly one agent at a time — always the one earliest on the clock — and
+// the agent suspends itself at a scheduling point, so cross-core
+// interleavings are reproducible bit-for-bit for a given seed, while the
+// attack code reads like the paper's listings. The first-spawned
+// non-daemon agent (the host) runs on the goroutine that called Run and,
+// when it suspends, runs the scheduling loop on its own stack; every other
+// agent is a coroutine (iter.Pull) the loop resumes.
 package sim
 
 import (
@@ -40,9 +43,16 @@ type Machine struct {
 
 	agents []*Agent
 	rng    *rand.Rand
-	// SyncSlack is the ± jitter applied by Core.WaitUntil, modelling the
-	// granularity of a TSC spin-wait loop.
+	// SyncSlack bounds how late Core.WaitUntil wakes: it adds a uniform
+	// 0..SyncSlack cycles to every target, modelling the granularity of a
+	// TSC spin-wait loop.
 	SyncSlack int64
+
+	// running is set while Run is on the stack; spawning then panics.
+	// abort is the value Run raises once its agents are torn down: an
+	// *AgentError or canceledTrial, set by the scheduling loop.
+	running bool
+	abort   any
 
 	// faults holds scheduled disturbances keyed by agent name; see
 	// fault.go. FaultNotify, when set, observes each disturbance firing.
@@ -119,7 +129,9 @@ type Agent struct {
 	fn   func(*Core)
 	// next resumes the agent's coroutine until its next scheduling point;
 	// stop tears it down. yield, set once the body starts, is the
-	// coroutine's side of the handoff.
+	// coroutine's side of the handoff. All three stay nil on the host,
+	// which runs on Run's goroutine and parks by running the scheduling
+	// loop itself.
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
@@ -149,6 +161,9 @@ func (m *Machine) SpawnDaemon(name string, coreID int, as *mem.AddressSpace, fn 
 }
 
 func (m *Machine) spawn(name string, coreID int, as *mem.AddressSpace, fn func(*Core), daemon bool) *Agent {
+	if m.running {
+		panic(fmt.Sprintf("sim: Spawn(%q) during Run", name))
+	}
 	if coreID < 0 || coreID >= m.H.Config().Cores {
 		panic(fmt.Sprintf("sim: Spawn(%q): core %d out of range", name, coreID))
 	}
@@ -189,23 +204,50 @@ func (e *AgentError) Error() string {
 // with an *AgentError (naming the agent and carrying the original panic
 // value) if any agent panicked — including a daemon that panics during
 // teardown — since that always indicates a harness bug. Agents spawned
-// after Run returns belong to a fresh Run call.
+// after Run returns belong to a fresh Run call; spawning during Run
+// panics.
+//
+// The host (the first-spawned non-daemon agent) runs its body right here
+// once the loop first picks it, so a host-to-coroutine round trip costs
+// two coroutine switches and a single-agent machine starts none.
 func (m *Machine) Run() {
+	var host *Agent
 	for _, a := range m.agents {
+		if host == nil && !a.Daemon {
+			host = a
+			continue
+		}
 		a.next, a.stop = iter.Pull(a.run)
 	}
-	for {
+	m.running = true
+	// Deferred, so a runtime.Goexit in an agent body stops every
+	// coroutine too.
+	defer m.teardown()
+	if m.schedule(host) {
+		host.run(nil)
+		if m.abort == nil {
+			m.ended(host)
+			m.schedule(host)
+		}
+	}
+}
+
+// schedule is the scheduling loop. It resumes agents in clock order until
+// nextRunnable picks host, whose turn it then sets up and reports with
+// true, or no non-daemon work is left. On a panicked agent or a cancelled
+// trial it records the value Run raises in m.abort and returns false.
+func (m *Machine) schedule(host *Agent) bool {
+	for m.abort == nil {
 		a := m.nextRunnable()
 		if a == nil {
-			break
+			return false
 		}
 		if m.ctx != nil && a.core.now >= m.checkAt {
 			// Cancellation checkpoint. It never alters which agent runs
 			// next or any RNG draw, so the output is unchanged.
 			if m.ctx.Err() != nil {
-				m.killAll()
-				m.agents = nil
-				panic(canceledTrial{})
+				m.abort = canceledTrial{}
+				return false
 			}
 			m.checkAt = a.core.now + ctxCheckCycles
 		}
@@ -220,20 +262,39 @@ func (m *Machine) Run() {
 		// pair per memory operation while preserving the exact op
 		// interleaving, RNG draw order and trace stream.
 		a.core.runLimit = m.batchLimit(a)
+		if a == host {
+			return true
+		}
 		a.next()
-		if a.done && a.err != nil {
-			m.killAll() // ignore secondary teardown errors; the first panic wins
-			m.agents = nil
-			panic(&AgentError{Agent: a.Name, Value: a.err, Stack: a.stack})
-		}
-		if a.done && a.err == nil && m.tr.On(trace.PkgSim) {
-			e := trace.E("sim", "done", a.core.now)
-			e.Agent, e.Core = a.Name, a.core.ID
-			m.tr.Emit(e)
-		}
+		m.ended(a)
 	}
+	return false
+}
+
+// ended handles an agent whose turn is over: a panic becomes m.abort, a
+// clean finish is traced.
+func (m *Machine) ended(a *Agent) {
+	switch {
+	case !a.done: // parked mid-body
+	case a.err != nil:
+		m.abort = &AgentError{Agent: a.Name, Value: a.err, Stack: a.stack}
+	case m.tr.On(trace.PkgSim):
+		e := trace.E("sim", "done", a.core.now)
+		e.Agent, e.Core = a.Name, a.core.ID
+		m.tr.Emit(e)
+	}
+}
+
+// teardown stops every coroutine still alive and raises m.abort, or else
+// the first real panic of a daemon torn down (secondary teardown errors
+// after an abort are ignored; the first panic wins).
+func (m *Machine) teardown() {
+	abort := m.abort
 	err := m.killAll()
-	m.agents = nil
+	m.agents, m.running, m.abort = nil, false, nil
+	if abort != nil {
+		panic(abort)
+	}
 	if err != nil {
 		panic(err)
 	}
@@ -297,11 +358,12 @@ func (m *Machine) batchLimit(a *Agent) int64 {
 // teardown path is the killedError panic Agent.run swallows; a daemon that
 // instead dies with a real panic (e.g. a deferred function blowing up while
 // unwinding) is reported, not silently discarded. An agent that never got
-// a turn is stopped before its body starts.
+// a turn is stopped before its body starts; a host that never got one has
+// nothing to stop.
 func (m *Machine) killAll() *AgentError {
 	var firstErr *AgentError
 	for _, a := range m.agents {
-		if a.done {
+		if a.done || a.stop == nil {
 			continue
 		}
 		a.stop()
@@ -312,9 +374,9 @@ func (m *Machine) killAll() *AgentError {
 	return firstErr
 }
 
-// run is the agent's coroutine body (the iter.Pull sequence): it runs the
-// program and records how it ended. It yields nothing; each yield is a
-// scheduling point.
+// run is the agent's body — the iter.Pull sequence of a coroutine, or
+// called with a nil yield on the host: it runs the program and records how
+// it ended. It yields nothing; each yield is a scheduling point.
 func (a *Agent) run(yield func(struct{}) bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -329,9 +391,17 @@ func (a *Agent) run(yield func(struct{}) bool) {
 	a.fn(&a.core)
 }
 
-// park hands control back to the machine until the agent's next turn. When
-// the machine stops the agent instead, park unwinds it with killedError.
+// park hands control back to the machine until the agent's next turn; the
+// host runs the scheduling loop on its own stack until the loop picks it
+// again. When the machine stops the agent instead, park unwinds it with
+// killedError.
 func (a *Agent) park() {
+	if a.yield == nil {
+		if !a.core.m.schedule(a) {
+			panic(killedError{})
+		}
+		return
+	}
 	if !a.yield(struct{}{}) {
 		panic(killedError{})
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"leakyway/internal/hier"
@@ -180,8 +181,25 @@ func runRecovered(m *Machine) (r any) {
 	return nil
 }
 
+// runOnGoroutine runs m on a fresh goroutine and returns the value Run
+// panicked with, if any, and whether that goroutine ended in
+// runtime.Goexit instead.
+func runOnGoroutine(m *Machine) (r any, goexited bool) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		goexited = true
+		r = runRecovered(m)
+		goexited = false
+	}()
+	<-done
+	return r, goexited
+}
+
 // TestRunReleasesAgentCoroutines checks that every agent coroutine is gone
-// once Run returns or panics, whichever way the agents ended.
+// once Run returns, panics or is left by runtime.Goexit, whichever way the
+// agents ended — the host (first non-daemon agent, run on Run's goroutine)
+// as well as the coroutines.
 func TestRunReleasesAgentCoroutines(t *testing.T) {
 	looper := func(c *Core) {
 		for {
@@ -190,66 +208,165 @@ func TestRunReleasesAgentCoroutines(t *testing.T) {
 	}
 	cases := []struct {
 		name  string
-		spawn func(m *Machine)
+		spawn func(m *Machine, unwound *bool)
 		agent string // agent named by the expected AgentError; "" = no panic
+		// goexit: Run's goroutine must end in runtime.Goexit; unwound: the
+		// host's deferred func must have run.
+		goexit, unwound bool
 	}{
-		{"daemon-still-looping", func(m *Machine) {
+		{"daemon-still-looping", func(m *Machine, _ *bool) {
 			m.SpawnDaemon("noise", 1, nil, looper)
 			m.Spawn("work", 0, nil, func(c *Core) { c.Spin(5000) })
-		}, ""},
-		{"agent-panic", func(m *Machine) {
+		}, "", false, false},
+		{"agent-panic", func(m *Machine, _ *bool) {
 			m.SpawnDaemon("noise", 1, nil, looper)
 			m.Spawn("boom", 0, nil, func(c *Core) {
 				c.Spin(10)
 				panic("kaboom")
 			})
-		}, "boom"},
-		{"daemon-teardown-panic", func(m *Machine) {
+		}, "boom", false, false},
+		{"daemon-teardown-panic", func(m *Machine, _ *bool) {
 			m.SpawnDaemon("rotten", 1, nil, func(c *Core) {
 				defer func() { panic("teardown bomb") }()
 				looper(c)
 			})
 			m.Spawn("work", 0, nil, func(c *Core) { c.Spin(500) })
-		}, "rotten"},
+		}, "rotten", false, false},
+		{"host-panic-daemon-parked", func(m *Machine, _ *bool) {
+			m.Spawn("boom", 0, nil, func(c *Core) {
+				for i := 0; i < 20; i++ {
+					c.Spin(30)
+				}
+				panic("kaboom")
+			})
+			m.SpawnDaemon("noise", 1, nil, looper)
+		}, "boom", false, false},
+		{"coroutine-panic-host-parked", func(m *Machine, unwound *bool) {
+			m.Spawn("host", 0, nil, func(c *Core) {
+				defer func() { *unwound = true }()
+				looper(c)
+			})
+			m.Spawn("boom", 1, nil, func(c *Core) {
+				c.Spin(1000)
+				panic("kaboom")
+			})
+		}, "boom", false, true},
+		{"host-goexit", func(m *Machine, unwound *bool) {
+			m.Spawn("quitter", 0, nil, func(c *Core) {
+				defer func() { *unwound = true }()
+				c.Spin(500)
+				runtime.Goexit()
+			})
+			m.SpawnDaemon("noise", 1, nil, looper)
+		}, "", true, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
 			m := newTestMachine(8)
-			tc.spawn(m)
-			r := runRecovered(m)
+			unwound := false
+			tc.spawn(m, &unwound)
+			r, goexited := runOnGoroutine(m)
+			if goexited != tc.goexit {
+				t.Fatalf("Run's goroutine ended in Goexit: %v, want %v", goexited, tc.goexit)
+			}
 			if tc.agent == "" && r != nil {
 				t.Fatalf("Run panicked: %v", r)
 			}
-			if ae, ok := r.(*AgentError); tc.agent != "" && (!ok || ae.Agent != tc.agent) {
-				t.Fatalf("Run panicked with %T %v; want *AgentError for %q", r, r, tc.agent)
+			if ae, ok := r.(*AgentError); tc.agent != "" && (!ok || ae.Agent != tc.agent || len(ae.Stack) == 0) {
+				t.Fatalf("Run panicked with %T %v; want *AgentError with a stack for %q", r, r, tc.agent)
+			}
+			if tc.unwound && !unwound {
+				t.Fatal("the host's deferred func did not run")
 			}
 			settleGoroutines(t, before)
 		})
 	}
 }
 
-// TestUnstartedAgentNeverRuns checks that an agent torn down before its
-// first turn is stopped without its body ever running: here the first
-// agent panics at cycle 0, before the daemon spawned after it is picked.
-func TestUnstartedAgentNeverRuns(t *testing.T) {
+// TestSpawnDuringRunPanics checks that spawning from inside a running
+// agent, the host or a coroutine, surfaces as that agent's *AgentError and
+// still tears every coroutine down.
+func TestSpawnDuringRunPanics(t *testing.T) {
+	for _, spawner := range []string{"host", "guest"} {
+		t.Run(spawner, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			m := newTestMachine(10)
+			body := func(name string) func(*Core) {
+				return func(c *Core) {
+					c.Spin(100)
+					if name == spawner {
+						m.SpawnDaemon("late", 1, nil, func(*Core) {})
+					}
+					c.Spin(100)
+				}
+			}
+			m.Spawn("host", 0, nil, body("host"))
+			m.Spawn("guest", 1, nil, body("guest"))
+			m.SpawnDaemon("noise", 1, nil, func(c *Core) {
+				for {
+					c.Spin(50)
+				}
+			})
+			ae, ok := runRecovered(m).(*AgentError)
+			if !ok || ae.Agent != spawner {
+				t.Fatalf("Run did not surface %q's Spawn as its AgentError", spawner)
+			}
+			if msg, _ := ae.Value.(string); !strings.Contains(msg, "during Run") {
+				t.Fatalf("AgentError value = %v", ae.Value)
+			}
+			settleGoroutines(t, before)
+		})
+	}
+}
+
+// TestSingleAgentRunStartsNoGoroutine checks that a lone agent runs on
+// Run's own goroutine: no coroutine is started for it.
+func TestSingleAgentRunStartsNoGoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
-	m := newTestMachine(9)
-	m.Spawn("early", 0, nil, func(c *Core) { panic("before any op") })
-	ran := false
-	m.SpawnDaemon("late", 1, nil, func(c *Core) {
-		ran = true
-		for {
-			c.Spin(50)
-		}
+	during := -1
+	m := newTestMachine(11)
+	m.Spawn("solo", 0, nil, func(c *Core) {
+		c.Load(c.Alloc(mem.PageSize))
+		during = runtime.NumGoroutine()
 	})
-	if ae, ok := runRecovered(m).(*AgentError); !ok || ae.Agent != "early" {
-		t.Fatalf("Run did not surface the first agent's panic")
+	m.Run()
+	if during != before {
+		t.Fatalf("%d goroutines during Run, %d before", during, before)
 	}
-	if ran {
-		t.Fatal("the daemon's body ran although it never got a turn")
+}
+
+// TestUnstartedAgentNeverRuns checks that an agent torn down before its
+// first turn is never entered, whether it is a coroutine (stopped before
+// its body starts) or the host: here the first-spawned agent panics at
+// cycle 0, before the agent spawned after it is picked.
+func TestUnstartedAgentNeverRuns(t *testing.T) {
+	for _, lateIsHost := range []bool{false, true} {
+		before := runtime.NumGoroutine()
+		m := newTestMachine(9)
+		boom := func(c *Core) { panic("before any op") }
+		ran := false
+		late := func(c *Core) {
+			ran = true
+			for {
+				c.Spin(50)
+			}
+		}
+		if lateIsHost {
+			m.SpawnDaemon("early", 0, nil, boom)
+			m.Spawn("late", 1, nil, late)
+		} else {
+			m.Spawn("early", 0, nil, boom)
+			m.SpawnDaemon("late", 1, nil, late)
+		}
+		if ae, ok := runRecovered(m).(*AgentError); !ok || ae.Agent != "early" {
+			t.Fatalf("late is host %v: Run did not surface the first agent's panic", lateIsHost)
+		}
+		if ran {
+			t.Fatalf("late is host %v: the late agent's body ran although it never got a turn", lateIsHost)
+		}
+		settleGoroutines(t, before)
 	}
-	settleGoroutines(t, before)
 }
 
 func TestTimedOpsIncludeOverhead(t *testing.T) {
