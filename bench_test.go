@@ -48,6 +48,24 @@ func BenchmarkFig7(b *testing.B) { benchExperiment(b, "fig7", "pipeline_errors")
 func BenchmarkFig8(b *testing.B) {
 	benchExperiment(b, "fig8", "skylake/ntpntp_peak_kbps")
 }
+
+// BenchmarkFig8FreshSeed runs one quick fig8 per iteration with a new seed
+// at Jobs=1, as a daemon job that misses the result cache does: every
+// iteration shuffles fresh frame pools and repeats the channel setup of
+// each sweep point instead of reusing memoized shuffles.
+func BenchmarkFig8FreshSeed(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ctx := NewExperimentContext(io.Discard)
+		ctx.Quick = true
+		ctx.Jobs = 1
+		ctx.Seed = 1000 + int64(i)
+		if _, err := RunExperiment(ctx, "fig8"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkTable2(b *testing.B) {
 	benchExperiment(b, "table2", "skylake/ntpntp_peak_kbps")
 }

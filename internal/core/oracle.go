@@ -31,22 +31,47 @@ func CongruentLines(m *sim.Machine, as *mem.AddressSpace, target mem.VAddr, n in
 // agreed LLC set). Pages are allocated on demand.
 func CongruentWithLine(m *sim.Machine, as *mem.AddressSpace, tline mem.LineAddr, n int) ([]mem.VAddr, error) {
 	geo := m.H.Geometry()
-	lineOff := (uint64(tline) % mem.LinesPerPage) * mem.LineSize
+	tslice := geo.Slice(tline)
+	// Lines in tline's set are compared further; only they pay for the
+	// slice hash.
+	setMask := uint64(geo.SetsPerSlice - 1)
+	return scanPages(as, tline, setMask, n, "congruent", func(la mem.LineAddr) bool {
+		return la != tline && geo.Slice(la) == tslice
+	})
+}
+
+// scanBatch is how many pages the oracles map at a time.
+const scanBatch = 64
+
+// scanPages maps fresh pages into as, scanBatch at a time, and returns the
+// line at tline's index within the page of each page whose physical line
+// agrees with tline on the bits in mask and satisfies keep, until it has n
+// of them. It builds each line address from the frames the batch was mapped
+// to, so no page is translated one by one; what names the search in the
+// error returned when 4096 batches do not suffice.
+func scanPages(as *mem.AddressSpace, tline mem.LineAddr, mask uint64, n int, what string, keep func(mem.LineAddr) bool) ([]mem.VAddr, error) {
+	lineIdx := uint64(tline) % mem.LinesPerPage
+	want := uint64(tline) & mask
 	var out []mem.VAddr
-	const batch = 64
+	var frames []uint32
 	for budget := 0; len(out) < n; budget++ {
 		if budget > 4096 {
-			return nil, fmt.Errorf("core: exhausted %d pages finding congruent lines", budget*batch)
+			return nil, fmt.Errorf("core: exhausted %d pages finding %s lines", budget*scanBatch, what)
 		}
-		base, err := as.Alloc(batch * mem.PageSize)
+		base, err := as.Alloc(scanBatch * mem.PageSize)
 		if err != nil {
 			return nil, err
 		}
-		for p := uint64(0); p < batch && len(out) < n; p++ {
-			va := base + mem.VAddr(p*mem.PageSize) + mem.VAddr(lineOff)
-			la := as.MustTranslate(va).Line()
-			if la != tline && geo.Congruent(la, tline) {
-				out = append(out, va)
+		if frames, err = as.AppendFrames(frames[:0], base, scanBatch); err != nil {
+			return nil, err
+		}
+		for p, f := range frames {
+			la := uint64(f)<<(mem.PageBits-mem.LineBits) | lineIdx
+			if la&mask == want && keep(mem.LineAddr(la)) {
+				out = append(out, base+mem.VAddr(uint64(p)*mem.PageSize+lineIdx*mem.LineSize))
+				if len(out) == n {
+					break
+				}
 			}
 		}
 	}
@@ -74,35 +99,13 @@ func PrivateCongruentLines(m *sim.Machine, as *mem.AddressSpace, target mem.VAdd
 		return nil, fmt.Errorf("core: target unmapped: %w", err)
 	}
 	tline := tpa.Line()
-	l1Mask := uint64(cfg.L1Sets - 1)
-	l2Mask := uint64(cfg.L2Sets - 1)
-	lineOff := target.PageOffset() &^ (mem.LineSize - 1)
-	var out []mem.VAddr
-	const batch = 64
-	for budget := 0; len(out) < n; budget++ {
-		if budget > 4096 {
-			return nil, fmt.Errorf("core: exhausted %d pages finding private-congruent lines", budget*batch)
-		}
-		base, err := as.Alloc(batch * mem.PageSize)
-		if err != nil {
-			return nil, err
-		}
-		for p := uint64(0); p < batch && len(out) < n; p++ {
-			va := base + mem.VAddr(p*mem.PageSize) + mem.VAddr(lineOff)
-			la := as.MustTranslate(va).Line()
-			if la == tline || geo.Congruent(la, tline) {
-				continue
-			}
-			if uint64(la)&l1Mask != uint64(tline)&l1Mask {
-				continue
-			}
-			if uint64(la)&l2Mask != uint64(tline)&l2Mask {
-				continue
-			}
-			out = append(out, va)
-		}
-	}
-	return out, nil
+	tset, tslice := geo.Set(tline), geo.Slice(tline)
+	// A candidate shares tline's L1 and L2 sets (the masked bits) and then
+	// must miss its LLC slice and set.
+	privMask := uint64(cfg.L1Sets-1) | uint64(cfg.L2Sets-1)
+	return scanPages(as, tline, privMask, n, "private-congruent", func(la mem.LineAddr) bool {
+		return la != tline && (geo.Set(la) != tset || geo.Slice(la) != tslice)
+	})
 }
 
 // MustPrivateCongruentLines panics on failure.

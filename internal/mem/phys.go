@@ -108,10 +108,15 @@ func (pm *PhysMem) takeFrames(n uint64) ([]uint32, error) {
 //
 // The reservation is synthesized past the end of the randomized pool, which
 // models a huge-page region: only the set-index bits of the resulting
-// addresses matter, and they remain well-formed.
+// addresses matter, and they remain well-formed. Page tables store frame
+// numbers in 32 bits, so a reservation that would run past frame 2^32-1
+// fails and reserves nothing.
 func (pm *PhysMem) AllocContiguous(n int) (uint64, error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("mem: AllocContiguous(%d): n must be positive", n)
+	}
+	if uint64(n) > 1<<32-pm.synth {
+		return 0, fmt.Errorf("mem: AllocContiguous(%d): frames would pass 2^32", n)
 	}
 	base := pm.synth
 	pm.synth += uint64(n)

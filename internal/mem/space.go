@@ -17,9 +17,9 @@ type AddressSpace struct {
 	pm *PhysMem
 
 	// The page table is a sorted list of non-overlapping extents: address
-	// spaces here are a handful of large regions, so growing the region at
-	// brk and binary-searching a few extents beats hashing every page.
-	// hint is the extent the last table lookup hit.
+	// spaces here are a handful of large regions, so binary-searching a few
+	// extents beats hashing every page. hint is the extent the last table
+	// lookup hit.
 	extents []extent
 	hint    int
 	brk     uint64 // next free virtual page
@@ -31,10 +31,13 @@ type AddressSpace struct {
 	tlbFrames [tlbSlots]uint64
 }
 
-// extent maps the virtual pages [start, start+len(frames)) to frames.
+// extent maps the virtual pages [start, start+len(frames)) to frames. The
+// frame slice is read-only: Alloc and AllocAt map a view of the pool's
+// shuffled frame list (shared by every space on the pool, and by every pool
+// over the same FrameShuffle), so nothing may write through it.
 type extent struct {
 	start  uint64
-	frames []uint64
+	frames []uint32
 }
 
 func (e *extent) end() uint64 { return e.start + uint64(len(e.frames)) }
@@ -63,10 +66,7 @@ func (as *AddressSpace) Alloc(size uint64) (VAddr, error) {
 		return 0, err
 	}
 	base := as.brk
-	slots := as.extendBrk(npages)
-	for i, f := range frames {
-		slots[i] = uint64(f)
-	}
+	as.mapAtBrk(frames)
 	return VAddr(base << PageBits), nil
 }
 
@@ -81,11 +81,12 @@ func (as *AddressSpace) AllocContiguous(size uint64) (VAddr, error) {
 	if err != nil {
 		return 0, err
 	}
-	base := as.brk
-	slots := as.extendBrk(npages)
-	for i := range slots {
-		slots[i] = first + uint64(i)
+	frames := make([]uint32, npages)
+	for i := range frames {
+		frames[i] = uint32(first) + uint32(i)
 	}
+	base := as.brk
+	as.mapAtBrk(frames)
 	return VAddr(base << PageBits), nil
 }
 
@@ -102,20 +103,20 @@ func pageCount(op string, size uint64) (uint64, error) {
 	return (size + PageSize - 1) / PageSize, nil
 }
 
-// extendBrk maps n pages at brk, growing the extent that ends there (or
-// starting one), advances brk past them, and returns their frame slots for
-// the caller to fill.
-func (as *AddressSpace) extendBrk(n uint64) []uint64 {
-	k := len(as.extents)
-	if k == 0 || as.extents[k-1].end() != as.brk {
-		as.extents = append(as.extents, extent{start: as.brk})
-		k++
+// mapAtBrk maps frames at brk and advances brk past them. It grows the
+// extent ending at brk in place when frames continue that extent's backing
+// array (consecutive draws from one pool), and starts a new extent
+// otherwise.
+func (as *AddressSpace) mapAtBrk(frames []uint32) {
+	if k := len(as.extents); k > 0 {
+		e := &as.extents[k-1]
+		if n := len(e.frames); e.end() == as.brk && n < cap(e.frames) && &e.frames[:n+1][n] == &frames[0] {
+			e.frames = e.frames[:n+len(frames)]
+			as.brk += uint64(len(frames))
+			return
+		}
 	}
-	e := &as.extents[k-1]
-	old := len(e.frames)
-	e.frames = slices.Grow(e.frames, int(n))[:old+int(n)]
-	as.brk += n
-	return e.frames[old:]
+	as.insert(len(as.extents), as.brk, frames)
 }
 
 // search returns the index of the first extent that ends after page — the
@@ -137,7 +138,7 @@ func (as *AddressSpace) search(page uint64) int {
 func (as *AddressSpace) lookup(page uint64) (uint64, bool) {
 	if h := as.hint; h < len(as.extents) {
 		if e := &as.extents[h]; page-e.start < uint64(len(e.frames)) {
-			return e.frames[page-e.start], true
+			return uint64(e.frames[page-e.start]), true
 		}
 	}
 	i := as.search(page)
@@ -146,7 +147,7 @@ func (as *AddressSpace) lookup(page uint64) (uint64, bool) {
 	}
 	as.hint = i
 	e := &as.extents[i]
-	return e.frames[page-e.start], true
+	return uint64(e.frames[page-e.start]), true
 }
 
 // overlap reports the first mapped page in [start, start+n), if any, and
@@ -161,7 +162,7 @@ func (as *AddressSpace) overlap(start, n uint64) (i int, first uint64, mapped bo
 
 // insert maps [start, start+len(frames)) at extent index i, which overlap
 // returned for a free range, and raises brk to the end of the mapping.
-func (as *AddressSpace) insert(i int, start uint64, frames []uint64) {
+func (as *AddressSpace) insert(i int, start uint64, frames []uint32) {
 	as.extents = slices.Insert(as.extents, i, extent{start: start, frames: frames})
 	if end := start + uint64(len(frames)); end > as.brk {
 		as.brk = end
@@ -206,7 +207,7 @@ func (as *AddressSpace) MapShared(other *AddressSpace, base VAddr, size uint64) 
 	}
 	start := base.Page()
 	i, dup, isDup := as.overlap(start, npages)
-	frames, hole, isHole := other.framesOf(start, npages)
+	frames, hole, isHole := other.appendFrames(nil, start, npages)
 	// Report the lowest offending page, a duplicate before a hole on the
 	// same page.
 	switch {
@@ -219,11 +220,24 @@ func (as *AddressSpace) MapShared(other *AddressSpace, base VAddr, size uint64) 
 	return nil
 }
 
-// framesOf copies out the frames backing [start, start+n), or reports the
-// first page in the range that is not mapped.
-func (as *AddressSpace) framesOf(start, n uint64) (frames []uint64, hole uint64, isHole bool) {
+// AppendFrames appends the frame numbers backing the npages virtual pages
+// from base's page onward to dst and returns the result, or an error naming
+// the first of those pages that is not mapped. It is how a caller reads the
+// frames of a region it just mapped without translating page by page.
+func (as *AddressSpace) AppendFrames(dst []uint32, base VAddr, npages uint64) ([]uint32, error) {
+	frames, hole, isHole := as.appendFrames(dst, base.Page(), npages)
+	if isHole {
+		return dst, fmt.Errorf("mem: page fault at %#x", hole<<PageBits)
+	}
+	return frames, nil
+}
+
+// appendFrames appends the frames backing [start, start+n) to dst, or
+// reports the first page in the range that is not mapped.
+func (as *AddressSpace) appendFrames(dst []uint32, start, n uint64) (frames []uint32, hole uint64, isHole bool) {
 	end := start + n
 	page := start
+	frames = dst
 	for i := as.search(start); page < end; i++ {
 		if i == len(as.extents) || as.extents[i].start > page {
 			return nil, page, true

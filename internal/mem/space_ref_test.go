@@ -199,7 +199,9 @@ func (f *fuzzOps) addr(brk uint64) VAddr {
 // through the extent page table and the map-backed reference, each pair of
 // spaces on its own identically seeded pool, and after every operation
 // compares results, errors, page-table walk depths near and far from the
-// operation's address, the mapped page set and the next Alloc base.
+// operation's address, the mapped page set and the next Alloc base. Since
+// extents are views of the pool's frame list, it also checks after every
+// operation that the list still equals a copy taken at the start.
 func FuzzAddressSpaceReference(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 2, 10, 0, 4, 0x10, 0, 5, 1, 0, 8})
 	f.Add([]byte{2, 6, 0, 0, 12, 0, 3, 1, 3, 9, 0, 0, 5, 0, 0, 40, 0, 3, 0, 0})
@@ -210,6 +212,8 @@ func FuzzAddressSpaceReference(f *testing.F) {
 		poolPages := 16 + uint64(ops.byte())
 		pm := NewPhysMem(poolPages*PageSize, seed)
 		rpm := NewPhysMem(poolPages*PageSize, seed)
+		// Extents alias the pool's frame list; no operation may write it.
+		pool := slices.Clone(pm.frames)
 		got := [2]*AddressSpace{NewAddressSpace(pm), NewAddressSpace(pm)}
 		want := [2]*refSpace{newRefSpace(rpm), newRefSpace(rpm)}
 		for step := 0; len(ops.data) > 0 && step < 64; step++ {
@@ -272,6 +276,9 @@ func FuzzAddressSpaceReference(f *testing.F) {
 			}
 			for i := range got {
 				compareSpaces(t, fmt.Sprintf("step %d (%s on space %d), space %d", step, desc, s, i), got[i], want[i], va)
+			}
+			if !slices.Equal(pm.frames, pool) {
+				t.Fatalf("step %d (%s on space %d) wrote the pool's frame list", step, desc, s)
 			}
 		}
 	})

@@ -3,6 +3,7 @@ package mem
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -123,6 +124,71 @@ func TestAllocAtAndTranslationLevels(t *testing.T) {
 
 // TestAllocFailureMapsNothing: an allocation the pool cannot back, or a
 // share with a hole in its source, must leave the page table untouched.
+// TestAllocContiguousFrameLimit: page tables hold 32-bit frame numbers, so
+// a contiguous reservation reaching past frame 2^32-1 must fail and map
+// nothing rather than wrap.
+func TestAllocContiguousFrameLimit(t *testing.T) {
+	pm := NewPhysMem(1<<20, 1)
+	as := NewAddressSpace(pm)
+	if _, err := pm.AllocContiguous(int(1<<32 - pm.synth - 2)); err != nil {
+		t.Fatal(err)
+	}
+	base, err := as.AllocContiguous(2 * PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := as.MustTranslate(base + PageSize).Frame(); got != 1<<32-1 {
+		t.Fatalf("last synthesized frame %#x, want %#x", got, uint64(1<<32-1))
+	}
+	if _, err := as.AllocContiguous(PageSize); err == nil {
+		t.Fatal("AllocContiguous past frame 2^32-1 accepted")
+	}
+	if got := len(as.MappedPages()); got != 2 {
+		t.Fatalf("failed AllocContiguous left %d pages mapped, want 2", got)
+	}
+	if next, err := as.Alloc(PageSize); err != nil || next != base+2*PageSize {
+		t.Fatalf("Alloc after a failed AllocContiguous = %#x, %v; want %#x", uint64(next), err, uint64(base+2*PageSize))
+	}
+}
+
+// TestAllocExtentsViewPool: consecutive draws from one pool grow one extent
+// in place; a draw that does not continue the extent's run of the pool
+// (another space drew in between) starts a new one. Translation follows the
+// pool order either way, and the pool's frame list is never written.
+func TestAllocExtentsViewPool(t *testing.T) {
+	pm := NewPhysMem(1<<20, 5)
+	orig := slices.Clone(pm.frames)
+	a, b := NewAddressSpace(pm), NewAddressSpace(pm)
+	for i, sz := range []uint64{3, 5} {
+		if _, err := a.Alloc(sz * PageSize); err != nil {
+			t.Fatal(err)
+		}
+		if len(a.extents) != 1 {
+			t.Fatalf("after %d consecutive Allocs: %d extents, want 1", i+1, len(a.extents))
+		}
+	}
+	if _, err := b.Alloc(PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Alloc(2 * PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if len(a.extents) != 2 {
+		t.Fatalf("Alloc after another space drew: %d extents, want 2", len(a.extents))
+	}
+	want := slices.Concat(orig[:8], orig[9:11])
+	got, err := a.AppendFrames(nil, VAddr(0x1000<<PageBits), uint64(len(want)))
+	if err != nil || !slices.Equal(got, want) {
+		t.Fatalf("frames %v, %v; want %v", got, err, want)
+	}
+	if _, err := a.AppendFrames(nil, VAddr(0x1000<<PageBits), uint64(len(want))+1); err == nil {
+		t.Fatal("AppendFrames past brk accepted")
+	}
+	if !slices.Equal(pm.frames, orig) {
+		t.Fatal("mapping wrote the pool's frame list")
+	}
+}
+
 func TestAllocFailureMapsNothing(t *testing.T) {
 	as := NewAddressSpace(NewPhysMem(4*PageSize, 1))
 	base, err := as.Alloc(3 * PageSize)

@@ -28,13 +28,9 @@ func (as *AddressSpace) AllocAt(base VAddr, size uint64) error {
 	if isDup {
 		return fmt.Errorf("mem: AllocAt: page %#x already mapped", dup)
 	}
-	drawn, err := as.pm.takeFrames(npages)
+	frames, err := as.pm.takeFrames(npages)
 	if err != nil {
 		return err
-	}
-	frames := make([]uint64, len(drawn))
-	for j, f := range drawn {
-		frames[j] = uint64(f)
 	}
 	as.insert(i, start, frames)
 	return nil

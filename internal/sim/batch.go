@@ -50,8 +50,8 @@ var (
 	hierarchies = hier.NewPool()
 	shuffles    = struct {
 		sync.Mutex
-		m map[shuffleKey]*mem.FrameShuffle
-	}{m: map[shuffleKey]*mem.FrameShuffle{}}
+		m map[shuffleKey]func() *mem.FrameShuffle
+	}{m: map[shuffleKey]func() *mem.FrameShuffle{}}
 )
 
 // shuffleKey identifies one frame shuffle: pool size plus the PhysMem seed.
@@ -66,25 +66,24 @@ type shuffleKey struct {
 const maxShuffles = 32
 
 // shuffle returns the memoized frame shuffle for (bytes, seed), computing
-// and memoizing it on first use. A FrameShuffle is immutable, so it is
-// built outside the lock and shared by every goroutine; two builders racing
-// on one key compute the same permutation.
+// and memoizing it on first use. The first caller records the key under the
+// lock and builds the shuffle outside it; callers that find the key while
+// it is being built wait for that build instead of repeating it, so two
+// shards that start a sweep together build its shuffles once. A
+// FrameShuffle is immutable, so every goroutine shares it.
 func shuffle(bytes uint64, seed int64) *mem.FrameShuffle {
 	k := shuffleKey{bytes, seed}
 	shuffles.Lock()
-	sh, ok := shuffles.m[k]
-	shuffles.Unlock()
-	if ok {
-		return sh
+	build, ok := shuffles.m[k]
+	if !ok {
+		if len(shuffles.m) >= maxShuffles {
+			shuffles.m = map[shuffleKey]func() *mem.FrameShuffle{}
+		}
+		build = sync.OnceValue(func() *mem.FrameShuffle { return mem.NewFrameShuffle(bytes, seed) })
+		shuffles.m[k] = build
 	}
-	sh = mem.NewFrameShuffle(bytes, seed)
-	shuffles.Lock()
-	if len(shuffles.m) >= maxShuffles {
-		shuffles.m = map[shuffleKey]*mem.FrameShuffle{}
-	}
-	shuffles.m[k] = sh
 	shuffles.Unlock()
-	return sh
+	return build()
 }
 
 // Arena is the MachineSource of one trial loop: its NewMachine recycles the

@@ -381,6 +381,31 @@ func TestRecyclerContract(t *testing.T) {
 	}
 }
 
+// TestShuffleBuiltOnce: goroutines that ask for one shuffle key together,
+// as the shards of a sweep do when they start, share one build of it.
+func TestShuffleBuiltOnce(t *testing.T) {
+	const callers = 8
+	const bytes, seed = 1<<30 + 3*mem.PageSize, -0x5eed // a key no other test uses
+	got := make([]*mem.FrameShuffle, callers)
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-release
+			got[i] = shuffle(bytes, seed)
+		}()
+	}
+	close(release)
+	wg.Wait()
+	for i, sh := range got {
+		if sh != got[0] {
+			t.Fatalf("caller %d got a shuffle of its own; the key was built more than once", i)
+		}
+	}
+}
+
 // TestRunBatchConcurrentMatchesSerial runs four trial loops at once on the
 // process-wide recycler, over seeds every loop shares and seeds only one
 // loop uses: hierarchies and shuffles then cross goroutines, and every
