@@ -1,7 +1,9 @@
 # Build/verify entry points. `make verify` is the tier-1 gate: build,
-# vet (of the benchmark module too), formatting, tests, the race detector over the whole module (the
-# parallel experiment engine must stay clean under -race), and a short
-# fuzz smoke over the ARQ frame decoders.
+# vet (of the benchmark module too), formatting, staticcheck, tests, the
+# race detector over the whole module (the parallel experiment engine must
+# stay clean under -race), short runs of the ten fuzz targets in
+# fuzz-smoke, the traced-run determinism gate (trace-smoke), the shipped
+# templates (template-validate) and the daemon smokes (VERIFY_SMOKES).
 
 GO ?= go
 
@@ -72,9 +74,10 @@ template-validate:
 	$(GO) run ./cmd/leakyway -template templates/ validate
 
 # Traced-run determinism gate: the same traced fig6/fig7/fig8 run at
-# -jobs 1 and -jobs 8 must export byte-identical traces. fig6 and fig7 each
-# trace one recycled machine, fig8 a sweep of them. Filtered to the
-# protocol-level subsystems to keep the files small.
+# -jobs 1, 3 and 8 must export byte-identical traces (-jobs 3 covers an odd
+# worker count). fig6 and fig7 each trace one recycled machine, fig8 a
+# sweep of them. Filtered to the protocol-level subsystems to keep the
+# files small.
 #
 # The smoke targets build and write into a fresh temporary directory that
 # is removed on exit, so concurrent runs on one host do not clobber each
@@ -84,10 +87,13 @@ trace-smoke:
 	$(GO) build -o "$$tmp/leakyway" ./cmd/leakyway; \
 	"$$tmp/leakyway" -quick -jobs 1 -trace "$$tmp/trace-j1.jsonl" \
 		-trace-filter channel,sim,fault run fig6 fig7 fig8 > /dev/null; \
+	"$$tmp/leakyway" -quick -jobs 3 -trace "$$tmp/trace-j3.jsonl" \
+		-trace-filter channel,sim,fault run fig6 fig7 fig8 > /dev/null; \
 	"$$tmp/leakyway" -quick -jobs 8 -trace "$$tmp/trace-j8.jsonl" \
 		-trace-filter channel,sim,fault run fig6 fig7 fig8 > /dev/null; \
+	cmp "$$tmp/trace-j1.jsonl" "$$tmp/trace-j3.jsonl"; \
 	cmp "$$tmp/trace-j1.jsonl" "$$tmp/trace-j8.jsonl"
-	@echo "trace-smoke: fig6/fig7/fig8 traces byte-identical across -jobs 1/8"
+	@echo "trace-smoke: fig6/fig7/fig8 traces byte-identical across -jobs 1/3/8"
 
 # Daemon robustness gate: drives the real leakywayd binary over HTTP
 # (through service.Client) and signals — an SSE progress frame before done,

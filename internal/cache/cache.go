@@ -376,8 +376,8 @@ func (c *Cache) AgeOf(setIdx, way int) int {
 	return c.states[setIdx].AgeAt(way)
 }
 
-// View returns a copy of the set's lines plus the policy snapshot, for
-// tracing and assertions. The two slices are index-aligned.
+// View returns a copy of the set's lines plus each way's policy metadata
+// (policy.Ages), for tracing and assertions. The two slices are index-aligned.
 type View struct {
 	Lines []Line
 	Meta  []int
@@ -396,7 +396,7 @@ func (c *Cache) lineAt(i int) Line {
 
 // ViewSet captures the current contents of one set.
 func (c *Cache) ViewSet(setIdx int) View {
-	v := View{Lines: make([]Line, c.cfg.Ways), Meta: c.states[setIdx].Snapshot()}
+	v := View{Lines: make([]Line, c.cfg.Ways), Meta: policy.Ages(c.states[setIdx], c.cfg.Ways)}
 	base := setIdx * c.cfg.Ways
 	for w := range v.Lines {
 		v.Lines[w] = c.lineAt(base + w)

@@ -75,7 +75,7 @@ func NewPool(c *sim.Core, target mem.VAddr, pages int) []mem.VAddr {
 func BuildPrefetch(c *sim.Core, target mem.VAddr, opt Options) (Result, error) {
 	desired := opt.Desired
 	if desired <= 0 {
-		return Result{}, fmt.Errorf("evset: Desired must be positive, got %d", desired)
+		return Result{}, errDesired(desired)
 	}
 	var res Result
 	start := c.Now()
@@ -121,7 +121,7 @@ func BuildPrefetch(c *sim.Core, target mem.VAddr, opt Options) (Result, error) {
 func BuildBaseline(c *sim.Core, target mem.VAddr, opt Options) (Result, error) {
 	desired := opt.Desired
 	if desired <= 0 {
-		return Result{}, fmt.Errorf("evset: Desired must be positive, got %d", desired)
+		return Result{}, errDesired(desired)
 	}
 	var res Result
 	start := c.Now()

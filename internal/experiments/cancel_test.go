@@ -202,32 +202,6 @@ func TestDeadlinePropagates(t *testing.T) {
 	}
 }
 
-// TestUnguardedParallelNeverPanics pins the library-facing contract: on a
-// hand-built context (no engine, no runGuarded recover) a cancelled
-// Parallel stops early and returns instead of panicking into caller code,
-// both before any shard starts and while a shard's machine is running.
-func TestUnguardedParallelNeverPanics(t *testing.T) {
-	ctx := testContext(1)
-	cctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ctx.Ctx = cctx
-	calls := 0
-	ctx.Parallel(10, func(i int, _ sim.MachineSource) { calls++ })
-	if calls != 0 {
-		t.Fatalf("pre-cancelled unguarded Parallel ran %d shards; want 0", calls)
-	}
-
-	cctx, cancel = context.WithCancel(context.Background())
-	defer cancel()
-	ctx.Ctx = cctx
-	var started atomic.Int64
-	time.AfterFunc(20*time.Millisecond, cancel)
-	ctx.Parallel(10, spinTrial(ctx, &started))
-	if n := started.Load(); n != 1 {
-		t.Fatalf("unguarded Parallel cancelled mid-machine started %d shards; want 1", n)
-	}
-}
-
 // TestShardPanicIsIsolated proves a panic inside a trial shard — on
 // whichever goroutine the engine scheduled it — fails that task with an
 // error instead of killing the process, at both job counts. This is the

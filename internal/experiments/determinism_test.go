@@ -8,7 +8,7 @@ import (
 )
 
 // TestRunAllJobsMatrix is the engine's core contract: the full suite,
-// run with 1, 2 and 8 workers from the same seed, must produce identical
+// run with 1, 2, 3 and 8 workers from the same seed, must produce identical
 // metrics AND a byte-identical rendered report. Any scheduling leak —
 // a shared RNG, an unordered buffer flush, a racy metric write — shows
 // up here.
@@ -36,7 +36,7 @@ func TestRunAllJobsMatrix(t *testing.T) {
 	if len(ref.metrics) == 0 || ref.report == "" {
 		t.Fatal("reference run produced nothing")
 	}
-	for _, jobs := range []int{2, 8} {
+	for _, jobs := range []int{2, 3, 8} {
 		got := runWith(jobs)
 		if !reflect.DeepEqual(ref.metrics, got.metrics) {
 			for id, rm := range ref.metrics {

@@ -16,7 +16,8 @@ import (
 
 // The parallel experiment engine.
 //
-// runExperiments fans a task list out over a pool of ctx.Jobs workers.
+// One fan-out, fanOut, schedules all work: runExperiments hands it the
+// experiment list, and Parallel hands it each experiment's trial shards.
 // Determinism is preserved by construction, not by luck:
 //
 //   - every task's stochastic behaviour derives from SplitSeed(master,
@@ -26,22 +27,26 @@ import (
 //   - concurrent metric recording goes through Result's lock and the
 //     final map is key-addressed, so recording order is invisible.
 //
-// Inside a task, Parallel is the only fan-out and the only way to get a
-// machine: it hands trial shards to idle pool workers, and each shard
-// builds its machines through a sim.MachineSource that recycles them
-// through the process-wide hierarchy pool and shuffle memo
-// (sim.RunBatchContext). The pool uses a token bucket
-// in which each outer worker holds a token for its lifetime: while all
-// workers are busy, inner Parallel finds no free token and degrades to
-// the calling goroutine running its shards itself (never a deadlock);
-// during the tail of a run, drained workers return their tokens and the
-// still-running heavy experiments soak them up.
+// One budget of ctx.Jobs workers serves experiments and shards alike: a
+// bucket of Jobs tokens (none when Jobs <= 1), one per goroutine running
+// engine work. The goroutine that calls runExperiments holds the first;
+// every fanOut recruits one helper per token free at the call, and runs
+// indices on its calling goroutine too. So while every token is out an
+// inner Parallel runs its shards itself (never a deadlock). A fanOut
+// caller that has run out of indices lends its token while it waits for
+// its helpers, so during the tail of a run the still-running heavy
+// experiments' next Parallel calls soak up every idle worker.
+//
+// Parallel is also the only way to get a machine: each shard builds its
+// machines through a sim.MachineSource that recycles them through the
+// process-wide hierarchy pool and shuffle memo (sim.RunBatchContext).
 
-// task is one unit of outer-level work.
+// taskState is one experiment's outcome and rendered report.
 type taskState struct {
 	res *Result
 	err error
 	buf bytes.Buffer
+	ran bool
 }
 
 // runExperiments executes the given experiments and emits their reports
@@ -49,60 +54,30 @@ type taskState struct {
 // the failing experiment, mirroring the serial engine's behaviour.
 func runExperiments(ctx *Context, list []Experiment) (map[string]*Result, error) {
 	slots := make([]taskState, len(list))
-	jobs := ctx.workers()
 	ctx.Progress.SetPhasesTotal(len(list))
-	// With one worker there is no spare capacity to recruit, so children
-	// get no token bucket and Parallel degrades to a plain loop.
 	var sem chan struct{}
-	if jobs > 1 {
-		sem = make(chan struct{}, jobs)
+	if ctx.Jobs > 1 {
+		sem = make(chan struct{}, ctx.Jobs)
+		sem <- struct{}{} // this goroutine's token
 	}
-
-	runTask := func(i int) {
+	ctx.fanOut(sem, len(list), func(i int) {
 		e := list[i]
-		// Cancellation checkpoint: a cancelled run starts no new
-		// experiments; already-running ones unwind at their next shard
-		// boundary or machine context check (see Parallel).
-		if err := ctx.canceled(); err != nil {
-			slots[i].err = err
-			return
-		}
 		sub := ctx.child(SplitSeed(ctx.Seed, e.ID), &slots[i].buf, e.ID)
 		sub.sem = sem
-		sub.guarded = true
 		ctx.Progress.StartPhase(e.ID)
 		header(sub, e)
 		slots[i].res, slots[i].err = runGuarded(sub, e)
+		slots[i].ran = true
 		ctx.Progress.EndPhase()
-	}
-
-	if jobs <= 1 {
-		for i := range list {
-			runTask(i)
-		}
-	} else {
-		feed := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < jobs; w++ {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func() {
-				defer wg.Done()
-				defer func() { <-sem }()
-				for i := range feed {
-					runTask(i)
-				}
-			}()
-		}
-		for i := range list {
-			feed <- i
-		}
-		close(feed)
-		wg.Wait()
-	}
+	})
 
 	out := map[string]*Result{}
 	for i, e := range list {
+		if !slots[i].ran {
+			// fanOut starts no further experiment once the run is
+			// cancelled; running ones unwind through Parallel.
+			slots[i].err = ctx.canceled()
+		}
 		if slots[i].res != nil {
 			slots[i].res.Report = slots[i].buf.String()
 		}
@@ -123,20 +98,17 @@ func runExperiments(ctx *Context, list []Experiment) (map[string]*Result, error)
 }
 
 // runGuarded invokes the experiment, converting a panic (e.g. from a sim
-// agent) into an error so one bad task cannot take down the whole pool —
-// the panic-isolation discipline the daemon's workers rely on. Structured
-// unwinds keep their meaning: a failf abort surfaces as its wrapped error
-// (experiment + phase + cause), and a cancellation abort surfaces as the
-// context's error, so callers can errors.Is against context.Canceled.
+// agent) into an error so one bad task cannot take down the whole run —
+// the panic-isolation discipline the daemon's workers rely on. An unwind
+// keeps its meaning: it surfaces as the error it carries, a failf's
+// (experiment + phase + cause) or a cancelled run's context error, so
+// callers can errors.Is against context.Canceled.
 func runGuarded(ctx *Context, e Experiment) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			switch v := r.(type) {
-			case taskFail:
-				err = v.err
-			case taskAbort:
-				err = v.err
-			default:
+			if u, ok := r.(unwind); ok {
+				err = u.err
+			} else {
 				err = fmt.Errorf("panic: %v", r)
 			}
 		}
@@ -144,21 +116,13 @@ func runGuarded(ctx *Context, e Experiment) (res *Result, err error) {
 	return e.Run(ctx)
 }
 
-// workers returns the effective worker count.
-func (ctx *Context) workers() int {
-	if ctx.Jobs > 1 {
-		return ctx.Jobs
-	}
-	return 1
-}
-
-// Parallel runs fn(0, src), ..., fn(n-1, src), recruiting an extra
-// goroutine for every free engine worker token; the calling goroutine
-// always participates, so Parallel makes progress even when the pool is
-// saturated and can never deadlock. Shards are handed out dynamically,
-// so fn must be schedule-independent: write results into per-index
-// slots and derive any randomness from ctx.ShardSeed(i) (or another
-// SplitSeed key), never from state shared across shards.
+// Parallel runs fn(0, src), ..., fn(n-1, src) through fanOut, recruiting
+// an extra goroutine for every free engine worker token; the calling
+// goroutine always participates, so Parallel makes progress even when
+// every token is out and can never deadlock. Shards are handed out
+// dynamically, so fn must be schedule-independent: write results into
+// per-index slots and derive any randomness from ctx.ShardSeed(i) (or
+// another SplitSeed key), never from state shared across shards.
 //
 // Each shard runs through sim.RunBatchContext and builds its machines
 // through the MachineSource it is handed, which takes hierarchies from the
@@ -177,9 +141,10 @@ func (ctx *Context) workers() int {
 //     error instead of killing the process;
 //   - when ctx.Ctx is cancelled, no further shards start and a running
 //     machine stops within a few thousand simulated cycles (its hierarchy
-//     is dropped rather than recycled). Under the engine the task then
-//     unwinds with the context's error; on a hand-built Context, Parallel
-//     simply returns early and the caller must check ctx.Ctx itself.
+//     is dropped rather than recycled); the task then unwinds with the
+//     context's error. The unwind is a panic that runGuarded recovers, so
+//     a cancellable Context must be run through RunAll, RunOne or
+//     RunSpecs.
 func (ctx *Context) Parallel(n int, fn func(i int, src sim.MachineSource)) {
 	run := ctx.Ctx
 	if run == nil {
@@ -189,21 +154,23 @@ func (ctx *Context) Parallel(n int, fn func(i int, src sim.MachineSource)) {
 	// are atomic ticks on the nil-safe Progress — they observe the run,
 	// never steer it, so output stays byte-identical with telemetry on.
 	ctx.Progress.AddShards(n)
-	ctx.fanOut(n, func(i int) {
+	ctx.fanOut(ctx.sem, n, func(i int) {
 		sim.RunBatchContext(run, 1, nil, func(_ int, src sim.MachineSource) { fn(i, src) })
 		ctx.Progress.ShardDone()
 	})
 	if err := ctx.canceled(); err != nil {
-		ctx.abort(err)
+		panic(unwind{err})
 	}
 }
 
 // fanOut runs fn(0), ..., fn(n-1), handing indices out dynamically to the
-// calling goroutine plus one helper per engine worker token free at the
-// call (none without a token bucket). It stops handing out indices once
-// any fn panics or ctx.Ctx is cancelled, and re-raises the first panic on
-// the calling goroutine.
-func (ctx *Context) fanOut(n int, fn func(i int)) {
+// calling goroutine, which must hold a token of sem, plus one helper per
+// token free in sem at the call (none when sem is nil). A helper holds
+// its token until no index is left; the caller lends its own while it
+// waits for its helpers. fanOut stops handing out indices once any fn
+// panics or ctx.Ctx is cancelled, and re-raises the first panic on the
+// calling goroutine.
+func (ctx *Context) fanOut(sem chan struct{}, n int, fn func(i int)) {
 	var next atomic.Int64
 	next.Store(-1)
 	var stop atomic.Bool
@@ -235,14 +202,15 @@ func (ctx *Context) fanOut(n int, fn func(i int)) {
 		}
 	}
 	var wg sync.WaitGroup
+	helpers := 0
 recruit:
-	for helpers := 0; helpers < n-1; helpers++ {
+	for ; helpers < n-1; helpers++ {
 		select {
-		case ctx.sem <- struct{}{}:
+		case sem <- struct{}{}:
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				defer func() { <-ctx.sem }()
+				defer func() { <-sem }()
 				work()
 			}()
 		default:
@@ -250,22 +218,18 @@ recruit:
 		}
 	}
 	work()
-	wg.Wait()
+	if helpers > 0 {
+		// Only waiting now: lend this goroutine's token to other
+		// fan-outs, and take one back before returning to the caller.
+		<-sem
+		wg.Wait()
+		sem <- struct{}{}
+	}
 	firstPanic.mu.Lock()
 	r, set := firstPanic.val, firstPanic.set
 	firstPanic.mu.Unlock()
 	if set {
 		panic(r)
-	}
-}
-
-// abort unwinds a cancelled task. Under the engine (guarded contexts) it
-// panics with taskAbort, which runGuarded turns into the context error;
-// on a hand-built context it is a no-op so the panic can never reach
-// library callers, and Parallel just returns early instead.
-func (ctx *Context) abort(err error) {
-	if ctx.guarded {
-		panic(taskAbort{err})
 	}
 }
 
@@ -285,11 +249,6 @@ func (ctx *Context) EachPlatform(fn func(sub *Context, cfg hier.Config) error) e
 		sub.Platforms = []hier.Config{cfg}
 		errs[i] = fn(sub, cfg)
 	})
-	// On an unguarded context a cancelled Parallel returns early instead
-	// of unwinding; surface the context error rather than partial output.
-	if err := ctx.canceled(); err != nil {
-		return err
-	}
 	for i := range bufs {
 		if ctx.Out != nil {
 			ctx.mu.Lock()

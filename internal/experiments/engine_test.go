@@ -146,21 +146,28 @@ func TestEnginePanicBecomesError(t *testing.T) {
 	}
 }
 
+// runShards runs one experiment whose body is Parallel(n, fn) through the
+// engine at the given job count.
+func runShards(t *testing.T, jobs, n int, fn func(i int, src sim.MachineSource)) {
+	t.Helper()
+	ctx := NewContext(io.Discard)
+	ctx.Jobs = jobs
+	e := Experiment{ID: "shards", Title: "t", Run: func(ctx *Context) (*Result, error) {
+		ctx.Parallel(n, fn)
+		return &Result{}, nil
+	}}
+	if _, err := runExperiments(ctx, []Experiment{e}); err != nil {
+		t.Fatalf("jobs=%d: %v", jobs, err)
+	}
+}
+
 // TestParallelRunsEveryShardOnce counts shard executions under a
 // saturated and an idle pool.
 func TestParallelRunsEveryShardOnce(t *testing.T) {
 	for _, jobs := range []int{1, 2, 8} {
-		ctx := NewContext(io.Discard)
-		ctx.Jobs = jobs
-		var sem chan struct{}
-		if jobs > 1 {
-			sem = make(chan struct{}, jobs)
-		}
-		sub := ctx.child(ctx.Seed, io.Discard, "")
-		sub.sem = sem
 		const n = 100
 		var counts [n]atomic.Int64
-		sub.Parallel(n, func(i int, _ sim.MachineSource) { counts[i].Add(1) })
+		runShards(t, jobs, n, func(i int, _ sim.MachineSource) { counts[i].Add(1) })
 		for i := range counts {
 			if c := counts[i].Load(); c != 1 {
 				t.Fatalf("jobs=%d: shard %d ran %d times", jobs, i, c)
@@ -170,15 +177,11 @@ func TestParallelRunsEveryShardOnce(t *testing.T) {
 }
 
 // TestParallelUsesFreeWorkers proves Parallel hands shards to free engine
-// workers: with two free worker tokens, shard 0 can wait for shard 1 to
-// start only if the two run at once.
+// workers: at Jobs=2, shard 0 can wait for shard 1 to start only if the
+// two run at once.
 func TestParallelUsesFreeWorkers(t *testing.T) {
-	ctx := NewContext(io.Discard)
-	ctx.Jobs = 2
-	sub := ctx.child(ctx.Seed, io.Discard, "")
-	sub.sem = make(chan struct{}, 2)
 	started1 := make(chan struct{})
-	sub.Parallel(2, func(i int, _ sim.MachineSource) {
+	runShards(t, 2, 2, func(i int, _ sim.MachineSource) {
 		if i == 1 {
 			close(started1)
 			return
@@ -189,6 +192,81 @@ func TestParallelUsesFreeWorkers(t *testing.T) {
 			t.Errorf("shard 1 did not start while shard 0 was running")
 		}
 	})
+}
+
+// peakGauge tracks how many bodies run at once and the highest count seen.
+type peakGauge struct{ cur, peak atomic.Int64 }
+
+// hold counts one body running for d.
+func (g *peakGauge) hold(d time.Duration) {
+	n := g.cur.Add(1)
+	for {
+		p := g.peak.Load()
+		if n <= p || g.peak.CompareAndSwap(p, n) {
+			break
+		}
+	}
+	time.Sleep(d)
+	g.cur.Add(-1)
+}
+
+// TestEngineWorkerBudget pins the one budget of Jobs workers across
+// nesting: experiments and the shards inside them never run more bodies at
+// once than Jobs, a lone experiment's Parallel soaks up the whole budget,
+// and so does the last running experiment once the others are done.
+// Bodies sleep, so the counts do not depend on the host's CPUs.
+func TestEngineWorkerBudget(t *testing.T) {
+	const d = 30 * time.Millisecond
+	sharded := func(g *peakGauge, id string, delay time.Duration, shards int) Experiment {
+		return Experiment{ID: id, Title: "t", Run: func(ctx *Context) (*Result, error) {
+			time.Sleep(delay)
+			ctx.Parallel(shards, func(int, sim.MachineSource) { g.hold(d) })
+			return &Result{}, nil
+		}}
+	}
+	for _, tc := range []struct {
+		name                 string
+		jobs                 int
+		list                 func(g *peakGauge) []Experiment
+		wantPeak, wantAtMost int64
+	}{
+		{"one experiment, jobs=3", 3, func(g *peakGauge) []Experiment {
+			return []Experiment{sharded(g, "a", 0, 6)}
+		}, 3, 3},
+		{"five experiments, jobs=3", 3, func(g *peakGauge) []Experiment {
+			list := make([]Experiment, 5)
+			for i := range list {
+				list[i] = sharded(g, fmt.Sprintf("e%d", i), 0, 4)
+			}
+			return list
+		}, 0, 3},
+		{"five experiments, jobs=1", 1, func(g *peakGauge) []Experiment {
+			list := make([]Experiment, 5)
+			for i := range list {
+				list[i] = sharded(g, fmt.Sprintf("e%d", i), 0, 4)
+			}
+			return list
+		}, 1, 1},
+		// The two experiments start together on two goroutines; the
+		// second fans out only after the first is done.
+		{"tail experiment, jobs=2", 2, func(g *peakGauge) []Experiment {
+			return []Experiment{sharded(g, "short", d, 0), sharded(g, "tail", 3*d, 4)}
+		}, 2, 2},
+	} {
+		var g peakGauge
+		ctx := NewContext(io.Discard)
+		ctx.Jobs = tc.jobs
+		if _, err := runExperiments(ctx, tc.list(&g)); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		peak := g.peak.Load()
+		if peak > tc.wantAtMost {
+			t.Errorf("%s: %d bodies ran at once, budget is %d", tc.name, peak, tc.wantAtMost)
+		}
+		if tc.wantPeak != 0 && peak != tc.wantPeak {
+			t.Errorf("%s: peak of %d concurrent bodies, want %d", tc.name, peak, tc.wantPeak)
+		}
+	}
 }
 
 // TestWriteMetricsJSONCanonical asserts the JSON export is byte-stable

@@ -10,23 +10,18 @@ import "fmt"
 // behaviour, seed derivation, metric names or report rendering.
 const EngineVersion = "leakyway-engine/7"
 
-// taskFail carries a structured experiment failure through a panic. The
-// experiment helpers raise it with failf instead of panicking with a bare
-// error, and runGuarded unwraps it back into a plain error — so a failed
-// job's record reads "experiment stealth: map shared line: <cause>"
-// instead of "panic: <opaque>".
-type taskFail struct{ err error }
-
-// taskAbort carries a context-cancellation unwind. Parallel raises it on
-// the task goroutine when the run's context is cancelled between trial
-// shards; runGuarded converts it into the context's error, so RunAll
-// returns context.Canceled (or DeadlineExceeded) to the caller.
-type taskAbort struct{ err error }
+// unwind carries an experiment's error through a panic to runGuarded,
+// which returns it as a plain error. failf raises it with a structured
+// failure, so a failed job's record reads "experiment stealth: map shared
+// line: <cause>" instead of "panic: <opaque>"; a cancelled Parallel
+// raises it with the run context's error, so RunAll returns
+// context.Canceled (or DeadlineExceeded) to the caller.
+type unwind struct{ err error }
 
 // failf aborts the running experiment with an error naming the experiment
 // and the phase that failed. It must only be called on a goroutine whose
 // panics the engine recovers: the task goroutine itself, or a trial shard
 // run by ctx.Parallel (whose helpers forward panics to the task).
 func failf(id, phase string, err error) {
-	panic(taskFail{fmt.Errorf("experiment %s: %s: %w", id, phase, err)})
+	panic(unwind{fmt.Errorf("experiment %s: %s: %w", id, phase, err)})
 }

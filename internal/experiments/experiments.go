@@ -64,19 +64,14 @@ type Context struct {
 	// ("fig8/platform/skylake").
 	tracePath string
 
-	// mu serializes writes to Out. The engine gives every task a private
-	// buffer, so under RunAll this is never contended; it exists so that
-	// a hand-built Context shared across goroutines still never tears a
-	// single Printf.
+	// mu serializes writes to Out, which the concurrent Parallel shards
+	// of one task share. Every task writes into a private buffer, so
+	// tasks never contend for it.
 	mu sync.Mutex
-	// sem is the engine-wide worker-token bucket shared by child
-	// contexts; see Parallel in engine.go.
+	// sem is the run's worker-token bucket (Jobs tokens, nil when
+	// Jobs <= 1), shared by every task context of the run; see fanOut in
+	// engine.go.
 	sem chan struct{}
-	// guarded marks contexts whose task goroutine runs under runGuarded's
-	// recover. Only then may Parallel unwind a cancelled run with a
-	// taskAbort panic; on a hand-built context it just stops issuing
-	// shards, so the panic can never escape into caller code.
-	guarded bool
 }
 
 // NewContext returns a default context writing to out.
@@ -106,7 +101,6 @@ func (ctx *Context) child(seed int64, out io.Writer, label string) *Context {
 		TraceMask: ctx.TraceMask,
 		tracePath: joinLabel(ctx.tracePath, label),
 		sem:       ctx.sem,
-		guarded:   ctx.guarded,
 	}
 }
 
@@ -294,8 +288,8 @@ func RunOne(ctx *Context, id string) (*Result, error) {
 }
 
 // RunAll executes every registered experiment in paper order, collecting
-// metrics. With ctx.Jobs > 1 experiments run on a worker pool (and the
-// heavy experiments additionally shard their trials), but every task
+// metrics. With ctx.Jobs > 1 experiments and the trial shards of the
+// heavy ones share one budget of Jobs workers, but every task
 // renders into a private buffer and buffers are flushed in paper order,
 // so the report is byte-identical for any job count.
 func RunAll(ctx *Context) (map[string]*Result, error) {

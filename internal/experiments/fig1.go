@@ -34,7 +34,7 @@ func runFig1(ctx *Context) (*Result, error) {
 		}
 	}
 	show := func(step string) {
-		ages := set.Snapshot()
+		ages := policy.Ages(set, 6)
 		cells := make([]string, len(ages))
 		for w, a := range ages {
 			cells[w] = fmt.Sprintf("%s:%d", names[w], a)

@@ -37,7 +37,7 @@ func FromSpec(s *scenario.Spec) Experiment {
 }
 
 // RunSpecs executes compiled scenarios through the standard engine: same
-// worker pool, same per-task seed derivation (SplitSeed by scenario ID),
+// fan-out and worker budget, same per-task seed derivation (SplitSeed by scenario ID),
 // same private-buffer flush order — so a template pack's report is
 // byte-identical for any ctx.Jobs, and a template sharing an ID with a
 // registered experiment reproduces its section of the full report exactly.

@@ -1,7 +1,5 @@
 package policy
 
-import "math/bits"
-
 // BitPLRU (MRU-bit pseudo-LRU, Malamy et al.) keeps one bit per way. A hit
 // sets the way's bit; when the last zero bit is consumed, all other bits are
 // cleared. The victim is the first way with a zero bit. Intel client L2s
@@ -61,13 +59,4 @@ func (s *bitPLRUSet) AgeAt(way int) int {
 		return 1
 	}
 	return 0
-}
-
-// Snapshot implements SetState: 1 for MRU bits.
-func (s *bitPLRUSet) Snapshot() []int {
-	out := make([]int, bits.Len64(uint64(s.all)))
-	for i := range out {
-		out[i] = s.AgeAt(i)
-	}
-	return out
 }

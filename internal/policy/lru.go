@@ -71,18 +71,3 @@ func (s *lruSet) AgeAt(way int) int {
 	}
 	return rank
 }
-
-// Snapshot implements SetState: recency rank, 0 = most recent.
-func (s *lruSet) Snapshot() []int {
-	out := make([]int, len(s.stamp))
-	for i := range out {
-		rank := 0
-		for j := range s.stamp {
-			if s.stamp[j] > s.stamp[i] {
-				rank++
-			}
-		}
-		out[i] = rank
-	}
-	return out
-}

@@ -80,7 +80,7 @@ func TestBitPLRUBasics(t *testing.T) {
 	// Saturation: setting the last bit clears the others.
 	s.OnFill(2, ClassLoad)
 	s.OnFill(3, ClassLoad)
-	snap := s.Snapshot()
+	snap := Ages(s, 4)
 	want := []int{0, 0, 0, 1}
 	for i := range want {
 		if snap[i] != want[i] {
@@ -97,7 +97,7 @@ func TestBitPLRUInvalidateClearsBit(t *testing.T) {
 	s := p.NewSet(2)
 	s.OnFill(0, ClassLoad)
 	s.OnInvalidate(0)
-	if s.Snapshot()[0] != 0 {
+	if Ages(s, 2)[0] != 0 {
 		t.Fatal("invalidate should clear the MRU bit")
 	}
 }
@@ -238,11 +238,11 @@ func TestInvalidateReplacementState(t *testing.T) {
 			fillSet(st, 4)
 			st.OnHit(1, ClassLoad)
 		}
-		if got := s.Snapshot(); !slices.Equal(got, tc.before) {
+		if got := Ages(s, 4); !slices.Equal(got, tc.before) {
 			t.Fatalf("%s: state before invalidation %v, want %v", name, got, tc.before)
 		}
 		s.OnInvalidate(1)
-		if got := s.Snapshot(); !slices.Equal(got, tc.want) {
+		if got := Ages(s, 4); !slices.Equal(got, tc.want) {
 			t.Errorf("%s: state after invalidating way 1 %v, want %v", name, got, tc.want)
 		}
 		if !tc.keeps {

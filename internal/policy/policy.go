@@ -94,11 +94,9 @@ type SetState interface {
 	// without replacement (flush or back-invalidation).
 	OnInvalidate(way int)
 	// AgeAt returns one way's metadata value (age/rank) without
-	// allocating; -1 marks "no meaningful value".
+	// allocating. The meaning is policy-specific; -1 marks "no meaningful
+	// value".
 	AgeAt(way int) int
-	// Snapshot exposes per-way metadata (ages/ranks) for tracing. The
-	// meaning is policy-specific; -1 marks "no meaningful value".
-	Snapshot() []int
 	// Reset restores the state to exactly what NewSet returned, without
 	// allocating — the arena recycling path (sim.Arena) calls it instead
 	// of rebuilding per-set state for every Monte-Carlo trial.
@@ -106,4 +104,14 @@ type SetState interface {
 	// initial stream so a recycled set is indistinguishable from a fresh
 	// one.
 	Reset()
+}
+
+// Ages returns every way's AgeAt value for a set of the given number of
+// ways — the per-way metadata (ages/ranks) that views and traces show.
+func Ages(s SetState, ways int) []int {
+	out := make([]int, ways)
+	for w := range out {
+		out[w] = s.AgeAt(w)
+	}
+	return out
 }

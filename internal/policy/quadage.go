@@ -167,12 +167,3 @@ func (s *quadAgeSet) AgeAt(way int) int {
 func (s *quadAgeSet) Reset() {
 	s.valid, s.hi, s.lo = 0, 0, 0
 }
-
-// Snapshot implements SetState; it returns the raw ages.
-func (s *quadAgeSet) Snapshot() []int {
-	out := make([]int, bits.Len64(uint64(s.all)))
-	for w := range out {
-		out[w] = s.AgeAt(w)
-	}
-	return out
-}

@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"slices"
 	"testing"
 )
 
@@ -78,17 +77,9 @@ func (s *refQuadAgeSet) Reset() {
 	}
 }
 
-func (s *refQuadAgeSet) Snapshot() []int {
-	out := make([]int, len(s.ages))
-	for i, a := range s.ages {
-		out[i] = int(a)
-	}
-	return out
-}
-
 // FuzzQuadAgeReference drives one byte stream through the bit-plane
-// quad-age and its per-way int8 reference, and requires Victim, AgeAt and
-// Snapshot to agree after every operation. The first byte picks the way
+// quad-age and its per-way int8 reference, and requires Victim and every
+// way's AgeAt to agree after every operation. The first byte picks the way
 // count (1-64); the second picks the insertion ages (0: stock, 1: Section
 // VI-D countermeasure, else three ages packed in its low six bits) and, in
 // bit 7, NTAHitUpdates. Each later byte pair is (op, way): the op byte's low
@@ -149,9 +140,6 @@ func FuzzQuadAgeReference(f *testing.F) {
 			case 4:
 				got.Reset()
 				want.Reset()
-			}
-			if gs, ws := got.Snapshot(), want.Snapshot(); !slices.Equal(gs, ws) {
-				t.Fatalf("op %d: Snapshot %v, reference %v", i/2, gs, ws)
 			}
 			for w := 0; w < ways; w++ {
 				if g, r := got.AgeAt(w), want.AgeAt(w); g != r {

@@ -42,7 +42,7 @@ func TestQuadAgeInsertionAges(t *testing.T) {
 	s.OnFill(1, ClassNTA)
 	s.OnFill(2, ClassT0)
 	s.OnFill(3, ClassHW)
-	ages := s.Snapshot()
+	ages := Ages(s, 4)
 	want := []int{2, 3, 2, 2}
 	for w := range want {
 		if ages[w] != want[w] {
@@ -80,7 +80,7 @@ func TestQuadAgeFigure1(t *testing.T) {
 	}
 	check := func(step string, want []int) {
 		t.Helper()
-		got := s.Snapshot()
+		got := Ages(s, 6)
 		for w := range want {
 			if got[w] != want[w] {
 				t.Fatalf("%s: way %d age = %d, want %d (full: %v)", step, w, got[w], want[w], got)
@@ -120,15 +120,15 @@ func TestQuadAgeNTAHitDoesNotUpdate(t *testing.T) {
 	s := q.NewSet(4)
 	fillSet(s, 4)
 	s.OnFill(2, ClassNTA) // way 2 at age 3
-	if s.Snapshot()[2] != 3 {
+	if Ages(s, 4)[2] != 3 {
 		t.Fatal("NTA fill should insert at age 3")
 	}
 	s.OnHit(2, ClassNTA)
-	if got := s.Snapshot()[2]; got != 3 {
+	if got := Ages(s, 4)[2]; got != 3 {
 		t.Fatalf("NTA hit changed age to %d; Property #2 says it must stay 3", got)
 	}
 	s.OnHit(2, ClassLoad)
-	if got := s.Snapshot()[2]; got != 2 {
+	if got := Ages(s, 4)[2]; got != 2 {
 		t.Fatalf("demand hit should decrement age to 2, got %d", got)
 	}
 	// Ablation switch: NTAHitUpdates makes NTA hits behave like loads.
@@ -136,7 +136,7 @@ func TestQuadAgeNTAHitDoesNotUpdate(t *testing.T) {
 	s2 := q2.NewSet(2)
 	s2.OnFill(0, ClassNTA)
 	s2.OnHit(0, ClassNTA)
-	if got := s2.Snapshot()[0]; got != 2 {
+	if got := Ages(s2, 2)[0]; got != 2 {
 		t.Fatalf("with NTAHitUpdates, NTA hit should decrement age, got %d", got)
 	}
 }
@@ -167,7 +167,7 @@ func TestQuadAgeDemandHitFloorsAtZero(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		s.OnHit(0, ClassLoad)
 	}
-	if got := s.Snapshot()[0]; got != 0 {
+	if got := Ages(s, 2)[0]; got != 0 {
 		t.Fatalf("age after many hits = %d, want 0", got)
 	}
 }
@@ -216,7 +216,7 @@ func TestQuadAgeAgingPass(t *testing.T) {
 	}
 	// One aging pass must have happened: 2,0,2 -> 3,1,3.
 	want := []int{3, 1, 3}
-	got := s.Snapshot()
+	got := Ages(s, 3)
 	for w := range want {
 		if got[w] != want[w] {
 			t.Fatalf("post-aging ages = %v, want %v", got, want)
@@ -229,7 +229,7 @@ func TestQuadAgeCountermeasure(t *testing.T) {
 	s := q.NewSet(4)
 	s.OnFill(0, ClassLoad)
 	s.OnFill(1, ClassNTA)
-	ages := s.Snapshot()
+	ages := Ages(s, 4)
 	if ages[0] != 1 || ages[1] != 2 {
 		t.Fatalf("countermeasure ages = %v, want load=1 nta=2", ages[:2])
 	}
@@ -248,10 +248,10 @@ func TestQuadAgeSnapshotIsCopy(t *testing.T) {
 	q := NewQuadAge()
 	s := q.NewSet(2)
 	s.OnFill(0, ClassLoad)
-	snap := s.Snapshot()
+	snap := Ages(s, 2)
 	snap[0] = 99
-	if s.Snapshot()[0] == 99 {
-		t.Fatal("Snapshot aliases internal state")
+	if Ages(s, 2)[0] == 99 {
+		t.Fatal("Ages aliases internal state")
 	}
 }
 
@@ -281,7 +281,7 @@ func TestQuadAgeInvariants(t *testing.T) {
 				s.OnInvalidate(w)
 				valid[w] = false
 			}
-			for way, age := range s.Snapshot() {
+			for way, age := range Ages(s, ways) {
 				if age < -1 || age > maxQuadAge {
 					return false
 				}

@@ -66,6 +66,3 @@ func (*randomSet) AgeAt(int) int { return 0 }
 // Reset implements SetState: rewind the victim stream to its seed so a
 // recycled set draws the same eviction sequence as a fresh one.
 func (s *randomSet) Reset() { s.rng.Seed(s.seed) }
-
-// Snapshot implements SetState.
-func (s *randomSet) Snapshot() []int { return make([]int, s.ways) }

@@ -95,10 +95,3 @@ func (s *srripSet) Reset() {
 
 // AgeAt implements SetState: the raw RRPV.
 func (s *srripSet) AgeAt(way int) int { return s.rrpv[way] }
-
-// Snapshot implements SetState: raw RRPVs.
-func (s *srripSet) Snapshot() []int {
-	out := make([]int, len(s.rrpv))
-	copy(out, s.rrpv)
-	return out
-}

@@ -84,18 +84,10 @@ func (s *treePLRUSet) OnInvalidate(int) {}
 func (s *treePLRUSet) Reset() { s.node = 0 }
 
 // AgeAt implements SetState: 1 for the victim-path leaf, 0 elsewhere.
+// Tree-PLRU has no per-way rank, so this lets traces show the candidate.
 func (s *treePLRUSet) AgeAt(way int) int {
 	if s.victimLeaf() == way {
 		return 1
 	}
 	return 0
-}
-
-// Snapshot implements SetState. Tree-PLRU has no per-way rank; report the
-// victim-path leaf as 1 and everything else as 0 so traces show the
-// candidate.
-func (s *treePLRUSet) Snapshot() []int {
-	out := make([]int, 1<<s.levels)
-	out[s.victimLeaf()] = 1
-	return out
 }

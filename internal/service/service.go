@@ -825,13 +825,6 @@ func (s *Server) finish(exec *execution, status, errMsg string) {
 	delete(s.inflight, exec.key)
 }
 
-// Draining reports whether the server has stopped admitting work.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
 // queueDepth returns the current queued-execution count (tests).
 func (s *Server) queueDepth() int {
 	s.mu.Lock()

@@ -467,7 +467,7 @@ func MarshalScenario(s *Scenario) []byte { return scenario.CanonicalBytes(s) }
 func ScenarioFingerprint(s *Scenario) string { return scenario.Fingerprint(s) }
 
 // RunScenarios executes scenarios through the standard experiment engine:
-// same worker pool, seed derivation and report flush order, so a template
+// same fan-out, seed derivation and report flush order, so a template
 // sharing an ID with a registered experiment reproduces its output
 // byte-identically for any job count.
 func RunScenarios(ctx *ExperimentContext, specs []*Scenario) (map[string]*ExperimentResult, error) {
