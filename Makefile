@@ -1,7 +1,7 @@
 # Build/verify entry points. `make verify` is the tier-1 gate: build,
 # vet (of the benchmark module too), formatting, staticcheck, tests, the
 # race detector over the whole module (the parallel experiment engine must
-# stay clean under -race), short runs of the ten fuzz targets in
+# stay clean under -race), short runs of the fourteen fuzz targets in
 # fuzz-smoke, the traced-run determinism gate (trace-smoke), the shipped
 # templates (template-validate) and the daemon smokes (VERIFY_SMOKES).
 
@@ -48,17 +48,22 @@ staticcheck:
 		echo "staticcheck not installed; skipping"; \
 	fi
 
-# Short fuzz runs over the wire-format decoders, the scenario template
-# loader (each input as both YAML and JSON, with the canonical-marshal
-# fixed point), the arena-vs-fresh-machine equivalence property, the
-# machine's turn order against a one-op-per-step reference loop, the LLC
-# sharer-mask invariant, the packed PLRU, bit-plane quad-age and fill-path set
-# summaries against their per-way references and the extent page table against
-# the map-backed one (go test takes one -fuzz pattern per invocation, hence one
-# command per target).
+# Short fuzz runs over the wire-format decoders, the channel codecs
+# (bit/byte packing, Hamming, repetition majority), the median-gap
+# estimator, the scenario template loader (each input as both YAML and
+# JSON, with the canonical-marshal fixed point), the arena-vs-fresh-machine
+# equivalence property, the machine's turn order against a one-op-per-step
+# reference loop, the LLC sharer-mask invariant, the packed PLRU, bit-plane
+# quad-age and fill-path set summaries against their per-way references and
+# the extent page table against the map-backed one (go test takes one -fuzz
+# pattern per invocation, hence one command per target).
 fuzz-smoke:
 	$(GO) test ./internal/channel -run '^$$' -fuzz FuzzFrameDecode -fuzztime 5s
 	$(GO) test ./internal/channel -run '^$$' -fuzz FuzzAckDecode -fuzztime 5s
+	$(GO) test ./internal/channel -run '^$$' -fuzz FuzzBitsBytesRoundTrip -fuzztime 5s
+	$(GO) test ./internal/channel -run '^$$' -fuzz FuzzHammingRoundTrip -fuzztime 5s
+	$(GO) test ./internal/channel -run '^$$' -fuzz FuzzRepetitionMajority -fuzztime 5s
+	$(GO) test ./internal/channel -run '^$$' -fuzz FuzzMedianGap -fuzztime 5s
 	$(GO) test ./internal/scenario -run '^$$' -fuzz FuzzLoadScenario -fuzztime 5s
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzBatchScalarEquivalence -fuzztime 5s
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzSchedulerReference -fuzztime 5s

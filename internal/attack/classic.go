@@ -2,7 +2,6 @@ package attack
 
 import (
 	"leakyway/internal/core"
-	"leakyway/internal/mem"
 	"leakyway/internal/sim"
 	"leakyway/internal/stats"
 )
@@ -78,102 +77,92 @@ func RunClassic(m *sim.Machine, variant ClassicVariant, cfg ClassicConfig, seed 
 			cfg.Window = 5000
 		}
 	}
-	attackerAS := m.NewSpace()
-	victimAS := m.NewSpace()
-
-	dt, err := attackerAS.Alloc(mem.PageSize)
+	lines := 0
+	if variant == EvictReload {
+		lines = m.H.Config().LLCWays
+	}
+	sh, err := StageShared(m, lines)
 	if err != nil {
 		panic(err)
 	}
-	if err := victimAS.MapShared(attackerAS, dt, mem.PageSize); err != nil {
-		panic(err)
-	}
-	var ev []mem.VAddr
-	if variant == EvictReload {
-		ev = core.MustCongruentLines(m, attackerAS, dt, m.H.Config().LLCWays)
-	}
+	pattern, truth := windowPattern(uint64(seed)*3+5, cfg.Iterations)
+	SpawnWindowedVictim(m, 1, sh.Victim, WindowedVictim{Target: sh.DT, Window: cfg.Window, Start: EpochStart, Pattern: pattern})
 
-	const start = int64(50_000)
-	pattern := make([]bool, 64)
-	rng := newXorshift(uint64(seed)*3 + 5)
-	for i := range pattern {
-		pattern[i] = rng.next()&1 == 1
-	}
-	SpawnWindowedVictim(m, 1, victimAS, WindowedVictim{Target: dt, Window: cfg.Window, Start: start, Pattern: pattern})
-
-	res := ClassicResult{Variant: variant}
-	res.Truth = make([]bool, cfg.Iterations)
-	res.Detected = make([]bool, cfg.Iterations)
-	for i := range res.Truth {
-		res.Truth[i] = pattern[i%len(pattern)]
-	}
-
-	m.Spawn("attacker", 0, attackerAS, func(c *sim.Core) {
-		th := core.Calibrate(c, 48)
-		// Flush+Flush threshold: between flush-absent and flush-present
-		// timings, calibrated empirically.
-		var flushTh int64
-		if variant == FlushFlush {
-			var absent, present []int64
-			for i := 0; i < 32; i++ {
-				c.Flush(dt)
-				c.Fence()
-				absent = append(absent, c.TimedFlush(dt))
-				c.Load(dt)
-				c.Fence()
-				present = append(present, c.TimedFlush(dt))
-			}
-			flushTh = int64((stats.Mean(absent) + stats.Mean(present)) / 2)
-		}
-		// Reset the line out of every cache before the epoch.
-		c.Flush(dt)
-		if variant == EvictReload {
-			// Pre-own the set so evictions work from iteration one.
-			for round := 0; round < 2; round++ {
-				for _, va := range ev {
-					c.Load(va)
-				}
-			}
-		}
-		for it := 0; it < cfg.Iterations; it++ {
-			c.WaitUntil(start + int64(it+1)*cfg.Window)
-			t0 := c.Now()
-			switch variant {
-			case FlushReload:
-				t := c.TimedLoad(dt)
-				res.TargetAccesses++
-				res.Detected[it] = !th.IsMiss(t)
-				c.Flush(dt)
-			case FlushFlush:
-				t := c.TimedFlush(dt)
-				res.Detected[it] = t > flushTh
-			case EvictReload:
-				t := c.TimedLoad(dt)
-				res.TargetAccesses++
-				res.Detected[it] = !th.IsMiss(t)
-				// Evict via set conflicts instead of CLFLUSH.
-				// The walk order rotates per iteration so every
-				// eviction-set line gets its LLC age refreshed
-				// over time; the shared line is then the only
-				// never-refreshed line in the set and the aging
-				// pass reliably selects it.
-				for round := 0; round < 2; round++ {
-					for k := range ev {
-						c.Load(ev[(k+it)%len(ev)])
-					}
-				}
-			}
-			res.IterLatencies = append(res.IterLatencies, c.Now()-t0)
-		}
-	})
+	var res ClassicResult
+	m.Spawn("attacker", 0, sh.Attacker, func(c *sim.Core) { res = variant.Monitor(c, sh, cfg) })
 	m.Run()
 
-	correct := 0
-	for i := range res.Truth {
-		if res.Truth[i] == res.Detected[i] {
-			correct++
+	res.Truth = truth
+	res.Accuracy = accuracy(truth, res.Detected)
+	return res
+}
+
+// Monitor is the attacker side of v, run on c in sh.Attacker; Evict+Reload
+// evicts with sh.Lines, an LLC eviction set congruent with sh.DT. It
+// calibrates, resets the line, then reads out cfg.Iterations windows of
+// cfg.Window cycles; the result carries Variant, IterLatencies, Detected
+// and TargetAccesses.
+func (v ClassicVariant) Monitor(c *sim.Core, sh Shared, cfg ClassicConfig) ClassicResult {
+	dt, ev := sh.DT, sh.Lines
+	res := ClassicResult{
+		Variant:       v,
+		IterLatencies: make([]int64, 0, cfg.Iterations),
+		Detected:      make([]bool, cfg.Iterations),
+	}
+	th := core.Calibrate(c, 48)
+	// Flush+Flush threshold: between flush-absent and flush-present
+	// timings, calibrated empirically.
+	var flushTh int64
+	if v == FlushFlush {
+		var absent, present []int64
+		for i := 0; i < 32; i++ {
+			c.Flush(dt)
+			c.Fence()
+			absent = append(absent, c.TimedFlush(dt))
+			c.Load(dt)
+			c.Fence()
+			present = append(present, c.TimedFlush(dt))
+		}
+		flushTh = int64((stats.Mean(absent) + stats.Mean(present)) / 2)
+	}
+	// Reset the line out of every cache before the epoch.
+	c.Flush(dt)
+	if v == EvictReload {
+		// Pre-own the set so evictions work from iteration one.
+		for round := 0; round < 2; round++ {
+			for _, va := range ev {
+				c.Load(va)
+			}
 		}
 	}
-	res.Accuracy = float64(correct) / float64(len(res.Truth))
+	for it := 0; it < cfg.Iterations; it++ {
+		c.WaitUntil(EpochStart + int64(it+1)*cfg.Window)
+		t0 := c.Now()
+		switch v {
+		case FlushReload:
+			t := c.TimedLoad(dt)
+			res.TargetAccesses++
+			res.Detected[it] = !th.IsMiss(t)
+			c.Flush(dt)
+		case FlushFlush:
+			t := c.TimedFlush(dt)
+			res.Detected[it] = t > flushTh
+		case EvictReload:
+			t := c.TimedLoad(dt)
+			res.TargetAccesses++
+			res.Detected[it] = !th.IsMiss(t)
+			// Evict via set conflicts instead of CLFLUSH. The walk
+			// order rotates per iteration so every eviction-set line
+			// gets its LLC age refreshed over time; the shared line is
+			// then the only never-refreshed line in the set and the
+			// aging pass reliably selects it.
+			for round := 0; round < 2; round++ {
+				for k := range ev {
+					c.Load(ev[(k+it)%len(ev)])
+				}
+			}
+		}
+		res.IterLatencies = append(res.IterLatencies, c.Now()-t0)
+	}
 	return res
 }

@@ -2,7 +2,6 @@ package attack
 
 import (
 	"leakyway/internal/core"
-	"leakyway/internal/mem"
 	"leakyway/internal/sim"
 )
 
@@ -33,61 +32,37 @@ func RunCoherence(m *sim.Machine, cfg ClassicConfig, seed int64) CoherenceResult
 	if cfg.Window <= 0 {
 		cfg.Window = 5000
 	}
-	attackerAS := m.NewSpace()
-	victimAS := m.NewSpace()
-
-	dt, err := attackerAS.Alloc(mem.PageSize)
+	sh, err := StageShared(m, 0)
 	if err != nil {
 		panic(err)
 	}
-	if err := victimAS.MapShared(attackerAS, dt, mem.PageSize); err != nil {
-		panic(err)
-	}
-
-	const start = int64(50_000)
-	pattern := make([]bool, 64)
-	rng := newXorshift(uint64(seed)*5 + 11)
-	for i := range pattern {
-		pattern[i] = rng.next()&1 == 1
-	}
-	m.SpawnDaemon("victim", 1, victimAS, func(c *sim.Core) {
+	pattern, truth := windowPattern(uint64(seed)*5+11, cfg.Iterations)
+	m.SpawnDaemon("victim", 1, sh.Victim, func(c *sim.Core) {
 		for i := 0; ; i++ {
-			c.WaitUntil(start + int64(i)*cfg.Window + cfg.Window/2)
+			c.WaitUntil(EpochStart + int64(i)*cfg.Window + cfg.Window/2)
 			if pattern[i%len(pattern)] {
-				c.Store(dt)
+				c.Store(sh.DT)
 			}
 		}
 	})
 
-	res := CoherenceResult{}
-	res.Truth = make([]bool, cfg.Iterations)
-	res.Detected = make([]bool, cfg.Iterations)
-	for i := range res.Truth {
-		res.Truth[i] = pattern[i%len(pattern)]
-	}
-
-	m.Spawn("attacker", 0, attackerAS, func(c *sim.Core) {
+	res := CoherenceResult{Truth: truth, Detected: make([]bool, cfg.Iterations)}
+	m.Spawn("attacker", 0, sh.Attacker, func(c *sim.Core) {
 		th := core.Calibrate(c, 48)
-		c.Load(dt) // take a private copy before the epoch
+		c.Load(sh.DT) // take a private copy before the epoch
 		for it := 0; it < cfg.Iterations; it++ {
-			c.WaitUntil(start + int64(it+1)*cfg.Window)
+			c.WaitUntil(EpochStart + int64(it+1)*cfg.Window)
 			t0 := c.Now()
 			// A write invalidated our copy: the reload leaves the
 			// L1-hit band (LLC + forwarding penalty). No write: our
 			// private copy is untouched and the load is an L1 hit.
-			t := c.TimedLoad(dt)
+			t := c.TimedLoad(sh.DT)
 			res.Detected[it] = t > th.L1Threshold
 			res.IterLatencies = append(res.IterLatencies, c.Now()-t0)
 		}
 	})
 	m.Run()
 
-	correct := 0
-	for i := range res.Truth {
-		if res.Truth[i] == res.Detected[i] {
-			correct++
-		}
-	}
-	res.Accuracy = float64(correct) / float64(len(res.Truth))
+	res.Accuracy = accuracy(truth, res.Detected)
 	return res
 }

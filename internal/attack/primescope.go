@@ -71,9 +71,6 @@ func RunScope(m *sim.Machine, variant ScopeVariant, cfg ScopeConfig) ScopeResult
 	if cfg.ScopeTimeout <= 0 {
 		cfg.ScopeTimeout = 2 * cfg.VictimPeriod
 	}
-	attackerAS := m.NewSpace()
-	victimAS := m.NewSpace()
-
 	res := ScopeResult{Variant: variant}
 
 	// The scope line anchors the target set; both variants use a 16-line
@@ -81,36 +78,23 @@ func RunScope(m *sim.Machine, variant ScopeVariant, cfg ScopeConfig) ScopeResult
 	// prefetch variant primes the 15 non-scope lines twice and installs
 	// the scope line with PREFETCHNTA: 31 references — after a detection
 	// the target set holds exactly the 15 primed lines plus the victim's
-	// line, so the single NTA fill reliably displaces the victim's line.
-	extra := m.H.Config().LLCWays - 1
-	anchor, err := attackerAS.Alloc(mem.PageSize)
+	// line, so the single NTA fill reliably displaces the victim's line,
+	// which maps to the same LLC set.
+	sc, err := StageScope(m)
 	if err != nil {
 		panic(err)
 	}
-	evset := append([]mem.VAddr{anchor}, core.MustCongruentLines(m, attackerAS, anchor, extra)...)
-	scopeLine := evset[0]
-
-	// The victim's line maps to the same LLC set.
-	dvs, err := core.CongruentWithLine(m, victimAS, attackerAS.MustTranslate(scopeLine).Line(), 1)
-	if err != nil {
-		panic(err)
-	}
-	victim := SpawnPeriodicVictim(m, 1, victimAS, dvs[0], cfg.VictimPeriod)
+	evset, scopeLine := sc.EvSet, sc.EvSet[0]
+	victim := SpawnPeriodicVictim(m, 1, sc.Victim, sc.VictimLine, cfg.VictimPeriod)
 
 	var attackEnd int64
-	m.Spawn("attacker", 0, attackerAS, func(c *sim.Core) {
+	m.Spawn("attacker", 0, sc.Attacker, func(c *sim.Core) {
 		th := core.Calibrate(c, 48)
-		// The priming order rotates across iterations (scope line fixed
-		// at index 0). Without rotation, the L1 retains a fixed subset
-		// of the eviction set across the whole attack, and those lines'
-		// LLC ages are never refreshed — they saturate at age 3 and
-		// absorb every eviction meant for the victim's line.
+		// The priming order rotates across iterations (see
+		// core.RotateView).
 		view := make([]mem.VAddr, len(evset))
-		view[0] = evset[0]
 		for it := 0; it < cfg.Iterations; it++ {
-			for i := 1; i < len(evset); i++ {
-				view[i] = evset[1+(i-1+it)%(len(evset)-1)]
-			}
+			core.RotateView(view, evset, it)
 			t0 := c.Now()
 			var refs int
 			if variant == PrimeScope {

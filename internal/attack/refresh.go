@@ -77,102 +77,81 @@ func RunRefresh(m *sim.Machine, variant RefreshVariant, cfg RefreshConfig, seed 
 	if cfg.Window <= 0 {
 		cfg.Window = 5000
 	}
-	attackerAS := m.NewSpace()
-	victimAS := m.NewSpace()
-
-	// dt lives on a shared page.
-	dt, err := attackerAS.Alloc(mem.PageSize)
+	sh, err := StageShared(m, m.H.Config().LLCWays)
 	if err != nil {
 		panic(err)
 	}
-	if err := victimAS.MapShared(attackerAS, dt, mem.PageSize); err != nil {
-		panic(err)
-	}
+	pattern, truth := windowPattern(uint64(seed)*2+1, cfg.Iterations)
+	SpawnWindowedVictim(m, 1, sh.Victim, WindowedVictim{Target: sh.DT, Window: cfg.Window, Start: EpochStart, Pattern: pattern})
 
-	w := m.H.Config().LLCWays
-	// l0..l(w-1): w congruent attacker lines; dt + l0..l(w-2) fill the
-	// set, l(w-1) is the conflict line.
-	ls := core.MustCongruentLines(m, attackerAS, dt, w)
-
-	// The attacker calibrates and prepares before the epoch starts;
-	// window i then begins at start+i*Window and the attacker reads it
-	// out at its end.
-	const start = int64(50_000)
-	truth := make([]bool, cfg.Iterations)
-	pattern := make([]bool, 64)
-	rng := newXorshift(uint64(seed)*2 + 1)
-	for i := range pattern {
-		pattern[i] = rng.next()&1 == 1
-	}
-	SpawnWindowedVictim(m, 1, victimAS, WindowedVictim{Target: dt, Window: cfg.Window, Start: start, Pattern: pattern})
-	for i := range truth {
-		truth[i] = pattern[i%len(pattern)]
-	}
-
-	res := RefreshResult{Variant: variant, Truth: truth}
-	res.Detected = make([]bool, cfg.Iterations)
-
-	m.Spawn("attacker", 0, attackerAS, func(c *sim.Core) {
-		th := core.Calibrate(c, 48)
-		PrepareCleanSet(c, dt, ls, variant != ReloadRefresh)
-
-		conflict, spare := ls[w-1], ls[0]
-		for it := 0; it < cfg.Iterations; it++ {
-			// Step 2: wait out window it; the victim access (if
-			// any) landed mid-window.
-			c.WaitUntil(start + int64(it+1)*cfg.Window)
-			t0 := c.Now()
-			switch variant {
-			case ReloadRefresh:
-				// Step 3: force a conflict with a demand load.
-				c.Load(ls[w-1])
-				// Step 4: timed reload — fast means the victim's
-				// access kept dt alive.
-				accessed := !th.IsMiss(c.TimedLoad(dt))
-				res.Detected[it] = accessed
-				// Step 5: revert — flush the two moved lines,
-				// reload dt and l0, refresh l1..l(w-2).
-				c.Flush(dt)
-				c.Flush(ls[w-1])
-				c.Load(dt)
-				c.Load(ls[0])
-				for i := 1; i < w-1; i++ {
-					c.Load(ls[i])
-				}
-			case PrefetchRefreshV1:
-				c.PrefetchNTA(ls[w-1])
-				accessed := !th.IsMiss(c.TimedPrefetchNTA(dt))
-				res.Detected[it] = accessed
-				c.Flush(dt)
-				c.Flush(ls[w-1])
-				c.PrefetchNTA(dt)
-				c.PrefetchNTA(ls[0])
-			case PrefetchRefreshV2:
-				c.PrefetchNTA(conflict)
-				accessed := !th.IsMiss(c.TimedPrefetchNTA(dt))
-				res.Detected[it] = accessed
-				c.Flush(dt)
-				c.PrefetchNTA(dt)
-				if accessed {
-					// The conflict line displaced the spare;
-					// they exchange roles (the paper's role
-					// swap).
-					conflict, spare = spare, conflict
-				}
-			}
-			res.IterLatencies = append(res.IterLatencies, c.Now()-t0)
-		}
-	})
+	var res RefreshResult
+	m.Spawn("attacker", 0, sh.Attacker, func(c *sim.Core) { res = variant.Monitor(c, sh, cfg) })
 	m.Run()
 
-	correct := 0
-	for i := range truth {
-		if truth[i] == res.Detected[i] {
-			correct++
-		}
+	res.Truth = truth
+	res.Accuracy = accuracy(truth, res.Detected)
+	res.Revert = revertOps(variant, len(sh.Lines))
+	return res
+}
+
+// Monitor is the attacker side of v, run on c in sh.Attacker with sh.Lines
+// holding w = LLCWays lines congruent with sh.DT: l0..l(w-2) fill the set
+// after dt and l(w-1) is the conflict line. It calibrates, prepares the set,
+// then reads out cfg.Iterations windows of cfg.Window cycles; the result
+// carries Variant, IterLatencies and Detected.
+func (v RefreshVariant) Monitor(c *sim.Core, sh Shared, cfg RefreshConfig) RefreshResult {
+	dt, ls, w := sh.DT, sh.Lines, len(sh.Lines)
+	res := RefreshResult{
+		Variant:       v,
+		IterLatencies: make([]int64, 0, cfg.Iterations),
+		Detected:      make([]bool, cfg.Iterations),
 	}
-	res.Accuracy = float64(correct) / float64(len(truth))
-	res.Revert = revertOps(variant, w)
+	th := core.Calibrate(c, 48)
+	PrepareCleanSet(c, dt, ls, v != ReloadRefresh)
+
+	conflict, spare := ls[w-1], ls[0]
+	for it := 0; it < cfg.Iterations; it++ {
+		// Step 2: wait out window it; the victim access (if any) landed
+		// mid-window.
+		c.WaitUntil(EpochStart + int64(it+1)*cfg.Window)
+		t0 := c.Now()
+		switch v {
+		case ReloadRefresh:
+			// Step 3: force a conflict with a demand load.
+			c.Load(ls[w-1])
+			// Step 4: timed reload — fast means the victim's access
+			// kept dt alive.
+			res.Detected[it] = !th.IsMiss(c.TimedLoad(dt))
+			// Step 5: revert — flush the two moved lines, reload dt
+			// and l0, refresh l1..l(w-2).
+			c.Flush(dt)
+			c.Flush(ls[w-1])
+			c.Load(dt)
+			c.Load(ls[0])
+			for i := 1; i < w-1; i++ {
+				c.Load(ls[i])
+			}
+		case PrefetchRefreshV1:
+			c.PrefetchNTA(ls[w-1])
+			res.Detected[it] = !th.IsMiss(c.TimedPrefetchNTA(dt))
+			c.Flush(dt)
+			c.Flush(ls[w-1])
+			c.PrefetchNTA(dt)
+			c.PrefetchNTA(ls[0])
+		case PrefetchRefreshV2:
+			c.PrefetchNTA(conflict)
+			accessed := !th.IsMiss(c.TimedPrefetchNTA(dt))
+			res.Detected[it] = accessed
+			c.Flush(dt)
+			c.PrefetchNTA(dt)
+			if accessed {
+				// The conflict line displaced the spare; they
+				// exchange roles (the paper's role swap).
+				conflict, spare = spare, conflict
+			}
+		}
+		res.IterLatencies = append(res.IterLatencies, c.Now()-t0)
+	}
 	return res
 }
 

@@ -7,11 +7,10 @@ import (
 	"leakyway/internal/sim"
 )
 
-// BenchmarkChannelSetup measures staging a two-set channel with 16-line
-// receiver eviction sets on a fresh machine, the setup every sweep point of
-// a fresh-seed job repeats. Machines come from an arena over a memoized
-// frame shuffle, so what is timed is the congruence oracle and the address
-// space mappings it makes.
+// BenchmarkChannelSetup measures staging a two-set channel on a fresh
+// machine, the setup every sweep point of a fresh-seed job repeats.
+// Machines come from an arena over a memoized frame shuffle, so what is
+// timed is the congruence oracle and the address space mappings it makes.
 func BenchmarkChannelSetup(b *testing.B) {
 	cfg := platform.Skylake()
 	ar := sim.NewArena()
@@ -19,7 +18,7 @@ func BenchmarkChannelSetup(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Setup(ar.NewMachine(cfg, 1<<30, 1), 2, 16); err != nil {
+		if _, err := Setup(ar.NewMachine(cfg, 1<<30, 1), 2); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -127,17 +127,14 @@ type Endpoints struct {
 	// no empty ways before the channel starts (footnote 4 of the paper:
 	// a fill into an empty way causes no conflict at all).
 	Filler [][]mem.VAddr
-	// REv are receiver eviction sets per target set (Prime+Probe only).
-	REv [][]mem.VAddr
-	// NoiseLines hold one line per target set for the noise process.
+	// NoiseLines hold the noise process's lines congruent with the
+	// target sets.
 	NoiseLines []mem.VAddr
 }
 
 // Setup stages endpoints for a channel over the given number of LLC sets,
-// including per-set filler lines that pre-fill the set. evWays > 0
-// additionally builds receiver eviction sets of that size per target set
-// (for Prime+Probe).
-func Setup(m *sim.Machine, sets, evWays int) (*Endpoints, error) {
+// one set at a time through stageSet.
+func Setup(m *sim.Machine, sets int) (*Endpoints, error) {
 	if sets <= 0 {
 		return nil, fmt.Errorf("channel: sets must be positive, got %d", sets)
 	}
@@ -147,41 +144,42 @@ func Setup(m *sim.Machine, sets, evWays int) (*Endpoints, error) {
 		NoiseAS:    m.NewSpace(),
 	}
 	for s := 0; s < sets; s++ {
-		// Anchor each target set with a fresh receiver line; force
-		// distinct page offsets so the sets differ.
-		anchor, err := ep.ReceiverAS.Alloc(mem.PageSize)
+		ln, noise, err := stageSet(m, ep.ReceiverAS, ep.SenderAS, ep.NoiseAS, s)
 		if err != nil {
 			return nil, err
 		}
-		dr := anchor + mem.VAddr(s*mem.LineSize)
-		ep.DR = append(ep.DR, dr)
-		tline := ep.ReceiverAS.MustTranslate(dr).Line()
-
-		ds, err := core.CongruentWithLine(m, ep.SenderAS, tline, 1)
-		if err != nil {
-			return nil, err
-		}
-		ep.DS = append(ep.DS, ds[0])
-
-		fill, err := core.CongruentLines(m, ep.ReceiverAS, dr, m.H.Config().LLCWays)
-		if err != nil {
-			return nil, err
-		}
-		ep.Filler = append(ep.Filler, fill)
-
-		if evWays > 0 {
-			ep.REv = append(ep.REv, append([]mem.VAddr{dr}, fill[:evWays-1]...))
-		}
-
-		// A rotating pool of noise lines per set, so each noise event
-		// is a genuine fill that displaces the eviction candidate.
-		nl, err := core.CongruentWithLine(m, ep.NoiseAS, tline, 24)
-		if err != nil {
-			return nil, err
-		}
-		ep.NoiseLines = append(ep.NoiseLines, nl...)
+		ep.DS = append(ep.DS, ln.DS)
+		ep.DR = append(ep.DR, ln.DR)
+		ep.Filler = append(ep.Filler, ln.Filler)
+		ep.NoiseLines = append(ep.NoiseLines, noise...)
 	}
 	return ep, nil
+}
+
+// stageSet stages one target set, the per-set step of Setup and of each
+// SetupDuplex lane: a fresh anchor page in the listener's space whose line
+// lineOff becomes DR (distinct offsets keep the sets distinct), the
+// sender's congruent DS, LLCWays filler lines in the listener's space, and
+// a rotating pool of 24 noise lines, so each noise event is a genuine fill
+// that displaces the eviction candidate.
+func stageSet(m *sim.Machine, listenAS, sendAS, noiseAS *mem.AddressSpace, lineOff int) (LaneEndpoints, []mem.VAddr, error) {
+	var ln LaneEndpoints
+	anchor, err := listenAS.Alloc(mem.PageSize)
+	if err != nil {
+		return ln, nil, err
+	}
+	ln.DR = anchor + mem.VAddr(lineOff*mem.LineSize)
+	tline := listenAS.MustTranslate(ln.DR).Line()
+	ds, err := core.CongruentWithLine(m, sendAS, tline, 1)
+	if err != nil {
+		return ln, nil, err
+	}
+	ln.DS = ds[0]
+	if ln.Filler, err = core.CongruentLines(m, listenAS, ln.DR, m.H.Config().LLCWays); err != nil {
+		return ln, nil, err
+	}
+	noise, err := core.CongruentWithLine(m, noiseAS, tline, 24)
+	return ln, noise, err
 }
 
 // spawnNoise starts the background noise daemon on core 2 when period is

@@ -189,26 +189,37 @@ func TestRandomMessageDeterministic(t *testing.T) {
 
 func TestSetupValidation(t *testing.T) {
 	m := sim.MustNewMachine(platform.Skylake(), 1<<28, 1)
-	if _, err := Setup(m, 0, 0); err == nil {
+	if _, err := Setup(m, 0); err == nil {
 		t.Fatal("sets=0 accepted")
 	}
-	ep, err := Setup(m, 2, 16)
+	ep, err := Setup(m, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ep.DS) != 2 || len(ep.DR) != 2 || len(ep.REv) != 2 || len(ep.Filler) != 2 {
+	if len(ep.DS) != 2 || len(ep.DR) != 2 || len(ep.Filler) != 2 || len(ep.NoiseLines) != 2*24 {
 		t.Fatalf("endpoint shapes wrong: %+v", ep)
 	}
-	if len(ep.REv[0]) != 16 {
-		t.Fatalf("eviction set size = %d, want 16", len(ep.REv[0]))
-	}
-	// ds and dr must be congruent per set.
+	// ds, dr, the filler and the set's noise lines must be congruent per
+	// set.
 	geo := m.H.Geometry()
 	for s := 0; s < 2; s++ {
 		dl := ep.SenderAS.MustTranslate(ep.DS[s]).Line()
 		rl := ep.ReceiverAS.MustTranslate(ep.DR[s]).Line()
 		if !geo.Congruent(dl, rl) {
 			t.Fatalf("set %d: ds and dr not congruent", s)
+		}
+		if len(ep.Filler[s]) != 16 {
+			t.Fatalf("set %d: %d filler lines, want 16", s, len(ep.Filler[s]))
+		}
+		for _, va := range ep.Filler[s] {
+			if !geo.Congruent(ep.ReceiverAS.MustTranslate(va).Line(), rl) {
+				t.Fatalf("set %d: filler line not congruent with dr", s)
+			}
+		}
+		for _, va := range ep.NoiseLines[24*s : 24*(s+1)] {
+			if !geo.Congruent(ep.NoiseAS.MustTranslate(va).Line(), rl) {
+				t.Fatalf("set %d: noise line not congruent with dr", s)
+			}
 		}
 	}
 	// The two sets must be distinct.

@@ -53,7 +53,7 @@ func emitRxBit(c *sim.Core, at int64, slot int, bit bool, lat, slotLen, threshol
 //
 // Cores: sender on 0, receiver on 1, noise (if any) on 2.
 func RunNTPNTP(m *sim.Machine, cfg Config, msg []bool) (Report, []bool) {
-	ep, err := Setup(m, max(cfg.Sets, 1), 0)
+	ep, err := Setup(m, max(cfg.Sets, 1))
 	if err != nil {
 		panic(err)
 	}
@@ -75,7 +75,7 @@ func RunNTPNTPOn(m *sim.Machine, cfg Config, ep *Endpoints, msg []bool) (Report,
 // until the receiver's probing saturates the interval.
 func RunNTPNTPLanes(m *sim.Machine, cfg Config, lanes int, msg []bool) (Report, []bool) {
 	lanes = max(lanes, 1)
-	ep, err := Setup(m, 2*lanes, 0)
+	ep, err := Setup(m, 2*lanes)
 	if err != nil {
 		panic(err)
 	}

@@ -1,6 +1,7 @@
 package channel
 
 import (
+	"leakyway/internal/mem"
 	"leakyway/internal/sim"
 	"leakyway/internal/stats"
 )
@@ -13,10 +14,16 @@ import (
 func RunPrimeProbe(m *sim.Machine, cfg Config, msg []bool) (Report, []bool) {
 	mustValidRun(cfg, false, msg)
 	const sets = 2
-	ways := m.H.Config().LLCWays
-	ep, err := Setup(m, sets, ways)
+	ep, err := Setup(m, sets)
 	if err != nil {
 		panic(err)
+	}
+	// The receiver's eviction set per target set: DR and LLCWays-1 of
+	// its filler lines.
+	ways := m.H.Config().LLCWays
+	rev := make([][]mem.VAddr, sets)
+	for s := range rev {
+		rev[s] = append([]mem.VAddr{ep.DR[s]}, ep.Filler[s][:ways-1]...)
 	}
 	interval := cfg.Interval
 	n := len(msg)
@@ -46,14 +53,14 @@ func RunPrimeProbe(m *sim.Machine, cfg Config, msg []bool) (Report, []bool) {
 		clean := make([]int64, sets)
 		for s := 0; s < sets; s++ {
 			for w := 0; w < walks+1; w++ {
-				for _, va := range ep.REv[s] {
+				for _, va := range rev[s] {
 					c.Load(va)
 				}
 			}
 			var samples []int64
 			for k := 0; k < 6; k++ {
 				var sum int64
-				for _, va := range ep.REv[s] {
+				for _, va := range rev[s] {
 					sum += c.TimedLoad(va)
 				}
 				samples = append(samples, sum)
@@ -72,14 +79,14 @@ func RunPrimeProbe(m *sim.Machine, cfg Config, msg []bool) (Report, []bool) {
 				// Probe: timed walk.
 				probeAt := c.Now()
 				var sum int64
-				for _, va := range ep.REv[s] {
+				for _, va := range rev[s] {
 					sum += c.TimedLoad(va)
 				}
 				received[i] = sum > clean[s]
 				emitRxBit(c, probeAt, i, received[i], sum, interval, clean[s])
 				// Re-prime: untimed refresh walks.
 				for w := 0; w < walks-1; w++ {
-					for _, va := range ep.REv[s] {
+					for _, va := range rev[s] {
 						c.Load(va)
 					}
 				}

@@ -40,7 +40,7 @@ const (
 // the sender's first frame.
 func RunNTPNTPSelfSync(m *sim.Machine, cfg Config, msg []bool) (Report, []bool) {
 	mustValidRun(cfg, true, msg)
-	ep, err := Setup(m, 1, 0)
+	ep, err := Setup(m, 1)
 	if err != nil {
 		panic(err)
 	}

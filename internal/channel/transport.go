@@ -126,9 +126,10 @@ func (r TransportReport) String() string {
 		r.FinalCoding, r.GoodputKBps, r.ResidualErrors, status)
 }
 
-// LaneEndpoints is one direction of a duplex link: the transmitter's
-// signalling line DS, the listener's congruent line DR, and the listener's
-// filler lines that keep the set full.
+// LaneEndpoints is one staged target set (see stageSet), and one direction
+// of a duplex link: the transmitter's signalling line DS, the listener's
+// congruent line DR, and the listener's filler lines that keep the set
+// full.
 type LaneEndpoints struct {
 	DS, DR mem.VAddr
 	Filler []mem.VAddr
@@ -156,29 +157,10 @@ func SetupDuplex(m *sim.Machine) (*DuplexEndpoints, error) {
 		RespAS:  m.NewSpace(),
 		NoiseAS: m.NewSpace(),
 	}
-	ways := m.H.Config().LLCWays
 	lane := func(listenAS, sendAS *mem.AddressSpace, lineOff int) (LaneEndpoints, error) {
-		var ln LaneEndpoints
-		anchor, err := listenAS.Alloc(mem.PageSize)
-		if err != nil {
-			return ln, err
-		}
-		ln.DR = anchor + mem.VAddr(lineOff*mem.LineSize)
-		tline := listenAS.MustTranslate(ln.DR).Line()
-		ds, err := core.CongruentWithLine(m, sendAS, tline, 1)
-		if err != nil {
-			return ln, err
-		}
-		ln.DS = ds[0]
-		if ln.Filler, err = core.CongruentLines(m, listenAS, ln.DR, ways); err != nil {
-			return ln, err
-		}
-		noise, err := core.CongruentWithLine(m, dx.NoiseAS, tline, 24)
-		if err != nil {
-			return ln, err
-		}
+		ln, noise, err := stageSet(m, listenAS, sendAS, dx.NoiseAS, lineOff)
 		dx.NoiseLines = append(dx.NoiseLines, noise...)
-		return ln, nil
+		return ln, err
 	}
 	var err error
 	if dx.Fwd, err = lane(dx.RespAS, dx.InitAS, 0); err != nil {

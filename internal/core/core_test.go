@@ -194,3 +194,43 @@ func TestTraceRendering(t *testing.T) {
 		t.Fatalf("steps = %d, want 2", tr.Steps())
 	}
 }
+
+func TestRotateView(t *testing.T) {
+	evset := make([]mem.VAddr, 6)
+	for i := range evset {
+		evset[i] = mem.VAddr((i + 1) * mem.PageSize)
+	}
+	n := len(evset) - 1
+	view := make([]mem.VAddr, len(evset))
+	// at[i] counts the lines seen at position i over one period.
+	at := make([]map[mem.VAddr]int, len(evset))
+	for i := range at {
+		at[i] = map[mem.VAddr]int{}
+	}
+	for it := 0; it < n; it++ {
+		RotateView(view, evset, it)
+		if view[0] != evset[0] {
+			t.Fatalf("iteration %d: scope line moved to %#x", it, view[0])
+		}
+		for i, va := range view {
+			at[i][va]++
+		}
+	}
+	for i := 1; i < len(evset); i++ {
+		if len(at[i]) != n {
+			t.Fatalf("position %d saw %d distinct lines over %d iterations, want %d", i, len(at[i]), n, n)
+		}
+		if at[i][evset[0]] != 0 {
+			t.Fatalf("position %d held the scope line", i)
+		}
+	}
+	// The rotation has period len-1.
+	again := make([]mem.VAddr, len(evset))
+	RotateView(view, evset, 0)
+	RotateView(again, evset, n)
+	for i := range view {
+		if view[i] != again[i] {
+			t.Fatalf("iteration %d differs from iteration 0 at %d", n, i)
+		}
+	}
+}

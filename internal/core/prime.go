@@ -56,3 +56,16 @@ func PrimePrefetchScopePrepare(c *sim.Core, evset []mem.VAddr, rounds int) int {
 	refs++
 	return refs
 }
+
+// RotateView writes the priming order of iteration it into view, which has
+// len(evset): the scope line evset[0] stays at index 0 and the other lines
+// rotate by it, so each takes every position once per len(evset)-1
+// iterations. A fixed order lets the L1 keep the same subset of the set
+// across a whole attack, whose LLC ages then saturate and absorb the
+// evictions meant for the victim's line.
+func RotateView(view, evset []mem.VAddr, it int) {
+	view[0] = evset[0]
+	for i := 1; i < len(evset); i++ {
+		view[i] = evset[1+(i-1+it)%(len(evset)-1)]
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"leakyway/internal/channel"
+	"leakyway/internal/hier"
 	"leakyway/internal/policy"
 	"leakyway/internal/sim"
 )
@@ -86,70 +87,23 @@ func runAblateSets(ctx *Context) (*Result, error) {
 
 func runAblateHWPF(ctx *Context) (*Result, error) {
 	res := &Result{}
-	cfg := ctx.Platforms[0]
-	bits := ctx.Trials(1500)
-	rows := [][]string{}
-	modes := []bool{false, true}
-	reps := make([]channel.Report, len(modes))
-	ctx.Parallel(len(modes), func(i int, src sim.MachineSource) {
-		p := cfg
-		p.HWPrefetch.AdjacentLine = modes[i]
-		p.HWPrefetch.Stream = modes[i]
-		base := channel.DefaultConfig(p.Name, p.FreqGHz)
-		base.NoisePeriod = 0
-		base.Interval = 1500
-		seed := ctx.ShardSeed(i)
-		m := src.NewMachine(p, 1<<30, seed)
-		reps[i], _ = channel.RunNTPNTP(m, base, channel.RandomMessage(bits, seed))
-	})
-	for i, hw := range modes {
-		rep := reps[i]
-		label := "disabled"
-		key := "off"
-		if hw {
-			label = "adjacent-line + stream enabled"
-			key = "on"
-		}
-		rows = append(rows, []string{label, fmt.Sprintf("%.2f%%", 100*rep.BER), fmt.Sprintf("%.1f KB/s", rep.CapacityKBps)})
-		res.Metric("hwpf_"+key+"_ber", rep.BER)
-		res.Metric("hwpf_"+key+"_capacity", rep.CapacityKBps)
+	prefetchers := func(on bool) func(*hier.Config) {
+		return func(p *hier.Config) { p.HWPrefetch.AdjacentLine, p.HWPrefetch.Stream = on, on }
 	}
-	renderTable(ctx, []string{"hardware prefetchers", "BER", "capacity"}, rows)
+	variantTable(ctx, res, "hardware prefetchers", []platformVariant{
+		{"disabled", "hwpf_off", prefetchers(false), ctx.ShardSeed(0)},
+		{"adjacent-line + stream enabled", "hwpf_on", prefetchers(true), ctx.ShardSeed(1)},
+	})
 	return res, nil
 }
 
 func runAblatePolicy(ctx *Context) (*Result, error) {
 	res := &Result{}
-	cfg := ctx.Platforms[0]
-	bits := ctx.Trials(1500)
-	rows := [][]string{}
-	policies := []struct {
-		name string
-		pol  policy.Policy
-		key  string
-	}{
-		{"stock Intel quad-age (load=2, NTA=3)", policy.NewQuadAge(), "stock"},
-		{"countermeasure (load=1, NTA=2)", policy.NewQuadAgeCountermeasure(), "countermeasure"},
-		{"SRRIP-HP", policy.NewSRRIP(), "srrip"},
-	}
-	reps := make([]channel.Report, len(policies))
-	ctx.Parallel(len(policies), func(i int, src sim.MachineSource) {
-		p := cfg
-		p.LLCPolicy = policies[i].pol
-		base := channel.DefaultConfig(p.Name, p.FreqGHz)
-		base.NoisePeriod = 0
-		base.Interval = 1500
-		seed := ctx.SeedFor(policies[i].key)
-		m := src.NewMachine(p, 1<<30, seed)
-		reps[i], _ = channel.RunNTPNTP(m, base, channel.RandomMessage(bits, seed))
+	variantTable(ctx, res, "LLC policy", []platformVariant{
+		{"stock Intel quad-age (load=2, NTA=3)", "stock", func(p *hier.Config) { p.LLCPolicy = policy.NewQuadAge() }, ctx.SeedFor("stock")},
+		{"countermeasure (load=1, NTA=2)", "countermeasure", func(p *hier.Config) { p.LLCPolicy = policy.NewQuadAgeCountermeasure() }, ctx.SeedFor("countermeasure")},
+		{"SRRIP-HP", "srrip", func(p *hier.Config) { p.LLCPolicy = policy.NewSRRIP() }, ctx.SeedFor("srrip")},
 	})
-	for i, pc := range policies {
-		rep := reps[i]
-		rows = append(rows, []string{pc.name, fmt.Sprintf("%.2f%%", 100*rep.BER), fmt.Sprintf("%.1f KB/s", rep.CapacityKBps)})
-		res.Metric(pc.key+"_ber", rep.BER)
-		res.Metric(pc.key+"_capacity", rep.CapacityKBps)
-	}
-	renderTable(ctx, []string{"LLC policy", "BER", "capacity"}, rows)
 	ctx.Printf("the hardened insertion ages break the one-way-competition primitive, as Section VI-D predicts\n")
 	return res, nil
 }

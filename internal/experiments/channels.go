@@ -5,6 +5,7 @@ import (
 
 	"leakyway/internal/channel"
 	"leakyway/internal/hier"
+	"leakyway/internal/sim"
 )
 
 // fig6, fig7 and fig8 are declarative scenarios now — see builtin.go for
@@ -79,4 +80,38 @@ func quietPlatform(cfg hier.Config) hier.Config {
 	cfg.Lat.L1Jit, cfg.Lat.L2Jit, cfg.Lat.LLCJit, cfg.Lat.MemJit = 0, 0, 0, 0
 	cfg.Lat.FlushJit, cfg.Lat.TimerJit = 0, 0
 	return cfg
+}
+
+// platformVariant is one row of a variant table: the first platform
+// modified by mod, and the seed of its machine and message.
+type platformVariant struct {
+	name, key string
+	mod       func(p *hier.Config)
+	seed      int64
+}
+
+// variantTable runs NTP+NTP at 1500 cycles/bit without noise on one machine
+// per variant, sharded across free workers. It renders a BER/capacity
+// table whose first column is headed what, and records <key>_ber and
+// <key>_capacity per variant.
+func variantTable(ctx *Context, res *Result, what string, variants []platformVariant) {
+	bits := ctx.Trials(1500)
+	reps := make([]channel.Report, len(variants))
+	ctx.Parallel(len(variants), func(i int, src sim.MachineSource) {
+		v := variants[i]
+		p := ctx.Platforms[0]
+		v.mod(&p)
+		cfg := channel.DefaultConfig(p.Name, p.FreqGHz)
+		cfg.NoisePeriod = 0
+		cfg.Interval = 1500
+		reps[i], _ = channel.RunNTPNTP(src.NewMachine(p, 1<<30, v.seed), cfg, channel.RandomMessage(bits, v.seed))
+	})
+	rows := [][]string{}
+	for i, v := range variants {
+		rep := reps[i]
+		rows = append(rows, []string{v.name, fmt.Sprintf("%.2f%%", 100*rep.BER), fmt.Sprintf("%.1f KB/s", rep.CapacityKBps)})
+		res.Metric(v.key+"_ber", rep.BER)
+		res.Metric(v.key+"_capacity", rep.CapacityKBps)
+	}
+	renderTable(ctx, []string{what, "BER", "capacity"}, rows)
 }

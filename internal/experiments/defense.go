@@ -3,10 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"leakyway/internal/channel"
 	"leakyway/internal/hier"
 	"leakyway/internal/policy"
-	"leakyway/internal/sim"
 )
 
 func init() {
@@ -20,38 +18,12 @@ func init() {
 
 func runDefense(ctx *Context) (*Result, error) {
 	res := &Result{}
-	bits := ctx.Trials(1500)
-	base := ctx.Platforms[0]
-
 	ctx.Printf("NTP+NTP at 1500 cycles/bit under each defense:\n\n")
-	rows := [][]string{}
-	variants := []struct {
-		name string
-		key  string
-		mod  func(p *hier.Config)
-	}{
-		{"undefended (stock Skylake)", "stock", func(*hier.Config) {}},
-		{"way-partitioned LLC (4 ways/core isolation)", "partition", func(p *hier.Config) { p.LLCPartitionWays = 4 }},
-		{"hardened insertion (load=1, NTA=2)", "hardened", func(p *hier.Config) { p.LLCPolicy = policy.NewQuadAgeCountermeasure() }},
-	}
-	reps := make([]channel.Report, len(variants))
-	ctx.Parallel(len(variants), func(i int, src sim.MachineSource) {
-		p := base
-		variants[i].mod(&p)
-		ccfg := channel.DefaultConfig(p.Name, p.FreqGHz)
-		ccfg.NoisePeriod = 0
-		ccfg.Interval = 1500
-		seed := ctx.SeedFor(variants[i].key)
-		m := src.NewMachine(p, 1<<30, seed)
-		reps[i], _ = channel.RunNTPNTP(m, ccfg, channel.RandomMessage(bits, seed))
+	variantTable(ctx, res, "defense", []platformVariant{
+		{"undefended (stock Skylake)", "stock", func(*hier.Config) {}, ctx.SeedFor("stock")},
+		{"way-partitioned LLC (4 ways/core isolation)", "partition", func(p *hier.Config) { p.LLCPartitionWays = 4 }, ctx.SeedFor("partition")},
+		{"hardened insertion (load=1, NTA=2)", "hardened", func(p *hier.Config) { p.LLCPolicy = policy.NewQuadAgeCountermeasure() }, ctx.SeedFor("hardened")},
 	})
-	for i, v := range variants {
-		rep := reps[i]
-		rows = append(rows, []string{v.name, fmt.Sprintf("%.2f%%", 100*rep.BER), fmt.Sprintf("%.1f KB/s", rep.CapacityKBps)})
-		res.Metric(v.key+"_capacity", rep.CapacityKBps)
-		res.Metric(v.key+"_ber", rep.BER)
-	}
-	renderTable(ctx, []string{"defense", "BER", "capacity"}, rows)
 
 	// Re-keying analysis: a randomized, periodically re-keyed index (e.g.
 	// ScatterCache/PhantomCache-style) invalidates eviction sets at every

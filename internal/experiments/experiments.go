@@ -327,16 +327,6 @@ func renderTable(ctx *Context, headers []string, rows [][]string) {
 	}
 }
 
-// sortedMetricNames is a test helper.
-func sortedMetricNames(r *Result) []string {
-	names := make([]string, 0, len(r.Metrics))
-	for k := range r.Metrics {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // shortName maps a platform to a metric prefix.
 func shortName(cfg hier.Config) string {
 	if strings.Contains(cfg.Name, "Kaby") {

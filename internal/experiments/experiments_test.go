@@ -18,7 +18,7 @@ func metric(t *testing.T, r *Result, name string) float64 {
 	t.Helper()
 	v, ok := r.Metrics[name]
 	if !ok {
-		t.Fatalf("metric %q missing (have %v)", name, sortedMetricNames(r))
+		t.Fatalf("metric %q missing (have %v)", name, sortedKeys(r.Metrics))
 	}
 	return v
 }

@@ -34,7 +34,7 @@ func TestFaultLogMatchesTraceEvents(t *testing.T) {
 		seedv := SplitSeed(42, "faults", sc.Key)
 		m := sim.MustNewMachine(cfg, 1<<30, seedv)
 		m.SetTracer(col.Tracer(sc.Key, trace.PkgAll))
-		ep, err := channel.Setup(m, 2, 0)
+		ep, err := channel.Setup(m, 2)
 		if err != nil {
 			t.Fatalf("%s: %v", sc.Key, err)
 		}

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 )
 
@@ -91,4 +92,14 @@ func TestGoldenMetrics(t *testing.T) {
 			t.Logf("note: experiment %s has no golden entry (run -update to include it)", id)
 		}
 	}
+}
+
+// sortedKeys returns m's keys in order, for deterministic iteration.
+func sortedKeys[M ~map[string]V, V any](m M) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

@@ -40,7 +40,8 @@ func init() {
 
 // stateWalk drives one accessed and one idle iteration of a refresh attack
 // with set-state snapshots, for the Figure 9/10 traces; id names the
-// experiment in setup failures.
+// experiment in setup failures. It keeps its own loop rather than
+// RefreshVariant.Monitor's, because a snapshot follows every step.
 func stateWalk(ctx *Context, id string, nta bool) (*Result, error) {
 	res := &Result{}
 	cfg := quietPlatform(ctx.Platforms[0])
@@ -48,25 +49,19 @@ func stateWalk(ctx *Context, id string, nta bool) (*Result, error) {
 	verdicts := make([]bool, 2)
 	ctx.Parallel(1, func(_ int, src sim.MachineSource) {
 		m := src.NewMachine(cfg, 1<<30, ctx.Seed)
-		attackerAS := m.NewSpace()
-		victimAS := m.NewSpace()
-		dt, err := attackerAS.Alloc(mem.PageSize)
+		sh, err := attack.StageShared(m, cfg.LLCWays)
 		if err != nil {
-			failf(id, "alloc shared line", err)
+			failf(id, "stage shared line", err)
 		}
-		if err := victimAS.MapShared(attackerAS, dt, mem.PageSize); err != nil {
-			failf(id, "map shared line", err)
-		}
-		w := cfg.LLCWays
-		ls := core.MustCongruentLines(m, attackerAS, dt, w)
+		dt, ls, w := sh.DT, sh.Lines, len(sh.Lines)
 
 		const window = int64(40_000)
-		m.SpawnDaemon("victim", 1, victimAS, func(c *sim.Core) {
+		m.SpawnDaemon("victim", 1, sh.Victim, func(c *sim.Core) {
 			// Window 0: access dt (case a). Window 1: stay idle (case b).
 			c.WaitUntil(window + window/2)
 			c.Load(dt)
 		})
-		m.Spawn("attacker", 0, attackerAS, func(c *sim.Core) {
+		m.Spawn("attacker", 0, sh.Attacker, func(c *sim.Core) {
 			th := core.Calibrate(c, 48)
 			tr.Label(c, dt, "dt")
 			tr.Label(c, ls[0], "l0")

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"leakyway/internal/attack"
 	"leakyway/internal/core"
 	"leakyway/internal/hier"
 	"leakyway/internal/mem"
@@ -30,23 +31,15 @@ func runResolution(ctx *Context) (*Result, error) {
 
 	measure := func(src sim.MachineSource, scope bool) []int64 {
 		m := src.NewMachine(cfg, 1<<30, ctx.Seed)
-		attackerAS := m.NewSpace()
-		victimAS := m.NewSpace()
-		anchor, err := attackerAS.Alloc(mem.PageSize)
+		sc, err := attack.StageScope(m)
 		if err != nil {
-			failf("resolution", "alloc anchor page", err)
+			failf("resolution", "stage scope attack", err)
 		}
-		evset := append([]mem.VAddr{anchor},
-			core.MustCongruentLines(m, attackerAS, anchor, cfg.LLCWays-1)...)
-		dvs, err := core.CongruentWithLine(m, victimAS, attackerAS.MustTranslate(anchor).Line(), 1)
-		if err != nil {
-			failf("resolution", "find victim-congruent line", err)
-		}
-		dv := dvs[0]
+		evset, dv := sc.EvSet, sc.VictimLine
 
 		// The victim accesses at jittered times the harness records.
 		accesses := make([]int64, 0, trials)
-		m.SpawnDaemon("victim", 1, victimAS, func(c *sim.Core) {
+		m.SpawnDaemon("victim", 1, sc.Victim, func(c *sim.Core) {
 			x := uint64(ctx.Seed)*2 + 1
 			for {
 				x ^= x << 13
@@ -60,14 +53,11 @@ func runResolution(ctx *Context) (*Result, error) {
 		})
 
 		var delays []int64
-		m.Spawn("attacker", 0, attackerAS, func(c *sim.Core) {
+		m.Spawn("attacker", 0, sc.Attacker, func(c *sim.Core) {
 			th := core.Calibrate(c, 48)
 			view := make([]mem.VAddr, len(evset))
-			view[0] = evset[0]
 			for it := 0; it < trials; it++ {
-				for i := 1; i < len(evset); i++ {
-					view[i] = evset[1+(i-1+it)%(len(evset)-1)]
-				}
+				core.RotateView(view, evset, it)
 				core.PrimePrefetchScopePrepare(c, view, 2)
 				deadline := c.Now() + 40_000
 				var detected int64

@@ -107,7 +107,7 @@ func runStateWalkSpec(ctx *Context, s *scenario.Spec) (*Result, error) {
 	ctx.Parallel(1, func(_ int, src sim.MachineSource) {
 		m := src.NewMachine(cfg, 1<<30, ctx.Seed)
 		m.SetTracer(ctx.Tracer(shortName(cfg)))
-		ep, err := channel.Setup(m, 1, 0)
+		ep, err := channel.Setup(m, 1)
 		if err != nil {
 			failf(s.ID, "statewalk: channel setup", err)
 		}
@@ -407,7 +407,7 @@ func runFaultsSpec(ctx *Context, s *scenario.Spec) (*Result, error) {
 		{
 			m := src.NewMachine(cfg, 1<<30, seedv)
 			m.SetTracer(ctx.Tracer(sc.Key, "raw"))
-			ep, err := channel.Setup(m, 2, 0)
+			ep, err := channel.Setup(m, 2)
 			if err != nil {
 				failf(s.ID, "faults/"+sc.Key+": raw channel setup", err)
 			}
@@ -422,7 +422,7 @@ func runFaultsSpec(ctx *Context, s *scenario.Spec) (*Result, error) {
 		outs[si].residual = hammingResidual(msg, sp.InterleaveDepth, func(enc []bool) []bool {
 			m := src.NewMachine(cfg, 1<<30, seedv)
 			m.SetTracer(ctx.Tracer(sc.Key, "hamming"))
-			ep, err := channel.Setup(m, 2, 0)
+			ep, err := channel.Setup(m, 2)
 			if err != nil {
 				failf(s.ID, "faults/"+sc.Key+": hamming channel setup", err)
 			}

@@ -3,9 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"leakyway/internal/core"
+	"leakyway/internal/attack"
 	"leakyway/internal/hier"
-	"leakyway/internal/mem"
 	"leakyway/internal/sim"
 	"leakyway/internal/stats"
 )
@@ -29,43 +28,33 @@ func runStealth(ctx *Context) (*Result, error) {
 	cfg := ctx.Platforms[0]
 	iters := ctx.Trials(800)
 	const window = int64(6000)
-	const start = int64(50_000)
 
 	type outcome struct {
 		mean     float64
 		missFrac float64
 	}
 
-	run := func(src sim.MachineSource, name string, attacker func(c *sim.Core, th core.Thresholds, dt mem.VAddr, ls []mem.VAddr, w int)) outcome {
+	// Every attack stages LLCWays congruent lines, Flush+Reload included,
+	// so all three map the same frames.
+	run := func(src sim.MachineSource, name string, monitor func(*sim.Core, attack.Shared)) outcome {
 		m := src.NewMachine(cfg, 1<<30, ctx.Seed)
-		attackerAS := m.NewSpace()
-		victimAS := m.NewSpace()
-		dt, err := attackerAS.Alloc(mem.PageSize)
+		sh, err := attack.StageShared(m, cfg.LLCWays)
 		if err != nil {
-			failf("stealth", name+": alloc probe line", err)
+			failf("stealth", name+": stage shared line", err)
 		}
-		if err := victimAS.MapShared(attackerAS, dt, mem.PageSize); err != nil {
-			failf("stealth", name+": map shared probe line", err)
-		}
-		w := cfg.LLCWays
-		ls := core.MustCongruentLines(m, attackerAS, dt, w)
-
 		var vlat []int64
 		misses := 0
-		m.SpawnDaemon("victim", 1, victimAS, func(c *sim.Core) {
+		m.SpawnDaemon("victim", 1, sh.Victim, func(c *sim.Core) {
 			for i := 0; ; i++ {
-				c.WaitUntil(start + int64(i)*window + window/2)
-				r := c.Load(dt)
+				c.WaitUntil(attack.EpochStart + int64(i)*window + window/2)
+				r := c.Load(sh.DT)
 				vlat = append(vlat, r.Latency)
 				if r.Level == hier.LevelMem {
 					misses++
 				}
 			}
 		})
-		m.Spawn("attacker", 0, attackerAS, func(c *sim.Core) {
-			th := core.Calibrate(c, 48)
-			attacker(c, th, dt, ls, w)
-		})
+		m.Spawn("attacker", 0, sh.Attacker, func(c *sim.Core) { monitor(c, sh) })
 		m.Run()
 		frac := 0.0
 		if len(vlat) > 0 {
@@ -74,89 +63,24 @@ func runStealth(ctx *Context) (*Result, error) {
 		return outcome{stats.Mean(vlat), frac}
 	}
 
+	classic := attack.ClassicConfig{Iterations: iters, Window: window}
+	refresh := attack.RefreshConfig{Iterations: iters, Window: window}
 	attacks := []struct {
 		name, key string
-		attacker  func(c *sim.Core, th core.Thresholds, dt mem.VAddr, ls []mem.VAddr, w int)
+		monitor   func(*sim.Core, attack.Shared)
 	}{
-		// Flush+Reload: flush, wait, reload.
-		{"Flush+Reload", "flush_reload", func(c *sim.Core, th core.Thresholds, dt mem.VAddr, ls []mem.VAddr, w int) {
-			c.Flush(dt)
-			for it := 0; it < iters; it++ {
-				c.WaitUntil(start + int64(it+1)*window)
-				c.TimedLoad(dt)
-				c.Flush(dt)
-			}
-		}},
-
-		// Reload+Refresh: the Figure 9 loop (age observation, no flush seen
-		// by the victim between its accesses — its hits stay hits).
-		{"Reload+Refresh", "reload_refresh", func(c *sim.Core, th core.Thresholds, dt mem.VAddr, ls []mem.VAddr, w int) {
-			prepareRR := func() {
-				all := append([]mem.VAddr{dt}, ls...)
-				for round := 0; round < 3; round++ {
-					for _, va := range all {
-						c.Load(va)
-					}
-				}
-				for _, va := range all {
-					c.Flush(va)
-				}
-				c.Fence()
-				c.Load(dt)
-				for i := 0; i < w-1; i++ {
-					c.Load(ls[i])
-				}
-			}
-			prepareRR()
-			for it := 0; it < iters; it++ {
-				c.WaitUntil(start + int64(it+1)*window)
-				c.Load(ls[w-1])
-				c.TimedLoad(dt)
-				c.Flush(dt)
-				c.Flush(ls[w-1])
-				c.Load(dt)
-				c.Load(ls[0])
-				for i := 1; i < w-1; i++ {
-					c.Load(ls[i])
-				}
-			}
-		}},
-
-		// Prefetch+Refresh v2: the cheapest reset.
-		{"Prefetch+Refresh v2", "prefetch_refresh", func(c *sim.Core, th core.Thresholds, dt mem.VAddr, ls []mem.VAddr, w int) {
-			all := append([]mem.VAddr{dt}, ls...)
-			for round := 0; round < 3; round++ {
-				for _, va := range all {
-					c.Load(va)
-				}
-			}
-			for _, va := range all {
-				c.Flush(va)
-			}
-			c.Fence()
-			c.PrefetchNTA(dt)
-			for i := 0; i < w-1; i++ {
-				c.PrefetchNTA(ls[i])
-			}
-			conflict, spare := ls[w-1], ls[0]
-			for it := 0; it < iters; it++ {
-				c.WaitUntil(start + int64(it+1)*window)
-				c.PrefetchNTA(conflict)
-				accessed := !th.IsMiss(c.TimedPrefetchNTA(dt))
-				c.Flush(dt)
-				c.PrefetchNTA(dt)
-				if accessed {
-					conflict, spare = spare, conflict
-				}
-			}
-		}},
+		{"Flush+Reload", "flush_reload", func(c *sim.Core, sh attack.Shared) { attack.FlushReload.Monitor(c, sh, classic) }},
+		// The refresh attacks observe ages and put dt back in the LLC
+		// before the next window, so the victim's accesses stay hits.
+		{"Reload+Refresh", "reload_refresh", func(c *sim.Core, sh attack.Shared) { attack.ReloadRefresh.Monitor(c, sh, refresh) }},
+		{"Prefetch+Refresh v2", "prefetch_refresh", func(c *sim.Core, sh attack.Shared) { attack.PrefetchRefreshV2.Monitor(c, sh, refresh) }},
 	}
 
 	// Each attack runs on its own machine, so the three shard across free
 	// workers.
 	outcomes := make([]outcome, len(attacks))
 	ctx.Parallel(len(attacks), func(i int, src sim.MachineSource) {
-		outcomes[i] = run(src, attacks[i].name, attacks[i].attacker)
+		outcomes[i] = run(src, attacks[i].name, attacks[i].monitor)
 	})
 	rows := [][]string{}
 	for i, o := range outcomes {

@@ -3,7 +3,6 @@ package scenario
 import (
 	"fmt"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -204,14 +203,4 @@ func (s *Spec) Evaluate(report string, metrics map[string]float64) Evaluation {
 		ev.Assertions = append(ev.Assertions, res)
 	}
 	return ev
-}
-
-// MetricNames returns the sorted metric keys (a rendering helper).
-func MetricNames(metrics map[string]float64) []string {
-	names := make([]string, 0, len(metrics))
-	for k := range metrics {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

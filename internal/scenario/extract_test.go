@@ -161,13 +161,3 @@ func TestAssertionDescribe(t *testing.T) {
 		}
 	}
 }
-
-func TestMetricNames(t *testing.T) {
-	got := MetricNames(map[string]float64{"b": 1, "a": 2, "c": 3})
-	want := []string{"a", "b", "c"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("MetricNames = %v, want %v", got, want)
-		}
-	}
-}

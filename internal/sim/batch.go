@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"math/rand"
 	"sync"
 
 	"leakyway/internal/hier"
@@ -114,13 +113,10 @@ func (ar *Arena) NewMachine(cfg hier.Config, memBytes uint64, seed int64) *Machi
 	if err != nil {
 		panic(err)
 	}
-	ar.cur = &Machine{
-		H:         h,
-		Phys:      mem.NewPhysMemFrom(shuffle(memBytes, seed^0x9e3779b9)),
-		rng:       rand.New(rand.NewSource(seed ^ 0x5DEECE66D)),
-		SyncSlack: 3,
-		ctx:       ar.ctx,
-	}
+	ar.cur = newMachine(h, seed, func(shuffleSeed int64) *mem.PhysMem {
+		return mem.NewPhysMemFrom(shuffle(memBytes, shuffleSeed))
+	})
+	ar.cur.ctx = ar.ctx
 	return ar.cur
 }
 

@@ -91,12 +91,22 @@ func NewMachine(cfg hier.Config, memBytes uint64, seed int64) (*Machine, error) 
 	if err != nil {
 		return nil, err
 	}
+	return newMachine(h, seed, func(shuffleSeed int64) *mem.PhysMem {
+		return mem.NewPhysMem(memBytes, shuffleSeed)
+	}), nil
+}
+
+// newMachine assembles a machine from its hierarchy and the physical
+// memory phys builds from the frame-shuffle seed. NewMachine and
+// Arena.NewMachine both build through it, so a recycled machine cannot
+// drift from a fresh one.
+func newMachine(h *hier.Hierarchy, seed int64, phys func(shuffleSeed int64) *mem.PhysMem) *Machine {
 	return &Machine{
 		H:         h,
-		Phys:      mem.NewPhysMem(memBytes, seed^0x9e3779b9),
+		Phys:      phys(seed ^ 0x9e3779b9),
 		rng:       rand.New(rand.NewSource(seed ^ 0x5DEECE66D)),
 		SyncSlack: 3,
-	}, nil
+	}
 }
 
 // MustNewMachine is NewMachine for static configs; it panics on error.

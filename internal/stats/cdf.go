@@ -85,46 +85,3 @@ func (c *CDF) Render(label string, xmin, xmax int64, width int) string {
 	}
 	return b.String()
 }
-
-// Histogram buckets samples into fixed-width bins, for Figure 2/5-style
-// latency clouds.
-type Histogram struct {
-	Min, Width int64
-	Counts     []int
-	Total      int
-}
-
-// NewHistogram builds a histogram with nbins bins spanning [min, max].
-func NewHistogram(samples []int64, min, max int64, nbins int) *Histogram {
-	if nbins <= 0 {
-		nbins = 1
-	}
-	width := (max - min + int64(nbins) - 1) / int64(nbins)
-	if width <= 0 {
-		width = 1
-	}
-	h := &Histogram{Min: min, Width: width, Counts: make([]int, nbins)}
-	for _, v := range samples {
-		idx := int((v - min) / width)
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= nbins {
-			idx = nbins - 1
-		}
-		h.Counts[idx]++
-		h.Total++
-	}
-	return h
-}
-
-// Mode returns the midpoint of the most populated bin.
-func (h *Histogram) Mode() int64 {
-	best := 0
-	for i, c := range h.Counts {
-		if c > h.Counts[best] {
-			best = i
-		}
-	}
-	return h.Min + int64(best)*h.Width + h.Width/2
-}

@@ -60,16 +60,6 @@ func (s Summary) String() string {
 		s.N, s.Mean, s.Stdev, s.Min, s.Median, s.P95, s.Max)
 }
 
-// Percentile returns the p-th percentile (0..100) of the sample.
-func Percentile(samples []int64, p float64) int64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	sorted := append([]int64(nil), samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return percentileSorted(sorted, p)
-}
-
 func percentileSorted(sorted []int64, p float64) int64 {
 	if p <= 0 {
 		return sorted[0]
@@ -97,21 +87,6 @@ func Mean(samples []int64) float64 {
 		sum += float64(v)
 	}
 	return sum / float64(len(samples))
-}
-
-// FractionAbove returns the fraction of samples strictly above the
-// threshold, used for hit/miss classification checks.
-func FractionAbove(samples []int64, threshold int64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	n := 0
-	for _, v := range samples {
-		if v > threshold {
-			n++
-		}
-	}
-	return float64(n) / float64(len(samples))
 }
 
 // BinaryEntropy is H(p) in bits; H(0)=H(1)=0.

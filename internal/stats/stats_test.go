@@ -34,27 +34,18 @@ func TestPercentile(t *testing.T) {
 	data := []int64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
 	cases := map[float64]int64{0: 10, 10: 10, 50: 50, 95: 100, 100: 100}
 	for p, want := range cases {
-		if got := Percentile(data, p); got != want {
+		if got := percentileSorted(data, p); got != want {
 			t.Errorf("P%.0f = %d, want %d", p, got, want)
 		}
 	}
-	if Percentile(nil, 50) != 0 {
-		t.Error("empty percentile should be 0")
-	}
 }
 
-func TestMeanAndFractionAbove(t *testing.T) {
+func TestMean(t *testing.T) {
 	if Mean([]int64{2, 4, 6}) != 4 {
 		t.Error("mean wrong")
 	}
 	if Mean(nil) != 0 {
 		t.Error("empty mean should be 0")
-	}
-	if got := FractionAbove([]int64{1, 2, 3, 4}, 2); got != 0.5 {
-		t.Errorf("FractionAbove = %f", got)
-	}
-	if FractionAbove(nil, 0) != 0 {
-		t.Error("empty FractionAbove should be 0")
 	}
 }
 
@@ -153,19 +144,4 @@ func TestCDFRender(t *testing.T) {
 	}
 	// Degenerate range must not panic.
 	_ = c.Render("degenerate", 5, 5, 10)
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]int64{1, 1, 2, 8, 9}, 0, 10, 5)
-	if h.Total != 5 {
-		t.Fatalf("total = %d", h.Total)
-	}
-	if h.Mode() > 3 {
-		t.Fatalf("mode = %d, expected in the first bucket region", h.Mode())
-	}
-	// Out-of-range samples clamp to edge bins.
-	h2 := NewHistogram([]int64{-5, 100}, 0, 10, 2)
-	if h2.Counts[0] != 1 || h2.Counts[1] != 1 {
-		t.Fatalf("clamping failed: %+v", h2.Counts)
-	}
 }

@@ -69,11 +69,8 @@ func SpyExponent(m *sim.Machine, coreID int, as *mem.AddressSpace, v *ExponentVi
 		n := len(v.Exponent)
 		// Rotate the priming order across iterations (see RunScope).
 		view := make([]mem.VAddr, len(evset))
-		view[0] = evset[0]
 		for w := 0; w < n; w++ {
-			for i := 1; i < len(evset); i++ {
-				view[i] = evset[1+(i-1+w)%(len(evset)-1)]
-			}
+			core.RotateView(view, evset, w)
 			// Prepare before the window opens, then scope through it.
 			c.WaitUntil(v.Start + int64(w)*v.Window - v.Window/4)
 			core.PrimePrefetchScopePrepare(c, view, 2)
