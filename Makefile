@@ -102,13 +102,15 @@ trace-smoke:
 
 # Daemon robustness gate: drives the real leakywayd binary over HTTP
 # (through service.Client) and signals — an SSE progress frame before done,
-# a /metricsz scrape, cache-hit resubmission, SIGTERM drain (exit 0,
-# accepted jobs completed), and SIGKILL crash-recovery with byte-identical
-# metrics.
+# a /metricsz scrape, metrics byte-identical to the leakyway CLI's -json
+# export, no engine worker token held while idle, cache-hit resubmission,
+# SIGTERM drain (exit 0, accepted jobs completed), and SIGKILL
+# crash-recovery with byte-identical metrics.
 daemon-smoke:
 	set -e; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/leakywayd" ./cmd/leakywayd; \
-	$(GO) run ./cmd/daemonsmoke -bin "$$tmp/leakywayd"
+	$(GO) build -o "$$tmp/leakyway" ./cmd/leakyway; \
+	$(GO) run ./cmd/daemonsmoke -bin "$$tmp/leakywayd" -cli "$$tmp/leakyway"
 
 # Disk-chaos gate: the same daemon binary and client under injected
 # journal-fsync failure and a tiny store quota — degraded mode must engage (503 +

@@ -10,10 +10,13 @@
 //     recovers the journalled job and produces byte-identical metrics.
 //
 // It also exercises the observability surface: /metricsz must scrape as
-// Prometheus text and the per-job SSE stream must deliver at least one
-// progress frame before the done frame.
+// Prometheus text, the per-job SSE stream must deliver at least one
+// progress frame before the done frame, and an idle daemon must hold no
+// engine worker token. The first job's metrics must match the CLI's
+// `leakyway -quick -seed 42 -template <file> -json` export byte for byte.
 //
-// Run via `make daemon-smoke`, which builds the binary and passes -bin.
+// Run via `make daemon-smoke`, which builds both binaries and passes -bin
+// and -cli.
 package main
 
 import (
@@ -38,6 +41,7 @@ import (
 
 var (
 	bin      = flag.String("bin", "", "path to the leakywayd binary (required)")
+	cli      = flag.String("cli", "", "path to the leakyway CLI binary (required unless -chaos)")
 	template = flag.String("template", "templates/fig6.yaml", "scenario template to submit")
 	chaos    = flag.Bool("chaos", false, "run the disk-chaos phase instead: degraded-mode entry/exit under injected fsync failure plus quota-driven eviction")
 )
@@ -58,6 +62,9 @@ func main() {
 		return
 	}
 
+	if *cli == "" {
+		fatalf("-cli is required")
+	}
 	m1 := phaseDrain(string(tmpl))
 	m2 := phaseCrashRecovery(string(tmpl))
 	if !bytes.Equal(m1, m2) {
@@ -167,6 +174,27 @@ func (d *daemon) submit(sub service.Submission, wantCache string) service.JobVie
 		fatalf("seed %d submission X-Cache %q, want %s", sub.Seed, cache, wantCache)
 	}
 	return v
+}
+
+// cliMetrics runs the CLI on the smoke's template at seed, quick, and
+// returns its -json export.
+func cliMetrics(dir string, seed int64) []byte {
+	out := filepath.Join(dir, "cli.metrics.json")
+	cmd := exec.Command(*cli, "-quick", "-seed", fmt.Sprint(seed), "-template", *template, "-json", out, "run")
+	cmd.Stderr = os.Stderr
+	if err := cmd.Run(); err != nil {
+		fatalf("%s: %v", *cli, err)
+	}
+	return must(os.ReadFile(out))
+}
+
+// checkIdleTokens fails unless the daemon, with no job running, holds no
+// engine worker token.
+func (d *daemon) checkIdleTokens() {
+	if got := must(d.Metric("leakywayd_engine_tokens_in_use")); got != 0 {
+		fatalf("idle daemon holds %.0f engine worker tokens, want 0", got)
+	}
+	fmt.Println("daemon-smoke: idle daemon holds no engine worker token")
 }
 
 // phaseChaos drives the daemon through a disk outage and a store-quota
@@ -289,6 +317,10 @@ func phaseDrain(tmpl string) []byte {
 	}
 	must(d.Metric(`leakywayd_jobs_total{event="accepted"}`))
 	fmt.Println("daemon-smoke: first run completed, metrics fetched, /metricsz scraped")
+	if want := cliMetrics(dir, 42); !bytes.Equal(metrics, want) {
+		fatalf("daemon metrics differ from the CLI's -json export\n--- daemon ---\n%s\n--- cli ---\n%s", metrics, want)
+	}
+	fmt.Println("daemon-smoke: metrics byte-identical to the CLI's -json export")
 
 	// Identical resubmission must be served from the store.
 	j2 := d.submit(job(tmpl, 42), "hit")
@@ -296,6 +328,7 @@ func phaseDrain(tmpl string) []byte {
 		fatalf("resubmission key %s differs from %s", j2.Key, j1.Key)
 	}
 	fmt.Println("daemon-smoke: resubmission served from cache")
+	d.checkIdleTokens()
 
 	// Queue one more job, then SIGTERM: the drain must complete it and
 	// the process must exit 0.
@@ -342,6 +375,7 @@ func phaseCrashRecovery(tmpl string) []byte {
 	d2.awaitDone(j.ID)
 	metrics := must(d2.Artifact(j.ID, "metrics"))
 	fmt.Println("daemon-smoke: restart recovered the journalled job to done")
+	d2.checkIdleTokens()
 
 	if err := d2.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		fatalf("SIGTERM: %v", err)

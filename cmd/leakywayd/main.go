@@ -56,7 +56,7 @@ func run() error {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:8099", "listen address (use :0 for an ephemeral port)")
 		dataDir    = flag.String("data", "", "data directory for the result store and journal (required)")
-		workers    = flag.Int("workers", 2, "worker pool size")
+		workers    = flag.Int("workers", 2, "worker pool size and the engine worker budget a lone job may use")
 		queueCap   = flag.Int("queue", 64, "max queued jobs before submissions get 429")
 		jobTimeout = flag.Duration("job-timeout", 10*time.Minute, "per-attempt deadline")
 		retries    = flag.Int("retries", 2, "retry budget per job after a failed attempt")

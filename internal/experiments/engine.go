@@ -11,6 +11,7 @@ import (
 
 	"leakyway/internal/hier"
 	"leakyway/internal/sim"
+	"leakyway/internal/telemetry"
 )
 
 // The parallel experiment engine.
@@ -26,15 +27,25 @@ import (
 //   - concurrent metric recording goes through Result's lock and the
 //     final map is key-addressed, so recording order is invisible.
 //
-// One budget of ctx.Jobs workers serves experiments and shards alike: a
-// bucket of Jobs tokens (none when Jobs <= 1), one per goroutine running
-// engine work. The goroutine that calls runExperiments holds the first;
-// every fanOut recruits one helper per token free at the call, and runs
-// indices on its calling goroutine too. So while every token is out an
-// inner Parallel runs its shards itself (never a deadlock). A fanOut
-// caller that has run out of indices lends its token while it waits for
-// its helpers, so during the tail of a run the still-running heavy
-// experiments' next Parallel calls soak up every idle worker.
+// One Budget of worker tokens serves experiments and shards alike, one
+// token per goroutine running engine work. The goroutine that calls
+// runExperiments takes the first; every fanOut recruits one helper per
+// token free at the call, and runs indices on its calling goroutine too.
+// So while every token is out an inner Parallel runs its shards itself
+// (never a deadlock). A fanOut caller that has run out of indices lends
+// its token while it waits for its helpers, so during the tail of a run
+// the still-running heavy experiments' next Parallel calls soak up every
+// idle worker. A goroutine that must wait for a token (an execution
+// starting, or a fanOut caller taking its token back) waits for at most
+// one shard: a helper hands its token back at its next shard boundary
+// while anyone waits.
+//
+// A run whose ctx.Ctx carries no budget builds a private one of ctx.Jobs
+// tokens (none when Jobs <= 1); the CLI's -jobs takes this path. The
+// daemon owns one budget of -workers tokens and hands it to every run
+// through ctx.Ctx (WithBudget), so a lone job borrows the workers the
+// others leave idle. Either way the output is byte-identical, since no
+// task can observe how many workers ran it.
 //
 // Parallel is also the only way to get a machine: each shard builds its
 // machines through a sim.MachineSource that recycles them through the
@@ -54,15 +65,16 @@ type taskState struct {
 func runExperiments(ctx *Context, list []Experiment) (map[string]*Result, error) {
 	slots := make([]taskState, len(list))
 	ctx.Progress.SetPhasesTotal(len(list))
-	var sem chan struct{}
-	if ctx.Jobs > 1 {
-		sem = make(chan struct{}, ctx.Jobs)
-		sem <- struct{}{} // this goroutine's token
+	b := budgetOf(ctx.Ctx)
+	if b == nil && ctx.Jobs > 1 {
+		b = NewBudget(ctx.Jobs, nil)
 	}
-	ctx.fanOut(sem, len(list), func(i int) {
+	b.acquire() // this goroutine's token
+	defer b.release()
+	ctx.fanOut(b, len(list), func(i int) {
 		e := list[i]
 		sub := ctx.child(SplitSeed(ctx.Seed, e.ID), &slots[i].buf, e.ID)
-		sub.sem = sem
+		sub.budget = b
 		ctx.Progress.StartPhase(e.ID)
 		header(sub, e)
 		slots[i].res, slots[i].err = runGuarded(sub, e)
@@ -153,7 +165,7 @@ func (ctx *Context) Parallel(n int, fn func(i int, src sim.MachineSource)) {
 	// are atomic ticks on the nil-safe Progress — they observe the run,
 	// never steer it, so output stays byte-identical with telemetry on.
 	ctx.Progress.AddShards(n)
-	ctx.fanOut(ctx.sem, n, func(i int) {
+	ctx.fanOut(ctx.budget, n, func(i int) {
 		sim.RunBatchContext(run, 1, nil, func(_ int, src sim.MachineSource) { fn(i, src) })
 		ctx.Progress.ShardDone()
 	})
@@ -163,13 +175,14 @@ func (ctx *Context) Parallel(n int, fn func(i int, src sim.MachineSource)) {
 }
 
 // fanOut runs fn(0), ..., fn(n-1), handing indices out dynamically to the
-// calling goroutine, which must hold a token of sem, plus one helper per
-// token free in sem at the call (none when sem is nil). A helper holds
-// its token until no index is left; the caller lends its own while it
-// waits for its helpers. fanOut stops handing out indices once any fn
-// panics or ctx.Ctx is cancelled, and re-raises the first panic on the
-// calling goroutine.
-func (ctx *Context) fanOut(sem chan struct{}, n int, fn func(i int)) {
+// calling goroutine, which must hold a token of b, plus one helper per
+// token free in b at the call (none when b is nil). A helper holds its
+// token until no index is left, but hands it back instead of taking
+// another index while some goroutine waits for a token; the caller lends
+// its own while it waits for its helpers. fanOut stops handing out indices once any fn panics or
+// ctx.Ctx is cancelled, and re-raises the first panic on the calling
+// goroutine.
+func (ctx *Context) fanOut(b *Budget, n int, fn func(i int)) {
 	var next atomic.Int64
 	next.Store(-1)
 	var stop atomic.Bool
@@ -178,7 +191,7 @@ func (ctx *Context) fanOut(sem chan struct{}, n int, fn func(i int)) {
 		val any
 		set bool
 	}
-	work := func() {
+	work := func(helper bool) {
 		defer func() {
 			if r := recover(); r != nil {
 				stop.Store(true)
@@ -190,7 +203,7 @@ func (ctx *Context) fanOut(sem chan struct{}, n int, fn func(i int)) {
 			}
 		}()
 		for {
-			if stop.Load() || ctx.canceled() != nil {
+			if stop.Load() || ctx.canceled() != nil || helper && b.contended() {
 				return
 			}
 			i := int(next.Add(1))
@@ -202,27 +215,21 @@ func (ctx *Context) fanOut(sem chan struct{}, n int, fn func(i int)) {
 	}
 	var wg sync.WaitGroup
 	helpers := 0
-recruit:
-	for ; helpers < n-1; helpers++ {
-		select {
-		case sem <- struct{}{}:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-sem }()
-				work()
-			}()
-		default:
-			break recruit
-		}
+	for ; helpers < n-1 && b.tryAcquire(); helpers++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer b.release()
+			work(true)
+		}()
 	}
-	work()
+	work(false)
 	if helpers > 0 {
 		// Only waiting now: lend this goroutine's token to other
 		// fan-outs, and take one back before returning to the caller.
-		<-sem
+		b.release()
 		wg.Wait()
-		sem <- struct{}{}
+		b.acquire()
 	}
 	firstPanic.mu.Lock()
 	r, set := firstPanic.val, firstPanic.set
@@ -230,6 +237,88 @@ recruit:
 	if set {
 		panic(r)
 	}
+}
+
+// Budget is a pool of engine worker tokens, one per goroutine running
+// engine work, shared by every run it is handed to (see fanOut). A nil
+// *Budget is a budget of one: its holder runs everything itself.
+type Budget struct {
+	tokens   chan struct{}
+	waiting  atomic.Int64
+	recruits *telemetry.Counter
+}
+
+// NewBudget returns a budget of n tokens. recruits, when non-nil, counts
+// every helper goroutine a fan-out recruits.
+func NewBudget(n int, recruits *telemetry.Counter) *Budget {
+	return &Budget{tokens: make(chan struct{}, n), recruits: recruits}
+}
+
+// InUse reports how many tokens are out: the runs holding one plus the
+// helpers they have recruited.
+func (b *Budget) InUse() int {
+	if b == nil {
+		return 0
+	}
+	return len(b.tokens)
+}
+
+// acquire takes a token, waiting while none is free; helpers see the wait
+// and hand theirs back at their next shard boundary.
+func (b *Budget) acquire() {
+	if b == nil || b.tryTake() {
+		return
+	}
+	b.waiting.Add(1)
+	b.tokens <- struct{}{}
+	b.waiting.Add(-1)
+}
+
+// tryAcquire takes a token for a new helper if one is free.
+func (b *Budget) tryAcquire() bool {
+	if b == nil || !b.tryTake() {
+		return false
+	}
+	if b.recruits != nil {
+		b.recruits.Inc()
+	}
+	return true
+}
+
+func (b *Budget) tryTake() bool {
+	select {
+	case b.tokens <- struct{}{}:
+		return true
+	default:
+		return false
+	}
+}
+
+func (b *Budget) release() {
+	if b != nil {
+		<-b.tokens
+	}
+}
+
+// contended reports whether some goroutine is waiting for a token.
+func (b *Budget) contended() bool { return b != nil && b.waiting.Load() > 0 }
+
+type budgetKey struct{}
+
+// WithBudget returns a context that makes every run whose Context.Ctx
+// derives from it draw its workers from b instead of a private budget of
+// Context.Jobs tokens.
+func WithBudget(ctx context.Context, b *Budget) context.Context {
+	return context.WithValue(ctx, budgetKey{}, b)
+}
+
+// budgetOf returns the budget WithBudget attached to ctx, or nil.
+func budgetOf(ctx context.Context) *Budget {
+	if ctx == nil {
+		return nil
+	}
+	b, _ := ctx.Value(budgetKey{}).(*Budget)
+	return b
 }
 
 // EachPlatform runs fn once per context platform — concurrently when

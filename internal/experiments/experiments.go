@@ -35,6 +35,7 @@ type Context struct {
 	// Jobs caps the engine-wide worker count (experiments running
 	// concurrently plus trial shards inside them). 0 and 1 both mean
 	// serial. Any value produces byte-identical output for a given seed.
+	// It is ignored when Ctx carries a shared Budget (WithBudget).
 	Jobs int
 
 	// Ctx, when non-nil, makes the run cancellable: the engine checks it
@@ -68,10 +69,9 @@ type Context struct {
 	// of one task share. Every task writes into a private buffer, so
 	// tasks never contend for it.
 	mu sync.Mutex
-	// sem is the run's worker-token bucket (Jobs tokens, nil when
-	// Jobs <= 1), shared by every task context of the run; see fanOut in
-	// engine.go.
-	sem chan struct{}
+	// budget is the run's worker tokens, shared by every task context of
+	// the run; see fanOut in engine.go.
+	budget *Budget
 }
 
 // NewContext returns a default context writing to out.
@@ -86,8 +86,8 @@ func NewContext(out io.Writer) *Context {
 
 // child clones the run parameters into a task context with its own seed
 // and output sink, appending label to the trace-stream path. The
-// worker-token bucket is shared so nested parallelism stays under the
-// global -jobs cap.
+// worker budget is shared so nested parallelism stays under the run's
+// cap.
 func (ctx *Context) child(seed int64, out io.Writer, label string) *Context {
 	return &Context{
 		Platforms: ctx.Platforms,
@@ -100,7 +100,7 @@ func (ctx *Context) child(seed int64, out io.Writer, label string) *Context {
 		Trace:     ctx.Trace,
 		TraceMask: ctx.TraceMask,
 		tracePath: joinLabel(ctx.tracePath, label),
-		sem:       ctx.sem,
+		budget:    ctx.budget,
 	}
 }
 

@@ -21,14 +21,16 @@ import (
 // observe the run without steering it, so the artifacts stay
 // byte-identical with telemetry on or off. Only a traced job gets a
 // tracer: an untraced job runs with a nil tracer, on the same
-// zero-cost emit path as the CLI.
+// zero-cost emit path as the CLI. The run's workers come from the budget
+// the server attaches to ctx (experiments.WithBudget), never from
+// sub.Jobs; without one the run is serial.
 func EngineRunner(ctx context.Context, sub Submission, spec *scenario.Spec, prog *telemetry.Progress) (*Result, error) {
 	var report bytes.Buffer
 	ectx := experiments.NewContext(&report)
 	ectx.Ctx = ctx
 	ectx.Seed = sub.Seed
 	ectx.Quick = sub.Quick
-	ectx.Jobs = sub.Jobs
+	ectx.Jobs = 1
 	ectx.Progress = prog
 	if sub.Platform != "both" {
 		p, ok := platform.ByName(sub.Platform)

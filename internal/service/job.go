@@ -27,9 +27,11 @@ type Submission struct {
 	Filename string `json:"filename,omitempty"`
 	// Seed is the master seed (the CLI's -seed).
 	Seed int64 `json:"seed"`
-	// Jobs caps the engine worker count for this run (the CLI's -jobs);
-	// 0 means 1. Output is byte-identical for any value, but it is part
-	// of the cache key by definition (see jobKey).
+	// Jobs is accepted for compatibility with the CLI's -jobs and
+	// range-checked, but does not steer the run: every execution draws
+	// its engine workers from the daemon's shared budget (Config.Workers).
+	// 0 means 1. It stays in the cache key (see jobKey) so results stored
+	// under it remain valid.
 	Jobs int `json:"jobs,omitempty"`
 	// Quick runs reduced trial counts (the CLI's -quick).
 	Quick bool `json:"quick,omitempty"`
@@ -41,7 +43,7 @@ type Submission struct {
 	Platform string `json:"platform,omitempty"`
 }
 
-// maxEngineJobs bounds the per-run worker count a submission may request.
+// maxEngineJobs bounds the jobs value a submission may carry.
 const maxEngineJobs = 64
 
 // normalize canonicalizes defaulted fields (they feed the cache key, so

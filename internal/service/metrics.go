@@ -47,6 +47,10 @@ type serverMetrics struct {
 	workersBusy *telemetry.Gauge
 	sseSubs     *telemetry.Gauge
 
+	// helpersRecruited counts the goroutines running executions recruit
+	// from the engine worker budget's idle tokens.
+	helpersRecruited *telemetry.Counter
+
 	// Latency distributions, in seconds.
 	queueWait   *telemetry.Histogram
 	jobDone     *telemetry.Histogram
@@ -106,6 +110,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Workers currently running an execution.")
 	m.sseSubs = reg.Gauge("leakywayd_sse_subscribers",
 		"Open SSE progress streams.")
+	m.helpersRecruited = reg.Counter("leakywayd_engine_helpers_recruited_total",
+		"Helper goroutines executions borrowed from idle engine worker tokens.")
 
 	m.queueWait = reg.Histogram("leakywayd_queue_wait_seconds",
 		"Time executions spend queued before a worker picks them up.", nil)
@@ -127,6 +133,9 @@ func newServerMetrics(s *Server) *serverMetrics {
 	reg.GaugeFunc("leakywayd_workers",
 		"Configured worker-pool size.",
 		func() float64 { return float64(s.cfg.Workers) })
+	reg.GaugeFunc("leakywayd_engine_tokens_in_use",
+		"Engine worker tokens out: running executions plus the helpers they borrowed.",
+		func() float64 { return float64(s.budget.InUse()) })
 	reg.GaugeFunc("leakywayd_jobs_tracked",
 		"Jobs in the in-memory job table.",
 		func() float64 {

@@ -34,7 +34,10 @@ import (
 type Config struct {
 	// DataDir holds the result store and the journal.
 	DataDir string
-	// Workers is the worker-pool size (default 2).
+	// Workers is the worker-pool size and the engine worker budget that
+	// every running execution shares (default 2): each execution holds
+	// one token and its trial shards borrow the tokens the others leave
+	// idle, so a lone job runs on every worker.
 	Workers int
 	// QueueCap bounds the number of queued-not-yet-running executions;
 	// beyond it submissions get 429 + Retry-After (default 64).
@@ -93,6 +96,7 @@ type Server struct {
 	store   *Store
 	journal *Journal
 	met     *serverMetrics
+	budget  *experiments.Budget
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
@@ -175,6 +179,7 @@ func New(cfg Config) (*Server, error) {
 		inflight: map[string]*execution{},
 	}
 	s.met = newServerMetrics(s)
+	s.budget = experiments.NewBudget(cfg.Workers, s.met.helpersRecruited)
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 
 	store, removed, err := OpenStore(cfg.FS, filepath.Join(cfg.DataDir, "store"), StoreOptions{
@@ -767,7 +772,8 @@ func (s *Server) runExecution(exec *execution) {
 
 // attempt runs the Runner once with panic containment. A panic in the
 // runner (or the engine under it) fails this attempt; it never takes the
-// worker — or the daemon — down.
+// worker — or the daemon — down. The attempt's context carries the
+// server's engine worker budget to the engine.
 func (s *Server) attempt(ctx context.Context, exec *execution) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -782,7 +788,7 @@ func (s *Server) attempt(ctx context.Context, exec *execution) (res *Result, err
 			return nil, ctx.Err()
 		}
 	}
-	return s.cfg.Runner(ctx, exec.sub, exec.spec, exec.prog)
+	return s.cfg.Runner(experiments.WithBudget(ctx, s.budget), exec.sub, exec.spec, exec.prog)
 }
 
 // finishJournal appends one terminal entry for the execution. A journal
