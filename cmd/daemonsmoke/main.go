@@ -7,7 +7,9 @@
 //  2. SIGTERM drains — every accepted job completes and the process
 //     exits 0;
 //  3. SIGKILL loses nothing — a restart from the same data directory
-//     recovers the journalled job and produces byte-identical metrics.
+//     recovers the journalled job, a resubmission of it attaches to the
+//     recovering execution (X-Cache: coalesced), and both jobs serve
+//     byte-identical metrics.
 //
 // It also exercises the observability surface: /metricsz must scrape as
 // Prometheus text, the per-job SSE stream must deliver at least one
@@ -349,7 +351,8 @@ func phaseDrain(tmpl string) []byte {
 }
 
 // phaseCrashRecovery proves SIGKILL recovery: an accepted job interrupted
-// by a hard kill completes after restart with byte-identical metrics.
+// by a hard kill completes after restart, a resubmission of it coalesces
+// onto the recovered execution, and both serve byte-identical metrics.
 func phaseCrashRecovery(tmpl string) []byte {
 	dir, err := os.MkdirTemp("", "leakywayd-smoke-b-")
 	if err != nil {
@@ -358,7 +361,7 @@ func phaseCrashRecovery(tmpl string) []byte {
 	defer os.RemoveAll(dir)
 	dataDir := filepath.Join(dir, "data")
 
-	// -stall holds the attempt so the SIGKILL reliably lands while the
+	// -stall holds the simulation so the SIGKILL reliably lands while the
 	// accepted job is incomplete.
 	d := startDaemon(dataDir, "-stall", "1h")
 	j := d.submit(job(tmpl, 42), "miss")
@@ -368,13 +371,20 @@ func phaseCrashRecovery(tmpl string) []byte {
 	d.wait() // reaps the process; exit code is nonzero by design
 	fmt.Println("daemon-smoke: daemon SIGKILLed with an accepted job in flight")
 
-	// Restart from the same data dir without the stall: the journal must
-	// resurrect the job under the same ID and run it to completion.
-	d2 := startDaemon(dataDir)
+	// Restart from the same data dir with a short stall: the journal must
+	// resurrect the job under the same ID, and the same submission sent
+	// while the recovered execution stalls must attach to it rather than
+	// simulate the key a second time.
+	d2 := startDaemon(dataDir, "-stall", "2s")
 	defer d2.cmd.Process.Kill()
+	dup := d2.submit(job(tmpl, 42), "coalesced")
 	d2.awaitDone(j.ID)
+	d2.awaitDone(dup.ID)
 	metrics := must(d2.Artifact(j.ID, "metrics"))
-	fmt.Println("daemon-smoke: restart recovered the journalled job to done")
+	if again := must(d2.Artifact(dup.ID, "metrics")); !bytes.Equal(metrics, again) {
+		fatalf("coalesced job %s metrics differ from recovered job %s", dup.ID, j.ID)
+	}
+	fmt.Println("daemon-smoke: restart recovered the journalled job to done; its resubmission coalesced onto it")
 	d2.checkIdleTokens()
 
 	if err := d2.cmd.Process.Signal(syscall.SIGTERM); err != nil {

@@ -58,9 +58,9 @@ func run() error {
 		dataDir    = flag.String("data", "", "data directory for the result store and journal (required)")
 		workers    = flag.Int("workers", 2, "worker pool size and the engine worker budget a lone job may use")
 		queueCap   = flag.Int("queue", 64, "max queued jobs before submissions get 429")
-		jobTimeout = flag.Duration("job-timeout", 10*time.Minute, "per-attempt deadline")
-		retries    = flag.Int("retries", 2, "retry budget per job after a failed attempt")
-		stall      = flag.Duration("stall", 0, "delay each attempt before simulating (crash-recovery testing)")
+		jobTimeout = flag.Duration("job-timeout", 10*time.Minute, "deadline of a job's simulation, which runs once")
+		retries    = flag.Int("retries", 2, "retry budget per job for a failed store publish (the simulation is not re-run)")
+		stall      = flag.Duration("stall", 0, "delay each simulation before it starts (crash-recovery testing)")
 		logLevel   = flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
 		version    = flag.Bool("version", false, "print the engine version and exit")
 

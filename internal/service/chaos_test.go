@@ -46,8 +46,6 @@ func TestChaosJournalFsyncFailureDegradesAndRecovers(t *testing.T) {
 	inj.SetActive(false) // let New build a clean journal
 	s := newTestServer(t, func(c *Config) {
 		c.FS = inj
-		c.FsyncRetries = 1
-		c.FsyncRetryBase = time.Millisecond
 		c.ProbeInterval = 10 * time.Millisecond
 	})
 	defer s.Drain()

@@ -102,10 +102,12 @@ const (
 // execution (single-flight dedup); each keeps its own identity so every
 // submitter can poll, fetch artifacts and cancel independently.
 type Job struct {
-	ID       string
-	Key      string
-	Status   string
-	Error    string
+	ID     string
+	Key    string
+	Status string
+	Error  string
+	// Attempts counts the store publishes tried for the job's result; the
+	// simulation itself runs once.
 	Attempts int
 	// CacheHit marks a job answered from the store without simulation.
 	CacheHit bool
@@ -134,7 +136,8 @@ type execution struct {
 	sub  Submission
 	spec *scenario.Spec
 	jobs []*Job
-	// cancel aborts the running attempt; set while an attempt is active.
+	// cancel aborts the simulation; set from the moment a worker starts
+	// the execution.
 	cancel context.CancelFunc
 	// done closes when the execution reaches a terminal state.
 	done chan struct{}

@@ -25,22 +25,21 @@ import (
 // crash interrupted) is skipped on replay — it can only be an entry whose
 // effect was never acknowledged.
 //
-// The journal is hardened against a sick disk: fsync failures are
-// retried a bounded number of times with exponential backoff (transient
-// stalls are absorbed; persistent failure surfaces so the server can
-// degrade), a torn append is repaired by truncating back to the last
-// known-good size so later entries never land mid-line, and the file is
-// size-capped — when it outgrows its rotation threshold the server
-// rewrites it online to exactly the live state, the same compaction a
-// restart performs.
+// The journal is hardened against a sick disk: an append is all or
+// nothing — a failed write or fsync is truncated back to the last
+// known-good size, so a refused entry never replays and later entries
+// never land mid-line — and the file is size-capped: when it outgrows its
+// rotation threshold the server rewrites it online to exactly the live
+// state, the same compaction a restart performs. A failed fsync is never
+// retried: after one, the kernel may already have dropped the dirty pages
+// it failed to write, so a retry that succeeds proves nothing.
 
 // Journal ops.
 const (
 	opAccept = "accept" // job accepted: ID, Key, Sub
 	opDone   = "done"   // result stored under Key
-	opFail   = "fail"   // retries exhausted: Err
+	opFail   = "fail"   // execution failed: Err
 	opCancel = "cancel" // canceled by the client
-	opClean  = "clean"  // clean shutdown marker (drain completed)
 	opProbe  = "probe"  // degraded-mode disk probe no-op; ignored on replay
 )
 
@@ -52,24 +51,15 @@ type journalEntry struct {
 	Sub *Submission `json:"sub,omitempty"`
 }
 
-// journalConfig parameterizes durability hardening.
-type journalConfig struct {
-	// rotateBytes is the size past which the server should compact the
-	// journal online (see NeedsRotation).
-	rotateBytes int64
-	// syncRetries bounds fsync retry attempts per append; retryBase is
-	// the backoff base between them.
-	syncRetries int
-	retryBase   time.Duration
-}
-
 // Journal appends entries to a file, fsyncing each append. Methods are
 // not goroutine-safe; the server serializes access under its own lock.
 type Journal struct {
 	fs   iofault.FS
 	f    iofault.File
 	path string
-	cfg  journalConfig
+	// rotateBytes is the size past which the server should compact the
+	// journal online (see NeedsRotation).
+	rotateBytes int64
 	// size is the known-good byte length of the file: every byte below
 	// it is a complete entry line. A failed write leaves bytes above it
 	// that repairTornTail truncates away before the next append.
@@ -92,10 +82,8 @@ type Journal struct {
 	// are the journal's dominant cost, so this is the histogram to watch
 	// when admission latency climbs.
 	fsyncHist *telemetry.Histogram
-	// syncRetriesCount and rotations, when set, count absorbed fsync
-	// retries and online compactions.
-	syncRetriesCount *telemetry.Counter
-	rotations        *telemetry.Counter
+	// rotations, when set, counts online compactions.
+	rotations *telemetry.Counter
 }
 
 // replayJournal reads every parseable entry. Unparseable lines are
@@ -181,18 +169,19 @@ func compact(fsys iofault.FS, path string, entries []journalEntry) (f iofault.Fi
 // Compaction happens at startup, after replay: the new journal carries
 // exactly the live state, so the file cannot grow without bound across
 // restarts.
-func rewriteJournal(fsys iofault.FS, path string, entries []journalEntry, cfg journalConfig) (*Journal, error) {
+func rewriteJournal(fsys iofault.FS, path string, entries []journalEntry, rotateBytes int64) (*Journal, error) {
 	f, size, _, err := compact(fsys, path, entries)
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	return &Journal{fs: fsys, f: f, path: path, cfg: cfg, size: size, compactedSize: size}, nil
+	return &Journal{fs: fsys, f: f, path: path, rotateBytes: rotateBytes, size: size, compactedSize: size}, nil
 }
 
 // repairTornTail truncates the file back to the last known-good size
-// after a failed append left a partial line. Until the repair succeeds
-// the journal refuses appends — writing after a torn line would corrupt
-// the middle of the file, which replay correctly refuses to trust.
+// after a failed append, removing its partial or unsynced line. Until the
+// repair succeeds the journal refuses appends — writing after a torn line
+// would corrupt the middle of the file, which replay correctly refuses to
+// trust.
 func (j *Journal) repairTornTail() error {
 	if err := j.f.Truncate(j.size); err != nil {
 		j.wedged = true
@@ -202,10 +191,10 @@ func (j *Journal) repairTornTail() error {
 	return nil
 }
 
-// Append writes one entry and fsyncs, absorbing up to cfg.syncRetries
-// transient fsync failures with exponential backoff. The caller must not
-// consider the entry's effect durable (and must not ack a client) until
-// Append returns nil.
+// Append writes one entry and fsyncs it. The caller must not consider
+// the entry's effect durable (and must not ack a client) until Append
+// returns nil; on error the entry is gone from the file, so it does not
+// replay either.
 func (j *Journal) Append(e journalEntry) error {
 	if j.detached {
 		return fmt.Errorf("journal: detached after failed rotation; restart required")
@@ -221,32 +210,20 @@ func (j *Journal) Append(e journalEntry) error {
 	}
 	b = append(b, '\n')
 	start := time.Now()
-	if _, err := j.f.Write(b); err != nil {
-		// The write may have landed partially; truncate the torn bytes
-		// so the next append starts on a clean line boundary.
+	if _, err = j.f.Write(b); err == nil {
+		err = j.f.Sync()
+	}
+	if err != nil {
+		// A failed write may have landed partially, and a failed fsync
+		// leaves a line whose durability is unknown: truncate either away
+		// so the refused entry never replays and the next append starts
+		// on a clean line boundary.
 		if rerr := j.repairTornTail(); rerr != nil {
 			return fmt.Errorf("journal: %w (and %v)", err, rerr)
 		}
 		return fmt.Errorf("journal: %w", err)
 	}
 	j.size += int64(len(b))
-	backoff := j.cfg.retryBase
-	for attempt := 0; ; attempt++ {
-		err = j.f.Sync()
-		if err == nil {
-			break
-		}
-		if attempt >= j.cfg.syncRetries {
-			// The entry is written but not durably synced. It is a valid
-			// line, so the journal stays consistent; the caller escalates.
-			return fmt.Errorf("journal: %w", err)
-		}
-		if j.syncRetriesCount != nil {
-			j.syncRetriesCount.Inc()
-		}
-		time.Sleep(backoff)
-		backoff *= 2
-	}
 	if j.fsyncHist != nil {
 		j.fsyncHist.ObserveSince(start)
 	}
@@ -257,10 +234,10 @@ func (j *Journal) Append(e journalEntry) error {
 // threshold. The double-size guard keeps a live state that is itself
 // larger than rotateBytes from forcing a full rewrite on every append.
 func (j *Journal) NeedsRotation() bool {
-	if j.cfg.rotateBytes <= 0 {
+	if j.rotateBytes <= 0 {
 		return false
 	}
-	return j.size >= j.cfg.rotateBytes && j.size >= 2*j.compactedSize
+	return j.size >= j.rotateBytes && j.size >= 2*j.compactedSize
 }
 
 // Rotate compacts the journal online: the live entries are written as a

@@ -6,20 +6,18 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"leakyway/internal/iofault"
 )
 
-// testJournalConfig is a fast-retry config for journal tests.
-func testJournalConfig() journalConfig {
-	return journalConfig{rotateBytes: 4 << 20, syncRetries: 3, retryBase: time.Millisecond}
-}
+// testRotateBytes is the journal tests' rotation threshold, the daemon's
+// default.
+const testRotateBytes = 4 << 20
 
 // openTestJournal builds a journal at path over fsys with no prior state.
-func openTestJournal(t *testing.T, fsys iofault.FS, path string, cfg journalConfig) *Journal {
+func openTestJournal(t *testing.T, fsys iofault.FS, path string, rotateBytes int64) *Journal {
 	t.Helper()
-	j, err := rewriteJournal(fsys, path, nil, cfg)
+	j, err := rewriteJournal(fsys, path, nil, rotateBytes)
 	if err != nil {
 		t.Fatalf("rewriteJournal: %v", err)
 	}
@@ -38,7 +36,7 @@ func idOf(id int) string { return "j-" + strings.Repeat("0", 5) + string(rune('0
 // must return every complete entry and drop only the torn tail.
 func TestJournalReplayTornFinalRecord(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	j := openTestJournal(t, iofault.OS(), path, testJournalConfig())
+	j := openTestJournal(t, iofault.OS(), path, testRotateBytes)
 	for i := 1; i <= 3; i++ {
 		if err := j.Append(acceptEntry(i)); err != nil {
 			t.Fatalf("append %d: %v", i, err)
@@ -83,21 +81,34 @@ func TestJournalReplayRejectsMidFileGarbage(t *testing.T) {
 	}
 }
 
-func TestJournalAppendAbsorbsTransientFsyncFailure(t *testing.T) {
-	// Every 2nd fsync fails; a 3-retry budget must absorb that without
-	// surfacing an error.
-	inj := iofault.NewInjector(iofault.OS(), 1, iofault.FailSync("journal", 2, iofault.ErrIO))
+// TestJournalFailedFsyncDropsEntry checks that an append is all or
+// nothing: one failed fsync fails Append (it is not retried: after a
+// failed fsync the kernel may have dropped the unwritten pages, so a
+// later success proves nothing), the refused entry is truncated away so
+// it never replays as a ghost job, and the next append succeeds.
+func TestJournalFailedFsyncDropsEntry(t *testing.T) {
+	inj := iofault.NewInjector(iofault.OS(), 1,
+		iofault.FailFirst("journal.jsonl", iofault.OpSync, 1, iofault.ErrIO))
+	inj.SetActive(false)
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	j := openTestJournal(t, inj, path, testJournalConfig())
-	for i := 1; i <= 4; i++ {
-		if err := j.Append(acceptEntry(i)); err != nil {
-			t.Fatalf("append %d not absorbed: %v", i, err)
-		}
+	j := openTestJournal(t, inj, path, testRotateBytes)
+	if err := j.Append(acceptEntry(1)); err != nil {
+		t.Fatalf("clean append: %v", err)
+	}
+	inj.SetActive(true)
+	if err := j.Append(acceptEntry(2)); err == nil {
+		t.Fatalf("append whose fsync failed must fail")
+	}
+	if err := j.Append(acceptEntry(3)); err != nil {
+		t.Fatalf("append after one failed fsync: %v", err)
 	}
 	j.Close()
 	entries, err := replayJournal(iofault.OS(), path)
-	if err != nil || len(entries) != 4 {
-		t.Fatalf("replay after retried fsyncs: %d entries, %v", len(entries), err)
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if len(entries) != 2 || entries[0].Key != storeKey(1) || entries[1].Key != storeKey(3) {
+		t.Fatalf("journal replays %+v, want entries 1 and 3", entries)
 	}
 }
 
@@ -107,7 +118,7 @@ func TestJournalAppendFailsWhenFsyncStaysDown(t *testing.T) {
 	// rewriteJournal itself fsyncs through writeSynced on a tmp path that
 	// contains "journal", so build the journal before arming the fault.
 	inj.SetActive(false)
-	j := openTestJournal(t, inj, path, testJournalConfig())
+	j := openTestJournal(t, inj, path, testRotateBytes)
 	inj.SetActive(true)
 
 	if err := j.Append(acceptEntry(1)); err == nil {
@@ -123,10 +134,10 @@ func TestJournalAppendFailsWhenFsyncStaysDown(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	// Entry 1 was written but not durably synced; both lines are intact
-	// on a disk that never actually lost the bytes.
-	if len(entries) != 2 {
-		t.Fatalf("replayed %d entries, want 2", len(entries))
+	// Entry 1's fsync failed, so its line was truncated away; only the
+	// entry appended after the disk healed replays.
+	if len(entries) != 1 || entries[0].Key != storeKey(2) {
+		t.Fatalf("replayed %+v, want entry 2 alone", entries)
 	}
 }
 
@@ -134,7 +145,7 @@ func TestJournalTornAppendRepaired(t *testing.T) {
 	inj := iofault.NewInjector(iofault.OS(), 3, iofault.TornWrite("journal.jsonl", 1, iofault.ErrIO))
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	inj.SetActive(false)
-	j := openTestJournal(t, inj, path, testJournalConfig())
+	j := openTestJournal(t, inj, path, testRotateBytes)
 	if err := j.Append(acceptEntry(1)); err != nil {
 		t.Fatalf("clean append: %v", err)
 	}
@@ -158,10 +169,8 @@ func TestJournalTornAppendRepaired(t *testing.T) {
 }
 
 func TestJournalRotationCompactsOnline(t *testing.T) {
-	cfg := testJournalConfig()
-	cfg.rotateBytes = 2048
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	j := openTestJournal(t, iofault.OS(), path, cfg)
+	j := openTestJournal(t, iofault.OS(), path, 2048)
 
 	for i := 0; !j.NeedsRotation(); i++ {
 		if err := j.Append(acceptEntry(i)); err != nil {
@@ -199,17 +208,16 @@ func TestJournalRotationThrashGuard(t *testing.T) {
 	// Live state bigger than rotateBytes: after one compaction the
 	// journal is still over the byte threshold, but the 2x-growth guard
 	// must keep NeedsRotation false.
-	cfg := testJournalConfig()
-	cfg.rotateBytes = 64
+	const rotateBytes = 64
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	live := []journalEntry{acceptEntry(1), acceptEntry(2), acceptEntry(3)}
-	j, err := rewriteJournal(iofault.OS(), path, live, cfg)
+	j, err := rewriteJournal(iofault.OS(), path, live, rotateBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	if j.Size() <= cfg.rotateBytes {
-		t.Fatalf("test premise broken: live state %d fits rotateBytes %d", j.Size(), cfg.rotateBytes)
+	if j.Size() <= rotateBytes {
+		t.Fatalf("test premise broken: live state %d fits rotateBytes %d", j.Size(), rotateBytes)
 	}
 	if j.NeedsRotation() {
 		t.Fatalf("rotation requested right after compaction — would thrash")
@@ -237,7 +245,7 @@ func TestJournalDetachesWhenRotateReopenFails(t *testing.T) {
 	rule := &failOpen{suffix: "journal.jsonl"}
 	inj := iofault.NewInjector(iofault.OS(), 1, rule)
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	j := openTestJournal(t, inj, path, testJournalConfig())
+	j := openTestJournal(t, inj, path, testRotateBytes)
 	if err := j.Append(acceptEntry(1)); err != nil {
 		t.Fatalf("append: %v", err)
 	}
@@ -283,7 +291,7 @@ func TestJournalCompactionFailsOnDirSyncError(t *testing.T) {
 
 	dir := t.TempDir()
 	rec := &opRecorder{}
-	j := openTestJournal(t, iofault.NewInjector(iofault.OS(), 1, rec), filepath.Join(dir, "journal.jsonl"), testJournalConfig())
+	j := openTestJournal(t, iofault.NewInjector(iofault.OS(), 1, rec), filepath.Join(dir, "journal.jsonl"), testRotateBytes)
 	if err := j.Append(acceptEntry(1)); err != nil {
 		t.Fatalf("append: %v", err)
 	}

@@ -37,10 +37,9 @@ type serverMetrics struct {
 	storeEvictedBytes *telemetry.Counter
 	sweepRemoved      *telemetry.Counter
 
-	// Durability hardening: degraded-mode episodes, absorbed fsync
-	// retries and online journal compactions.
+	// Durability hardening: degraded-mode episodes and online journal
+	// compactions.
 	degradedEntered *telemetry.Counter
-	walFsyncRetries *telemetry.Counter
 	walRotations    *telemetry.Counter
 
 	// Worker utilization and SSE fan-out.
@@ -101,8 +100,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Entries the startup integrity sweep removed.")
 	m.degradedEntered = reg.Counter("leakywayd_degraded_entered_total",
 		"Times the server entered degraded mode over a disk failure.")
-	m.walFsyncRetries = reg.Counter("leakywayd_wal_fsync_retries_total",
-		"Transient journal fsync failures absorbed by retry.")
 	m.walRotations = reg.Counter("leakywayd_wal_rotations_total",
 		"Online journal compactions.")
 

@@ -37,7 +37,6 @@ type progressLog struct {
 func (pl *progressLog) begin() {
 	pl.mu.Lock()
 	pl.start = time.Now()
-	pl.entries = pl.entries[:0]
 	pl.mu.Unlock()
 }
 

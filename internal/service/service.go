@@ -42,15 +42,17 @@ type Config struct {
 	// QueueCap bounds the number of queued-not-yet-running executions;
 	// beyond it submissions get 429 + Retry-After (default 64).
 	QueueCap int
-	// JobTimeout is the per-attempt deadline (default 10m).
+	// JobTimeout is the deadline of an execution's one simulation
+	// (default 10m).
 	JobTimeout time.Duration
-	// MaxRetries is how many times a failed attempt is retried with
+	// MaxRetries is how many times a failed store publish is retried with
 	// jittered exponential backoff before the job fails (default 2;
-	// negative disables retries).
+	// negative disables retries). The simulation itself runs once: its
+	// result or error is a pure function of the submission.
 	MaxRetries int
-	// RetryBase is the backoff base (default 100ms).
+	// RetryBase is the publish backoff base (default 100ms).
 	RetryBase time.Duration
-	// Stall delays each attempt before it touches the engine. Test and
+	// Stall delays each simulation before it touches the engine. Test and
 	// smoke hook: it widens the window in which a crash interrupts an
 	// accepted-but-incomplete job.
 	Stall time.Duration
@@ -74,12 +76,6 @@ type Config struct {
 	// it online to exactly the live state (default 4 MiB; negative
 	// disables rotation).
 	WALRotateBytes int64
-	// FsyncRetries bounds how many transient journal fsync failures an
-	// append absorbs with exponential backoff before the server degrades
-	// (default 3; negative disables retries). FsyncRetryBase is the
-	// backoff base (default 5ms).
-	FsyncRetries   int
-	FsyncRetryBase time.Duration
 	// ProbeInterval is how often a degraded server probes the disk to
 	// decide whether to resume admissions (default 1s).
 	ProbeInterval time.Duration
@@ -161,14 +157,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.WALRotateBytes == 0 {
 		cfg.WALRotateBytes = 4 << 20
 	}
-	if cfg.FsyncRetries < 0 {
-		cfg.FsyncRetries = 0
-	} else if cfg.FsyncRetries == 0 {
-		cfg.FsyncRetries = 3
-	}
-	if cfg.FsyncRetryBase <= 0 {
-		cfg.FsyncRetryBase = 5 * time.Millisecond
-	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = time.Second
 	}
@@ -212,26 +200,20 @@ func New(cfg Config) (*Server, error) {
 	s.queue = make(chan *execution, cfg.QueueCap+len(recovered))
 
 	// Compact: the rewritten journal carries exactly the live state.
-	s.journal, err = rewriteJournal(cfg.FS, jpath, s.liveEntries(), journalConfig{
-		rotateBytes: cfg.WALRotateBytes,
-		syncRetries: cfg.FsyncRetries,
-		retryBase:   cfg.FsyncRetryBase,
-	})
+	s.journal, err = rewriteJournal(cfg.FS, jpath, s.liveEntries(), cfg.WALRotateBytes)
 	if err != nil {
 		return nil, err
 	}
 	s.journal.fsyncHist = s.met.walFsync
-	s.journal.syncRetriesCount = s.met.walFsyncRetries
 	s.journal.rotations = s.met.walRotations
 
+	s.mu.Lock()
 	for _, exec := range recovered {
-		s.store.Pin(exec.key)
-		s.queued++
-		exec.enqueuedAt = time.Now()
-		s.queue <- exec
+		s.admitLocked(exec)
 		s.met.recovered.Inc()
 		cfg.Logger.Info("recovery re-enqueued job", "job", exec.jobs[0].ID, "key", shortKey(exec.key))
 	}
+	s.mu.Unlock()
 
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -251,8 +233,8 @@ func shortKey(key string) string {
 
 // replay rebuilds the job table from journal entries and returns the
 // executions to re-enqueue: accepted jobs with no terminal record whose
-// result is not already in the store. A trailing "clean" entry means the
-// previous process drained fully, so nothing needs recovery.
+// result is not already in the store. Ops it does not know (the "clean"
+// marker older journals end with, probes) are skipped.
 func (s *Server) replay(entries []journalEntry) []*execution {
 	byKey := map[string]*execution{}
 	var order []string
@@ -297,8 +279,6 @@ func (s *Server) replay(entries []journalEntry) []*execution {
 				j.Status = StatusCanceled
 				j.canceled = true
 			}
-		case opClean:
-			// Clean shutdown marker: all prior state is settled.
 		}
 	}
 
@@ -433,6 +413,17 @@ func (s *Server) Submit(sub Submission) (*Job, error) {
 
 	// Single-flight: someone is already computing this key; attach.
 	if exec := s.inflight[key]; exec != nil {
+		if exec.cancel != nil && allCanceled(exec) {
+			// The execution started and then lost every job, so it is
+			// being aborted and will finish canceled; the key runs again
+			// once it has left the single-flight index.
+			s.met.rejected.Inc()
+			return nil, &submitError{
+				status:     503,
+				retryAfter: 1,
+				msg:        "this key's execution is being canceled; retry shortly",
+			}
+		}
 		j := s.newJobLocked(key, sub)
 		j.exec = exec
 		j.Coalesced = true
@@ -469,17 +460,25 @@ func (s *Server) Submit(sub Submission) (*Job, error) {
 	if err := s.journal.Append(journalEntry{Op: opAccept, ID: j.ID, Key: key, Sub: &subCopy}); err != nil {
 		return nil, s.journalFailLocked(j, err)
 	}
-	// Pin before enqueueing: the execution's key must not be evictable
-	// while a worker may be between Put and serving the artifacts.
-	s.store.Pin(key)
-	s.inflight[key] = exec
-	s.queued++
-	exec.enqueuedAt = time.Now()
-	s.queue <- exec // cannot block: queued < QueueCap ≤ cap(queue)
+	s.admitLocked(exec)
 	s.met.accepted.Inc()
 	s.met.storeMiss.Inc()
 	s.maybeRotateLocked()
 	return j, nil
+}
+
+// admitLocked makes exec its key's one execution and queues it. It is
+// the only way an execution enters the queue, fresh or recovered, so
+// every later submission of the key attaches to it. The key is pinned
+// first: it must not be evictable while a worker may be between Put and
+// serving the artifacts. The send cannot block: the queue holds QueueCap
+// fresh executions plus every recovered one. Caller holds s.mu.
+func (s *Server) admitLocked(exec *execution) {
+	s.store.Pin(exec.key)
+	s.inflight[exec.key] = exec
+	s.queued++
+	exec.enqueuedAt = time.Now()
+	s.queue <- exec
 }
 
 // journalFailLocked rolls back an admission whose WAL append failed: the
@@ -563,17 +562,8 @@ func (s *Server) Cancel(id string) (bool, error) {
 		s.enterDegraded(fmt.Sprintf("wal append: %v", err))
 	}
 	var abort context.CancelFunc
-	if exec := j.exec; exec != nil {
-		all := true
-		for _, ej := range exec.jobs {
-			if !ej.canceled {
-				all = false
-				break
-			}
-		}
-		if all && exec.cancel != nil {
-			abort = exec.cancel
-		}
+	if exec := j.exec; exec != nil && allCanceled(exec) {
+		abort = exec.cancel
 	}
 	s.mu.Unlock()
 	s.met.canceled.Inc()
@@ -584,9 +574,10 @@ func (s *Server) Cancel(id string) (bool, error) {
 }
 
 // Drain stops admissions, lets the workers finish every queued and
-// running execution, journals the clean-shutdown marker and closes the
-// journal. It is the SIGTERM path; after it returns the process can exit
-// 0 with no accepted work lost.
+// running execution, and closes the store and the journal. It is the
+// SIGTERM path; after it returns the process can exit 0 with no accepted
+// work lost: every job has its terminal record, so a restart recovers
+// nothing.
 func (s *Server) Drain() error {
 	s.mu.Lock()
 	if s.draining {
@@ -609,14 +600,10 @@ func (s *Server) Drain() error {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.journal.Append(journalEntry{Op: opClean}); err != nil {
-		s.journal.Close()
-		return err
-	}
 	return s.journal.Close()
 }
 
-// Kill abandons the server without draining: running attempts are
+// Kill abandons the server without draining: running executions are
 // cancelled and nothing further is journalled, so a restart from the
 // same DataDir must recover the incomplete jobs. Test hook simulating a
 // hard crash as closely as a same-process API can.
@@ -650,135 +637,96 @@ func (s *Server) worker() {
 	}
 }
 
-// runExecution drives one execution to a terminal state: serve from
-// store if a result appeared meanwhile, otherwise attempt with deadline
-// + panic containment + bounded jittered retries. While an attempt runs,
-// a recorder goroutine samples the execution's progress tracker into the
-// progress log that becomes the stored "progress" artifact.
+// runExecution drives one execution to a terminal state: it runs the
+// Runner once, under a deadline and with panic containment, and publishes
+// a result to the store, retrying only the publish. A failed simulation
+// is final: the engine is deterministic, so a re-run can only fail again.
 func (s *Server) runExecution(exec *execution) {
 	defer close(exec.done)
 
-	// Recovery idempotence: the store may already hold the result (crash
-	// after Put, before the done entry).
-	if s.store.Has(exec.key) {
-		s.finish(exec, StatusDone, "")
-		return
-	}
-
 	// Submit appends coalesced jobs to exec.jobs under s.mu.
 	s.mu.Lock()
-	firstID := exec.jobs[0].ID
+	canceled := allCanceled(exec)
+	for _, j := range exec.jobs {
+		if !j.canceled {
+			j.Status = StatusRunning
+		}
+	}
+	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.JobTimeout)
+	defer cancel()
+	// A set cancel also marks the execution started until it finishes.
+	exec.cancel = cancel
 	s.mu.Unlock()
-	lg := s.cfg.Logger.With("job", firstID, "key", shortKey(exec.key))
 
+	var res *Result
+	err := context.Canceled // every job was canceled while queued
+	if !canceled {
+		res, err = s.simulate(ctx, exec)
+	}
+	if err == nil {
+		if err = s.publish(exec, res); err == nil {
+			s.finish(exec, StatusDone, "")
+			return
+		}
+	}
+	s.mu.Lock()
+	canceled = allCanceled(exec)
+	s.mu.Unlock()
+	switch {
+	case s.baseCtx.Err() != nil:
+		// Kill: abandon silently; the journal still holds the accept, so
+		// restart recovers this job.
+	case canceled:
+		s.finish(exec, StatusCanceled, "")
+	default:
+		s.finish(exec, StatusFailed, err.Error())
+	}
+}
+
+// allCanceled reports whether every job attached to exec is canceled, so
+// no submitter still wants its result. Caller holds s.mu.
+func allCanceled(exec *execution) bool {
+	for _, j := range exec.jobs {
+		if !j.canceled {
+			return false
+		}
+	}
+	return true
+}
+
+// simulate runs the Runner once with panic containment: a panic in the
+// runner (or the engine under it) fails the execution; it never takes
+// the worker — or the daemon — down. While it runs, a recorder goroutine
+// samples the execution's progress tracker into the progress log that
+// becomes the stored "progress" artifact. The context carries the
+// server's engine worker budget to the engine.
+func (s *Server) simulate(ctx context.Context, exec *execution) (res *Result, err error) {
 	exec.progLog.begin()
-	recStop := make(chan struct{})
-	var recWG sync.WaitGroup
-	recWG.Add(1)
+	stop := make(chan struct{})
+	stopped := make(chan struct{})
 	go func() {
-		defer recWG.Done()
+		defer close(stopped)
 		ticker := time.NewTicker(s.cfg.ProgressInterval)
 		defer ticker.Stop()
 		for {
 			select {
-			case <-recStop:
+			case <-stop:
 				return
 			case <-ticker.C:
 				exec.progLog.record(exec.prog.Snapshot())
 			}
 		}
 	}()
-	var recOnce sync.Once
-	stopRecorder := func() {
-		recOnce.Do(func() {
-			close(recStop)
-			recWG.Wait()
-			exec.progLog.record(exec.prog.Snapshot())
-		})
-	}
-	defer stopRecorder()
-
-	for attempt := 0; ; attempt++ {
-		s.mu.Lock()
-		allCanceled := true
-		for _, j := range exec.jobs {
-			if !j.canceled {
-				allCanceled = false
-				j.Status = StatusRunning
-				j.Attempts = attempt + 1
-			}
-		}
-		var actx context.Context
-		var cancel context.CancelFunc
-		if !allCanceled {
-			actx, cancel = context.WithTimeout(s.baseCtx, s.cfg.JobTimeout)
-			exec.cancel = cancel
-		}
-		s.mu.Unlock()
-
-		if allCanceled {
-			s.finishJournal(exec, journalEntry{Op: opCancel, Key: exec.key})
-			s.finish(exec, StatusCanceled, "")
-			return
-		}
-
-		if attempt > 0 {
-			exec.prog.Reset()
-			exec.progLog.begin()
-		}
-		res, err := s.attempt(actx, exec)
-		cancel()
-		s.mu.Lock()
-		exec.cancel = nil
-		s.mu.Unlock()
-
-		if err == nil {
-			stopRecorder()
-			res.Progress = exec.progLog.marshal()
-			if perr := s.store.Put(exec.key, experiments.EngineVersion, res); perr != nil {
-				// A failed publish is a disk problem: degrade admissions
-				// while this attempt retries.
-				s.enterDegraded(fmt.Sprintf("store put: %v", perr))
-				err = fmt.Errorf("store: %w", perr)
-			} else {
-				s.finishJournal(exec, journalEntry{Op: opDone, Key: exec.key})
-				s.finish(exec, StatusDone, "")
-				return
-			}
-		}
-
-		if s.baseCtx.Err() != nil {
-			// Kill mid-attempt: abandon silently; the journal still holds
-			// the accept, so restart recovers this job.
-			return
-		}
-		if attempt >= s.cfg.MaxRetries {
-			msg := err.Error()
-			s.finishJournal(exec, journalEntry{Op: opFail, Key: exec.key, Err: msg})
-			s.finish(exec, StatusFailed, msg)
-			return
-		}
-		s.met.retries.Inc()
-		backoff := s.cfg.RetryBase << uint(attempt)
-		backoff += time.Duration(rand.Int63n(int64(backoff)/2 + 1))
-		lg.Warn("attempt failed; retrying", "attempt", attempt+1, "err", err, "backoff", backoff)
-		select {
-		case <-time.After(backoff):
-		case <-s.baseCtx.Done():
-			return
-		}
-	}
-}
-
-// attempt runs the Runner once with panic containment. A panic in the
-// runner (or the engine under it) fails this attempt; it never takes the
-// worker — or the daemon — down. The attempt's context carries the
-// server's engine worker budget to the engine.
-func (s *Server) attempt(ctx context.Context, exec *execution) (res *Result, err error) {
 	defer func() {
+		close(stop)
+		<-stopped
+		exec.progLog.record(exec.prog.Snapshot())
 		if r := recover(); r != nil {
 			s.met.panics.Inc()
-			err = fmt.Errorf("runner panic: %v", r)
+			res, err = nil, fmt.Errorf("runner panic: %v", r)
+		}
+		if err == nil {
+			res.Progress = exec.progLog.marshal()
 		}
 	}()
 	if s.cfg.Stall > 0 {
@@ -791,30 +739,68 @@ func (s *Server) attempt(ctx context.Context, exec *execution) (res *Result, err
 	return s.cfg.Runner(experiments.WithBudget(ctx, s.budget), exec.sub, exec.spec, exec.prog)
 }
 
-// finishJournal appends one terminal entry for the execution. A journal
-// write failure here is logged and degrades admissions, but is not fatal
-// to the job: the store already holds the result (for done), so the
-// worst case after a crash is a redundant re-check against the store.
-func (s *Server) finishJournal(exec *execution, e journalEntry) {
+// publish stores the execution's result, retrying a failed Put up to
+// MaxRetries times with jittered exponential backoff. A failed Put is a
+// disk problem: each one degrades admissions until the probe sees the
+// disk heal. Every attached job's Attempts counts the Puts tried.
+func (s *Server) publish(exec *execution, res *Result) error {
+	for attempt := 1; ; attempt++ {
+		s.mu.Lock()
+		firstID := exec.jobs[0].ID
+		for _, j := range exec.jobs {
+			if !j.canceled {
+				j.Attempts = attempt
+			}
+		}
+		s.mu.Unlock()
+		err := s.store.Put(exec.key, experiments.EngineVersion, res)
+		if err == nil {
+			return nil
+		}
+		s.enterDegraded(fmt.Sprintf("store put: %v", err))
+		err = fmt.Errorf("store: %w", err)
+		if attempt > s.cfg.MaxRetries {
+			return err
+		}
+		s.met.retries.Inc()
+		backoff := s.cfg.RetryBase << uint(attempt-1)
+		backoff += time.Duration(rand.Int63n(int64(backoff)/2 + 1))
+		s.cfg.Logger.Warn("store publish failed; retrying", "job", firstID, "key", shortKey(exec.key),
+			"attempt", attempt, "err", err, "backoff", backoff)
+		select {
+		case <-time.After(backoff):
+		case <-s.baseCtx.Done():
+			return err
+		}
+	}
+}
+
+// finish journals the execution's terminal record, moves every
+// non-canceled job on it to status, clears the single-flight slot and
+// releases the execution's eviction pin. A journal write failure here is
+// logged and degrades admissions, but is not fatal to the job: the store
+// already holds the result (for done), so the worst case after a crash
+// is a redundant re-check against the store.
+func (s *Server) finish(exec *execution, status, errMsg string) {
+	if h := s.met.jobDuration(status); h != nil {
+		h.ObserveSince(exec.enqueuedAt)
+	}
+	s.store.Unpin(exec.key)
+	e := journalEntry{Op: opDone, Key: exec.key, Err: errMsg}
+	switch status {
+	case StatusFailed:
+		e.Op = opFail
+	case StatusCanceled:
+		e.Op = opCancel
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.journal.Append(e); err != nil {
 		s.cfg.Logger.Error("journal append failed", "op", e.Op, "key", shortKey(exec.key), "err", err)
 		s.enterDegraded(fmt.Sprintf("wal append: %v", err))
-		return
+	} else {
+		s.maybeRotateLocked()
 	}
-	s.maybeRotateLocked()
-}
-
-// finish moves every non-canceled job on the execution to status, clears
-// the single-flight slot and releases the execution's eviction pin.
-func (s *Server) finish(exec *execution, status, errMsg string) {
-	if h := s.met.jobDuration(status); h != nil && !exec.enqueuedAt.IsZero() {
-		h.ObserveSince(exec.enqueuedAt)
-	}
-	s.store.Unpin(exec.key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for _, j := range exec.jobs {
 		if j.canceled {
 			continue

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"leakyway/internal/iofault"
 	"leakyway/internal/scenario"
 	"leakyway/internal/telemetry"
 )
@@ -375,6 +376,73 @@ func TestKillRestartRecoversJournalledJobs(t *testing.T) {
 	}
 }
 
+// TestRecoveredExecutionCoalesces checks that a recovered execution is
+// its key's one execution: resubmitting the recovering job attaches to
+// it instead of simulating the key a second time.
+func TestRecoveredExecutionCoalesces(t *testing.T) {
+	dir := t.TempDir()
+	var calls int64
+	var mu sync.Mutex
+	cfg := Config{
+		DataDir:    dir,
+		Workers:    2,
+		MaxRetries: -1,
+		Stall:      time.Hour,
+		Runner:     stubRunner(0, &calls, &mu),
+		Logger:     testLogger(t),
+	}
+	s1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := Submission{Template: tmplFor("recoal"), Seed: 11}
+	j1, err := s1.Submit(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, s1, j1.ID, StatusRunning)
+	s1.Kill()
+
+	// The short stall holds the recovered execution while the same
+	// submission arrives; a worker is free to start a duplicate.
+	cfg.Stall = 200 * time.Millisecond
+	s2, err := New(cfg)
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	defer s2.Drain()
+	j2, err := s2.Submit(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !j2.Coalesced {
+		t.Fatalf("resubmission of the recovering job did not coalesce")
+	}
+	waitStatus(t, s2, j1.ID, StatusDone)
+	waitStatus(t, s2, j2.ID, StatusDone)
+	mu.Lock()
+	got := calls
+	mu.Unlock()
+	if got != 1 {
+		t.Fatalf("runner ran %d times, want 1", got)
+	}
+	if n := s2.met.degradedEntered.Value(); n != 0 {
+		t.Fatalf("server degraded %d times, want 0", n)
+	}
+	c := newTestClient(t, s2)
+	m1, err := c.Artifact(j1.ID, "metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, err := c.Artifact(j2.ID, "metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(m1, m2) {
+		t.Fatalf("metrics differ between the recovered and the coalesced job:\n%q\nvs\n%q", m1, m2)
+	}
+}
+
 func TestRestartAfterCleanDrainRecoversNothing(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{DataDir: dir, MaxRetries: -1, Runner: stubRunner(0, nil, nil), Logger: testLogger(t)}
@@ -445,6 +513,56 @@ func TestCancelStopsRunningJob(t *testing.T) {
 	}
 }
 
+// TestResubmitWhileCancelAbortsRetriesLater checks that a submission
+// never attaches to an execution whose every job was canceled after it
+// started: it would fail with the abort. It is refused with 503 +
+// Retry-After until the aborted execution finishes, then runs afresh.
+func TestResubmitWhileCancelAbortsRetriesLater(t *testing.T) {
+	started := make(chan struct{}, 2)
+	release := make(chan struct{})
+	s := newTestServer(t, func(c *Config) {
+		c.Runner = func(ctx context.Context, sub Submission, spec *scenario.Spec, _ *telemetry.Progress) (*Result, error) {
+			started <- struct{}{}
+			select {
+			case <-ctx.Done():
+				<-release // hold the aborted execution in the index
+				return nil, ctx.Err()
+			case <-release:
+			}
+			return &Result{Report: []byte("r"), Metrics: []byte("{}\n")}, nil
+		}
+	})
+	defer s.Drain()
+
+	sub := Submission{Template: tmplFor("abort"), Seed: 1}
+	j1, err := s.Submit(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	if _, err := s.Cancel(j1.ID); err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.Submit(sub)
+	if se, ok := err.(*submitError); !ok || se.status != 503 || se.retryAfter <= 0 {
+		t.Fatalf("submit while the key's execution aborts: %v, want 503 with Retry-After", err)
+	}
+	close(release)
+	<-j1.exec.done
+
+	j2, err := s.Submit(sub)
+	if err != nil {
+		t.Fatalf("submit after the aborted execution finished: %v", err)
+	}
+	if j2.Coalesced || j2.CacheHit {
+		t.Fatalf("resubmission after the abort attached to old work (coalesced=%v hit=%v)", j2.Coalesced, j2.CacheHit)
+	}
+	waitStatus(t, s, j2.ID, StatusDone)
+	if snap, _ := s.snapshotJob(j1.ID); snap.Status != StatusCanceled {
+		t.Fatalf("canceled job ended %q", snap.Status)
+	}
+}
+
 // corruptStoredArtifact flips a byte in the stored metrics artifact.
 func corruptStoredArtifact(t *testing.T, dataDir, key string) {
 	t.Helper()
@@ -459,7 +577,11 @@ func corruptStoredArtifact(t *testing.T, dataDir, key string) {
 	}
 }
 
-func TestRetriesThenFails(t *testing.T) {
+// TestFailingRunnerRunsOnce checks that a failed simulation is final:
+// the engine is deterministic, so a re-run could only fail again. The
+// runner is called once whatever the retry budget, and the job fails
+// with the runner's error.
+func TestFailingRunnerRunsOnce(t *testing.T) {
 	var calls int64
 	var mu sync.Mutex
 	s := newTestServer(t, func(c *Config) {
@@ -469,7 +591,7 @@ func TestRetriesThenFails(t *testing.T) {
 			mu.Lock()
 			calls++
 			mu.Unlock()
-			return nil, fmt.Errorf("flaky failure")
+			return nil, fmt.Errorf("deterministic failure")
 		}
 	})
 	defer s.Drain()
@@ -478,31 +600,59 @@ func TestRetriesThenFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		snap, _ := s.snapshotJob(j.ID)
-		if snap.terminal() {
-			if snap.Status != StatusFailed {
-				t.Fatalf("status %q, want failed", snap.Status)
-			}
-			if !strings.Contains(snap.Error, "flaky failure") {
-				t.Fatalf("error %q lost the cause", snap.Error)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job never terminal")
-		}
-		time.Sleep(2 * time.Millisecond)
+	snap := waitStatus(t, s, j.ID, StatusFailed)
+	if !strings.Contains(snap.Error, "deterministic failure") {
+		t.Fatalf("error %q lost the cause", snap.Error)
 	}
 	mu.Lock()
 	got := calls
 	mu.Unlock()
-	if got != 3 {
-		t.Fatalf("runner ran %d times, want 3 (1 + 2 retries)", got)
+	if got != 1 {
+		t.Fatalf("runner ran %d times, want 1", got)
 	}
-	if s.met.retries.Value() != 2 {
-		t.Fatalf("retries counter %d, want 2", s.met.retries.Value())
+	if n := s.met.retries.Value(); n != 0 {
+		t.Fatalf("retries counter %d, want 0", n)
+	}
+}
+
+// TestPublishRetriesReuseOneSimulation checks that a failed store
+// publish is retried without re-running the simulation: k failed renames
+// give one runner call, k+1 publish attempts and k retries.
+func TestPublishRetriesReuseOneSimulation(t *testing.T) {
+	const k = 2
+	var calls int64
+	var mu sync.Mutex
+	inj := iofault.NewInjector(iofault.OS(), 1, iofault.FailFirst("store", iofault.OpRename, k, iofault.ErrIO))
+	s := newTestServer(t, func(c *Config) {
+		c.FS = inj
+		c.MaxRetries = 8
+		c.RetryBase = time.Millisecond
+		c.Runner = stubRunner(0, &calls, &mu)
+	})
+	defer s.Drain()
+
+	j, err := s.Submit(Submission{Template: tmplFor("pub"), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := waitStatus(t, s, j.ID, StatusDone)
+	if got := inj.Injected("fail-first"); got != k {
+		t.Fatalf("rename fault fired %d times, want %d", got, k)
+	}
+	mu.Lock()
+	got := calls
+	mu.Unlock()
+	if got != 1 {
+		t.Fatalf("runner ran %d times, want 1", got)
+	}
+	if snap.Attempts != k+1 {
+		t.Fatalf("attempts %d, want %d", snap.Attempts, k+1)
+	}
+	if n := s.met.retries.Value(); n != k {
+		t.Fatalf("retries counter %d, want %d", n, k)
+	}
+	if _, err := s.store.verifyEntry(s.store.entryDir(j.Key)); err != nil {
+		t.Fatalf("published entry fails verification: %v", err)
 	}
 }
 
@@ -562,6 +712,16 @@ func TestStoreSurvivesCorruptionSweep(t *testing.T) {
 	if err := s1.Drain(); err != nil {
 		t.Fatal(err)
 	}
+	// Journals written by older daemons end in a "clean" marker after a
+	// drain; replay must skip it.
+	jf, err := os.OpenFile(filepath.Join(dir, "journal.jsonl"), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := jf.WriteString(`{"op":"clean"}` + "\n"); err != nil {
+		t.Fatal(err)
+	}
+	jf.Close()
 
 	// Corrupt the stored metrics; the restart sweep must drop the entry,
 	// and a resubmission must re-run instead of serving the bad bytes.

@@ -337,9 +337,9 @@ func (s *Store) Artifact(key, name string) ([]byte, error) {
 // manifest land in a temp directory, every file and then the directory
 // are fsynced, and a rename publishes the entry atomically. The store
 // directory is fsynced after the rename, so the entry is durable before
-// the caller journals the job done. A concurrent Put of the same key
-// (or an existing entry) wins harmlessly — results are deterministic, so
-// both sides wrote the same bytes. Publishing then evicts as needed to
+// the caller journals the job done. The caller guarantees that no other
+// Put of key runs at the same time and that key has no entry yet (the
+// daemon runs one execution per key). Publishing then evicts as needed to
 // bring the store back under its quota.
 func (s *Store) Put(key, engine string, res *Result) error {
 	artifacts := map[string][]byte{
@@ -387,9 +387,6 @@ func (s *Store) Put(key, engine string, res *Result) error {
 	}
 	dst := s.entryDir(key)
 	if err := s.fs.Rename(tmp, dst); err != nil {
-		if s.Has(key) {
-			return nil // lost a benign race to an identical entry
-		}
 		return fmt.Errorf("store: publish: %w", err)
 	}
 	if err := syncDir(s.fs, s.dir); err != nil {

@@ -73,20 +73,6 @@ func (p *Progress) ShardDone() {
 	}
 }
 
-// Reset zeroes every counter — the daemon calls it between retry
-// attempts so a re-run's progress starts from scratch. Observers holding
-// the same Progress simply see the counters restart.
-func (p *Progress) Reset() {
-	if p == nil {
-		return
-	}
-	p.phasesDone.Store(0)
-	p.phasesTotal.Store(0)
-	p.shardsDone.Store(0)
-	p.shardsTotal.Store(0)
-	p.phase.Store(nil)
-}
-
 // Snapshot captures the current state. Safe to call at any time from any
 // goroutine, including on a nil Progress (zero snapshot).
 func (p *Progress) Snapshot() ProgressSnapshot {
