@@ -34,7 +34,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
-	"strings"
 	"syscall"
 	"time"
 
@@ -57,11 +56,14 @@ func main() {
 	if err != nil {
 		fatalf("template: %v", err)
 	}
+	if work, err = os.MkdirTemp("", "leakywayd-smoke-"); err != nil {
+		fatalf("tempdir: %v", err)
+	}
 
 	if *chaos {
 		phaseChaos(string(tmpl))
 		fmt.Println("chaos-smoke: degraded-mode entry/exit, quota eviction and post-outage drain all verified")
-		return
+		exit(0)
 	}
 
 	if *cli == "" {
@@ -73,11 +75,29 @@ func main() {
 		fatalf("metrics diverge: drained run vs crash-recovered run\n--- drained ---\n%s\n--- recovered ---\n%s", m1, m2)
 	}
 	fmt.Println("daemon-smoke: cache-hit, drain and crash-recovery all verified; metrics byte-identical")
+	exit(0)
+}
+
+// work holds every phase's data dirs, and started lists every daemon
+// launched. os.Exit skips deferred calls, so every exit goes through
+// exit, which kills the daemons and removes work.
+var (
+	work    string
+	started []*exec.Cmd
+)
+
+func exit(code int) {
+	for _, cmd := range started {
+		cmd.Process.Kill()
+		cmd.Wait()
+	}
+	os.RemoveAll(work)
+	os.Exit(code)
 }
 
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "daemonsmoke: "+format+"\n", args...)
-	os.Exit(1)
+	exit(1)
 }
 
 // daemon wraps one running leakywayd process.
@@ -102,6 +122,7 @@ func startDaemon(dataDir string, extra ...string) *daemon {
 	if err := cmd.Start(); err != nil {
 		fatalf("start %s: %v", *bin, err)
 	}
+	started = append(started, cmd)
 
 	addrCh := make(chan string, 1)
 	go func() {
@@ -122,7 +143,6 @@ func startDaemon(dataDir string, extra ...string) *daemon {
 	case addr := <-addrCh:
 		return &daemon{cmd: cmd, Client: service.NewClient("http://" + addr)}
 	case <-time.After(10 * time.Second):
-		cmd.Process.Kill()
 		fatalf("daemon never reported its listen address")
 		return nil
 	}
@@ -139,6 +159,16 @@ func (d *daemon) wait() int {
 	}
 	fatalf("wait: %v", err)
 	return -1
+}
+
+// drain sends SIGTERM and fails unless the daemon then exits 0.
+func (d *daemon) drain() {
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		fatalf("SIGTERM: %v", err)
+	}
+	if code := d.wait(); code != 0 {
+		fatalf("daemon exited %d after SIGTERM, want 0", code)
+	}
 }
 
 // job is the submission every phase sends: the template at seed, quick.
@@ -207,22 +237,15 @@ func (d *daemon) checkIdleTokens() {
 // evict old entries while every job still completes; and the daemon must
 // still drain cleanly on SIGTERM.
 func phaseChaos(tmpl string) {
-	dir, err := os.MkdirTemp("", "leakywayd-chaos-")
-	if err != nil {
-		fatalf("tempdir: %v", err)
-	}
-	defer os.RemoveAll(dir)
-
-	d := startDaemon(filepath.Join(dir, "data"),
-		"-chaos-fsync-fail", "40",
+	d := startDaemon(filepath.Join(work, "chaos"),
+		"-chaos-fsync-fail", "10",
 		"-store-quota-bytes", "16384",
 		"-probe-interval", "100ms",
 	)
-	defer d.cmd.Process.Kill()
 
 	// The first admission hits the dead fsync: the accept cannot be made
 	// durable, so the daemon must refuse it and enter degraded mode.
-	_, _, err = d.Submit(job(tmpl, 1))
+	_, _, err := d.Submit(job(tmpl, 1))
 	var se *service.StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
 		fatalf("submit during fsync outage: %v, want status 503", err)
@@ -272,31 +295,20 @@ func phaseChaos(tmpl string) {
 	}
 	fmt.Println("chaos-smoke: quota-driven eviction kept the store under budget with all jobs completing")
 
-	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		fatalf("SIGTERM: %v", err)
-	}
-	if code := d.wait(); code != 0 {
-		fatalf("daemon exited %d after SIGTERM, want 0", code)
-	}
+	d.drain()
 }
 
 // phaseDrain proves cache-hit resubmission and SIGTERM drain, returning
 // the metrics bytes of the seed-42 run for cross-phase comparison.
 func phaseDrain(tmpl string) []byte {
-	dir, err := os.MkdirTemp("", "leakywayd-smoke-a-")
-	if err != nil {
-		fatalf("tempdir: %v", err)
-	}
-	defer os.RemoveAll(dir)
-
-	d := startDaemon(filepath.Join(dir, "data"))
-	defer d.cmd.Process.Kill()
+	dataDir := filepath.Join(work, "drain")
+	d := startDaemon(dataDir)
 
 	// First submission simulates. Ride its SSE stream while it runs: the
 	// stream must deliver at least one progress frame before done.
 	j1 := d.submit(job(tmpl, 42), "miss")
 	progress, done := 0, false
-	err = d.Events(context.Background(), j1.ID, func(name, _ string) bool {
+	err := d.Events(context.Background(), j1.ID, func(name, _ string) bool {
 		switch name {
 		case "progress":
 			progress++
@@ -319,7 +331,7 @@ func phaseDrain(tmpl string) []byte {
 	}
 	must(d.Metric(`leakywayd_jobs_total{event="accepted"}`))
 	fmt.Println("daemon-smoke: first run completed, metrics fetched, /metricsz scraped")
-	if want := cliMetrics(dir, 42); !bytes.Equal(metrics, want) {
+	if want := cliMetrics(work, 42); !bytes.Equal(metrics, want) {
 		fatalf("daemon metrics differ from the CLI's -json export\n--- daemon ---\n%s\n--- cli ---\n%s", metrics, want)
 	}
 	fmt.Println("daemon-smoke: metrics byte-identical to the CLI's -json export")
@@ -335,18 +347,15 @@ func phaseDrain(tmpl string) []byte {
 	// Queue one more job, then SIGTERM: the drain must complete it and
 	// the process must exit 0.
 	j3 := d.submit(job(tmpl, 43), "miss")
-	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		fatalf("SIGTERM: %v", err)
+	d.drain()
+	// The drained job's result must be stored: a daemon restarted on the
+	// same data dir serves its metrics.
+	d = startDaemon(dataDir)
+	if m3, err := d.Artifact(j3.ID, "metrics"); err != nil || !json.Valid(m3) {
+		fatalf("drained job %s has no stored metrics after restart: %v", j3.ID, err)
 	}
-	if code := d.wait(); code != 0 {
-		fatalf("daemon exited %d after SIGTERM, want 0", code)
-	}
-	// The drained job's result must be on disk (entry dir named by key).
-	entry := filepath.Join(dir, "data", "store", strings.TrimPrefix(j3.Key, "sha256:"))
-	if _, err := os.Stat(filepath.Join(entry, "metrics.json")); err != nil {
-		fatalf("drained job %s has no stored result: %v", j3.ID, err)
-	}
-	fmt.Println("daemon-smoke: SIGTERM drained cleanly, accepted job completed")
+	d.drain()
+	fmt.Println("daemon-smoke: SIGTERM drained cleanly, accepted job completed and served after restart")
 	return metrics
 }
 
@@ -354,12 +363,7 @@ func phaseDrain(tmpl string) []byte {
 // by a hard kill completes after restart, a resubmission of it coalesces
 // onto the recovered execution, and both serve byte-identical metrics.
 func phaseCrashRecovery(tmpl string) []byte {
-	dir, err := os.MkdirTemp("", "leakywayd-smoke-b-")
-	if err != nil {
-		fatalf("tempdir: %v", err)
-	}
-	defer os.RemoveAll(dir)
-	dataDir := filepath.Join(dir, "data")
+	dataDir := filepath.Join(work, "crash")
 
 	// -stall holds the simulation so the SIGKILL reliably lands while the
 	// accepted job is incomplete.
@@ -376,7 +380,6 @@ func phaseCrashRecovery(tmpl string) []byte {
 	// while the recovered execution stalls must attach to it rather than
 	// simulate the key a second time.
 	d2 := startDaemon(dataDir, "-stall", "2s")
-	defer d2.cmd.Process.Kill()
 	dup := d2.submit(job(tmpl, 42), "coalesced")
 	d2.awaitDone(j.ID)
 	d2.awaitDone(dup.ID)
@@ -387,11 +390,6 @@ func phaseCrashRecovery(tmpl string) []byte {
 	fmt.Println("daemon-smoke: restart recovered the journalled job to done; its resubmission coalesced onto it")
 	d2.checkIdleTokens()
 
-	if err := d2.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		fatalf("SIGTERM: %v", err)
-	}
-	if code := d2.wait(); code != 0 {
-		fatalf("recovered daemon exited %d after SIGTERM, want 0", code)
-	}
+	d2.drain()
 	return metrics
 }

@@ -3,7 +3,6 @@ package iofault
 import (
 	"io/fs"
 	"math/rand"
-	"sort"
 	"sync"
 	"syscall"
 	"time"
@@ -159,13 +158,6 @@ func (in *Injector) MkdirAll(path string, perm fs.FileMode) error {
 	return in.inner.MkdirAll(path, perm)
 }
 
-func (in *Injector) MkdirTemp(dir, pattern string) (string, error) {
-	if f := in.check(Op{Kind: OpMkdir, Path: dir}); f.apply() {
-		return "", &fs.PathError{Op: "mkdirtemp", Path: dir, Err: f.Err}
-	}
-	return in.inner.MkdirTemp(dir, pattern)
-}
-
 func (in *Injector) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
 	if f := in.check(Op{Kind: OpOpen, Path: name}); f.apply() {
 		return nil, &fs.PathError{Op: "open", Path: name, Err: f.Err}
@@ -216,26 +208,11 @@ func (in *Injector) Remove(name string) error {
 	return in.inner.Remove(name)
 }
 
-// RemoveAll under a remove fault is deliberately TORN: it deletes the
-// first half of the tree's entries through the inner FS and then fails,
-// modeling a crash or I/O error mid-eviction. The startup integrity
-// sweep must be able to repair exactly this wreckage.
 func (in *Injector) RemoveAll(path string) error {
-	f := in.check(Op{Kind: OpRemove, Path: path})
-	if !f.apply() {
-		return in.inner.RemoveAll(path)
+	if f := in.check(Op{Kind: OpRemove, Path: path}); f.apply() {
+		return &fs.PathError{Op: "removeall", Path: path, Err: f.Err}
 	}
-	if ents, err := in.inner.ReadDir(path); err == nil {
-		names := make([]string, 0, len(ents))
-		for _, e := range ents {
-			names = append(names, e.Name())
-		}
-		sort.Strings(names)
-		for _, name := range names[:len(names)/2+len(names)%2] {
-			in.inner.RemoveAll(path + "/" + name)
-		}
-	}
-	return &fs.PathError{Op: "removeall", Path: path, Err: f.Err}
+	return in.inner.RemoveAll(path)
 }
 
 // faultFile routes per-file operations back through the injector.

@@ -3,7 +3,7 @@
 // behind a small FS interface with two implementations: a production
 // passthrough to the os package, and a deterministic fault injector that
 // turns the same calls into the disk failures a long-running service
-// eventually meets (ENOSPC, EIO on fsync, torn writes, torn removes,
+// eventually meets (ENOSPC, EIO on fsync, torn writes, failed removes,
 // slow I/O).
 //
 // The injector follows the same composable, seed-deterministic style as
@@ -28,8 +28,6 @@ import (
 type FS interface {
 	// MkdirAll creates a directory path along with any missing parents.
 	MkdirAll(path string, perm fs.FileMode) error
-	// MkdirTemp creates a new temporary directory under dir.
-	MkdirTemp(dir, pattern string) (string, error)
 	// OpenFile opens a file with the given flags (create, append, ...).
 	OpenFile(name string, flag int, perm fs.FileMode) (File, error)
 	// Open opens a file (or directory, for directory fsync) read-only.
@@ -64,9 +62,6 @@ type osFS struct{}
 func OS() FS { return osFS{} }
 
 func (osFS) MkdirAll(path string, perm fs.FileMode) error { return os.MkdirAll(path, perm) }
-func (osFS) MkdirTemp(dir, pattern string) (string, error) {
-	return os.MkdirTemp(dir, pattern)
-}
 func (osFS) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
 	f, err := os.OpenFile(name, flag, perm)
 	if err != nil {

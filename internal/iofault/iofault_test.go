@@ -155,7 +155,7 @@ func TestTornWriteIsSeedDeterministic(t *testing.T) {
 	}
 }
 
-func TestBrokenRemoveTearsTree(t *testing.T) {
+func TestBrokenRemoveFailsRemoveAll(t *testing.T) {
 	inj := NewInjector(OS(), 1, BrokenRemove("victim", ErrIO))
 	dir := t.TempDir()
 	victim := filepath.Join(dir, "victim-entry")
@@ -171,9 +171,8 @@ func TestBrokenRemoveTearsTree(t *testing.T) {
 	if !errors.Is(err, syscall.EIO) {
 		t.Fatalf("RemoveAll error %v, want EIO", err)
 	}
-	ents, _ := os.ReadDir(victim)
-	if len(ents) == 0 || len(ents) == 4 {
-		t.Fatalf("torn RemoveAll left %d of 4 files; want a partial tree", len(ents))
+	if ents, _ := os.ReadDir(victim); len(ents) != 4 {
+		t.Fatalf("failed RemoveAll left %d of 4 files; want the tree untouched", len(ents))
 	}
 	// Unmatched paths remove cleanly.
 	if err := inj.RemoveAll(dir); err != nil {

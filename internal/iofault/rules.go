@@ -152,16 +152,15 @@ func (r *tornWrite) Check(op Op, rng *rand.Rand) Fault {
 	return Fault{Err: r.err, TornBytes: torn}
 }
 
-// brokenRemove fails removes, leaving RemoveAll trees half-deleted.
+// brokenRemove fails removes.
 type brokenRemove struct {
 	substr string
 	err    error
 }
 
 // BrokenRemove returns a rule that fails matching Remove/RemoveAll
-// calls with err. Through the injector a faulted RemoveAll is torn —
-// half the tree is gone, half remains — which is exactly the state a
-// SIGKILL mid-eviction leaves and the startup sweep must repair.
+// calls with err, leaving the target in place — an unlink that an I/O
+// error or a crash never let happen.
 func BrokenRemove(pathSubstr string, err error) Rule {
 	return &brokenRemove{substr: pathSubstr, err: err}
 }

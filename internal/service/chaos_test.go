@@ -134,15 +134,15 @@ func TestChaosDiskFullMidArtifactWriteRetriesToCompletion(t *testing.T) {
 	if _, err := s.store.Artifact(j.Key, "metrics"); err != nil {
 		t.Fatalf("artifact after recovery: %v", err)
 	}
-	if _, err := s.store.verifyEntry(s.store.entryDir(j.Key)); err != nil {
+	if _, err := s.store.verifyEntry(s.store.entryPath(j.Key)); err != nil {
 		t.Fatalf("recovered entry fails verification: %v", err)
 	}
 }
 
 func TestChaosKillDuringEvictionSweptOnRestart(t *testing.T) {
 	dir := t.TempDir()
-	// Evictions tear (half the entry deleted, then EIO) — the on-disk
-	// picture a SIGKILL mid-eviction leaves.
+	// Evictions fail with EIO, so the evicted entry's file stays on disk
+	// after the index drops it; then the process dies.
 	inj := iofault.NewInjector(iofault.OS(), 1,
 		iofault.BrokenRemove("store/", iofault.ErrIO))
 	s := newTestServer(t, func(c *Config) {
@@ -158,7 +158,7 @@ func TestChaosKillDuringEvictionSweptOnRestart(t *testing.T) {
 		waitStatus(t, s, j.ID, StatusDone)
 		jobs = append(jobs, j)
 	}
-	// Third publish evicted the first entry — torn, because removes fail.
+	// Third publish evicted the first entry, whose removal failed.
 	if s.store.Len() != 2 {
 		t.Fatalf("store holds %d entries, cap 2", s.store.Len())
 	}
@@ -169,28 +169,37 @@ func TestChaosKillDuringEvictionSweptOnRestart(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	s.Kill()
 
-	// Restart over a healthy disk: the sweep must repair the torn
-	// eviction, replay must finish the interrupted job.
-	s2 := newTestServer(t, func(c *Config) { c.DataDir = dir })
+	// Restart over a healthy disk: the cap must hold over what the sweep
+	// found, and replay must finish the interrupted job.
+	s2 := newTestServer(t, func(c *Config) {
+		c.DataDir = dir
+		c.StoreMaxEntries = 2
+	})
 	defer s2.Drain()
-	if got := s2.met.sweepRemoved.Value(); got < 1 {
-		t.Fatalf("sweep removed %d entries, want the torn eviction", got)
+	if got := s2.met.sweepRemoved.Value(); got != 0 {
+		t.Fatalf("sweep removed %d entries from a store with no damaged entry", got)
+	}
+	if got := s2.store.Len(); got > 2 {
+		t.Fatalf("restarted store holds %d entries, cap 2", got)
 	}
 	if deg, reason := s2.DegradedState(); deg {
 		t.Fatalf("restarted server degraded: %s", reason)
 	}
 	// The surviving entries are intact.
-	for _, j := range jobs[1:] {
+	for _, j := range jobs {
 		if !s2.store.Has(j.Key) {
 			continue // may have been legally evicted during recovery
 		}
-		if _, err := s2.store.verifyEntry(s2.store.entryDir(j.Key)); err != nil {
+		if _, err := s2.store.verifyEntry(s2.store.entryPath(j.Key)); err != nil {
 			t.Fatalf("surviving entry %s corrupt after restart: %v", shortKey(j.Key), err)
 		}
 	}
 	done := waitStatus(t, s2, inflight.ID, StatusDone)
 	if _, err := s2.store.Artifact(done.Key, "metrics"); err != nil {
 		t.Fatalf("replayed job's artifact unreadable: %v", err)
+	}
+	if got := s2.store.Len(); got > 2 {
+		t.Fatalf("store holds %d entries after the replayed job, cap 2", got)
 	}
 }
 

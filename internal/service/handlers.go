@@ -162,7 +162,7 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such job %q", id)
 		return
 	}
-	af, ok := artifactFiles[name]
+	contentType, ok := artifactTypes[name]
 	if !ok {
 		writeError(w, http.StatusNotFound, "no such artifact %q (want metrics, report, trace or progress)", name)
 		return
@@ -183,7 +183,7 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "artifact %q not recorded for job %s", name, id)
 		return
 	}
-	w.Header().Set("Content-Type", af.contentType)
+	w.Header().Set("Content-Type", contentType)
 	w.Write(data)
 }
 

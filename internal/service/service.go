@@ -775,7 +775,7 @@ func (s *Server) publish(exec *execution, res *Result) error {
 	}
 }
 
-// finish journals the execution's terminal record, moves every
+// finish journals the execution's done or fail record, moves every
 // non-canceled job on it to status, clears the single-flight slot and
 // releases the execution's eviction pin. A journal write failure here is
 // logged and degrades admissions, but is not fatal to the job: the store
@@ -786,20 +786,21 @@ func (s *Server) finish(exec *execution, status, errMsg string) {
 		h.ObserveSince(exec.enqueuedAt)
 	}
 	s.store.Unpin(exec.key)
-	e := journalEntry{Op: opDone, Key: exec.key, Err: errMsg}
-	switch status {
-	case StatusFailed:
-		e.Op = opFail
-	case StatusCanceled:
-		e.Op = opCancel
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.journal.Append(e); err != nil {
-		s.cfg.Logger.Error("journal append failed", "op", e.Op, "key", shortKey(exec.key), "err", err)
-		s.enterDegraded(fmt.Sprintf("wal append: %v", err))
-	} else {
-		s.maybeRotateLocked()
+	// A canceled execution needs no record of its own: every job on it
+	// was canceled, and Cancel journalled each one by ID.
+	if status != StatusCanceled {
+		e := journalEntry{Op: opDone, Key: exec.key, Err: errMsg}
+		if status == StatusFailed {
+			e.Op = opFail
+		}
+		if err := s.journal.Append(e); err != nil {
+			s.cfg.Logger.Error("journal append failed", "op", e.Op, "key", shortKey(exec.key), "err", err)
+			s.enterDegraded(fmt.Sprintf("wal append: %v", err))
+		} else {
+			s.maybeRotateLocked()
+		}
 	}
 	for _, j := range exec.jobs {
 		if j.canceled {

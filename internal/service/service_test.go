@@ -3,8 +3,11 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -513,6 +516,54 @@ func TestCancelStopsRunningJob(t *testing.T) {
 	}
 }
 
+// TestCancelJournalsOneRecordPerJob checks that canceling a running job
+// journals one cancel record, carrying the job's ID, and nothing for the
+// execution the cancel aborts; a restart shows the job canceled.
+func TestCancelJournalsOneRecordPerJob(t *testing.T) {
+	dir := t.TempDir()
+	started := make(chan struct{}, 1)
+	s := newTestServer(t, func(c *Config) {
+		c.DataDir = dir
+		c.Runner = func(ctx context.Context, sub Submission, spec *scenario.Spec, _ *telemetry.Progress) (*Result, error) {
+			started <- struct{}{}
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+	})
+	j, err := s.Submit(Submission{Template: tmplFor("cj"), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	if _, err := s.Cancel(j.ID); err != nil {
+		t.Fatal(err)
+	}
+	<-j.exec.done
+	if err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+
+	entries, err := replayJournal(iofault.OS(), filepath.Join(dir, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cancels []journalEntry
+	for _, e := range entries {
+		if e.Op == opCancel {
+			cancels = append(cancels, e)
+		}
+	}
+	if len(cancels) != 1 || cancels[0].ID != j.ID {
+		t.Fatalf("journal cancel records %+v, want exactly one for %s", cancels, j.ID)
+	}
+
+	s2 := newTestServer(t, func(c *Config) { c.DataDir = dir })
+	defer s2.Drain()
+	if snap, ok := s2.snapshotJob(j.ID); !ok || snap.Status != StatusCanceled {
+		t.Fatalf("after restart job %s is %q (found %v), want canceled", j.ID, snap.Status, ok)
+	}
+}
+
 // TestResubmitWhileCancelAbortsRetriesLater checks that a submission
 // never attaches to an execution whose every job was canceled after it
 // started: it would fail with the abort. It is refused with 503 +
@@ -563,15 +614,21 @@ func TestResubmitWhileCancelAbortsRetriesLater(t *testing.T) {
 	}
 }
 
-// corruptStoredArtifact flips a byte in the stored metrics artifact.
+// corruptStoredArtifact flips a byte of the metrics artifact inside the
+// key's entry file.
 func corruptStoredArtifact(t *testing.T, dataDir, key string) {
 	t.Helper()
-	path := filepath.Join(dataDir, "store", hexOf(key), "metrics.json")
+	path := filepath.Join(dataDir, "store", hexOf(key)+".entry")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("corrupt: %v", err)
 	}
-	data[0] ^= 0xff
+	nl := bytes.IndexByte(data, '\n')
+	var meta storeMeta
+	if nl < 0 || json.Unmarshal(data[:nl], &meta) != nil || meta.Artifacts["metrics"].Length == 0 {
+		t.Fatalf("corrupt: %s has no metrics artifact", path)
+	}
+	data[nl+1+int(meta.Artifacts["metrics"].Offset)] ^= 0xff
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatalf("corrupt: %v", err)
 	}
@@ -651,7 +708,7 @@ func TestPublishRetriesReuseOneSimulation(t *testing.T) {
 	if n := s.met.retries.Value(); n != k {
 		t.Fatalf("retries counter %d, want %d", n, k)
 	}
-	if _, err := s.store.verifyEntry(s.store.entryDir(j.Key)); err != nil {
+	if _, err := s.store.verifyEntry(s.store.entryPath(j.Key)); err != nil {
 		t.Fatalf("published entry fails verification: %v", err)
 	}
 }
@@ -750,5 +807,66 @@ func TestStoreSurvivesCorruptionSweep(t *testing.T) {
 	defer mu.Unlock()
 	if calls != 1 {
 		t.Fatalf("runner ran %d times after corruption, want 1", calls)
+	}
+}
+
+// TestStoreSweepsOlderFormatDirectories checks that a restart removes the
+// entry and temp directories of the older one-directory-per-entry store
+// layout, and that a done job whose entry went that way answers 410, as
+// after an eviction.
+func TestStoreSweepsOlderFormatDirectories(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{DataDir: dir, MaxRetries: -1, Runner: stubRunner(0, nil, nil), Logger: testLogger(t)}
+	s1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := s1.Submit(Submission{Template: tmplFor("old"), Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := waitStatus(t, s1, j.ID, StatusDone)
+	if err := s1.Drain(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Lay the entry out as the older format did, beside a temp directory
+	// of one of its interrupted writes.
+	storeDir := filepath.Join(dir, "store")
+	entryDir := filepath.Join(storeDir, hexOf(snap.Key))
+	tmpDir := filepath.Join(storeDir, "tmp-1234")
+	if err := os.Remove(entryDir + ".entry"); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []string{entryDir, tmpDir} {
+		if err := os.Mkdir(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range []string{"meta.json", "metrics.json", "report.txt"} {
+			if err := os.WriteFile(filepath.Join(d, f), []byte("{}\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	s2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Drain()
+	if got := s2.met.sweepRemoved.Value(); got != 2 {
+		t.Fatalf("sweep removed %d entries, want the entry and the temp directory", got)
+	}
+	for _, d := range []string{entryDir, tmpDir} {
+		if fileExists(d) {
+			t.Fatalf("%s survived the sweep", d)
+		}
+	}
+	if snap, _ := s2.snapshotJob(j.ID); snap.Status != StatusDone {
+		t.Fatalf("job %s is %q after restart, want done", j.ID, snap.Status)
+	}
+	_, err = newTestClient(t, s2).Artifact(j.ID, "metrics")
+	if se := (*StatusError)(nil); !errors.As(err, &se) || se.Code != http.StatusGone {
+		t.Fatalf("metrics of the swept entry: %v, want status 410", err)
 	}
 }

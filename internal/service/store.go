@@ -1,10 +1,13 @@
 package service
 
 import (
+	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -15,12 +18,14 @@ import (
 	"leakyway/internal/telemetry"
 )
 
-// Store is the content-addressed result store. Each entry is a directory
-// named by the cache key's hex digest holding the artifacts plus a
-// meta.json that records their individual content hashes — so integrity
-// is checkable by re-hashing, which startup does after a crash. Writes go
-// through a temp directory and a rename, so a torn write can never
-// produce an entry that passes verification.
+// Store is the content-addressed result store. Each entry is one file,
+// <hex>.entry, named by the cache key's hex digest: a one-line JSON
+// manifest (key, engine version, assertion summary, and each artifact's
+// offset, length and sha256), then the artifact bytes back to back. So
+// integrity is checkable by re-hashing, which startup does after a crash.
+// Put writes the whole entry to a temp file, fsyncs it and renames it
+// into place, and eviction is one Remove: an entry is published and
+// retired atomically, so no torn entry can exist.
 //
 // The store is governed, not append-forever: when a byte quota or entry
 // cap is configured, publishing a new entry evicts the least-recently-
@@ -47,7 +52,7 @@ type Store struct {
 
 // StoreOptions governs store growth. Zero values mean unlimited.
 type StoreOptions struct {
-	// QuotaBytes caps the total size of stored artifacts; exceeding it
+	// QuotaBytes caps the total size of stored entries; exceeding it
 	// evicts least-recently-accessed unpinned entries.
 	QuotaBytes int64
 	// MaxEntries caps the entry count the same way.
@@ -72,13 +77,14 @@ type SweepRemoval struct {
 	Reason string
 }
 
-// storeMeta is the per-entry manifest.
+// storeMeta is the per-entry manifest, the entry file's first line.
 type storeMeta struct {
 	// Key is the full cache key ("sha256:<hex>").
 	Key string `json:"key"`
 	// Engine records the engine version the entry was simulated with.
 	Engine string `json:"engine"`
-	// Artifacts maps artifact name → file name and sha256 of its bytes.
+	// Artifacts maps artifact name → its byte range within the body (the
+	// bytes after the manifest line) and the sha256 of those bytes.
 	Artifacts map[string]artifactMeta `json:"artifacts"`
 	// Assertion summary of the template evaluation.
 	AssertFailed int `json:"assert_failed"`
@@ -86,22 +92,24 @@ type storeMeta struct {
 }
 
 type artifactMeta struct {
-	File   string `json:"file"`
+	Offset int64  `json:"offset"`
+	Length int64  `json:"length"`
 	SHA256 string `json:"sha256"`
 }
 
-// artifactFiles maps API artifact names to entry file names and content
-// types.
-var artifactFiles = map[string]struct{ file, contentType string }{
-	"metrics":  {"metrics.json", "application/json"},
-	"report":   {"report.txt", "text/plain; charset=utf-8"},
-	"trace":    {"trace.json", "application/json"},
-	"progress": {"progress.jsonl", "application/x-ndjson"},
+// artifactTypes maps API artifact names to their content types.
+var artifactTypes = map[string]string{
+	"metrics":  "application/json",
+	"report":   "text/plain; charset=utf-8",
+	"trace":    "application/json",
+	"progress": "application/x-ndjson",
 }
 
-// indexFile persists the LRU clock. It lives beside the entry
-// directories; the sweep skips plain files.
-const indexFile = "lru-index.json"
+// Entry files are <hex>.entry; indexFile persists the LRU clock beside them.
+const (
+	entrySuffix = ".entry"
+	indexFile   = "lru-index.json"
+)
 
 // lruIndex is the on-disk shape of the access-recency index.
 type lruIndex struct {
@@ -111,11 +119,12 @@ type lruIndex struct {
 
 // OpenStore opens (creating if needed) the store at dir and sweeps it for
 // integrity: every entry's artifacts are re-hashed against its manifest,
-// and entries that fail — torn writes, torn evictions, bit rot, manual
-// tampering — are removed. It returns what it removed so the caller can
-// log and count each repair, then rebuilds the in-memory size/LRU index,
-// merging persisted access times where present, and immediately enforces
-// the quota on whatever survived.
+// and entries that fail — bit rot, manual tampering — are removed, as
+// are temp files of interrupted writes and any directory (entries of the
+// older one-directory-per-entry format). It returns what it removed so
+// the caller can log and count each repair, then rebuilds the in-memory
+// size/LRU index, merging persisted access times where present, and
+// immediately enforces the quota on whatever survived.
 func OpenStore(fsys iofault.FS, dir string, opt StoreOptions) (*Store, []SweepRemoval, error) {
 	if opt.Logger == nil {
 		opt.Logger = slog.Default()
@@ -140,31 +149,32 @@ func OpenStore(fsys iofault.FS, dir string, opt StoreOptions) (*Store, []SweepRe
 	idx := s.loadIndex()
 	var removed []SweepRemoval
 	for _, e := range ents {
-		if !e.IsDir() {
-			continue
-		}
-		path := filepath.Join(dir, e.Name())
-		// Leftover temp dirs from a crash mid-Put are never valid entries.
-		if strings.HasPrefix(e.Name(), "tmp-") {
+		name := e.Name()
+		path := filepath.Join(dir, name)
+		var reason string
+		switch {
+		case e.IsDir():
 			s.fs.RemoveAll(path)
-			removed = append(removed, SweepRemoval{Entry: e.Name(), Reason: "leftover temp dir from interrupted write"})
-			continue
+			reason = "directory from an older store format"
+		case strings.HasPrefix(name, "tmp-"):
+			s.fs.Remove(path)
+			reason = "leftover temp file from interrupted write"
+		case strings.HasSuffix(name, entrySuffix):
+			size, err := s.verifyEntry(path)
+			if err == nil {
+				h := strings.TrimSuffix(name, entrySuffix)
+				s.entries[h] = &entryInfo{size: size, access: idx.Access[h]}
+				s.clock = max(s.clock, idx.Access[h])
+				continue
+			}
+			s.fs.Remove(path)
+			reason = err.Error()
+		default:
+			continue // the LRU index
 		}
-		size, err := s.verifyEntry(path)
-		if err != nil {
-			s.fs.RemoveAll(path)
-			removed = append(removed, SweepRemoval{Entry: e.Name(), Reason: err.Error()})
-			continue
-		}
-		info := &entryInfo{size: size, access: idx.Access[e.Name()]}
-		s.entries[e.Name()] = info
-		if info.access > s.clock {
-			s.clock = info.access
-		}
+		removed = append(removed, SweepRemoval{Entry: name, Reason: reason})
 	}
-	if idx.Clock > s.clock {
-		s.clock = idx.Clock
-	}
+	s.clock = max(s.clock, idx.Clock)
 
 	// A quota lowered across restarts (or a sweep that removed the index)
 	// must be enforced before the daemon starts admitting work.
@@ -213,39 +223,41 @@ func (s *Store) saveIndexLocked() {
 	f.Close()
 }
 
-// verifyEntry re-hashes every artifact in the manifest and returns the
-// entry's size (manifest plus artifacts).
+// verifyEntry re-hashes every artifact in the entry file at path against
+// its manifest and returns the file's size.
 func (s *Store) verifyEntry(path string) (int64, error) {
-	data, err := s.fs.ReadFile(filepath.Join(path, "meta.json"))
+	data, err := s.fs.ReadFile(path)
 	if err != nil {
-		return 0, fmt.Errorf("meta: %w", err)
+		return 0, err
 	}
+	line, body, _ := bytes.Cut(data, []byte("\n"))
 	var meta storeMeta
-	if err := json.Unmarshal(data, &meta); err != nil {
-		return 0, fmt.Errorf("meta: %w", err)
+	if err := json.Unmarshal(line, &meta); err != nil {
+		return 0, fmt.Errorf("manifest: %w", err)
 	}
-	if hexOf(meta.Key) != filepath.Base(path) {
+	if hexOf(meta.Key)+entrySuffix != filepath.Base(path) {
 		return 0, fmt.Errorf("entry %s claims key %s", filepath.Base(path), meta.Key)
 	}
-	size := int64(len(data))
+	n := int64(len(body))
 	for name, am := range meta.Artifacts {
-		b, err := s.fs.ReadFile(filepath.Join(path, am.File))
-		if err != nil {
-			return 0, fmt.Errorf("artifact %s: %w", name, err)
+		if am.Offset < 0 || am.Length < 0 || am.Offset > n || am.Length > n-am.Offset {
+			return 0, fmt.Errorf("artifact %s: range past the end of the entry", name)
 		}
-		sum := sha256.Sum256(b)
+		sum := sha256.Sum256(body[am.Offset : am.Offset+am.Length])
 		if hex.EncodeToString(sum[:]) != am.SHA256 {
 			return 0, fmt.Errorf("artifact %s: digest mismatch", name)
 		}
-		size += int64(len(b))
 	}
-	return size, nil
+	return int64(len(data)), nil
 }
 
 // hexOf strips the algorithm prefix from a cache key.
 func hexOf(key string) string { return strings.TrimPrefix(key, "sha256:") }
 
-func (s *Store) entryDir(key string) string { return filepath.Join(s.dir, hexOf(key)) }
+// entryPath names key's entry file; key may also be a bare hex digest.
+func (s *Store) entryPath(key string) string {
+	return filepath.Join(s.dir, hexOf(key)+entrySuffix)
+}
 
 // Pin protects key from eviction (in-flight executions). Pins are
 // counted, so concurrent pinners compose; Unpin releases one.
@@ -280,16 +292,6 @@ func (s *Store) Has(key string) bool {
 	return true
 }
 
-// touch marks key accessed without reporting existence.
-func (s *Store) touch(key string) {
-	s.mu.Lock()
-	if info := s.entries[hexOf(key)]; info != nil {
-		s.clock++
-		info.access = s.clock
-	}
-	s.mu.Unlock()
-}
-
 // SizeBytes returns the total bytes of live entries.
 func (s *Store) SizeBytes() int64 {
 	s.mu.Lock()
@@ -310,48 +312,70 @@ func (s *Store) Len() int {
 
 // Meta reads an entry's manifest.
 func (s *Store) Meta(key string) (*storeMeta, error) {
-	s.touch(key)
-	data, err := s.fs.ReadFile(filepath.Join(s.entryDir(key), "meta.json"))
-	if err != nil {
-		return nil, err
-	}
-	var meta storeMeta
-	if err := json.Unmarshal(data, &meta); err != nil {
-		return nil, err
-	}
-	return &meta, nil
+	meta, _, err := s.read(key, "")
+	return meta, err
 }
 
 // Artifact reads one artifact's bytes by API name ("metrics", "report",
 // "trace", "progress").
 func (s *Store) Artifact(key, name string) ([]byte, error) {
-	af, ok := artifactFiles[name]
-	if !ok {
-		return nil, fmt.Errorf("store: unknown artifact %q", name)
-	}
-	s.touch(key)
-	return s.fs.ReadFile(filepath.Join(s.entryDir(key), af.file))
+	_, data, err := s.read(key, name)
+	return data, err
 }
 
-// Put writes a completed result as the entry for key: artifacts and
-// manifest land in a temp directory, every file and then the directory
-// are fsynced, and a rename publishes the entry atomically. The store
-// directory is fsynced after the rename, so the entry is durable before
-// the caller journals the job done. The caller guarantees that no other
-// Put of key runs at the same time and that key has no entry yet (the
-// daemon runs one execution per key). Publishing then evicts as needed to
-// bring the store back under its quota.
+// read counts an access to key and reads its manifest line and, when
+// name is set, that artifact: only the bytes up to the artifact's end
+// are read.
+func (s *Store) read(key, name string) (*storeMeta, []byte, error) {
+	s.Has(key)
+	f, err := s.fs.Open(s.entryPath(key))
+	if err != nil {
+		return nil, nil, err
+	}
+	defer f.Close()
+	br := bufio.NewReader(f)
+	line, err := br.ReadBytes('\n')
+	if err != nil {
+		return nil, nil, fmt.Errorf("store: manifest: %w", err)
+	}
+	var meta storeMeta
+	if err := json.Unmarshal(line, &meta); err != nil {
+		return nil, nil, fmt.Errorf("store: manifest: %w", err)
+	}
+	if name == "" {
+		return &meta, nil, nil
+	}
+	am, ok := meta.Artifacts[name]
+	if !ok {
+		return nil, nil, fmt.Errorf("store: artifact %q not recorded", name)
+	}
+	if _, err := br.Discard(int(am.Offset)); err != nil {
+		return nil, nil, fmt.Errorf("store: %s: %w", name, err)
+	}
+	data, err := io.ReadAll(io.LimitReader(br, am.Length))
+	if err == nil && int64(len(data)) != am.Length {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("store: %s: %w", name, err)
+	}
+	return &meta, data, nil
+}
+
+// Put writes a completed result as the entry for key. The manifest line
+// and the artifacts go to a temp file, which is fsynced and renamed into
+// place; the store directory is fsynced after the rename, so the entry is
+// durable before the caller journals the job done. The caller guarantees
+// that no other Put of key runs at the same time and that key has no
+// entry yet (the daemon runs one execution per key). Publishing then
+// evicts as needed to bring the store back under its quota.
 func (s *Store) Put(key, engine string, res *Result) error {
-	artifacts := map[string][]byte{
-		"metrics": res.Metrics,
-		"report":  res.Report,
-	}
-	if res.Trace != nil {
-		artifacts["trace"] = res.Trace
-	}
-	if len(res.Progress) > 0 {
-		artifacts["progress"] = res.Progress
-	}
+	// A nil artifact was not recorded. Trace goes last: it is the largest
+	// artifact and the least read, so reading any other one stops before it.
+	parts := []struct {
+		name string
+		data []byte
+	}{{"metrics", res.Metrics}, {"report", res.Report}, {"progress", res.Progress}, {"trace", res.Trace}}
 	meta := storeMeta{
 		Key:          key,
 		Engine:       engine,
@@ -359,39 +383,38 @@ func (s *Store) Put(key, engine string, res *Result) error {
 		AssertFailed: res.AssertFailed,
 		AssertTotal:  res.AssertTotal,
 	}
-	tmp, err := s.fs.MkdirTemp(s.dir, "tmp-")
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	defer s.fs.RemoveAll(tmp)
+	chunks := make([][]byte, 1, 1+len(parts)) // chunks[0] is the manifest line
 	var size int64
-	for name, data := range artifacts {
-		af := artifactFiles[name]
-		if err := writeSynced(s.fs, filepath.Join(tmp, af.file), data); err != nil {
-			return fmt.Errorf("store: %s: %w", name, err)
+	for _, a := range parts {
+		if a.data == nil {
+			continue
 		}
-		sum := sha256.Sum256(data)
-		meta.Artifacts[name] = artifactMeta{File: af.file, SHA256: hex.EncodeToString(sum[:])}
-		size += int64(len(data))
+		sum := sha256.Sum256(a.data)
+		meta.Artifacts[a.name] = artifactMeta{Offset: size, Length: int64(len(a.data)), SHA256: hex.EncodeToString(sum[:])}
+		chunks = append(chunks, a.data)
+		size += int64(len(a.data))
 	}
-	mb, err := json.MarshalIndent(&meta, "", "  ")
+	line, err := json.Marshal(&meta)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	if err := writeSynced(s.fs, filepath.Join(tmp, "meta.json"), mb); err != nil {
-		return fmt.Errorf("store: meta: %w", err)
+	chunks[0] = append(line, '\n')
+	size += int64(len(chunks[0]))
+
+	tmp := filepath.Join(s.dir, "tmp-"+hexOf(key))
+	dst := s.entryPath(key)
+	if err := writeSynced(s.fs, tmp, chunks...); err != nil {
+		s.fs.Remove(tmp)
+		return fmt.Errorf("store: write: %w", err)
 	}
-	size += int64(len(mb))
-	if err := syncDir(s.fs, tmp); err != nil {
-		return fmt.Errorf("store: entry sync: %w", err)
-	}
-	dst := s.entryDir(key)
 	if err := s.fs.Rename(tmp, dst); err != nil {
+		s.fs.Remove(tmp)
 		return fmt.Errorf("store: publish: %w", err)
 	}
 	if err := syncDir(s.fs, s.dir); err != nil {
-		// Unpublish, so the caller's retry renames into a free slot.
-		s.fs.RemoveAll(dst)
+		// Unpublish: the entry is not known durable, so a failed Put
+		// leaves none behind.
+		s.fs.Remove(dst)
 		return fmt.Errorf("store: publish sync: %w", err)
 	}
 
@@ -421,9 +444,9 @@ func (s *Store) overLocked() bool {
 
 // evictUntilFitsLocked removes least-recently-accessed unpinned entries
 // until the store fits its caps. A removal error still retires the
-// entry from the index — a half-deleted directory is unusable either
-// way, and the next startup sweep clears the wreckage. Caller holds
-// s.mu.
+// entry from the index; the intact file stays on disk until the next
+// startup sweep re-indexes it and the quota evicts it again. Caller
+// holds s.mu.
 func (s *Store) evictUntilFitsLocked() {
 	for s.overLocked() {
 		victim := ""
@@ -443,13 +466,13 @@ func (s *Store) evictUntilFitsLocked() {
 		}
 		info := s.entries[victim]
 		delete(s.entries, victim)
-		err := s.fs.RemoveAll(filepath.Join(s.dir, victim))
+		err := s.fs.Remove(s.entryPath(victim))
 		if s.evictions != nil {
 			s.evictions.Inc()
 			s.evictedBytes.Add(info.size)
 		}
 		if err != nil {
-			s.opt.Logger.Warn("store eviction left a partial entry; startup sweep will finish it",
+			s.opt.Logger.Warn("store eviction failed; the entry stays on disk until a restart",
 				"entry", victim, "err", err)
 		} else {
 			s.opt.Logger.Info("store evicted least-recently-used entry",
@@ -466,16 +489,18 @@ func (s *Store) Close() {
 	s.mu.Unlock()
 }
 
-// writeSynced writes data and fsyncs before closing, so a rename cannot
-// publish a file the kernel has not persisted.
-func writeSynced(fsys iofault.FS, path string, data []byte) error {
+// writeSynced writes chunks back to back and fsyncs before closing, so a
+// rename cannot publish a file the kernel has not persisted.
+func writeSynced(fsys iofault.FS, path string, chunks ...[]byte) error {
 	f, err := fsys.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
+	for _, c := range chunks {
+		if _, err := f.Write(c); err != nil {
+			f.Close()
+			return err
+		}
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,7 +19,7 @@ func storeKey(i int) string {
 }
 
 // putPayload stores an entry for key whose metrics artifact is n bytes,
-// so entry sizes are controllable to within the small meta.json overhead.
+// so entry sizes are controllable to within the small manifest overhead.
 func putPayload(t *testing.T, s *Store, key string, n int) {
 	t.Helper()
 	res := &Result{
@@ -147,35 +149,36 @@ func TestStoreLRUOrderSurvivesRestart(t *testing.T) {
 
 func TestStoreSweepRepairsTornEviction(t *testing.T) {
 	dir := t.TempDir()
-	// An eviction interrupted by an I/O failure (or SIGKILL) leaves a
-	// half-deleted entry directory.
+	// An eviction whose Remove fails (an I/O error, or a SIGKILL before
+	// it ran) leaves the evicted entry's intact file on disk.
 	inj := iofault.NewInjector(iofault.OS(), 1, iofault.BrokenRemove(hexOf(storeKey(1)), iofault.ErrIO))
 	s, _, err := OpenStore(inj, dir, StoreOptions{MaxEntries: 1, Logger: testLogger(t)})
 	if err != nil {
 		t.Fatalf("OpenStore: %v", err)
 	}
 	putPayload(t, s, storeKey(1), 64)
-	putPayload(t, s, storeKey(2), 64) // evicts 1; RemoveAll tears
+	putPayload(t, s, storeKey(2), 64) // evicts 1; the Remove fails
 
 	if s.Has(storeKey(1)) {
-		t.Fatalf("torn-evicted entry still indexed")
+		t.Fatalf("evicted entry still indexed")
 	}
-	// The wreckage is on disk: reopening must sweep it away.
-	s2, removed := openTestStore(t, dir, StoreOptions{})
-	found := false
-	for _, r := range removed {
-		if r.Entry == hexOf(storeKey(1)) {
-			found = true
-		}
+	// Reopening finds both files intact: the cap must hold, and what
+	// survives must verify.
+	s2, removed := openTestStore(t, dir, StoreOptions{MaxEntries: 1})
+	if len(removed) != 0 {
+		t.Fatalf("sweep removed intact entries: %v", removed)
 	}
-	if !found {
-		t.Fatalf("sweep did not remove torn eviction wreckage (removed %v)", removed)
+	if s2.Len() != 1 {
+		t.Fatalf("reopened store holds %d entries, cap 1", s2.Len())
 	}
 	if s2.Has(storeKey(1)) {
-		t.Fatalf("swept entry reported live")
+		t.Fatalf("evicted entry reported live after reopen")
 	}
 	if !s2.Has(storeKey(2)) {
-		t.Fatalf("intact entry lost in sweep")
+		t.Fatalf("most recent entry lost on reopen")
+	}
+	if _, err := s2.verifyEntry(s2.entryPath(storeKey(2))); err != nil {
+		t.Fatalf("surviving entry fails verification: %v", err)
 	}
 }
 
@@ -189,15 +192,88 @@ func TestStoreEvictedArtifactUnreadable(t *testing.T) {
 	if _, err := s.Artifact(storeKey(2), "metrics"); err != nil {
 		t.Fatalf("live artifact unreadable: %v", err)
 	}
-	if fi := filepath.Join(s.dir, hexOf(storeKey(1))); dirExists(t, fi) {
-		t.Fatalf("evicted entry directory still on disk")
+	if fileExists(s.entryPath(storeKey(1))) {
+		t.Fatalf("evicted entry file still on disk")
 	}
 }
 
-func dirExists(t *testing.T, path string) bool {
-	t.Helper()
-	_, err := iofault.OS().ReadDir(path)
+func fileExists(path string) bool {
+	_, err := os.Stat(path)
 	return err == nil
+}
+
+// TestStoreArtifactRoundTrip checks that every artifact reads back
+// byte for byte from the one entry file, and that an artifact the result
+// did not carry is reported missing.
+func TestStoreArtifactRoundTrip(t *testing.T) {
+	s, _ := openTestStore(t, t.TempDir(), StoreOptions{})
+	res := &Result{
+		Metrics:      []byte("{\"m\": 1}\n"),
+		Report:       []byte("report\n"),
+		Progress:     []byte("{\"done\": 1}\n"),
+		Trace:        bytes.Repeat([]byte("t"), 10000),
+		AssertFailed: 1,
+		AssertTotal:  3,
+	}
+	key := storeKey(1)
+	if err := s.Put(key, "test-engine", res); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string][]byte{"metrics": res.Metrics, "report": res.Report, "progress": res.Progress, "trace": res.Trace} {
+		got, err := s.Artifact(key, name)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("artifact %s read back %q (err %v), want %q", name, got, err, want)
+		}
+	}
+	meta, err := s.Meta(key)
+	if err != nil || meta.Key != key || meta.Engine != "test-engine" || meta.AssertFailed != 1 || meta.AssertTotal != 3 {
+		t.Fatalf("manifest %+v (err %v)", meta, err)
+	}
+
+	key2 := storeKey(2)
+	if err := s.Put(key2, "test-engine", &Result{Metrics: []byte("{}\n"), Report: []byte("r\n")}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Artifact(key2, "trace"); err == nil {
+		t.Fatalf("unrecorded trace artifact read without error")
+	}
+}
+
+// TestStoreWriteFaultLeavesNoEntry checks that a write failing in the
+// middle of an entry publishes nothing, and that the next OpenStore
+// removes the temp file the failure left (its cleanup fails here, as
+// after a crash mid-write).
+func TestStoreWriteFaultLeavesNoEntry(t *testing.T) {
+	dir := t.TempDir()
+	const budget = 1000 // past the manifest line, inside the metrics
+	inj := iofault.NewInjector(iofault.OS(), 1,
+		iofault.DiskFull("tmp-", budget),
+		iofault.BrokenRemove("tmp-", iofault.ErrIO))
+	s, _, err := OpenStore(inj, dir, StoreOptions{Logger: testLogger(t)})
+	if err != nil {
+		t.Fatalf("OpenStore: %v", err)
+	}
+	key := storeKey(1)
+	res := &Result{Report: []byte("report\n"), Metrics: bytes.Repeat([]byte("x"), 4096)}
+	if err := s.Put(key, "test-engine", res); err == nil {
+		t.Fatalf("Put through a full disk succeeded")
+	}
+	if s.Has(key) || fileExists(s.entryPath(key)) {
+		t.Fatalf("failed write left an entry")
+	}
+	tmp := "tmp-" + hexOf(key)
+	fi, err := os.Stat(filepath.Join(dir, tmp))
+	if err != nil || fi.Size() != budget {
+		t.Fatalf("torn temp file: %v (err %v), want %d bytes on disk", fi, err, budget)
+	}
+
+	s2, removed := openTestStore(t, dir, StoreOptions{})
+	if len(removed) != 1 || removed[0].Entry != tmp {
+		t.Fatalf("sweep removed %v, want only %s", removed, tmp)
+	}
+	if fileExists(filepath.Join(dir, tmp)) || s2.Len() != 0 {
+		t.Fatalf("temp file survived the sweep (entries %d)", s2.Len())
+	}
 }
 
 // opRecorder is an iofault.Rule that logs every operation the injector
@@ -219,11 +295,12 @@ func (r *opRecorder) Check(op iofault.Op, _ *rand.Rand) iofault.Fault {
 	return iofault.Fault{}
 }
 
-// TestStorePutPublishesDurably checks the order of a miss's durable
-// writes: the entry's temp directory is synced before the rename that
-// publishes it, and the store directory after that rename and before the
-// worker journals the job done. Without the store-directory sync a power
-// loss could keep the done record and lose the entry it names.
+// TestStorePutPublishesDurably pins a miss's durable writes: exactly four
+// syncs, in this order: the journal's accept record, the entry's temp
+// file, then the rename that publishes it, the store directory, and the
+// journal's done record. Without the store-directory sync a power loss
+// could keep the done record and lose the entry it names. No directory
+// is made after startup.
 func TestStorePutPublishesDurably(t *testing.T) {
 	rec := &opRecorder{}
 	dataDir := t.TempDir()
@@ -231,6 +308,7 @@ func TestStorePutPublishesDurably(t *testing.T) {
 		c.DataDir = dataDir
 		c.FS = iofault.NewInjector(iofault.OS(), 1, rec)
 	})
+	started := len(rec.ops)
 	j, err := s.Submit(Submission{Template: tmplFor("durable"), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -242,34 +320,22 @@ func TestStorePutPublishesDurably(t *testing.T) {
 
 	storeDir := filepath.Join(dataDir, "store")
 	journal := filepath.Join(dataDir, "journal.jsonl")
-	// at returns the index of the first op from index from on that has
-	// the kind and satisfies path, or -1.
-	at := func(from int, kind iofault.OpKind, path func(string) bool) int {
-		for i := from; i < len(rec.ops); i++ {
-			if rec.ops[i].Kind == kind && path(rec.ops[i].Path) {
-				return i
-			}
+	var got []string
+	for _, op := range rec.ops[started:] {
+		switch op.Kind {
+		case iofault.OpSync, iofault.OpRename, iofault.OpMkdir:
+			got = append(got, string(op.Kind)+" "+op.Path)
 		}
-		return -1
 	}
-	is := func(want string) func(string) bool { return func(p string) bool { return p == want } }
-
-	publish := at(0, iofault.OpRename, is(filepath.Join(storeDir, hexOf(j.Key))))
-	if publish < 0 {
-		t.Fatalf("no rename published the entry for %s", j.Key)
+	want := []string{
+		"sync " + journal,
+		"sync " + filepath.Join(storeDir, "tmp-"+hexOf(j.Key)),
+		"rename " + filepath.Join(storeDir, hexOf(j.Key)+".entry"),
+		"sync " + storeDir,
+		"sync " + journal,
 	}
-	tmpSync := at(0, iofault.OpSync, func(p string) bool {
-		return filepath.Dir(p) == storeDir && strings.HasPrefix(filepath.Base(p), "tmp-")
-	})
-	if tmpSync < 0 || tmpSync > publish {
-		t.Fatalf("temp entry directory synced at op %d, want before the publishing rename (op %d)", tmpSync, publish)
-	}
-	done := at(publish, iofault.OpWrite, is(journal))
-	if done < 0 {
-		t.Fatalf("no journal append after the publishing rename (op %d)", publish)
-	}
-	if dirSync := at(publish, iofault.OpSync, is(storeDir)); dirSync < 0 || dirSync > done {
-		t.Fatalf("store directory synced at op %d, want between the publishing rename (op %d) and the done append (op %d)", dirSync, publish, done)
+	if !slices.Equal(got, want) {
+		t.Fatalf("miss made\n  %s\nwant\n  %s", strings.Join(got, "\n  "), strings.Join(want, "\n  "))
 	}
 }
 
@@ -288,7 +354,7 @@ func TestStorePutFailsOnPublishSyncError(t *testing.T) {
 	if err := s.Put(key, "test-engine", res); err == nil || !strings.Contains(err.Error(), "publish sync") {
 		t.Fatalf("Put with a failing store-directory sync returned %v, want a publish sync error", err)
 	}
-	if s.Has(key) || dirExists(t, filepath.Join(dir, hexOf(key))) {
+	if s.Has(key) || fileExists(s.entryPath(key)) {
 		t.Fatalf("failed publish left the entry in place")
 	}
 	if err := s.Put(key, "test-engine", res); err != nil {
