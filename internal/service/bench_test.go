@@ -87,7 +87,7 @@ func BenchmarkStorePut(b *testing.B) {
 	}
 	count := &syncCounter{}
 	s, _, err := OpenStore(iofault.NewInjector(iofault.OS(), 1, count), b.TempDir(),
-		StoreOptions{MaxEntries: 16, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+		StoreOptions{MaxEntries: 16, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

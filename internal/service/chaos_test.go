@@ -3,6 +3,8 @@ package service
 import (
 	"errors"
 	"net/http"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -200,6 +202,31 @@ func TestChaosKillDuringEvictionSweptOnRestart(t *testing.T) {
 	}
 	if got := s2.store.Len(); got > 2 {
 		t.Fatalf("store holds %d entries after the replayed job, cap 2", got)
+	}
+}
+
+// TestChaosStaleProbeFileSweptOnRestart checks that a probe file a
+// crash left behind (here its Remove fails) is removed by the next
+// startup sweep.
+func TestChaosStaleProbeFileSweptOnRestart(t *testing.T) {
+	dir := t.TempDir()
+	inj := iofault.NewInjector(iofault.OS(), 1, iofault.BrokenRemove("probe", iofault.ErrIO))
+	s := newTestServer(t, func(c *Config) {
+		c.DataDir = dir
+		c.FS = inj
+	})
+	if err := s.probeDisk(); err == nil {
+		t.Fatalf("probe succeeded although its Remove fails")
+	}
+	s.Kill()
+
+	s2 := newTestServer(t, func(c *Config) { c.DataDir = dir })
+	defer s2.Drain()
+	if got := s2.met.sweepRemoved.Value(); got != 1 {
+		t.Fatalf("sweep removed %d files, want the stale probe file", got)
+	}
+	if ents, err := os.ReadDir(filepath.Join(dir, "store")); err != nil || len(ents) != 0 {
+		t.Fatalf("store dir after the sweep: %v (err %v), want empty", ents, err)
 	}
 }
 

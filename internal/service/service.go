@@ -15,12 +15,15 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"log/slog"
 	"math/rand"
 	"path/filepath"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -118,9 +121,9 @@ type Server struct {
 	wg         sync.WaitGroup
 }
 
-// New opens the data directory, verifies store integrity, replays the
-// journal — re-enqueueing every accepted job that has no terminal record
-// — and starts the worker pool.
+// New opens the data directory, reads the journal, verifies store
+// integrity, replays the journal — re-enqueueing every accepted job that
+// has no terminal record — and starts the worker pool.
 func New(cfg Config) (*Server, error) {
 	if cfg.DataDir == "" {
 		return nil, fmt.Errorf("service: DataDir is required")
@@ -170,13 +173,27 @@ func New(cfg Config) (*Server, error) {
 	s.budget = experiments.NewBudget(cfg.Workers, s.met.helpersRecruited)
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 
+	jpath := filepath.Join(cfg.DataDir, "journal.jsonl")
+	entries, err := replayJournal(cfg.FS, jpath)
+	if err != nil {
+		return nil, err
+	}
+	// Each submission counts as one access to its key, so the store's
+	// recency order after a restart is the order of each key's last
+	// submission.
+	var recent []string
+	for _, e := range entries {
+		if e.Op == opAccept {
+			recent = append(recent, e.Key)
+		}
+	}
 	store, removed, err := OpenStore(cfg.FS, filepath.Join(cfg.DataDir, "store"), StoreOptions{
 		QuotaBytes:   cfg.StoreQuotaBytes,
 		MaxEntries:   cfg.StoreMaxEntries,
 		Logger:       cfg.Logger,
 		Evictions:    s.met.storeEvictions,
 		EvictedBytes: s.met.storeEvictedBytes,
-	})
+	}, recent)
 	if err != nil {
 		return nil, err
 	}
@@ -184,12 +201,6 @@ func New(cfg Config) (*Server, error) {
 	for _, r := range removed {
 		cfg.Logger.Warn("store integrity sweep removed entry", "entry", r.Entry, "reason", r.Reason)
 		s.met.sweepRemoved.Inc()
-	}
-
-	jpath := filepath.Join(cfg.DataDir, "journal.jsonl")
-	entries, err := replayJournal(cfg.FS, jpath)
-	if err != nil {
-		return nil, err
 	}
 
 	recovered := s.replay(entries)
@@ -257,20 +268,18 @@ func (s *Server) replay(entries []journalEntry) []*execution {
 			}
 			j.exec = exec
 			exec.jobs = append(exec.jobs, j)
-		case opDone:
+		case opDone, opFail:
+			// The record ends every job of its key still open, never one
+			// an earlier record ended: a job that failed stays failed when
+			// a later job of its key succeeds.
 			if exec := byKey[e.Key]; exec != nil {
 				for _, j := range exec.jobs {
-					if !j.canceled {
-						j.Status = StatusDone
+					if j.terminal() {
+						continue
 					}
-				}
-			}
-		case opFail:
-			if exec := byKey[e.Key]; exec != nil {
-				for _, j := range exec.jobs {
-					if !j.canceled {
-						j.Status = StatusFailed
-						j.Error = e.Err
+					j.Status = StatusDone
+					if e.Op == opFail {
+						j.Status, j.Error = StatusFailed, e.Err
 					}
 				}
 			}
@@ -322,14 +331,15 @@ func (s *Server) replay(entries []journalEntry) []*execution {
 // liveEntries renders the current job table as a minimal journal: one
 // accept per job, plus its terminal record if it has one.
 func (s *Server) liveEntries() []journalEntry {
-	ids := make([]string, 0, len(s.jobs))
-	for id := range s.jobs {
-		ids = append(ids, id)
+	jobs := make([]*Job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		jobs = append(jobs, j)
 	}
-	slices.Sort(ids)
+	// Numerically: "j-1000000" follows "j-999999". The order is both the
+	// replay order and the store's recency order after a restart.
+	slices.SortFunc(jobs, func(a, b *Job) int { return cmp.Compare(seqOf(a.ID), seqOf(b.ID)) })
 	var entries []journalEntry
-	for _, id := range ids {
-		j := s.jobs[id]
+	for _, j := range jobs {
 		sub := j.sub
 		entries = append(entries, journalEntry{Op: opAccept, ID: j.ID, Key: j.Key, Sub: &sub})
 		switch j.Status {
@@ -346,10 +356,7 @@ func (s *Server) liveEntries() []journalEntry {
 
 // seqOf parses the numeric part of a "j-000042" job ID.
 func seqOf(id string) int64 {
-	var n int64
-	if _, err := fmt.Sscanf(id, "j-%d", &n); err != nil {
-		return 0
-	}
+	n, _ := strconv.ParseInt(strings.TrimPrefix(id, "j-"), 10, 64)
 	return n
 }
 
@@ -574,10 +581,9 @@ func (s *Server) Cancel(id string) (bool, error) {
 }
 
 // Drain stops admissions, lets the workers finish every queued and
-// running execution, and closes the store and the journal. It is the
-// SIGTERM path; after it returns the process can exit 0 with no accepted
-// work lost: every job has its terminal record, so a restart recovers
-// nothing.
+// running execution, and closes the journal. It is the SIGTERM path;
+// after it returns the process can exit 0 with no accepted work lost:
+// every job has its terminal record, so a restart recovers nothing.
 func (s *Server) Drain() error {
 	s.mu.Lock()
 	if s.draining {
@@ -595,8 +601,6 @@ func (s *Server) Drain() error {
 	// last time; probes append through the same handle.
 	s.baseCancel()
 	s.probeWG.Wait()
-
-	s.store.Close()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -912,7 +916,8 @@ func (s *Server) probeDisk() error {
 	if err != nil {
 		return err
 	}
-	scratch := filepath.Join(s.cfg.DataDir, "store", ".probe")
+	// The tmp- prefix makes the startup sweep remove a file a crash left.
+	scratch := filepath.Join(s.cfg.DataDir, "store", "tmp-probe")
 	if err := writeSynced(s.cfg.FS, scratch, []byte("ok\n")); err != nil {
 		return err
 	}

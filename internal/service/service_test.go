@@ -10,8 +10,10 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -477,6 +479,115 @@ func TestRestartAfterCleanDrainRecoversNothing(t *testing.T) {
 	}
 	if _, err := s2.store.Artifact(snap.Key, "metrics"); err != nil {
 		t.Fatalf("artifact lost across clean restart: %v", err)
+	}
+}
+
+// recencySurvivesRestart runs misses on a, b and c and then a cache hit
+// on a, stops the server with stop and restarts it with a two-entry cap.
+// The journal's submissions order recency across the restart, so b, the
+// key asked for least recently, is the one evicted.
+func recencySurvivesRestart(t *testing.T, stop func(*Server)) {
+	dir := t.TempDir()
+	s := newTestServer(t, func(c *Config) { c.DataDir = dir })
+	ids := map[string]string{} // template id → its first job's ID
+	for _, id := range []string{"a", "b", "c", "a"} {
+		j, err := s.Submit(Submission{Template: tmplFor(id), Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitStatus(t, s, j.ID, StatusDone)
+		if _, seen := ids[id]; seen != j.CacheHit {
+			t.Fatalf("submission of %s: cache hit %v", id, j.CacheHit)
+		}
+		if !j.CacheHit {
+			ids[id] = j.ID
+		}
+	}
+	stop(s)
+
+	s2 := newTestServer(t, func(c *Config) {
+		c.DataDir = dir
+		c.StoreMaxEntries = 2
+	})
+	defer s2.Drain()
+	c := newTestClient(t, s2)
+	for _, id := range []string{"a", "c"} {
+		if _, err := c.Artifact(ids[id], "metrics"); err != nil {
+			t.Fatalf("%s evicted on restart: %v", id, err)
+		}
+	}
+	_, err := c.Artifact(ids["b"], "metrics")
+	if se := (*StatusError)(nil); !errors.As(err, &se) || se.Code != http.StatusGone {
+		t.Fatalf("b, the least recent key, read back with %v, want status 410", err)
+	}
+}
+
+func TestRecencySurvivesKill(t *testing.T) {
+	recencySurvivesRestart(t, (*Server).Kill)
+}
+
+func TestRecencySurvivesDrain(t *testing.T) {
+	recencySurvivesRestart(t, func(s *Server) {
+		if err := s.Drain(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestReplayKeepsFailedJobFailed checks that a key's later done record
+// does not rewrite an earlier job of the key that failed: after a
+// restart the failed job still reads failed, with its error.
+func TestReplayKeepsFailedJobFailed(t *testing.T) {
+	dir := t.TempDir()
+	var calls atomic.Int64
+	stub := stubRunner(0, nil, nil)
+	s := newTestServer(t, func(c *Config) {
+		c.DataDir = dir
+		c.Runner = func(ctx context.Context, sub Submission, spec *scenario.Spec, p *telemetry.Progress) (*Result, error) {
+			if calls.Add(1) == 1 {
+				return nil, fmt.Errorf("first run fails")
+			}
+			return stub(ctx, sub, spec, p)
+		}
+	})
+	sub := Submission{Template: tmplFor("refail"), Seed: 1}
+	j1, err := s.Submit(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, s, j1.ID, StatusFailed)
+	j2, err := s.Submit(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, s, j2.ID, StatusDone)
+	if err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := newTestServer(t, func(c *Config) { c.DataDir = dir })
+	defer s2.Drain()
+	if snap, _ := s2.snapshotJob(j1.ID); snap.Status != StatusFailed || !strings.Contains(snap.Error, "first run fails") {
+		t.Fatalf("after restart the failed job reads %q (err %q), want failed", snap.Status, snap.Error)
+	}
+	if snap, _ := s2.snapshotJob(j2.ID); snap.Status != StatusDone {
+		t.Fatalf("after restart the done job reads %q, want done", snap.Status)
+	}
+}
+
+// TestLiveEntriesOrderJobsNumerically checks that compaction orders jobs
+// by sequence number, not by ID string: j-999999 comes before j-1000000.
+func TestLiveEntriesOrderJobsNumerically(t *testing.T) {
+	s := &Server{jobs: map[string]*Job{}}
+	for _, id := range []string{"j-1000000", "j-999999"} {
+		s.jobs[id] = &Job{ID: id, Key: storeKey(1), Status: StatusQueued}
+	}
+	var got []string
+	for _, e := range s.liveEntries() {
+		got = append(got, e.ID)
+	}
+	if want := []string{"j-999999", "j-1000000"}; !slices.Equal(got, want) {
+		t.Fatalf("compacted journal order %v, want %v", got, want)
 	}
 }
 

@@ -30,11 +30,12 @@ import (
 // The store is governed, not append-forever: when a byte quota or entry
 // cap is configured, publishing a new entry evicts the least-recently-
 // accessed unpinned entries until the store fits again. Access recency
-// is a logical clock persisted to lru-index.json, so eviction order
-// survives restarts; pinned keys (in-flight executions) are never
-// evicted, so governance cannot race a running job. All filesystem
-// access goes through an iofault.FS, so chaos tests drive the same code
-// paths production runs.
+// is an in-memory logical clock that every Put, Has and read ticks; the
+// store persists none of it. Across a restart, OpenStore rebuilds it from
+// the order the caller passes, which the daemon takes from its journal.
+// Pinned keys (in-flight executions) are never evicted, so governance
+// cannot race a running job. All filesystem access goes through an
+// iofault.FS, so chaos tests drive the same code paths production runs.
 type Store struct {
 	dir string
 	fs  iofault.FS
@@ -57,8 +58,7 @@ type StoreOptions struct {
 	QuotaBytes int64
 	// MaxEntries caps the entry count the same way.
 	MaxEntries int
-	// Logger receives eviction and index-persistence logs (default
-	// slog.Default()).
+	// Logger receives eviction logs (default slog.Default()).
 	Logger *slog.Logger
 	// Evictions and EvictedBytes, when set, count every eviction —
 	// including the ones the startup quota enforcement performs.
@@ -105,27 +105,20 @@ var artifactTypes = map[string]string{
 	"progress": "application/x-ndjson",
 }
 
-// Entry files are <hex>.entry; indexFile persists the LRU clock beside them.
-const (
-	entrySuffix = ".entry"
-	indexFile   = "lru-index.json"
-)
-
-// lruIndex is the on-disk shape of the access-recency index.
-type lruIndex struct {
-	Clock  int64            `json:"clock"`
-	Access map[string]int64 `json:"access"`
-}
+// entrySuffix ends every entry file's name: <hex>.entry.
+const entrySuffix = ".entry"
 
 // OpenStore opens (creating if needed) the store at dir and sweeps it for
 // integrity: every entry's artifacts are re-hashed against its manifest,
 // and entries that fail — bit rot, manual tampering — are removed, as
 // are temp files of interrupted writes and any directory (entries of the
-// older one-directory-per-entry format). It returns what it removed so
-// the caller can log and count each repair, then rebuilds the in-memory
-// size/LRU index, merging persisted access times where present, and
-// immediately enforces the quota on whatever survived.
-func OpenStore(fsys iofault.FS, dir string, opt StoreOptions) (*Store, []SweepRemoval, error) {
+// older one-directory-per-entry format). Files it does not know are left
+// alone. It returns what it removed so the caller can log and count each
+// repair. The survivors start unaccessed; each key in recent, oldest
+// first, then counts as one access (the daemon passes the key of every
+// journalled submission). Only then is the quota enforced, so a lowered
+// cap evicts the entries least recently asked for.
+func OpenStore(fsys iofault.FS, dir string, opt StoreOptions, recent []string) (*Store, []SweepRemoval, error) {
 	if opt.Logger == nil {
 		opt.Logger = slog.Default()
 	}
@@ -146,7 +139,6 @@ func OpenStore(fsys iofault.FS, dir string, opt StoreOptions) (*Store, []SweepRe
 		return nil, nil, fmt.Errorf("store: %w", err)
 	}
 
-	idx := s.loadIndex()
 	var removed []SweepRemoval
 	for _, e := range ents {
 		name := e.Name()
@@ -162,65 +154,26 @@ func OpenStore(fsys iofault.FS, dir string, opt StoreOptions) (*Store, []SweepRe
 		case strings.HasSuffix(name, entrySuffix):
 			size, err := s.verifyEntry(path)
 			if err == nil {
-				h := strings.TrimSuffix(name, entrySuffix)
-				s.entries[h] = &entryInfo{size: size, access: idx.Access[h]}
-				s.clock = max(s.clock, idx.Access[h])
+				s.entries[strings.TrimSuffix(name, entrySuffix)] = &entryInfo{size: size}
 				continue
 			}
 			s.fs.Remove(path)
 			reason = err.Error()
 		default:
-			continue // the LRU index
+			continue
 		}
 		removed = append(removed, SweepRemoval{Entry: name, Reason: reason})
 	}
-	s.clock = max(s.clock, idx.Clock)
+	for _, key := range recent {
+		s.Has(key)
+	}
 
-	// A quota lowered across restarts (or a sweep that removed the index)
-	// must be enforced before the daemon starts admitting work.
+	// A quota lowered across restarts must be enforced before the daemon
+	// starts admitting work.
 	s.mu.Lock()
 	s.evictUntilFitsLocked()
-	s.saveIndexLocked()
 	s.mu.Unlock()
 	return s, removed, nil
-}
-
-// loadIndex reads the persisted access index; a missing or unparseable
-// index degrades to empty (access order restarts from zero).
-func (s *Store) loadIndex() lruIndex {
-	idx := lruIndex{Access: map[string]int64{}}
-	data, err := s.fs.ReadFile(filepath.Join(s.dir, indexFile))
-	if err != nil {
-		return idx
-	}
-	if err := json.Unmarshal(data, &idx); err != nil || idx.Access == nil {
-		idx = lruIndex{Access: map[string]int64{}}
-	}
-	return idx
-}
-
-// saveIndexLocked persists the access index. Best-effort by design: a
-// lost index costs only approximate LRU order after the next restart,
-// so failures are logged, never escalated. Caller holds s.mu.
-func (s *Store) saveIndexLocked() {
-	idx := lruIndex{Clock: s.clock, Access: make(map[string]int64, len(s.entries))}
-	for k, info := range s.entries {
-		idx.Access[k] = info.access
-	}
-	data, err := json.Marshal(&idx)
-	if err != nil {
-		return
-	}
-	path := filepath.Join(s.dir, indexFile)
-	f, err := s.fs.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		s.opt.Logger.Debug("store: LRU index not persisted", "err", err)
-		return
-	}
-	if _, err := f.Write(data); err != nil {
-		s.opt.Logger.Debug("store: LRU index not persisted", "err", err)
-	}
-	f.Close()
 }
 
 // verifyEntry re-hashes every artifact in the entry file at path against
@@ -422,7 +375,6 @@ func (s *Store) Put(key, engine string, res *Result) error {
 	s.clock++
 	s.entries[hexOf(key)] = &entryInfo{size: size, access: s.clock}
 	s.evictUntilFitsLocked()
-	s.saveIndexLocked()
 	s.mu.Unlock()
 	return nil
 }
@@ -479,14 +431,6 @@ func (s *Store) evictUntilFitsLocked() {
 				"entry", shortKey(victim), "bytes", info.size)
 		}
 	}
-}
-
-// Close persists the LRU index so access recency survives a clean
-// shutdown.
-func (s *Store) Close() {
-	s.mu.Lock()
-	s.saveIndexLocked()
-	s.mu.Unlock()
 }
 
 // writeSynced writes chunks back to back and fsyncs before closing, so a

@@ -31,13 +31,14 @@ func putPayload(t *testing.T, s *Store, key string, n int) {
 	}
 }
 
-// openTestStore opens a store over the real filesystem.
-func openTestStore(t *testing.T, dir string, opt StoreOptions) (*Store, []SweepRemoval) {
+// openTestStore opens a store over the real filesystem; recent is the
+// access order OpenStore rebuilds, oldest first.
+func openTestStore(t *testing.T, dir string, opt StoreOptions, recent ...string) (*Store, []SweepRemoval) {
 	t.Helper()
 	if opt.Logger == nil {
 		opt.Logger = testLogger(t)
 	}
-	s, removed, err := OpenStore(iofault.OS(), dir, opt)
+	s, removed, err := OpenStore(iofault.OS(), dir, opt, recent)
 	if err != nil {
 		t.Fatalf("OpenStore: %v", err)
 	}
@@ -123,36 +124,12 @@ func TestStoreAllPinnedDefersEviction(t *testing.T) {
 	}
 }
 
-func TestStoreLRUOrderSurvivesRestart(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := openTestStore(t, dir, StoreOptions{})
-	for i := 1; i <= 3; i++ {
-		putPayload(t, s, storeKey(i), 64)
-	}
-	// Recency: 2, 3, 1 from oldest to newest.
-	s.Has(storeKey(3))
-	s.Has(storeKey(1))
-	s.Close() // persists lru-index.json
-
-	// Reopen with a cap of 2: the persisted order must make 2 the victim.
-	s2, removed := openTestStore(t, dir, StoreOptions{MaxEntries: 2})
-	if len(removed) != 0 {
-		t.Fatalf("sweep removed intact entries: %v", removed)
-	}
-	if s2.Has(storeKey(2)) {
-		t.Fatalf("persisted LRU order lost: entry 2 survived")
-	}
-	if !s2.Has(storeKey(1)) || !s2.Has(storeKey(3)) {
-		t.Fatalf("recently-used entries evicted on reopen")
-	}
-}
-
 func TestStoreSweepRepairsTornEviction(t *testing.T) {
 	dir := t.TempDir()
 	// An eviction whose Remove fails (an I/O error, or a SIGKILL before
 	// it ran) leaves the evicted entry's intact file on disk.
 	inj := iofault.NewInjector(iofault.OS(), 1, iofault.BrokenRemove(hexOf(storeKey(1)), iofault.ErrIO))
-	s, _, err := OpenStore(inj, dir, StoreOptions{MaxEntries: 1, Logger: testLogger(t)})
+	s, _, err := OpenStore(inj, dir, StoreOptions{MaxEntries: 1, Logger: testLogger(t)}, nil)
 	if err != nil {
 		t.Fatalf("OpenStore: %v", err)
 	}
@@ -163,8 +140,8 @@ func TestStoreSweepRepairsTornEviction(t *testing.T) {
 		t.Fatalf("evicted entry still indexed")
 	}
 	// Reopening finds both files intact: the cap must hold, and what
-	// survives must verify.
-	s2, removed := openTestStore(t, dir, StoreOptions{MaxEntries: 1})
+	// survives must verify. The order is the one a journal would hold.
+	s2, removed := openTestStore(t, dir, StoreOptions{MaxEntries: 1}, storeKey(1), storeKey(2))
 	if len(removed) != 0 {
 		t.Fatalf("sweep removed intact entries: %v", removed)
 	}
@@ -249,7 +226,7 @@ func TestStoreWriteFaultLeavesNoEntry(t *testing.T) {
 	inj := iofault.NewInjector(iofault.OS(), 1,
 		iofault.DiskFull("tmp-", budget),
 		iofault.BrokenRemove("tmp-", iofault.ErrIO))
-	s, _, err := OpenStore(inj, dir, StoreOptions{Logger: testLogger(t)})
+	s, _, err := OpenStore(inj, dir, StoreOptions{Logger: testLogger(t)}, nil)
 	if err != nil {
 		t.Fatalf("OpenStore: %v", err)
 	}
@@ -345,7 +322,7 @@ func TestStorePutPublishesDurably(t *testing.T) {
 func TestStorePutFailsOnPublishSyncError(t *testing.T) {
 	dir := t.TempDir()
 	inj := iofault.NewInjector(iofault.OS(), 1, &opRecorder{failSync: dir})
-	s, _, err := OpenStore(inj, dir, StoreOptions{Logger: testLogger(t)})
+	s, _, err := OpenStore(inj, dir, StoreOptions{Logger: testLogger(t)}, nil)
 	if err != nil {
 		t.Fatalf("OpenStore: %v", err)
 	}
